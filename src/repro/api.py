@@ -174,7 +174,8 @@ def sweep(
     engages the fault-tolerant sharded runner
     (:func:`repro.engine.shard.run_many_sharded`): chunked spec-keyed
     checkpointing with crash-safe resume, retry with exponential backoff,
-    poison-chunk quarantine, and per-chunk vector/scalar dispatch.
+    poison-chunk quarantine, and per-chunk vector/scalar dispatch from a
+    deterministic cost model.
 
     ``validate=True`` lints the circuit first (see :func:`lint`; prebuilt
     :class:`CircuitTopology` instances are exempt -- they were built from

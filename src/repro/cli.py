@@ -126,8 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="sequential", help="sweep backend (default: sequential); "
         "'vector' batch-evaluates all runs through numpy and falls back "
         "to sequential (with a warning) when the circuit cannot be "
-        "vectorized; 'auto' runs the fault-tolerant sharded runner with "
-        "per-chunk vector/scalar dispatch",
+        "vectorized; 'auto' runs the fault-tolerant sharded runner and "
+        "picks vector or scalar per chunk from a deterministic cost model "
+        "(chunks under 7 runs, and feedback loops whose fixpoint costs "
+        "more than the scalar events, run scalar); the 'chunks:' lines "
+        "report each chunk's engine, reason and cost estimates",
     )
     sweep.add_argument(
         "--workers", type=int, default=None,
@@ -215,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="sequential",
         help="sweep backend for engine-driven experiments (default: "
         "sequential); 'vector' opts into the numpy batch engine where the "
-        "circuit allows it; 'auto' runs sharded with per-chunk dispatch",
+        "circuit allows it; 'auto' runs sharded and picks vector or scalar "
+        "per chunk from a deterministic cost model (theorem9's storage "
+        "loop runs scalar: its fixpoint costs more than its events)",
     )
     erun.add_argument(
         "--workers", type=int, default=None,

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from scipy import optimize
-
 from .adversary import EtaBound
 from .involution import InvolutionPair
 
@@ -100,6 +98,8 @@ def max_eta_plus(pair: InvolutionPair) -> float:
         g_hi = gap(hi)
         if hi > 1e6 * max(pair.delta_min, 1.0):  # pragma: no cover - defensive
             raise RuntimeError("could not bracket max_eta_plus")
+    from scipy import optimize
+
     return float(optimize.brentq(gap, lo, hi, xtol=1e-15, rtol=1e-14))
 
 
@@ -127,6 +127,8 @@ def max_symmetric_eta(pair: InvolutionPair) -> float:
         g_hi = gap(hi)
         if hi > 1e6 * max(pair.delta_min, 1.0):  # pragma: no cover - defensive
             raise RuntimeError("could not bracket max_symmetric_eta")
+    from scipy import optimize
+
     return float(optimize.brentq(gap, lo, hi, xtol=1e-15, rtol=1e-14))
 
 

@@ -25,7 +25,6 @@ import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .delay_functions import DelayFunction, ExpDelay, FunctionalDelay, TableDelay
 
@@ -187,6 +186,8 @@ class InvolutionPair:
             shrink += 1
             if shrink > 200:
                 raise InvolutionError("could not bracket delta_min")
+        from scipy import optimize
+
         return float(optimize.brentq(equation, lo, hi, xtol=1e-14, rtol=1e-13))
 
     def derivative_up(self, T: float) -> float:

@@ -31,13 +31,17 @@ Retry, timeout, and poison chunks
     :class:`SweepFailureReport` attached to ``SweepResult.failure_report``.
 
 Per-chunk backend dispatch
-    With ``backend="auto"`` (or ``"vector"``) every chunk consults the
-    vector compiler individually: vector-eligible chunks run vectorized
-    (inside each process worker, under ``backend="process"`` -- the ~6x
-    vector speedup and multi-core scaling multiply), and only the
-    genuinely incompatible chunks fall back to the scalar engine.  The
-    fallback is never silent: per-chunk obstacles are aggregated into the
-    sweep's ``vector_report`` and a ``RuntimeWarning``.
+    With ``backend="auto"`` (and inside each worker under
+    ``backend="process"``) every chunk picks its engine from a
+    deterministic cost model in scalar-event units: a chunk with fewer
+    scenarios than the vector break-even runs scalar without compiling,
+    and a cyclic chunk whose fixpoint iteration costs more than the
+    scalar engine would stops and reruns scalar.  Those are decisions,
+    recorded per chunk (:class:`ChunkRecord`), not fallbacks.
+    ``backend="vector"`` runs every chunk that compiles on the vector
+    engine.  Chunks the vector engine cannot express fall back to the
+    scalar engine, never silently: per-chunk obstacles are aggregated into
+    the sweep's ``vector_report`` and a ``RuntimeWarning``.
 
 Fault injection
     :class:`FaultInjector` wraps a chunk executor and raises chosen
@@ -467,9 +471,18 @@ def _encode_chunk_payload(outcome: "_ChunkOutcome") -> Dict[str, Any]:
     return {
         "backend": outcome.backend,
         "vector_reasons": list(outcome.vector_reasons),
+        "decision": {
+            "reason": outcome.reason,
+            "scalar_cost": outcome.scalar_cost,
+            "vector_cost": outcome.vector_cost,
+        },
         "seconds": outcome.seconds,
         "runs": runs,
     }
+
+
+def _optional_float(value) -> Optional[float]:
+    return None if value is None else float(value)
 
 
 def _decode_chunk_payload(topo: CircuitTopology, chunk: SweepChunk, payload):
@@ -504,14 +517,18 @@ def _decode_chunk_payload(topo: CircuitTopology, chunk: SweepChunk, payload):
                     seconds=float(data["seconds"]),
                 )
             )
+        decision = payload.get("decision") or {}
         return _ChunkOutcome(
             runs=runs,
             backend=str(payload.get("backend", "sequential")),
             vector_reasons=tuple(payload.get("vector_reasons", ())),
             seconds=float(payload.get("seconds", 0.0)),
             payload=payload,
+            reason=str(decision.get("reason", "")),
+            scalar_cost=_optional_float(decision.get("scalar_cost")),
+            vector_cost=_optional_float(decision.get("vector_cost")),
         )
-    except (KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         # Damaged checkpoint content: treat as a miss and recompute --
         # exactly the store's own damaged-artifact discipline.
         return None
@@ -531,6 +548,9 @@ class _ChunkOutcome:
     vector_reasons: Tuple[str, ...]
     seconds: float
     payload: Optional[Dict[str, Any]] = None
+    reason: str = ""
+    scalar_cost: Optional[float] = None
+    vector_cost: Optional[float] = None
 
 
 def _execute_chunk(
@@ -538,32 +558,67 @@ def _execute_chunk(
     engine: Engine,
     scenarios: Sequence[object],
     *,
-    dispatch: bool,
+    dispatch: Optional[str],
     on_causality: str,
     max_events: int,
 ) -> _ChunkOutcome:
-    """Run one chunk, vectorized when ``dispatch`` allows and the chunk can."""
+    """Run one chunk on the engine ``dispatch`` chooses.
+
+    ``dispatch`` is ``"auto"`` (the cost model decides), ``"vector"``
+    (the vector engine whenever the chunk compiles) or ``None`` (scalar).
+    Under dispatch the outcome records why its engine ran and the cost
+    model's two estimates in scalar events: the scalar engine's event
+    count, and the lockstep cost the vector engine paid or would pay.
+    """
     from .sweep import RunResult
 
     start = _time.perf_counter()
+    lanes = len(scenarios)
     reasons: Tuple[str, ...] = ()
+    reason = ""
+    scalar_cost = vector_cost = None
     if dispatch:
-        from .vector import VectorUnsupportedError, compile_sweep
+        from .vector import (
+            _BREAK_EVEN_LANES,
+            VectorUnsupportedError,
+            _lockstep_cost,
+            _ScalarCheaper,
+            compile_sweep,
+        )
 
-        try:
-            program = compile_sweep(
-                topo, scenarios, on_causality=on_causality, max_events=max_events
+        if dispatch == "auto" and lanes < _BREAK_EVEN_LANES:
+            reason = (
+                f"{lanes} scenario(s), below the vector break-even of "
+                f"{_BREAK_EVEN_LANES}"
             )
-            runs = program.run()
-            return _ChunkOutcome(
-                runs=runs,
-                backend="vector",
-                vector_reasons=(),
-                seconds=_time.perf_counter() - start,
-            )
-        except VectorUnsupportedError as exc:
-            # Per-chunk fallback: only THIS chunk pays the scalar price.
-            reasons = exc.report.reasons
+        else:
+            try:
+                program = compile_sweep(
+                    topo, scenarios, on_causality=on_causality, max_events=max_events
+                )
+                runs = program.run(_cost_limited=dispatch == "auto")
+            except _ScalarCheaper as exc:
+                reason = str(exc)
+                scalar_cost, vector_cost = exc.scalar_cost, exc.vector_cost
+            except VectorUnsupportedError as exc:
+                # Per-chunk fallback: only THIS chunk pays the scalar price.
+                reasons = exc.report.reasons
+                reason = "the vector engine cannot run this chunk"
+            else:
+                return _ChunkOutcome(
+                    runs=runs,
+                    backend="vector",
+                    vector_reasons=(),
+                    seconds=_time.perf_counter() - start,
+                    reason=(
+                        f"{lanes} scenarios reach the vector break-even of "
+                        f"{_BREAK_EVEN_LANES}"
+                        if dispatch == "auto"
+                        else "backend='vector' requested"
+                    ),
+                    scalar_cost=float(sum(r.execution.event_count for r in runs)),
+                    vector_cost=program.lockstep_cost,
+                )
     runs = []
     for scenario in scenarios:
         run_start = _time.perf_counter()
@@ -577,11 +632,21 @@ def _execute_chunk(
                 seconds=_time.perf_counter() - run_start,
             )
         )
+    if dispatch and scalar_cost is None:
+        # Acyclic lockstep takes about one step per event of the longest
+        # scenario; an unsupported chunk has no vector estimate.
+        events = [run.execution.event_count for run in runs]
+        scalar_cost = float(sum(events))
+        if not reasons:
+            vector_cost = _lockstep_cost(max(events), lanes)
     return _ChunkOutcome(
         runs=runs,
         backend="sequential",
         vector_reasons=reasons,
         seconds=_time.perf_counter() - start,
+        reason=reason,
+        scalar_cost=scalar_cost,
+        vector_cost=vector_cost,
     )
 
 
@@ -590,7 +655,9 @@ class InlineChunkExecutor:
 
     The default executor for the ``auto``/``vector``/``sequential``
     sharded backends; also the natural base for a :class:`FaultInjector`.
-    ``dispatch=False`` pins every chunk to the scalar engine.
+    ``dispatch`` selects the engine per chunk: ``"auto"`` (default) by
+    the cost model, ``"vector"`` whenever the chunk compiles, ``None``
+    pins every chunk to the scalar engine.
 
     Note: an inline executor cannot preempt a hung chunk -- wall-clock
     ``chunk_timeout`` enforcement needs ``backend="process"``, where a
@@ -601,10 +668,12 @@ class InlineChunkExecutor:
         self,
         topology,
         *,
-        dispatch: bool = True,
+        dispatch: Optional[str] = "auto",
         on_causality: str = "error",
         max_events: int = 1_000_000,
     ) -> None:
+        if dispatch not in ("auto", "vector", None):
+            raise ValueError("dispatch must be 'auto', 'vector' or None")
         self.topology = (
             topology
             if isinstance(topology, CircuitTopology)
@@ -686,7 +755,7 @@ def _shard_worker_init(
     spec_json: str,
     on_causality: str,
     max_events: int,
-    dispatch: bool,
+    dispatch: Optional[str],
     chaos: Optional[Dict[str, List[List[int]]]],
 ) -> None:
     global _SHARD_WORKER
@@ -742,7 +811,7 @@ class _ProcessChunkRunner:
         *,
         on_causality: str,
         max_events: int,
-        dispatch: bool,
+        dispatch: Optional[str],
         max_workers: int,
         chunk_timeout: Optional[float],
         chaos: Optional[Dict[str, List[List[int]]]],
@@ -923,7 +992,14 @@ class _ProcessChunkRunner:
 
 @dataclass(frozen=True)
 class ChunkRecord:
-    """How one chunk of a sharded sweep was satisfied."""
+    """How one chunk of a sharded sweep was satisfied.
+
+    Under engine dispatch (``backend="auto"``/``"process"``/``"vector"``)
+    ``reason`` says why ``backend`` ran the chunk, and ``scalar_cost`` /
+    ``vector_cost`` are the cost model's two estimates in scalar events
+    (``vector_cost`` is ``None`` for chunks the vector engine cannot run).
+    Resumed chunks report the decision stored with their checkpoint.
+    """
 
     index: int
     scenarios: int
@@ -933,6 +1009,27 @@ class ChunkRecord:
     seconds: float
     vector_reasons: Tuple[str, ...] = ()
     key: Optional[str] = None
+    reason: str = ""
+    scalar_cost: Optional[float] = None
+    vector_cost: Optional[float] = None
+
+    @classmethod
+    def _of(
+        cls, chunk: SweepChunk, outcome: "_ChunkOutcome", *, resumed: bool, attempts: int
+    ) -> "ChunkRecord":
+        return cls(
+            index=chunk.index,
+            scenarios=len(chunk.scenarios),
+            backend=outcome.backend,
+            resumed=resumed,
+            attempts=attempts,
+            seconds=outcome.seconds,
+            vector_reasons=outcome.vector_reasons,
+            key=chunk.key,
+            reason=outcome.reason,
+            scalar_cost=outcome.scalar_cost,
+            vector_cost=outcome.vector_cost,
+        )
 
 
 @dataclass(frozen=True)
@@ -962,13 +1059,31 @@ class ShardReport:
         return counts
 
     def summary(self) -> str:
-        """One-line human-readable account of the sweep's chunks."""
+        """Human-readable account: a totals line, then one line per chunk.
+
+        Each chunk line names the engine that ran it, why, and the cost
+        model's estimates in scalar events; sweeps that never dispatch
+        (``backend="sequential"``) print the totals line only.
+        """
         backends = ", ".join(f"{k} x {v}" for k, v in sorted(self.backends().items()))
-        return (
+        lines = [
             f"{self.computed} chunk(s) computed, {self.resumed} resumed, "
             f"{self.failed} failed (chunk size {self.chunk_size}, "
             f"{self.executor}; {backends or 'no chunks'})"
-        )
+        ]
+        for r in self.records:
+            if not r.reason:
+                continue
+            costs = ", ".join(
+                f"{name} ~{cost:.0f}"
+                for name, cost in (("scalar", r.scalar_cost), ("vector", r.vector_cost))
+                if cost is not None
+            )
+            lines.append(
+                f"  chunk {r.index}{' (resumed)' if r.resumed else ''}: "
+                f"{r.backend}, {r.reason}" + (f" ({costs} events)" if costs else "")
+            )
+        return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------- #
@@ -1086,15 +1201,16 @@ def run_many_sharded(
         chunks are written as content-keyed artifacts; chunks already in
         the store are loaded instead of recomputed, bit-identically.
     backend:
-        ``"auto"`` / ``"vector"`` dispatch each chunk to the vector
-        engine when it compiles and to the scalar engine otherwise
-        (fallback reasons aggregate into ``vector_report``); ``"process"``
-        does the same inside each pool worker; ``"sequential"`` pins the
-        scalar engine.  ``"thread"`` is accepted for drop-in
-        compatibility with ``run_many`` defaults but degrades to
-        sequential chunk execution (and rejects ``max_workers > 1``:
-        GIL-bound chunk threads would serialize anyway while muddying
-        failure attribution).
+        ``"auto"`` picks the vector or scalar engine per chunk from the
+        cost model (see the module docstring); ``"process"`` does the
+        same inside each pool worker; ``"vector"`` runs every chunk that
+        compiles on the vector engine.  Chunks the vector engine cannot
+        express run scalar, with their reasons in ``vector_report``.
+        ``"sequential"`` pins the scalar engine.  ``"thread"`` is
+        accepted for drop-in compatibility with ``run_many`` defaults
+        but degrades to sequential chunk execution (and rejects
+        ``max_workers > 1``: GIL-bound chunk threads would serialize
+        anyway while muddying failure attribution).
     chunk_size:
         Scenarios per chunk (default :data:`DEFAULT_CHUNK_SIZE`).  Part
         of the checkpoint identity: resume with the size you ran with.
@@ -1141,7 +1257,7 @@ def run_many_sharded(
     scenarios = list(scenarios)
     policy = as_retry_policy(retry)
     size = int(chunk_size) if chunk_size else DEFAULT_CHUNK_SIZE
-    dispatch = backend in ("auto", "vector", "process")
+    dispatch = {"auto": "auto", "process": "auto", "vector": "vector"}.get(backend)
     use_process = backend == "process" and executor is None
     if use_process and max_workers is None:
         max_workers = os.cpu_count() or 1
@@ -1200,28 +1316,12 @@ def run_many_sharded(
             pending.append(chunk)
         else:
             outcomes[chunk.index] = outcome
-            records[chunk.index] = ChunkRecord(
-                index=chunk.index,
-                scenarios=len(chunk.scenarios),
-                backend=outcome.backend,
-                resumed=True,
-                attempts=0,
-                seconds=outcome.seconds,
-                vector_reasons=outcome.vector_reasons,
-                key=chunk.key,
-            )
+            records[chunk.index] = ChunkRecord._of(chunk, outcome, resumed=True, attempts=0)
 
     def record_success(chunk: SweepChunk, outcome: _ChunkOutcome, attempts: int) -> None:
         outcomes[chunk.index] = outcome
-        records[chunk.index] = ChunkRecord(
-            index=chunk.index,
-            scenarios=len(chunk.scenarios),
-            backend=outcome.backend,
-            resumed=False,
-            attempts=attempts,
-            seconds=outcome.seconds,
-            vector_reasons=outcome.vector_reasons,
-            key=chunk.key,
+        records[chunk.index] = ChunkRecord._of(
+            chunk, outcome, resumed=False, attempts=attempts
         )
         if writer is not None:
             writer.submit(chunk, outcome)
@@ -1338,7 +1438,7 @@ def run_many_sharded(
                 for reason, indices in sorted(by_reason.items())
             )
             vector_report = VectorCapability(False, reasons)
-            fell_back = sum(1 for r in ordered_records if r.backend != "vector")
+            fell_back = sum(1 for r in ordered_records if r.vector_reasons)
             warnings.warn(
                 f"sharded sweep: {fell_back} of {len(chunks)} chunk(s) fell "
                 f"back to the scalar engine ({'; '.join(reasons)})",

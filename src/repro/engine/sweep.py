@@ -112,8 +112,8 @@ class SweepResult:
     Sharded sweeps (``backend="auto"``, or any of
     ``checkpoint``/``retry``/``chunk_timeout``/``on_chunk_failure``)
     additionally attach a :class:`~repro.engine.shard.ShardReport` as
-    ``shard_report`` (per-chunk backends, resumed-vs-computed counts,
-    attempts) and -- when chunks were quarantined under
+    ``shard_report`` (per-chunk backends with the reason each was chosen,
+    resumed-vs-computed counts, attempts) and -- when chunks were quarantined under
     ``on_chunk_failure="keep"`` -- a
     :class:`~repro.engine.shard.SweepFailureReport` as ``failure_report``.
     """
@@ -363,7 +363,8 @@ def run_many(
     (:func:`repro.engine.shard.run_many_sharded`): scenarios split into
     deterministic spec-keyed chunks that are individually checkpointed,
     retried with exponential backoff, quarantined when poisonous, and
-    dispatched per-chunk between the vector and scalar engines.  In
+    dispatched per-chunk between the vector and scalar engines (by a
+    deterministic cost model under ``backend="auto"``).  In
     sharded mode ``chunk_size`` means scenarios per chunk (default
     :data:`~repro.engine.shard.DEFAULT_CHUNK_SIZE`) and is part of the
     checkpoint identity.  See :mod:`repro.engine.shard` and

@@ -98,6 +98,54 @@ _NEG_INF = -math.inf
 
 
 # --------------------------------------------------------------------------- #
+# Cost model of backend="auto"
+# --------------------------------------------------------------------------- #
+# ``backend="auto"`` picks the engine of each chunk from one inequality in
+# scalar-event units, computed from deterministic counts and never from
+# wall time: the scalar engine costs one unit per event, a lockstep step of
+# this engine (one transition index of one timed edge, across all lanes)
+# costs a fixed _STEP_COST plus _LANE_COST per scenario lane.  Measured on
+# a 2-CPU x86-64 host (Python 3.11, numpy 2.4) on the 32-stage eta chain
+# of the exp eta-channel: the scalar engine takes 8-13 us per event, a
+# lockstep step ~40-45 us plus ~2.6-2.9 us per lane.  The chain's
+# crossover lies between 4 scenarios (scalar 184 ms, vector 246 ms) and 8
+# (394 ms, 274 ms); at 16 it is 1126 ms against 386 ms.  A finer run put
+# it between 5 (214 ms, 246 ms) and 6 (326 ms, 256 ms), below the
+# break-even of 7 these constants give.  Most of the lane cost is result
+# assembly: the edge kernel alone takes ~0.6 us per lane, so a fixpoint
+# pass, whose iterate is discarded, pays _STEP_COST only.
+
+#: Fixed cost of one lockstep step, in scalar events.
+_STEP_COST = 4.5
+#: Cost of one kept lockstep step per scenario lane, in scalar events.
+_LANE_COST = 0.26
+#: Fewest scenarios for which a lockstep step costs less than the one
+#: event per lane it replaces.  Every chunk needs at least about one step
+#: per event of its longest scenario (exactly that when acyclic, more when
+#: a loop iterates), so below this count the scalar engine always wins.
+_BREAK_EVEN_LANES = math.floor(_STEP_COST / (1.0 - _LANE_COST)) + 1
+
+
+def _lockstep_cost(steps: float, lanes: int, pass_steps: int = 0) -> float:
+    """Cost in scalar events of ``steps`` kept lockstep steps over ``lanes``
+    scenarios plus ``pass_steps`` steps of discarded fixpoint passes."""
+    return steps * (_STEP_COST + _LANE_COST * lanes) + pass_steps * _STEP_COST
+
+
+class _ScalarCheaper(Exception):
+    """A cost-limited run stopped: the scalar engine is the cheaper choice.
+
+    Raised after a fixpoint pass once the cumulative lockstep cost exceeds
+    the scalar cost of the events counted so far plus the loop iterate.
+    """
+
+    def __init__(self, passes: int, vector_cost: float, scalar_cost: float) -> None:
+        super().__init__(f"fixpoint pass {passes} cost more than the scalar engine")
+        self.vector_cost = vector_cost
+        self.scalar_cost = scalar_cost
+
+
+# --------------------------------------------------------------------------- #
 # Capability reporting
 # --------------------------------------------------------------------------- #
 # The obstacle detection itself lives in :mod:`repro.engine.capability`
@@ -953,26 +1001,35 @@ class VectorProgram:
     components: Optional[List[List[int]]] = field(repr=False, default=None)
     edge_programs: Dict[int, _EdgeProgram] = field(repr=False, default_factory=dict)
     port_initials: Dict[str, int] = field(repr=False, default_factory=dict)
+    #: Cost of the last :meth:`run` in scalar events, from its lockstep
+    #: steps: every timed-edge evaluation, and every edge evaluation of a
+    #: fixpoint pass, takes one step per transition index of its source
+    #: signal (the ``backend="auto"`` cost model).
+    lockstep_cost: float = field(default=0.0, init=False)
 
-    def run(self) -> List[object]:
+    def run(self, *, _cost_limited: bool = False) -> List[object]:
         """Execute all scenarios and assemble per-scenario results.
 
         The cyclic garbage collector is paused for the duration: a large
         sweep assembles millions of long-lived Transition/Signal objects
         in one burst, and generational collections scanning that growing
         heap would otherwise triple the assembly cost.
+
+        ``_cost_limited`` is the ``backend="auto"`` mode: after each
+        fixpoint pass the run stops with ``_ScalarCheaper`` once its
+        lockstep cost exceeds what the scalar engine would pay.
         """
         import gc
 
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            return self._run()
+            return self._run(_cost_limited)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-    def _run(self) -> List[object]:
+    def _run(self, cost_limited: bool) -> List[object]:
         from .sweep import RunResult
 
         start = _time.perf_counter()
@@ -1013,6 +1070,7 @@ class VectorProgram:
         # --- levelized / fixpoint evaluation ------------------------------ #
         edge_matrices: Dict[int, _SignalMatrix] = {}
         dropped_counts = np.zeros(S, dtype=np.int64)
+        steps = pass_steps = 0
 
         def node_incoming(nid: int) -> Tuple[int, str, Tuple[int, ...]]:
             kind = topo.node_kind[nid]
@@ -1028,10 +1086,15 @@ class VectorProgram:
 
         def eval_edge(
             eid: int, *, strict: bool = True, scc_internal: bool = False
-        ) -> None:
-            nonlocal event_counts, dropped_counts
+        ) -> int:
+            # Returns the DELIVER events of the evaluation, summed over lanes.
+            nonlocal event_counts, dropped_counts, steps, pass_steps
             program = self.edge_programs[eid]
             source = node_matrices[program.source_id]
+            if not strict:
+                # A fixpoint pass, wires included: both the iteration
+                # budget and the cost model count these steps.
+                pass_steps += source.times.shape[1]
             if program.zero_delay:
                 initial = (
                     (1 - source.initial) if program.inverting else source.initial
@@ -1039,15 +1102,17 @@ class VectorProgram:
                 edge_matrices[eid] = _SignalMatrix(
                     source.times, source.counts, initial
                 )
-                return
+                return 0
             delivered, events, dropped = _eval_timed_edge(
                 program, source, end_times, self.on_causality,
                 strict=strict, scc_internal=scc_internal,
             )
             edge_matrices[eid] = delivered
             if strict:
+                steps += source.times.shape[1]
                 event_counts += events
                 dropped_counts += dropped
+            return int(events.sum())
 
         def check_same_instant(name: str, incoming: Tuple[int, ...]) -> None:
             # The tie-break pass: a gate's same-instant arrivals replay
@@ -1159,7 +1224,7 @@ class VectorProgram:
                 )
 
             iterations = 0
-            total_steps = 0
+            entry_pass_steps = pass_steps
             while True:
                 iterations += 1
                 before = [
@@ -1169,13 +1234,10 @@ class VectorProgram:
                     )
                     for gid, *_ in gates
                 ]
+                iterate_events = 0
                 for gid, name, incoming, internal, external, table in gates:
                     for eid in internal:
-                        source_id = self.edge_programs[eid].source_id
-                        total_steps += int(
-                            node_matrices[source_id].times.shape[1]
-                        )
-                        eval_edge(eid, strict=False)
+                        iterate_events += eval_edge(eid, strict=False)
                     node_matrices[gid] = _eval_gate(
                         topo.gate_initial_by_node[gid],
                         table,
@@ -1191,6 +1253,13 @@ class VectorProgram:
                 ]
                 if after == before:
                     break
+                if cost_limited:
+                    # The scalar engine would pay the events counted so far
+                    # plus the loop's deliveries in the current iterate.
+                    vector_cost = _lockstep_cost(steps, S, pass_steps)
+                    scalar_cost = int(event_counts.sum()) + iterate_events
+                    if vector_cost > scalar_cost:
+                        raise _ScalarCheaper(iterations, vector_cost, scalar_cost)
                 width = max(
                     node_matrices[gid].times.shape[1] for gid, *_ in gates
                 )
@@ -1211,7 +1280,7 @@ class VectorProgram:
                             ),
                         )
                     )
-                if total_steps > 150_000 or iterations > 20_000:
+                if pass_steps - entry_pass_steps > 150_000 or iterations > 20_000:
                     raise VectorUnsupportedError(
                         VectorCapability(
                             False,
@@ -1245,6 +1314,7 @@ class VectorProgram:
                 else:
                     run_component(component)
 
+        self.lockstep_cost = _lockstep_cost(steps, S, pass_steps)
         over = event_counts > self.max_events
         if over.any():
             raise SimulationError(

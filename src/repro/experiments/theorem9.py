@@ -200,9 +200,10 @@ def _run_theorem9(
         max_workers=max_workers,
     )
     if observed is not None:
-        # Provenance must record the strategy that actually ran (the
-        # cyclic loop vectorizes via the fixpoint schedule, but a
-        # dynamic hazard can still drop a run to the scalar engine).
+        # Provenance must record the strategy that actually ran: the
+        # loop compiles for the vector engine, but "auto" runs it scalar
+        # (its fixpoint needs ~400 passes for a handful of events), and
+        # a dynamic hazard can drop an explicit "vector" run to scalar.
         observed["backend_executed"] = sweep.backend or backend
 
     observations: List[RegimeObservation] = []

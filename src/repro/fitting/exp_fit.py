@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..core.delay_functions import ExpDelay
 from ..core.involution import InvolutionPair
@@ -137,6 +136,8 @@ def fit_exp_channel(
         x0 = np.array(initial[:2], dtype=float)
         lower = np.array([1e-6, 1e-6])
         upper = np.array([np.inf, np.inf])
+
+    from scipy import optimize
 
     solution = optimize.least_squares(
         residuals, x0, bounds=(lower, upper), method="trf", max_nfev=2000

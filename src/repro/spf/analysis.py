@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from scipy import optimize
-
 from ..core.adversary import EtaBound
 from ..core.constraint import constraint_C_margin, satisfies_constraint_C
 from ..core.involution import InvolutionPair
@@ -198,6 +196,8 @@ class SPFAnalysis:
                 break
         if hi is None:
             raise ValueError("could not bracket the fixed point tau")
+        from scipy import optimize
+
         return float(optimize.brentq(self.h, tau_0, hi, xtol=1e-14, rtol=1e-13))
 
     @property
@@ -304,6 +304,8 @@ class SPFAnalysis:
                 "first_pulse_map never reaches Delta on the marginal band; "
                 "the delay pair violates the assumptions of Lemma 8"
             )
+        from scipy import optimize
+
         return float(optimize.brentq(gap, lo_eff, hi_eff, xtol=1e-14, rtol=1e-13))
 
     # ------------------------------------------------------------------ #

@@ -219,7 +219,10 @@ class TestShardedEquivalence:
         assert sweep.shard_report is not None
 
     def test_vector_runs_report_per_chunk_seconds(self, eta_chain, mc_scenarios):
-        sweep = run_many_sharded(eta_chain, mc_scenarios, backend="auto", chunk_size=4)
+        sweep = run_many_sharded(
+            eta_chain, mc_scenarios, backend="vector", chunk_size=4
+        )
+        assert {r.backend for r in sweep.shard_report.records} == {"vector"}
         assert all(r.seconds >= 0.0 for r in sweep.shard_report.records)
 
 
@@ -227,11 +230,13 @@ class TestCheckpointResume:
     def test_second_run_resumes_every_chunk(self, eta_chain, mc_scenarios, tmp_path):
         store = ArtifactStore(tmp_path / "ckpt")
         first = run_many_sharded(
-            eta_chain, mc_scenarios, checkpoint=store, chunk_size=3
+            eta_chain, mc_scenarios, backend="vector", checkpoint=store,
+            chunk_size=3,
         )
         assert first.shard_report.computed == 3
         second = run_many_sharded(
-            eta_chain, mc_scenarios, checkpoint=store, chunk_size=3
+            eta_chain, mc_scenarios, backend="vector", checkpoint=store,
+            chunk_size=3,
         )
         assert second.shard_report.resumed == 3
         assert second.shard_report.computed == 0
@@ -260,8 +265,8 @@ class TestCheckpointResume:
         assert_sweeps_identical(baseline, resumed)
 
     def test_cyclic_sweep_resumes_onto_vector_chunks(self, tmp_path):
-        # Feedback cycles dispatch to the vector backend now: a killed
-        # `backend="auto"` sweep over the paper's storage loop must
+        # Feedback cycles run on the vector backend: a killed
+        # `backend="vector"` sweep over the paper's storage loop must
         # resume with every chunk -- checkpointed and recomputed alike
         # -- on the vector path, bit-identical to an unbroken run.
         from repro.circuits import fed_back_or
@@ -279,15 +284,15 @@ class TestCheckpointResume:
         baseline = run_many(loop, scenarios, backend="sequential")
         store = ArtifactStore(tmp_path / "ckpt")
         injector = FaultInjector(
-            InlineChunkExecutor(loop), {(2, 1): "abort"}
+            InlineChunkExecutor(loop, dispatch="vector"), {(2, 1): "abort"}
         )
         with pytest.raises(KeyboardInterrupt):
             run_many_sharded(
-                loop, scenarios, backend="auto", checkpoint=store,
+                loop, scenarios, backend="vector", checkpoint=store,
                 chunk_size=3, executor=injector,
             )
         resumed = run_many_sharded(
-            loop, scenarios, backend="auto", checkpoint=store, chunk_size=3
+            loop, scenarios, backend="vector", checkpoint=store, chunk_size=3
         )
         assert resumed.shard_report.resumed == 2
         assert resumed.shard_report.computed == 1
@@ -381,7 +386,7 @@ class TestCheckpointResume:
         # ... but the same sweep runs fine without a checkpoint (falling
         # back, audibly, to the scalar engine for the opaque channel).
         with pytest.warns(RuntimeWarning, match="fell back"):
-            run_many_sharded(chain, scenarios, backend="auto")
+            run_many_sharded(chain, scenarios, backend="vector")
 
     def test_checkpoint_reclaims_stale_tmp_files(
         self, eta_chain, mc_scenarios, tmp_path
@@ -530,7 +535,7 @@ class TestPerChunkDispatch:
         ]
         with pytest.warns(RuntimeWarning, match="fell back"):
             sweep = run_many_sharded(
-                chain, eligible + ineligible, backend="auto", chunk_size=3
+                chain, eligible + ineligible, backend="vector", chunk_size=3
             )
         records = {r.index: r for r in sweep.shard_report.records}
         assert records[0].backend == "vector"
@@ -544,7 +549,7 @@ class TestPerChunkDispatch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sweep = run_many_sharded(
-                eta_chain, mc_scenarios, backend="auto", chunk_size=4
+                eta_chain, mc_scenarios, backend="vector", chunk_size=4
             )
         assert sweep.vector_report.supported
         assert sweep.backend == "sharded(vector)"
@@ -555,6 +560,151 @@ class TestPerChunkDispatch:
         )
         assert sweep.vector_report is None
         assert {r.backend for r in sweep.shard_report.records} == {"sequential"}
+
+
+def _cyclic_chain_sweep(n):
+    """The vector benchmark's cyclic chain: 32 eta stages into a storage loop.
+
+    Mirrors ``_cyclic_sweep_workload`` in
+    ``benchmarks/test_bench_vector_backend.py`` at full size.
+    """
+    from repro.circuits import BUF, OR2
+    from repro.core import InvolutionPair, PureDelayChannel, admissible_eta_bound
+
+    pair = InvolutionPair.exp_channel(tau=1.0, t_p=0.5)
+    eta = admissible_eta_bound(pair, eta_plus=0.05)
+    circuit = inverter_chain(
+        32, lambda: EtaInvolutionChannel(pair, eta, ZeroAdversary())
+    )
+    circuit.add_gate("latch", OR2, initial_value=0)
+    circuit.add_gate("hold", BUF, initial_value=0)
+    circuit.add_output("stored")
+    circuit.connect(
+        "inv32", "latch", EtaInvolutionChannel(pair, eta, ZeroAdversary()),
+        pin=0, name="into_loop",
+    )
+    circuit.connect("latch", "hold", PureDelayChannel(45.0), pin=0, name="fwd")
+    circuit.connect("hold", "latch", PureDelayChannel(45.0), pin=1, name="back")
+    circuit.connect("latch", "stored")
+    unit = pair.delta_up_inf + pair.delta_down_inf
+    inputs = {"in": Signal.pulse_train(1.0, [2.0 * unit] * 72, [3.0 * unit] * 71)}
+    end_time = 1.0 + 5.0 * unit * 72 + 10.0 * 32 * pair.delta_up_inf
+    return circuit, eta_monte_carlo(circuit, inputs, end_time, n, seed=5)
+
+
+class TestCostModelDispatch:
+    """``backend="auto"``: the cost model picks each chunk's engine."""
+
+    def test_theorem9_defaults_run_scalar_chunks(self, monkeypatch):
+        from repro import api
+        from repro.experiments import theorem9
+
+        sweeps = []
+
+        def recording_run_many(*args, **kwargs):
+            sweeps.append(run_many(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(theorem9, "run_many", recording_run_many)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            auto = api.experiment("theorem9", backend="auto")
+        sequential = api.experiment("theorem9", backend="sequential")
+        auto_sweep, sequential_sweep = sweeps
+        records = auto_sweep.shard_report.records
+        assert [r.backend for r in records] == ["sequential"] * 5
+        assert all(r.reason.startswith("fixpoint pass") for r in records)
+        assert all(r.vector_cost > r.scalar_cost for r in records)
+        assert auto_sweep.vector_report.supported
+        assert auto.provenance["backend_executed"] == "sharded(sequential)"
+        assert {row["adversary"] for row in auto.rows} >= {"random"}
+        assert auto.rows == sequential.rows
+        assert_sweeps_identical(sequential_sweep, auto_sweep)
+
+    def test_eta_chain_16_scenario_chunks_stay_on_vector(self, eta_chain):
+        scenarios = eta_monte_carlo(
+            eta_chain, {"in": Signal.pulse_train(1.0, [3.0] * 4, [3.0] * 3)},
+            60.0, 32, seed=3,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = run_many_sharded(eta_chain, scenarios, backend="auto")
+        records = sweep.shard_report.records
+        assert [(r.scenarios, r.backend) for r in records] == [(16, "vector")] * 2
+        assert all("reach the vector break-even" in r.reason for r in records)
+        assert all(r.vector_cost < r.scalar_cost for r in records)
+        baseline = run_many(eta_chain, scenarios, backend="sequential")
+        assert_sweeps_identical(baseline, sweep)
+
+    def test_chunk_below_break_even_runs_scalar_without_compiling(
+        self, eta_chain, mc_scenarios, baseline, monkeypatch
+    ):
+        from repro.engine import vector
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compile_sweep called below the break-even")
+
+        monkeypatch.setattr(vector, "compile_sweep", no_compile)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = run_many_sharded(
+                eta_chain, mc_scenarios, backend="auto", chunk_size=4
+            )
+        records = sweep.shard_report.records
+        assert {r.backend for r in records} == {"sequential"}
+        assert all("below the vector break-even" in r.reason for r in records)
+        assert all(r.vector_cost > r.scalar_cost for r in records)
+        assert not any(r.vector_reasons for r in records)
+        assert sweep.vector_report.supported
+        assert_sweeps_identical(baseline, sweep)
+
+    def test_cyclic_benchmark_chain_keeps_16_scenario_chunks_on_vector(self):
+        # A loop that pays off: the fixpoint passes must not trip the
+        # cost check while the acyclic prefix is cheaper on vector.
+        circuit, scenarios = _cyclic_chain_sweep(16)
+        sweep = run_many_sharded(circuit, scenarios, backend="auto")
+        (record,) = sweep.shard_report.records
+        assert record.backend == "vector"
+        assert record.vector_cost < record.scalar_cost
+        baseline = run_many(circuit, scenarios, backend="sequential")
+        assert_sweeps_identical(baseline, sweep)
+
+    def test_explicit_vector_keeps_theorem9_on_vector(self):
+        from repro import api
+
+        params = {"pulse_lengths": [0.3, 0.45]}
+        vector = api.experiment("theorem9", params, backend="vector")
+        assert vector.provenance["backend_executed"] == "vector"
+        auto = api.experiment("theorem9", params, backend="auto")
+        assert auto.provenance["backend_executed"] == "sharded(sequential)"
+        assert auto.rows == vector.rows
+
+    def test_resumed_chunks_report_the_stored_decision(
+        self, eta_chain, mc_scenarios, tmp_path
+    ):
+        store = ArtifactStore(tmp_path / "ckpt")
+        first = run_many_sharded(
+            eta_chain, mc_scenarios, checkpoint=store, chunk_size=4
+        )
+        resumed = run_many_sharded(
+            eta_chain, mc_scenarios, checkpoint=store, chunk_size=4
+        )
+        assert resumed.shard_report.resumed == 2
+        for a, b in zip(first.shard_report.records, resumed.shard_report.records):
+            assert (b.reason, b.scalar_cost, b.vector_cost) == (
+                a.reason, a.scalar_cost, a.vector_cost
+            )
+        lines = resumed.shard_report.summary().splitlines()
+        assert lines[0].startswith("0 chunk(s) computed, 2 resumed")
+        assert lines[1].startswith("  chunk 0 (resumed): sequential, 4 scenario(s)")
+        assert "events)" in lines[1]
+
+    def test_sequential_summary_has_no_decisions(self, eta_chain, mc_scenarios):
+        sweep = run_many_sharded(
+            eta_chain, mc_scenarios, backend="sequential", chunk_size=4
+        )
+        assert all(r.reason == "" for r in sweep.shard_report.records)
+        assert len(sweep.shard_report.summary().splitlines()) == 1
 
 
 class TestValidation:
@@ -692,15 +842,27 @@ class TestProcessChaos:
     def test_process_and_inline_checkpoints_are_interchangeable(
         self, eta_chain, mc_scenarios, tmp_path
     ):
+        # One 8-scenario chunk: it reaches the break-even, so the worker
+        # runs it on the vector engine and checkpoints a vector payload.
         store = ArtifactStore(tmp_path / "ckpt")
-        run_many_sharded(
-            eta_chain, mc_scenarios, backend="process", chunk_size=4,
+        first = run_many_sharded(
+            eta_chain, mc_scenarios, backend="process", chunk_size=8,
             max_workers=1, checkpoint=store,
         )
-        # An inline (auto) rerun hits the chunks a process run wrote.
+        (record,) = first.shard_report.records
+        assert record.backend == "vector"
+        assert "reach the vector break-even" in record.reason
+        # An inline (auto) rerun hits the chunk the process run wrote.
         resumed = run_many_sharded(
-            eta_chain, mc_scenarios, backend="auto", chunk_size=4,
+            eta_chain, mc_scenarios, backend="auto", chunk_size=8,
             checkpoint=store,
         )
-        assert resumed.shard_report.resumed == 2
+        assert resumed.shard_report.resumed == 1
         assert resumed.shard_report.computed == 0
+        assert_sweeps_identical(first, resumed)
+        # The worker's cost-model decision travels with the chunk.
+        (again,) = resumed.shard_report.records
+        assert again.backend == "vector"
+        assert (again.reason, again.scalar_cost, again.vector_cost) == (
+            record.reason, record.scalar_cost, record.vector_cost
+        )

@@ -9,7 +9,9 @@ hypothesis example builds a random circuit + scenario family and
 asserts the two backends agree on *everything*: node/edge/output
 signals, event counts, dropped-transition counts, and raised errors.
 A dynamic refusal (``VectorUnsupportedError``) is legal but must be
-loud and must reproduce the sequential outcome unchanged.
+loud and must reproduce the sequential outcome unchanged.  A third party,
+``backend="auto"``, must equal sequential too, whichever engine its cost
+model picks per chunk.
 
 The default profile is small and derandomized so plain ``pytest -x -q``
 stays fast and deterministic; the ``ci`` profile (selected with
@@ -45,8 +47,10 @@ from repro.core import (
 from repro.core.channel import ZeroDelayChannel
 from repro.engine import CircuitTopology, run_many
 from repro.engine.errors import SimulationError
+from repro.engine.shard import SweepFailedError
 from repro.engine.sweep import Scenario
 from repro.engine.vector import (
+    _BREAK_EVEN_LANES,
     VectorUnsupportedError,
     predraw_random_adversaries,
     run_many_vector,
@@ -86,6 +90,28 @@ def _outcome(thunk):
         return None, (type(exc).__name__, str(exc))
 
 
+def assert_auto_matches(topology, scenarios, sequential, seq_err, **kwargs):
+    """``backend="auto"`` equals sequential, error text included.
+
+    The family is repeated up to the vector break-even, so the cost model
+    (not the scenario count alone) decides; repeated scenarios replay
+    identically on either engine.
+    """
+    copies = -(-_BREAK_EVEN_LANES // len(scenarios))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            auto = run_many(
+                topology, scenarios * copies, backend="auto", retry=1, **kwargs
+            )
+        except SweepFailedError as exc:
+            (failure,) = exc.report.failures
+            assert (failure.error_type, failure.error) == seq_err
+            return
+    assert seq_err is None
+    _assert_bit_identical(sequential.runs * copies, auto.runs)
+
+
 def assert_differential(circuit, scenarios, **kwargs):
     """The full contract, error channel included.
 
@@ -100,6 +126,7 @@ def assert_differential(circuit, scenarios, **kwargs):
     sequential, seq_err = _outcome(
         lambda: run_many(topology, scenarios, backend="sequential", **kwargs)
     )
+    assert_auto_matches(topology, scenarios, sequential, seq_err, **kwargs)
     try:
         vector_runs, vec_err = _outcome(
             lambda: run_many_vector(topology, scenarios, **kwargs)
@@ -372,6 +399,26 @@ def test_regression_bounded_oscillator_vectorizes():
         Scenario(name="s", inputs={"in": Signal.pulse(1.0, 2.0)}, end_time=30.0)
     ]
     assert assert_differential(circuit, scenarios) == "vector"
+
+
+def test_regression_auto_surfaces_the_sequential_error():
+    # The error channel of the third party: a loop that overruns
+    # max_events fails under "auto" with the sequential error text.
+    circuit = Circuit("ring")
+    circuit.add_input("in", initial_value=0)
+    circuit.add_gate("l0", OR2, initial_value=0)
+    circuit.add_gate("l1", INV, initial_value=1)
+    circuit.add_output("out")
+    circuit.connect("in", "l0", PureDelayChannel(0.5), pin=0, name="drive")
+    circuit.connect("l0", "l1", PureDelayChannel(0.5), pin=0, name="fwd")
+    circuit.connect("l1", "l0", PureDelayChannel(0.5), pin=1, name="back")
+    circuit.connect("l1", "out")
+    scenarios = [
+        Scenario(name="s", inputs={"in": Signal.pulse(1.0, 2.0)}, end_time=30.0)
+    ]
+    with pytest.raises(SimulationError, match="max_events"):
+        run_many(circuit, scenarios, backend="sequential", max_events=20)
+    assert_differential(circuit, scenarios, max_events=20)
 
 
 def test_regression_per_scenario_adversary_overrides():

@@ -135,6 +135,14 @@ class TestSweep:
         assert strip_timing(first["results"]) == strip_timing(second["results"])
         assert len(first["results"]) == 3
 
+    def test_sweep_auto_prints_each_chunk_decision(self, chain_netlist, capsys):
+        argv = ["sweep", str(chain_netlist), "--runs", "20", "--backend", "auto"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "chunks: 2 chunk(s) computed" in out
+        assert "  chunk 0: vector, 16 scenarios reach the vector break-even" in out
+        assert "  chunk 1: sequential, 4 scenario(s), below the vector break-even" in out
+
     def test_sweep_process_backend(self, chain_netlist, capsys):
         argv = ["sweep", str(chain_netlist), "--runs", "3", "--seed", "7", "--json"]
         assert main(argv) == 0
@@ -296,3 +304,38 @@ class TestPackagedEntryPoints:
         assert result.returncode == 0
         for command in ("info", "simulate", "sweep", "export", "experiment"):
             assert command in result.stdout
+
+
+class TestLazyScipy:
+    """scipy loads inside the solvers that call it, never at CLI start-up."""
+
+    PROBE = (
+        "import sys\n"
+        "{body}\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+
+    def _run_probe(self, body):
+        """Run ``body`` in a fresh interpreter: (its output, scipy modules)."""
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE.format(body=body)],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert result.returncode == 0, result.stderr
+        *output, modules = result.stdout.splitlines()
+        return "\n".join(output), modules
+
+    def test_importing_the_cli_leaves_scipy_unloaded(self):
+        assert self._run_probe("import repro.cli")[1] == "[]"
+
+    def test_cached_theorem9_run_leaves_scipy_unloaded(self, tmp_path, capsys):
+        argv = ["experiment", "run", "theorem9", "--cache", str(tmp_path)]
+        assert main(argv) == 0  # fills the cache
+        assert "cache=miss" in capsys.readouterr().out
+        output, modules = self._run_probe(
+            f"from repro.cli import main\nassert main({argv!r}) == 0"
+        )
+        assert "cache=hit" in output
+        assert modules == "[]"
