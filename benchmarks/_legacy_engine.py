@@ -17,9 +17,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.transitions import Signal, Transition
+from repro.core.transitions import Signal, Transition, _signal_from_times
 from repro.engine.errors import CausalityError, SimulationError
 from repro.engine.kernel import PendingTransition
 from repro.engine.scheduler import Execution
@@ -27,6 +28,12 @@ from repro.engine.scheduler import Execution
 PORT = "port"
 DELIVER = "deliver"
 SETTLE = "settle"
+
+
+def _assembled(initial_value: int, transitions: List[Transition]) -> Signal:
+    # The PR-1 loop assembled its well-formed transition lists without
+    # re-validating them.
+    return _signal_from_times(initial_value, array("d", [t.time for t in transitions]))
 
 
 class LegacyChannelKernel:
@@ -393,11 +400,11 @@ class LegacyEngine:
 
         node_signals: Dict[str, Signal] = {}
         for pname in topo.input_ports:
-            node_signals[pname] = Signal._trusted(
+            node_signals[pname] = _assembled(
                 inputs[pname].initial_value, node_transitions[pname]
             )
         for gname in topo.gate_names:
-            node_signals[gname] = Signal._trusted(
+            node_signals[gname] = _assembled(
                 topo.gate_initial[gname], node_transitions[gname]
             )
         for oname in topo.output_ports:
@@ -407,14 +414,14 @@ class LegacyEngine:
             else:
                 src_initial = inputs[driver.source].initial_value
             channel = run_channels[driver.name]
-            node_signals[oname] = Signal._trusted(
+            node_signals[oname] = _assembled(
                 channel.output_initial_value(src_initial), node_transitions[oname]
             )
         edge_signals = {}
         dropped = 0
         for ename, kernel in kernels.items():
             edge = topo.edges[ename]
-            edge_signals[ename] = Signal._trusted(
+            edge_signals[ename] = _assembled(
                 run_channels[ename].output_initial_value(
                     node_signals[edge.source].initial_value
                 ),

@@ -41,8 +41,8 @@ def remove_short_pulses(signal: Signal, min_width: float) -> Signal:
     short pulse; the procedure repeats until no transition pair is closer
     than ``min_width``.  This is the idealised inertial-delay filter.
     """
-    times = [t.time for t in signal.transitions]
-    values = [t.value for t in signal.transitions]
+    times = signal.transition_times()
+    values = [t.value for t in signal]
     changed = True
     while changed and len(times) >= 2:
         changed = False

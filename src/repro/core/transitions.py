@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import math
 from array import array as _array
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "RISING",
@@ -141,14 +144,12 @@ class Signal:
         relax the check.
     """
 
-    # _packed_times caches the float64-packed transition times (the pickle
-    # and checkpoint wire format).  Producers that already hold the times
-    # as a contiguous array (the vector backend's result assembly, packed
-    # decoding itself) prefill it; for everyone else it is computed on
-    # first packing.  Signals are immutable, so the cache can never go
-    # stale.  It is identity-only state: excluded from equality/pickling
-    # semantics (the packed form *is* the times, just pre-serialised).
-    __slots__ = ("_initial_value", "_transitions", "_packed_times")
+    # The representation is the paper's definition: the initial value and
+    # one float64 array of transition times.  Values are not stored --
+    # alternation determines them -- and Transition objects are built only
+    # on demand.  The array's bytes are the pickle and checkpoint wire
+    # format.  Signals are immutable: nothing mutates ``_times``.
+    __slots__ = ("_initial_value", "_times")
 
     def __init__(
         self,
@@ -162,50 +163,15 @@ class Signal:
         trans = [t if isinstance(t, Transition) else Transition(*t) for t in transitions]
         _validate_transitions(initial_value, trans, allow_negative_times)
         self._initial_value = initial_value
-        self._transitions = tuple(trans)
-        self._packed_times: Optional[bytes] = None
+        self._times = _array("d", [tr.time for tr in trans])
+
+    def __reduce__(self):
+        # Packed pickling: the initial value plus the times' float64 bytes.
+        return (_signal_from_packed, (self._initial_value, self._times.tobytes()))
 
     # ------------------------------------------------------------------ #
     # Constructors
     # ------------------------------------------------------------------ #
-
-    @classmethod
-    def _trusted(cls, initial_value: int, transitions: Sequence[Transition]) -> "Signal":
-        """Fast path for internally generated, already well-formed transitions.
-
-        Skips per-transition validation; callers (the execution engine's
-        result assembly) guarantee strictly increasing times and alternating
-        values by construction.
-        """
-        signal = cls.__new__(cls)
-        signal._initial_value = initial_value
-        signal._transitions = tuple(transitions)
-        signal._packed_times = None
-        return signal
-
-    def _pack_times(self) -> bytes:
-        """The transition times as packed little-endian float64 bytes.
-
-        The pickle and checkpoint wire format for signals (values are not
-        packed at all: alternation is a hard invariant, so they are fully
-        determined by ``initial_value``).  Cached on first use; the
-        vector backend prefills the cache straight from its result
-        arrays, making packing a hot sweep's executions nearly free.
-        """
-        packed = self._packed_times
-        if packed is None:
-            packed = self._packed_times = _array(
-                "d", [tr.time for tr in self._transitions]
-            ).tobytes()
-        return packed
-
-    def __reduce__(self):
-        # Packed pickling: the initial value plus times as a double array.
-        # The process-based sweep backend ships whole executions (dozens
-        # of signals per run) back to the parent, and packing beats
-        # per-Transition object pickling by roughly an order of magnitude;
-        # the sharded checkpoint writer runs through here on every chunk.
-        return (_signal_from_packed, (self._initial_value, self._pack_times()))
 
     @classmethod
     def constant(cls, value: int) -> "Signal":
@@ -244,12 +210,11 @@ class Signal:
 
         Values alternate starting from ``1 - initial_value``.
         """
-        value = 1 - initial_value
-        transitions = []
-        for t in times:
-            transitions.append(Transition(float(t), value))
-            value = 1 - value
-        return cls(initial_value, transitions, allow_negative_times=allow_negative_times)
+        if initial_value not in (0, 1):
+            raise SignalError("initial value must be 0 or 1")
+        packed = _array("d", [float(t) for t in times])
+        _validate_times(packed, allow_negative_times)
+        return _signal_from_times(initial_value, packed)
 
     @classmethod
     def pulse_train(
@@ -295,39 +260,45 @@ class Signal:
 
     @property
     def transitions(self) -> Tuple[Transition, ...]:
-        """The finite-time transitions of the signal."""
-        return self._transitions
+        """The finite-time transitions of the signal (built on each call)."""
+        return tuple(self)
 
     @property
     def final_value(self) -> int:
         """Value after the last transition (the eventual steady state)."""
-        if self._transitions:
-            return self._transitions[-1].value
-        return self._initial_value
+        return self._initial_value ^ (len(self._times) & 1)
 
     def __len__(self) -> int:
-        return len(self._transitions)
+        return len(self._times)
 
     def __iter__(self) -> Iterator[Transition]:
-        return iter(self._transitions)
+        value = 1 - self._initial_value
+        for time in self._times:
+            yield _transition(time, value)
+            value = 1 - value
 
     def __getitem__(self, index):
-        return self._transitions[index]
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self._times))[index])
+        time = self._times[index]
+        if index < 0:
+            index += len(self._times)
+        return _transition(time, self._initial_value ^ (1 - (index & 1)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Signal):
             return NotImplemented
         return (
             self._initial_value == other._initial_value
-            and self._transitions == other._transitions
+            and self._times == other._times
         )
 
     def __hash__(self) -> int:
-        return hash((self._initial_value, self._transitions))
+        return hash((self._initial_value, tuple(self._times)))
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"({t.time:g},{t.value})" for t in self._transitions[:6])
-        more = "..." if len(self._transitions) > 6 else ""
+        parts = ", ".join(f"({t.time:g},{t.value})" for t in self[:6])
+        more = "..." if len(self._times) > 6 else ""
         return f"Signal(init={self._initial_value}, [{parts}{more}])"
 
     # ------------------------------------------------------------------ #
@@ -336,13 +307,7 @@ class Signal:
 
     def value_at(self, time: float) -> int:
         """Value of the signal trace at ``time`` (right-continuous)."""
-        value = self._initial_value
-        for tr in self._transitions:
-            if tr.time <= time:
-                value = tr.value
-            else:
-                break
-        return value
+        return self._initial_value ^ (bisect_right(self._times, time) & 1)
 
     def values_at(self, times: Sequence[float]) -> List[int]:
         """Vectorised :meth:`value_at` for a sorted or unsorted time list."""
@@ -350,15 +315,15 @@ class Signal:
 
     def transition_times(self) -> List[float]:
         """The list of finite transition times."""
-        return [t.time for t in self._transitions]
+        return self._times.tolist()
 
     def is_zero(self) -> bool:
         """True if this is the zero signal (constant 0)."""
-        return self._initial_value == 0 and not self._transitions
+        return self._initial_value == 0 and not self._times
 
     def is_constant(self) -> bool:
         """True if the signal has no finite transitions."""
-        return not self._transitions
+        return not self._times
 
     # ------------------------------------------------------------------ #
     # Pulse queries (paper, Section IV definitions)
@@ -372,15 +337,14 @@ class Signal:
         matching falling transition is *not* a pulse (it is a step) and is
         not reported.
         """
-        result: List[Pulse] = []
-        open_start: Optional[float] = None
-        for tr in self._transitions:
-            if tr.value == polarity:
-                open_start = tr.time
-            elif open_start is not None:
-                result.append(Pulse(open_start, tr.time - open_start, polarity))
-                open_start = None
-        return result
+        times = self._times
+        # Transition i has value 1 - initial_value for even i: pulses of
+        # this polarity open at every other index, starting at 0 or 1.
+        first = 0 if self._initial_value != polarity else 1
+        return [
+            Pulse(times[i], times[i + 1] - times[i], polarity)
+            for i in range(first, len(times) - 1, 2)
+        ]
 
     def contains_pulse_shorter_than(self, epsilon: float, polarity: int = 1) -> bool:
         """True if the signal contains a pulse of length ``< epsilon``.
@@ -428,26 +392,21 @@ class Signal:
 
     def shifted(self, delta: float) -> "Signal":
         """Return the signal shifted by ``delta`` in time."""
-        return Signal(
+        return Signal.from_times(
+            [t + delta for t in self._times],
             self._initial_value,
-            [t.shifted(delta) for t in self._transitions],
             allow_negative_times=True,
         )
 
     def inverted(self) -> "Signal":
         """Return the logical complement of the signal."""
-        return Signal(
-            1 - self._initial_value,
-            [t.inverted() for t in self._transitions],
-            allow_negative_times=True,
-        )
+        return _signal_from_times(1 - self._initial_value, self._times)
 
     def restricted(self, until: float) -> "Signal":
         """Return the signal with transitions strictly after ``until`` dropped."""
-        return Signal(
-            self._initial_value,
-            [t for t in self._transitions if t.time <= until],
-            allow_negative_times=True,
+        times = self._times
+        return _signal_from_times(
+            self._initial_value, times[: bisect_right(times, until)]
         )
 
     def after(self, time: float) -> "Signal":
@@ -456,17 +415,16 @@ class Signal:
         The initial value becomes the value at ``time`` and only strictly
         later transitions are kept (not re-based; absolute times are kept).
         """
-        return Signal(
-            self.value_at(time),
-            [t for t in self._transitions if t.time > time],
-            allow_negative_times=True,
+        times = self._times
+        return _signal_from_times(
+            self.value_at(time), times[bisect_right(times, time) :]
         )
 
     def stabilization_time(self) -> float:
         """Time of the last transition, or ``-inf`` for constant signals."""
-        if not self._transitions:
+        if not self._times:
             return -math.inf
-        return self._transitions[-1].time
+        return self._times[-1]
 
     def to_samples(self, times: Sequence[float]) -> List[int]:
         """Sample the signal trace at the given times."""
@@ -478,57 +436,107 @@ def _validate_transitions(
     transitions: List[Transition],
     allow_negative_times: bool,
 ) -> None:
-    """Check invariants S1/S2 plus value alternation."""
-    previous_time = -math.inf
+    """Check value alternation plus invariants S1/S2."""
     previous_value = initial_value
     for tr in transitions:
-        if math.isnan(tr.time):
-            raise SignalError("transition time must not be NaN")
-        if not allow_negative_times and tr.time < 0:
-            raise SignalError(
-                f"transition times must be >= 0 (invariant S1), got {tr.time}"
-            )
-        if tr.time == -math.inf:
-            raise SignalError("only the implicit initial transition may be at -inf")
-        if tr.time <= previous_time:
-            raise SignalError(
-                "transition times must be strictly increasing (invariant S2): "
-                f"{tr.time} after {previous_time}"
-            )
         if tr.value == previous_value:
             raise SignalError(
                 f"transition values must alternate, got two consecutive {tr.value}s"
             )
-        previous_time = tr.time
         previous_value = tr.value
+    _validate_times([tr.time for tr in transitions], allow_negative_times)
 
 
-def _signal_from_packed(initial_value: int, times: bytes) -> Signal:
-    """Rebuild a pickled :class:`Signal` from its packed representation.
+def _validate_times(times: Iterable[float], allow_negative_times: bool) -> None:
+    """Check invariants S1/S2 on transition times."""
+    previous_time = -math.inf
+    for time in times:
+        if math.isnan(time):
+            raise SignalError("transition time must not be NaN")
+        if not allow_negative_times and time < 0:
+            raise SignalError(
+                f"transition times must be >= 0 (invariant S1), got {time}"
+            )
+        if time == -math.inf:
+            raise SignalError("only the implicit initial transition may be at -inf")
+        if time <= previous_time:
+            raise SignalError(
+                "transition times must be strictly increasing (invariant S2): "
+                f"{time} after {previous_time}"
+            )
+        previous_time = time
 
-    Transition values are derived, not stored: alternation is a hard
-    signal invariant, so they toggle starting from ``1 - initial_value``.
-    This is the hot path of process-backend result shipping and
-    checkpoint resume: millions of transitions flow through here, so the
-    objects are assembled directly (``__new__`` + ``object.__setattr__``,
-    the same thing the frozen dataclass ``__init__`` does) instead of
-    paying the constructor's argument handling and re-validation -- the
-    packed form was produced from an already-validated signal.
+
+# --------------------------------------------------------------------------- #
+# The representation's private interface
+# --------------------------------------------------------------------------- #
+# Engines, the vector backend and the checkpoint codec go through these
+# helpers; no other module reads or builds a Signal's fields.
+
+
+_new_transition = Transition.__new__
+_set_field = object.__setattr__
+
+
+def _transition(time: float, value: int) -> Transition:
+    """A Transition built without the dataclass ``__init__``/``__post_init__``
+    layers (values derived from alternation are 0/1 by construction)."""
+    transition = _new_transition(Transition)
+    _set_field(transition, "time", time)
+    _set_field(transition, "value", value)
+    return transition
+
+
+def _signal_from_times(initial_value: int, times: _array) -> Signal:
+    """A Signal over ``times``, an ``array('d')`` taken as is, unvalidated.
+
+    For producers whose times are strictly increasing by construction
+    (the engines' result assembly).  The array becomes the signal's
+    storage: the caller must not mutate it afterwards.
     """
-    unpacked = _array("d")
-    unpacked.frombytes(times)
-    new, setattr_ = Transition.__new__, object.__setattr__
-    transitions = []
-    append = transitions.append
-    value = 1 - initial_value
-    for t in unpacked:
-        tr = new(Transition)
-        setattr_(tr, "time", t)
-        setattr_(tr, "value", value)
-        value = 1 - value
-        append(tr)
-    signal = Signal._trusted(initial_value, transitions)
-    # The packed form is in hand -- cache it, so re-packing (a resumed
-    # sweep re-checkpointing, a worker result pickled onward) is free.
-    signal._packed_times = bytes(times)
+    signal = Signal.__new__(Signal)
+    signal._initial_value = initial_value
+    signal._times = times
     return signal
+
+
+def _signal_times(signal: Signal) -> _array:
+    """The signal's transition times, its own ``array('d')``: read only."""
+    return signal._times
+
+
+def _signal_from_packed(initial_value: int, data: bytes) -> Signal:
+    """Rebuild a pickled :class:`Signal` from its packed float64 times."""
+    times = _array("d")
+    times.frombytes(data)
+    return _signal_from_times(initial_value, times)
+
+
+def _decode_signals(packed: Sequence[Tuple[Any, bytes]]) -> List[Signal]:
+    """Rebuild signals from untrusted packed ``(initial_value, times)`` pairs.
+
+    The checkpoint decoder's entry point.  Raises :class:`SignalError`
+    unless every initial value is 0 or 1, every byte string holds whole
+    float64s, and each signal's times are strictly increasing with no NaN
+    or ``-inf`` (what :func:`_validate_times` checks with
+    ``allow_negative_times=True``).  The time checks run over the whole
+    batch in one vectorised pass.
+    """
+    starts: List[int] = []
+    offset = 0
+    for initial_value, data in packed:
+        if initial_value not in (0, 1) or len(data) % 8:
+            raise SignalError("damaged packed signal")
+        starts.append(offset)
+        offset += len(data) // 8
+    joined = np.frombuffer(b"".join(data for _, data in packed), dtype=np.float64)
+    increasing = joined[1:] > joined[:-1]
+    # Steps from one signal's last time to the next signal's first are
+    # not comparisons within a signal.
+    boundaries = np.asarray(starts, dtype=np.int64) - 1
+    increasing[boundaries[(boundaries >= 0) & (boundaries < len(increasing))]] = True
+    if not (increasing.all() and (joined > -math.inf).all()):
+        raise SignalError("damaged packed signal: times not strictly increasing")
+    return [
+        _signal_from_packed(int(initial_value), data) for initial_value, data in packed
+    ]

@@ -515,8 +515,8 @@ def analyze_sweep(
     min_input_time = _INF
     for scenario in scenarios:
         for signal in scenario.inputs.values():
-            if len(signal.transitions):
-                min_input_time = min(min_input_time, signal.transitions[0].time)
+            if len(signal):
+                min_input_time = min(min_input_time, signal[0].time)
     analysis.min_input_time = min_input_time
 
     zero_out_edges: List[List[int]] = [[] for _ in topo.node_names]

@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ..core.transitions import Signal, Transition
+from ..core.transitions import Signal, Transition, _signal_times
 from .errors import CausalityError, SimulationError
 
 __all__ = [
@@ -218,8 +218,9 @@ class ChannelKernel:
         self.pending: Deque[Tuple[float, int, int, Optional[PendingTransition]]] = deque()
         #: ``event_id -> pending entry`` index (O(1) delivery lookup).
         self._pending_index: Dict[int, Tuple[float, int, int, Optional[PendingTransition]]] = {}
-        #: Delivered output transitions, in delivery order.
-        self.delivered: List[Transition] = []
+        #: Delivered output transition times, in delivery order (values
+        #: alternate, starting from the output's initial value).
+        self.delivered: List[float] = []
         #: Tombstones of cancelled transitions whose delivery event is still
         #: in the external event queue (shared with the scheduler when the
         #: engine drives this kernel).
@@ -430,7 +431,7 @@ class ChannelKernel:
             return False
         self.delivered_value = value
         self.last_delivered_time = time
-        self.delivered.append(Transition(time, value))
+        self.delivered.append(time)
         if p is not None:
             p.cancelled = False
         return True
@@ -448,10 +449,10 @@ class ChannelKernel:
             return False
         self.delivered_value = out_value
         self.last_delivered_time = time
-        if self.delivered and self.delivered[-1].time == time:
+        if self.delivered and self.delivered[-1] == time:
             self.delivered.pop()
         else:
-            self.delivered.append(Transition(time, out_value))
+            self.delivered.append(time)
         return True
 
     def _deliver_value(
@@ -463,7 +464,7 @@ class ChannelKernel:
             return False
         self.delivered_value = value
         self.last_delivered_time = time
-        self.delivered.append(Transition(time, value))
+        self.delivered.append(time)
         if p is not None:
             p.cancelled = False
         return True
@@ -498,15 +499,17 @@ class ChannelKernel:
         event-driven engine on a single-channel circuit.
         """
         self.reset(signal.initial_value)
-        for transition in signal:
-            self.mature(transition.time)
-            self.commit(self.tentative(transition.time, transition.value))
+        value = 1 - signal.initial_value
+        for time in _signal_times(signal):
+            self.mature(time)
+            self.commit(self.tentative(time, value))
+            value = 1 - value
         self.flush()
-        return Signal(
+        return Signal.from_times(
+            self.delivered,
             self.channel.output_initial_value(signal.initial_value)
             if self.channel
             else self.input_initial_value,
-            self.delivered,
             allow_negative_times=True,
         )
 
@@ -587,7 +590,7 @@ def transport_resolve(
         kernel.mature(p.input_time)
         kernel.commit(p)
     kernel.flush()
-    return Signal(initial_value, kernel.delivered, allow_negative_times=True)
+    return Signal.from_times(kernel.delivered, initial_value, allow_negative_times=True)
 
 
 def pending_to_signal(

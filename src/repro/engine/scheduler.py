@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.transitions import Signal, Transition
+from ..core.transitions import Signal, _signal_from_times, _signal_times
 from .errors import SimulationError
 from .kernel import ChannelKernel
 
@@ -383,7 +384,7 @@ class Engine:
         # --- per-run tables, indexed by dense node/edge id -----------------
         n_nodes = len(topo.node_names)
         node_values: List[int] = [0] * n_nodes
-        node_transitions: List[List[Transition]] = [[] for _ in range(n_nodes)]
+        node_times: List[List[float]] = [[] for _ in range(n_nodes)]
         input_signal_by_id: List[Optional[Signal]] = [None] * n_nodes
         for pid, pname in zip(topo.input_port_ids, topo.input_ports):
             signal = inputs[pname]
@@ -431,27 +432,30 @@ class Engine:
         edge_target_kind = topo.edge_target_kind
 
         # --- primary events -------------------------------------------------
-        for pid in topo.input_port_ids:
-            for tr in input_signal_by_id[pid]:
-                if tr.time <= end_time:
-                    scheduler.push(tr.time, PORT, (pid, tr.value))
+        for pid, pname in zip(topo.input_port_ids, topo.input_ports):
+            value = 1 - inputs[pname].initial_value
+            for time in _signal_times(inputs[pname]):
+                if time > end_time:
+                    break
+                scheduler.push(time, PORT, (pid, value))
+                value = 1 - value
 
         event_count = 0
 
         # --- helpers ---------------------------------------------------------
 
-        def record_node_transition(nid: int, time: float, value: int) -> None:
+        def record_node_transition(nid: int, time: float) -> None:
             """Record a node-output transition, collapsing zero-width glitches.
 
             Two transitions of a node at exactly the same time form a
             zero-width glitch (the value reverts within the same instant);
             both are removed, keeping the recorded signal well formed.
             """
-            transitions = node_transitions[nid]
-            if transitions and transitions[-1].time == time:
-                transitions.pop()
+            times = node_times[nid]
+            if times and times[-1] == time:
+                times.pop()
             else:
-                transitions.append(Transition(time, value))
+                times.append(time)
 
         def evaluate_gate(gid: int, time: float) -> bool:
             """Re-evaluate a gate; record and return True if its output changed."""
@@ -461,7 +465,7 @@ class Engine:
             if new_value == node_values[gid]:
                 return False
             node_values[gid] = new_value
-            record_node_transition(gid, time, new_value)
+            record_node_transition(gid, time)
             return True
 
         # --- settle gates at time 0 ------------------------------------------
@@ -507,12 +511,12 @@ class Engine:
                                 gates_to_evaluate.append(tid)
                         elif kind == _NODE_OUTPUT:
                             node_values[tid] = value
-                            record_node_transition(tid, time, value)
+                            record_node_transition(tid, time)
                 elif batch_kind == PORT:
                     pid, value = batch_payload
                     if node_values[pid] != value:
                         node_values[pid] = value
-                        record_node_transition(pid, time, value)
+                        record_node_transition(pid, time)
                         changed_nodes.append(pid)
                 elif batch_kind == SETTLE:
                     for gid in batch_payload:
@@ -554,7 +558,7 @@ class Engine:
                                     affected_gates.append(tid)
                             elif kind == _NODE_OUTPUT:
                                 node_values[tid] = out_value
-                                record_node_transition(tid, time, out_value)
+                                record_node_transition(tid, time)
                         else:
                             event = kernel.feed(time, value)
                             if event is not None and event.time <= end_time:
@@ -570,17 +574,17 @@ class Engine:
                 changed_nodes = next_changed
 
         # --- assemble the execution ------------------------------------------
-        # The engine only records well-formed transition lists (alternating
-        # values, strictly increasing times, same-instant glitches
-        # collapsed), so assembly uses the validation-free Signal fast path.
+        # The engine only records well-formed transitions (values toggle,
+        # times strictly increase, same-instant glitches collapsed), so
+        # assembly wraps the recorded times without re-validating them.
         node_signals: Dict[str, Signal] = {}
         for pid, pname in zip(topo.input_port_ids, topo.input_ports):
-            node_signals[pname] = Signal._trusted(
-                input_signal_by_id[pid].initial_value, node_transitions[pid]
+            node_signals[pname] = _signal_from_times(
+                input_signal_by_id[pid].initial_value, array("d", node_times[pid])
             )
         for gid, gname in zip(topo.gate_ids, topo.gate_names):
-            node_signals[gname] = Signal._trusted(
-                topo.gate_initial_by_node[gid], node_transitions[gid]
+            node_signals[gname] = _signal_from_times(
+                topo.gate_initial_by_node[gid], array("d", node_times[gid])
             )
         for oid, oname in zip(topo.output_port_ids, topo.output_ports):
             driver = topo.output_driver[oname]
@@ -590,18 +594,18 @@ class Engine:
             else:
                 src_initial = input_signal_by_id[src_id].initial_value
             channel = run_channels[topo.edge_index[driver.name]]
-            node_signals[oname] = Signal._trusted(
-                channel.output_initial_value(src_initial), node_transitions[oid]
+            node_signals[oname] = _signal_from_times(
+                channel.output_initial_value(src_initial), array("d", node_times[oid])
             )
         edge_signals = {}
         dropped = 0
         for eid, ename in enumerate(topo.edge_names):
             kernel = kernels[eid]
-            edge_signals[ename] = Signal._trusted(
+            edge_signals[ename] = _signal_from_times(
                 run_channels[eid].output_initial_value(
                     node_signals[topo.edge_list[eid].source].initial_value
                 ),
-                kernel.delivered,
+                array("d", kernel.delivered),
             )
             dropped += kernel.dropped
             # Purge end-of-run bookkeeping: pending transitions past the

@@ -67,7 +67,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.transitions import Signal, _signal_from_packed
+from ..core.transitions import Signal, _decode_signals, _signal_times
 from .errors import SimulationError
 from .scheduler import CircuitTopology, Engine, Execution
 
@@ -428,25 +428,22 @@ def make_chunks(
 # --------------------------------------------------------------------------- #
 # Chunk payload encoding (the checkpoint wire format)
 # --------------------------------------------------------------------------- #
-# Signals are packed exactly like Signal.__reduce__ does for the process
-# backend -- the initial value plus a float64 time array, base64-wrapped
-# for JSON -- so encoding costs O(transitions) array appends instead of
-# per-float repr() calls, and decoding reuses the trusted fast path.
-# Transition values are never stored: alternation is a hard Signal
-# invariant, so the value sequence is fully determined by the initial
-# value.  Float64 bits survive the round trip exactly, which is what
-# makes a resumed sweep bit-identical to an uninterrupted one.
+# A signal is stored as {"i": initial value, "t": base64 of its times
+# array's native float64 bytes} -- the same bytes Signal.__reduce__ ships
+# to and from process workers, so encoding is one buffer copy and
+# decoding one frombytes per signal.  Transition values are never stored:
+# alternation is a hard Signal invariant, so the initial value determines
+# them.  Float64 bits survive the round trip exactly, which is what makes
+# a resumed sweep bit-identical to an uninterrupted one.  Decoding trusts
+# nothing: a run whose node or edge names differ from the topology's, or
+# whose signals break the Signal invariants, makes the chunk a miss.
 
 
 def _pack_signal(signal: Signal) -> Dict[str, Any]:
     return {
         "i": signal.initial_value,
-        "t": base64.b64encode(signal._pack_times()).decode("ascii"),
+        "t": base64.b64encode(_signal_times(signal)).decode("ascii"),
     }
-
-
-def _unpack_signal(data: Dict[str, Any]) -> Signal:
-    return _signal_from_packed(int(data["i"]), base64.b64decode(data["t"]))
 
 
 def _encode_chunk_payload(outcome: "_ChunkOutcome") -> Dict[str, Any]:
@@ -493,14 +490,23 @@ def _decode_chunk_payload(topo: CircuitTopology, chunk: SweepChunk, payload):
         encoded_runs = payload["runs"]
         if len(encoded_runs) != len(chunk.scenarios):
             return None
+        node_names, edge_names = set(topo.node_names), set(topo.edge_names)
+        packed = []
+        for data in encoded_runs:
+            if (
+                data["node_signals"].keys() != node_names
+                or data["edge_signals"].keys() != edge_names
+            ):
+                return None
+            for group in (data["node_signals"], data["edge_signals"]):
+                packed.extend(
+                    (sig["i"], base64.b64decode(sig["t"])) for sig in group.values()
+                )
+        signals = iter(_decode_signals(packed))
         runs = []
         for scenario, data in zip(chunk.scenarios, encoded_runs):
-            node_signals = {
-                name: _unpack_signal(sig) for name, sig in data["node_signals"].items()
-            }
-            edge_signals = {
-                name: _unpack_signal(sig) for name, sig in data["edge_signals"].items()
-            }
+            node_signals = {name: next(signals) for name in data["node_signals"]}
+            edge_signals = {name: next(signals) for name in data["edge_signals"]}
             output_signals = {o: node_signals[o] for o in topo.output_ports}
             runs.append(
                 RunResult(

@@ -68,12 +68,14 @@ from __future__ import annotations
 
 import math
 import time as _time
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.transitions import Signal, Transition
+from ..core.transitions import Signal, _signal_from_times, _signal_times
 from .capability import (
     EdgeFact,
     VectorCapability,
@@ -111,9 +113,12 @@ _NEG_INF = -math.inf
 # crossover lies between 4 scenarios (scalar 184 ms, vector 246 ms) and 8
 # (394 ms, 274 ms); at 16 it is 1126 ms against 386 ms.  A finer run put
 # it between 5 (214 ms, 246 ms) and 6 (326 ms, 256 ms), below the
-# break-even of 7 these constants give.  Most of the lane cost is result
+# break-even of 7 these constants give.  Most of the lane cost was result
 # assembly: the edge kernel alone takes ~0.6 us per lane, so a fixpoint
-# pass, whose iterate is discarded, pays _STEP_COST only.
+# pass, whose iterate is discarded, pays _STEP_COST only.  Both constants
+# were measured while assembly still built one Transition object per
+# transition; row-slice assembly has made lanes cheaper since, and the
+# constants are kept as measured until they are measured again.
 
 #: Fixed cost of one lockstep step, in scalar events.
 _STEP_COST = 4.5
@@ -1011,9 +1016,9 @@ class VectorProgram:
         """Execute all scenarios and assemble per-scenario results.
 
         The cyclic garbage collector is paused for the duration: a large
-        sweep assembles millions of long-lived Transition/Signal objects
-        in one burst, and generational collections scanning that growing
-        heap would otherwise triple the assembly cost.
+        sweep allocates its long-lived result signals, dicts and run
+        records in one burst, and generational collections would only
+        rescan that growing heap.
 
         ``_cost_limited`` is the ``backend="auto"`` mode: after each
         fixpoint pass the run stops with ``_ScalarCheaper`` once its
@@ -1046,18 +1051,14 @@ class VectorProgram:
             counts = np.zeros(S, dtype=np.int64)
             rows = []
             for s, scenario in enumerate(scenarios):
-                signal = scenario.inputs[pname]
-                transitions = signal.transitions
-                n = len(transitions)
-                while n and transitions[n - 1].time > end_times[s]:
-                    n -= 1
+                row = _signal_times(scenario.inputs[pname])
+                n = bisect_right(row, float(scenario.end_time))
                 counts[s] = n
-                rows.append(transitions[:n])
+                rows.append(row[:n])
             width = int(counts.max())
             times = np.full((S, width), _INF)
             for s, row in enumerate(rows):
-                for i, transition in enumerate(row):
-                    times[s, i] = transition.time
+                times[s, : len(row)] = row
             node_matrices[pid] = _SignalMatrix(
                 times, counts, self.port_initials[pname]
             )
@@ -1323,45 +1324,15 @@ class VectorProgram:
             )
 
         # --- assemble per-scenario executions ----------------------------- #
-        value_patterns: Dict[tuple, List[int]] = {}
-        # Bulk Transition construction: __new__ + object.__setattr__ skips
-        # the frozen-dataclass __init__/__post_init__ layers (the values
-        # are 0/1 by construction); ~30% cheaper over the ~10^6 transitions
-        # a large sweep assembles.
-        transition_new = Transition.__new__
-        set_attr = object.__setattr__
-
         def row_signal(matrix: _SignalMatrix, s: int) -> Signal:
-            count = int(matrix.counts[s])
-            if count == 0:
-                return Signal._trusted(matrix.initial, ())
-            key = (matrix.initial, count)
-            pattern = value_patterns.get(key)
-            if pattern is None:
-                pattern = [(matrix.initial ^ ((i + 1) & 1)) for i in range(count)]
-                value_patterns[key] = pattern
-            row_times = matrix.times[s, :count]
-            row = row_times.tolist()
-            transitions = []
-            append = transitions.append
-            for t, v in zip(row, pattern):
-                transition = transition_new(Transition)
-                set_attr(transition, "time", t)
-                set_attr(transition, "value", v)
-                append(transition)
-            signal = Signal._trusted(matrix.initial, transitions)
-            # Prefill the packed-times cache straight from the result
-            # matrix (the same float64 bits tolist() just expanded):
-            # pickling to the parent process and checkpoint encoding
-            # then skip re-packing a million transitions one by one.
-            signal._packed_times = row_times.tobytes()
-            return signal
+            row = matrix.times[s, : matrix.counts[s]]
+            return _signal_from_times(matrix.initial, array("d", row.tobytes()))
 
         runs: List[object] = []
         for s, scenario in enumerate(scenarios):
             node_signals: Dict[str, Signal] = {}
             for pid, pname in zip(topo.input_port_ids, topo.input_ports):
-                node_signals[pname] = Signal._trusted(
+                node_signals[pname] = _signal_from_times(
                     self.port_initials[pname], port_slices[pname][s]
                 )
             for gid, gname in zip(topo.gate_ids, topo.gate_names):

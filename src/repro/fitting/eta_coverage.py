@@ -234,7 +234,7 @@ def _simulated_eta_coverage(
         stimulus = Signal.pulse_train(1.0, [2.0 * unit] * 4, [3.0 * unit] * 3)
     inputs = {"in": stimulus}
     if end_time is None:
-        last = stimulus.transitions[-1].time if len(stimulus) else 0.0
+        last = stimulus.stabilization_time() if len(stimulus) else 0.0
         end_time = last + 10.0 * (stages + 1) * pair.delta_up_inf
 
     topology = CircuitTopology(circuit)

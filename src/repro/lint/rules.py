@@ -1149,8 +1149,8 @@ def _check_vector_fallback(ctx: CircuitContext) -> Iterator[Finding]:
             initial = node.get("initial_value", 0)
             signal = Signal(initial if initial in (0, 1) else 0, [])
         inputs[name] = signal
-        if len(signal.transitions):
-            end_time = max(end_time, signal.transitions[-1].time + 1.0)
+        if len(signal):
+            end_time = max(end_time, signal.stabilization_time() + 1.0)
     if ctx.end_time is not None:
         end_time = float(ctx.end_time)
 

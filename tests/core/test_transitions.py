@@ -1,10 +1,17 @@
 """Unit tests for signals and transitions."""
 
+import base64
 import math
+import pickle
+import struct
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Pulse, Signal, SignalError, Transition
+from repro.core.transitions import _decode_signals, _signal_from_packed
 
 
 class TestTransition:
@@ -214,3 +221,168 @@ class TestSignalTransformations:
     def test_repr_is_compact(self):
         text = repr(Signal.pulse_train(0.0, [1.0] * 10, [1.0] * 9))
         assert "..." in text
+
+
+# --------------------------------------------------------------------------- #
+# The representation contract: a Signal stores an initial value and a
+# float64 times array, and must behave exactly like the plain list of
+# alternating Transition objects it stands for.
+# --------------------------------------------------------------------------- #
+
+#: Finite or +inf times, -0.0 and negatives included (-inf and NaN are
+#: never valid transition times).
+TIMES = st.floats(allow_nan=False).filter(lambda t: t != -math.inf)
+
+
+@st.composite
+def references(draw, times=TIMES, max_size=12):
+    """``(initial_value, [Transition, ...])``: a well-formed plain list."""
+    initial = draw(st.integers(0, 1))
+    stamps = sorted(draw(st.lists(times, unique=True, max_size=max_size)))
+    return initial, [
+        Transition(t, (1 - initial) ^ (i & 1)) for i, t in enumerate(stamps)
+    ]
+
+
+def _reference_value_at(initial, transitions, time):
+    value = initial
+    for tr in transitions:
+        if tr.time <= time:
+            value = tr.value
+        else:
+            break
+    return value
+
+
+def _reference_pulses(transitions, polarity):
+    pulses, open_start = [], None
+    for tr in transitions:
+        if tr.value == polarity:
+            open_start = tr.time
+        elif open_start is not None:
+            pulses.append(Pulse(open_start, tr.time - open_start, polarity))
+            open_start = None
+    return pulses
+
+
+def _packed(signal):
+    """The float64 wire bytes, built independently of the Signal internals."""
+    times = signal.transition_times()
+    return signal.initial_value, struct.pack(f"{len(times)}d", *times)
+
+
+class TestRepresentationContract:
+    @settings(max_examples=100)
+    @given(
+        reference=references(),
+        queries=st.lists(st.floats(allow_nan=False), max_size=6),
+        cut=st.tuples(
+            st.integers(-14, 14) | st.none(),
+            st.integers(-14, 14) | st.none(),
+            st.sampled_from([None, 1, 2, -1, -3]),
+        ),
+    )
+    def test_agrees_with_plain_transition_list(self, reference, queries, cut):
+        initial, ref = reference
+        signal = Signal(initial, ref, allow_negative_times=True)
+        assert signal.transitions == tuple(ref)
+        assert list(signal) == ref
+        assert len(signal) == len(ref)
+        for i in range(-len(ref), len(ref)):
+            assert signal[i] == ref[i]
+        assert signal[slice(*cut)] == tuple(ref[slice(*cut)])
+        assert signal.final_value == (ref[-1].value if ref else initial)
+        assert signal.transition_times() == [tr.time for tr in ref]
+        for time in queries + [tr.time for tr in ref]:
+            assert signal.value_at(time) == _reference_value_at(initial, ref, time)
+        for polarity in (0, 1):
+            assert signal.pulses(polarity) == _reference_pulses(ref, polarity)
+        assert Signal.from_times(
+            [tr.time for tr in ref], initial, allow_negative_times=True
+        ) == signal
+
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexError):
+            Signal.pulse(1.0, 1.0)[2]
+
+    @settings(max_examples=100)
+    @given(
+        a=references(st.sampled_from([-0.0, 0.0, 1.0, 2.5]), max_size=3),
+        b=references(st.sampled_from([-0.0, 0.0, 1.0, 2.5]), max_size=3),
+    )
+    def test_equality_matches_reference_and_implies_equal_hash(self, a, b):
+        sa = Signal(a[0], a[1], allow_negative_times=True)
+        sb = Signal(b[0], b[1], allow_negative_times=True)
+        assert (sa == sb) == (a == b)
+        if sa == sb:
+            assert hash(sa) == hash(sb)
+
+    def test_signed_zeros_are_equal_with_equal_hashes(self):
+        a = Signal.from_times([-0.0, 1.0])
+        b = Signal.from_times([0.0, 1.0])
+        assert a == b and hash(a) == hash(b)
+
+    @settings(max_examples=100)
+    @given(reference=references())
+    def test_pickle_keeps_the_float64_bytes(self, reference):
+        initial, ref = reference
+        signal = Signal(initial, ref, allow_negative_times=True)
+        restored = pickle.loads(pickle.dumps(signal))
+        assert restored == signal
+        assert _packed(restored) == _packed(signal)
+
+    def test_pickle_of_the_empty_and_negative_signals(self):
+        for signal in (
+            Signal.zero(),
+            Signal.one(),
+            Signal.from_times([-2.5, -0.0, 3.0], 1, allow_negative_times=True),
+        ):
+            restored = pickle.loads(pickle.dumps(signal))
+            assert _packed(restored) == _packed(signal)
+
+    @settings(max_examples=100)
+    @given(batch=st.lists(references(), max_size=5))
+    def test_hand_built_wire_payload_decodes_to_the_same_signal(self, batch):
+        signals = [Signal(i, ref, allow_negative_times=True) for i, ref in batch]
+        # The checkpoint wire format: {"i": initial value, "t": base64 of
+        # the native float64 time bytes}.
+        wire = [
+            {"i": i, "t": base64.b64encode(data).decode("ascii")}
+            for i, data in map(_packed, signals)
+        ]
+        decoded = _decode_signals(
+            [(sig["i"], base64.b64decode(sig["t"])) for sig in wire]
+        )
+        assert decoded == signals
+        assert [_packed(s) for s in decoded] == [_packed(s) for s in signals]
+        for (i, data), signal in zip(map(_packed, signals), signals):
+            assert _packed(_signal_from_packed(i, data)) == _packed(signal)
+
+    @settings(max_examples=100)
+    @given(
+        batch=st.lists(references(max_size=6), min_size=1, max_size=4),
+        victim=st.integers(0, 3),
+        damage=st.sampled_from(["swap", "nan", "-inf", "initial", "torn"]),
+    )
+    def test_damaged_wire_payload_is_rejected(self, batch, victim, damage):
+        packed = [_packed(Signal(i, ref, allow_negative_times=True)) for i, ref in batch]
+        i, data = packed[victim % len(packed)]
+        times = array("d", data)
+        if damage == "swap" and len(times) >= 2:
+            times[0], times[1] = times[1], times[0]
+        elif damage == "nan":
+            times.append(math.nan)
+        elif damage == "-inf":
+            times.insert(0, -math.inf)
+        elif damage == "initial":
+            i = 2
+        elif damage == "torn":
+            packed[victim % len(packed)] = (i, times.tobytes()[:-1] or b"\0")
+            with pytest.raises(SignalError):
+                _decode_signals(packed)
+            return
+        else:
+            return
+        packed[victim % len(packed)] = (i, times.tobytes())
+        with pytest.raises(SignalError):
+            _decode_signals(packed)

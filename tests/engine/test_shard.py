@@ -6,8 +6,11 @@ tests that kill, hang, or crash *real* process-pool workers are marked
 timeouts, which is slow and noisy next to tier-1).
 """
 
+import base64
+import json
 import tempfile
 import warnings
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,14 +24,19 @@ from repro.core import (
     ZeroAdversary,
 )
 from repro.engine import Scenario, SimulationError, eta_monte_carlo, run_many
+from repro.engine.scheduler import CircuitTopology
 from repro.engine.shard import (
     DEFAULT_CHUNK_SIZE,
     ChunkTimeoutError,
     FaultInjector,
     InlineChunkExecutor,
     RetryPolicy,
+    SweepChunk,
     SweepFailedError,
     WorkerCrashError,
+    _ChunkOutcome,
+    _decode_chunk_payload,
+    _encode_chunk_payload,
     as_retry_policy,
     make_chunks,
     run_many_sharded,
@@ -179,22 +187,36 @@ class TestChunking:
         assert make_chunks(reseeded, 3, circuit_spec=spec)[0].key != base[0].key
 
 
-def test_vector_prefilled_packed_times_match_transitions(eta_chain, mc_scenarios):
-    # The vector backend prefills Signal._packed_times straight from its
-    # result matrices; the checkpoint codec trusts that cache.  If the
-    # prefill ever disagreed with the materialized transitions, resumed
-    # sweeps would silently decode different waveforms.
-    from array import array
+def _signal_bytes(signals):
+    """Initial values and float64 time bytes: ``==`` equates -0.0 and 0.0."""
+    return {
+        name: (signal.initial_value, array("d", signal.transition_times()).tobytes())
+        for name, signal in signals.items()
+    }
 
+
+def test_vector_signals_survive_the_checkpoint_codec_byte_for_byte(
+    eta_chain, mc_scenarios, baseline
+):
+    # Vector assembly copies one result-matrix row per signal; the
+    # checkpoint codec must carry exactly those bytes, and they must be
+    # the sequential engine's.
     result = run_many(eta_chain, mc_scenarios, backend="vector")
+    assert result.backend == "vector"
+    outcome = _ChunkOutcome(
+        runs=result.runs, backend="vector", vector_reasons=(), seconds=0.0
+    )
+    payload = json.loads(json.dumps(_encode_chunk_payload(outcome)))
+    chunk = SweepChunk(index=0, scenarios=tuple(mc_scenarios))
+    decoded = _decode_chunk_payload(CircuitTopology(eta_chain), chunk, payload)
+    assert decoded is not None
     checked = 0
-    for run in result.runs:
-        signals = {**run.execution.node_signals, **run.execution.edge_signals}
-        for signal in signals.values():
-            cached = signal._pack_times()
-            fresh = array("d", [tr.time for tr in signal.transitions]).tobytes()
-            assert cached == fresh
-            checked += len(signal.transitions)
+    for vec, dec, seq in zip(result.runs, decoded.runs, baseline.runs):
+        for group in ("node_signals", "edge_signals", "output_signals"):
+            vec_bytes = _signal_bytes(getattr(vec.execution, group))
+            assert vec_bytes == _signal_bytes(getattr(dec.execution, group))
+            assert vec_bytes == _signal_bytes(getattr(seq.execution, group))
+            checked += sum(len(t) for _, t in vec_bytes.values())
     assert checked > 0
 
 
@@ -354,11 +376,37 @@ class TestCheckpointResume:
         assert resumed.shard_report.resumed == 2
         assert_sweeps_identical(baseline, resumed)
 
+    @pytest.mark.parametrize("edit", ["reverse_times", "initial_value_2", "delete"])
+    def test_hand_edited_signal_is_recomputed(
+        self, eta_chain, mc_scenarios, baseline, tmp_path, edit
+    ):
+        """Edits that still parse must not be trusted: the chunk is a miss."""
+        store = ArtifactStore(tmp_path / "ckpt")
+        run_many_sharded(eta_chain, mc_scenarios, checkpoint=store, chunk_size=3)
+        victim = store.paths()[0]
+        data = json.loads(victim.read_text())
+        edges = data["payload"]["runs"][0]["edge_signals"]
+        # An edge with two or more transitions (12 base64 chars per float64).
+        name = next(n for n, sig in edges.items() if len(sig["t"]) > 12)
+        if edit == "reverse_times":
+            times = array("d", base64.b64decode(edges[name]["t"]))
+            times.reverse()
+            edges[name]["t"] = base64.b64encode(times).decode("ascii")
+        elif edit == "initial_value_2":
+            edges[name]["i"] = 2
+        else:
+            del edges[name]
+        victim.write_text(json.dumps(data))
+        resumed = run_many_sharded(
+            eta_chain, mc_scenarios, checkpoint=store, chunk_size=3
+        )
+        assert resumed.shard_report.computed == 1
+        assert resumed.shard_report.resumed == 2
+        assert_sweeps_identical(baseline, resumed)
+
     def test_wrong_run_count_payload_is_recomputed(
         self, eta_chain, mc_scenarios, tmp_path
     ):
-        import json
-
         store = ArtifactStore(tmp_path / "ckpt")
         run_many_sharded(eta_chain, mc_scenarios, checkpoint=store, chunk_size=3)
         victim = store.paths()[0]

@@ -24,6 +24,7 @@ checked in below as ``test_regression_*`` cases.
 """
 
 import warnings
+from array import array
 
 import pytest
 from hypothesis import event, given, settings
@@ -67,12 +68,22 @@ ETA = admissible_eta_bound(PAIR, eta_plus=0.05)
 PREDRAW_SEED = 0xD1FF
 
 
+def _signal_bytes(signals):
+    """Initial values and float64 time bytes: ``==`` equates -0.0 and 0.0."""
+    return {
+        name: (signal.initial_value, array("d", signal.transition_times()).tobytes())
+        for name, signal in signals.items()
+    }
+
+
 def _assert_bit_identical(sequential_runs, vector_runs):
     assert len(sequential_runs) == len(vector_runs)
     for seq, vec in zip(sequential_runs, vector_runs):
-        assert seq.execution.node_signals == vec.execution.node_signals
-        assert seq.execution.edge_signals == vec.execution.edge_signals
-        assert seq.execution.output_signals == vec.execution.output_signals
+        for group in ("node_signals", "edge_signals", "output_signals"):
+            seq_signals = getattr(seq.execution, group)
+            vec_signals = getattr(vec.execution, group)
+            assert seq_signals == vec_signals
+            assert _signal_bytes(seq_signals) == _signal_bytes(vec_signals)
         assert seq.execution.event_count == vec.execution.event_count
         assert (
             seq.execution.dropped_transitions

@@ -17,6 +17,12 @@ tests parse the source (no imports, no execution) and forbid:
 Seeded constructions (``np.random.default_rng(seed)``,
 ``np.random.SeedSequence(seed)``) and the ``np.random.Generator`` type
 (annotations) stay allowed.
+
+A second gate keeps the Signal representation behind one module: no file
+under ``src/repro`` but ``core/transitions.py`` may read or assign a
+Signal's ``_times``/``_initial_value`` fields or build Transitions
+through ``Transition.__new__``.  Everyone else goes through the public
+API or the private constructor and accessor that module provides.
 """
 
 import ast
@@ -29,6 +35,11 @@ CHECKED_TREES = ("engine", "core")
 
 #: np.random attributes allowed as non-call references (types/annotations).
 ALLOWED_NP_RANDOM_ATTRS = {"default_rng", "SeedSequence", "Generator"}
+
+#: The one module that owns the Signal representation.
+SIGNAL_HOME = SRC / "core" / "transitions.py"
+#: Signal fields no other module may touch.
+SIGNAL_FIELDS = {"_times", "_initial_value"}
 
 
 def _checked_files():
@@ -128,3 +139,73 @@ def test_gate_actually_detects_hazards(tmp_path):
         "g: np.random.Generator = rng\n"
     )
     assert not _violations(clean)
+
+
+def _representation_leaks(path):
+    """Uses of the Signal representation outside its home module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr in SIGNAL_FIELDS:
+                found.append((node.lineno, f".{node.attr}"))
+            elif (
+                node.attr == "__new__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "Transition"
+            ):
+                found.append((node.lineno, "Transition.__new__"))
+        elif isinstance(node, ast.Call):
+            # getattr(s, "_times"), object.__setattr__(s, "_times", ...),
+            # object.__new__(Transition) and the like.
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name in ("getattr", "setattr", "delattr", "__setattr__", "__getattribute__"):
+                for arg in node.args[1:2]:
+                    if isinstance(arg, ast.Constant) and arg.value in SIGNAL_FIELDS:
+                        found.append((node.lineno, f"{name}(..., {arg.value!r})"))
+            elif name == "__new__" and any(
+                isinstance(arg, ast.Name) and arg.id == "Transition"
+                for arg in node.args[:1]
+            ):
+                found.append((node.lineno, "__new__(Transition)"))
+    return found
+
+
+def _non_home_files():
+    return [p for p in sorted(SRC.rglob("*.py")) if p != SIGNAL_HOME]
+
+
+@pytest.mark.parametrize(
+    "path", _non_home_files(), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_signal_representation_stays_in_its_module(path):
+    leaks = _representation_leaks(path)
+    assert not leaks, "\n".join(f"{path}:{line}: {what}" for line, what in leaks)
+
+
+def test_representation_gate_detects_leaks(tmp_path):
+    """The detector itself is tested: seed each forbidden construct."""
+    cases = {
+        "x = signal._times\n": "._times",
+        "signal._initial_value = 1\n": "._initial_value",
+        "t = Transition.__new__(Transition)\n": "Transition.__new__",
+        "new = Transition.__new__\n": "Transition.__new__",
+        "t = object.__new__(Transition)\n": "__new__(Transition)",
+        "x = getattr(signal, '_times')\n": "getattr",
+        "object.__setattr__(signal, '_initial_value', 0)\n": "__setattr__",
+    }
+    for source, expectation in cases.items():
+        probe = tmp_path / "probe.py"
+        probe.write_text(source)
+        leaks = _representation_leaks(probe)
+        assert any(expectation in what for _, what in leaks), (source, leaks)
+
+    clean = tmp_path / "clean.py"
+    clean.write_text(
+        "s = Signal.from_times([1.0])\n"
+        "t = Transition(1.0, 1)\n"
+        "v = s.initial_value, s.transition_times(), s._other\n"
+    )
+    assert not _representation_leaks(clean)
+    assert SIGNAL_HOME.exists() and _representation_leaks(SIGNAL_HOME)
