@@ -1,4 +1,4 @@
-"""Benchmark: the optimized event loop and the process-based sweep backend.
+"""Benchmark: the optimized event loop and the sweep's process pool.
 
 Two measurements, both printed and, in the CI benchmarks job only,
 recorded smoke-sized to ``BENCH_engine.json`` at the repository root
@@ -16,10 +16,11 @@ recorded smoke-sized to ``BENCH_engine.json`` at the repository root
    list per cancellation (O(queue) each, O(n^2) over a run) and the
    optimized kernel pops a one-entry suffix.
 
-2. **Process sweep backend** -- ``run_many(backend="process",
-   max_workers=4)`` against the sequential baseline on a 120-scenario eta
-   Monte Carlo sweep, with a bit-identical-executions check.  The
-   measurement is recorded together with the core count it was taken on.
+2. **Process pool** -- ``run_many(max_workers=4)`` (scalar chunks on
+   worker processes) against the inline sequential baseline on a
+   120-scenario eta Monte Carlo sweep, with a bit-identical-executions
+   check.  The measurement is recorded together with the core count it
+   was taken on.
 
 The tests assert only deterministic facts (the compared executions are
 bit-identical); speedups are recorded, never asserted, because a
@@ -184,7 +185,7 @@ def test_event_loop_vs_legacy(benchmark):
 
 
 # --------------------------------------------------------------------------- #
-# 2. Process-based sweep backend vs sequential
+# 2. Process pool vs inline sequential
 # --------------------------------------------------------------------------- #
 
 
@@ -209,16 +210,14 @@ def _compare_sweep_backends():
 
     # Warm both paths (imports, allocator, worker pool fork) before timing.
     run_many(topology, scenarios[:3])
-    run_many(topology, scenarios[:3], max_workers=SWEEP_WORKERS, backend="process")
+    run_many(topology, scenarios[:3], max_workers=SWEEP_WORKERS)
 
     start = time.perf_counter()
     sequential = run_many(topology, scenarios)
     sequential_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    process = run_many(
-        topology, scenarios, max_workers=SWEEP_WORKERS, backend="process"
-    )
+    process = run_many(topology, scenarios, max_workers=SWEEP_WORKERS)
     process_seconds = time.perf_counter() - start
 
     matches = all(
@@ -227,7 +226,7 @@ def _compare_sweep_backends():
         for seq, proc in zip(sequential, process)
     )
     row = {
-        "backend": "process",
+        "executor": "process",
         "scenarios": SWEEP_SCENARIOS,
         "stages": SWEEP_STAGES,
         "workers": SWEEP_WORKERS,
@@ -249,5 +248,5 @@ def test_process_sweep_vs_sequential(benchmark):
         pytest.skip("process-sweep benchmark needs >= 2 CPUs to be meaningful")
     row = run_once(benchmark, _compare_sweep_backends)
     print()
-    print_table([row], title="SWEEP: run_many process backend vs sequential")
+    print_table([row], title="SWEEP: run_many process pool vs sequential")
     assert row["outputs_match"]

@@ -1,10 +1,11 @@
-"""Benchmark: checkpointed sharded sweeps vs the plain sharded runner.
+"""Benchmark: checkpointed sweeps vs the same chunks without a store.
 
 The resilience layer aims to make fault tolerance close to free: running
 the 120-scenario eta Monte Carlo sweep (the same surviving-pulse-train
 workload the vector benchmark uses) through
 ``run_many(backend="auto", checkpoint=...)`` measured 2-7% over the
-identical sharded sweep without a checkpoint store, while a *resume*
+identical sweep without a checkpoint store (same 16-scenario chunks),
+while a *resume*
 against the finished store must skip every chunk and return
 bit-identical executions, and (outside ``REPRO_BENCH_SMOKE`` runs) take
 less time than the fresh checkpointed sweep.  The overhead itself is
@@ -15,10 +16,10 @@ from the vector backend's result arrays, and artifact encoding+writing
 happens on a background writer thread.  The measurement is recorded as
 the ``sharded_sweep`` row of ``BENCH_engine.json``.
 
-On multi-core hosts the benchmark also records the checkpointed
-``backend="process"`` sweep, where the per-chunk vector dispatch and
-process parallelism multiply; single-core runners (CI containers) skip
-that leg rather than pretend to measure parallelism.
+On multi-core hosts the benchmark also records the checkpointed sweep
+on two worker processes (``max_workers=2``), where the per-chunk vector
+dispatch and process parallelism multiply; single-core runners (CI
+containers) skip that leg rather than pretend to measure parallelism.
 """
 
 import os
@@ -28,6 +29,7 @@ import time
 
 from conftest import run_once
 from repro.engine import run_many
+from repro.engine.shard import DEFAULT_CHUNK_SIZE
 from repro.experiments import print_table
 from test_bench_engine_hot_path import _record
 from test_bench_vector_backend import SCENARIOS, STAGES, _sweep_workload
@@ -61,7 +63,11 @@ def _compare_sharded_sweep():
         plain = fresh = None
         for _ in range(repeats):
             start = time.perf_counter()
-            plain = run_many(topology, scenarios, backend="auto")
+            # The plain leg uses the store's chunk width, so the two legs
+            # differ only in checkpointing.
+            plain = run_many(
+                topology, scenarios, backend="auto", chunk_size=DEFAULT_CHUNK_SIZE
+            )
             plain_seconds = min(plain_seconds, time.perf_counter() - start)
             shutil.rmtree(store, ignore_errors=True)
             start = time.perf_counter()
@@ -84,7 +90,7 @@ def _compare_sharded_sweep():
             and resume.shard_report.resumed == len(resume.shard_report.records)
         )
         row = {
-            "backend": "auto (sharded)",
+            "backend": "auto",
             "scenarios": SCENARIOS,
             "stages": STAGES,
             "cpu_count": os.cpu_count(),
@@ -100,7 +106,7 @@ def _compare_sharded_sweep():
             start = time.perf_counter()
             shutil.rmtree(store, ignore_errors=True)
             procs = run_many(
-                topology, scenarios, backend="process", checkpoint=store
+                topology, scenarios, backend="auto", max_workers=2, checkpoint=store
             )
             row["process_seconds"] = time.perf_counter() - start
             row["process_outputs_match"] = _executions_identical(plain, procs)

@@ -2,7 +2,7 @@
 
 The acceptance workload of the vector backend is the 120-scenario eta
 Monte Carlo sweep (the same surviving-pulse-train configuration the
-process-backend benchmark uses): one 32-stage eta-involution inverter
+process-pool benchmark uses): one 32-stage eta-involution inverter
 chain, independent per-(run, edge) seeded adversaries, real event-loop
 work in every scenario.  ``run_many(backend="vector")`` compiles the
 topology once into dense per-scenario arrays and evaluates all 120 runs

@@ -7,9 +7,9 @@ their declarative specs (:mod:`repro.specs`) interchangeably:
   or netlist file path) into a live :class:`~repro.circuits.circuit.Circuit`,
 * :func:`simulate` -- one event-driven execution,
 * :func:`sweep` -- a batched scenario family through
-  :func:`repro.engine.sweep.run_many` (sequential, thread, process, or
-  vector backend -- specs are what make the process backend shippable,
-  and the vector backend batch-evaluates all scenarios through numpy),
+  :func:`repro.engine.sweep.run_many` (scalar or vector engine, inline or
+  on a process pool -- specs are what make the circuit shippable to the
+  workers, and the vector engine batch-evaluates scenarios through numpy),
 
 plus :func:`monte_carlo` to assemble the eta Monte Carlo scenario family
 of :func:`repro.engine.sweep.eta_monte_carlo` directly from a spec, and
@@ -29,7 +29,7 @@ Typical use::
     execution = api.simulate(netlist.circuit, netlist.inputs, netlist.end_time)
     circuit, scenarios = api.monte_carlo(netlist.circuit, netlist.inputs,
                                          netlist.end_time, n_runs=100, seed=7)
-    result = api.sweep(circuit, scenarios, backend="process")
+    result = api.sweep(circuit, scenarios, max_workers=4)
 
     thm9 = api.experiment("theorem9", {"eta_plus": 0.1}, cache="artifacts/")
     print(thm9.table())
@@ -162,20 +162,20 @@ def sweep(
     Thin wrapper over :func:`repro.engine.sweep.run_many` that first
     coerces ``spec_or_circuit`` (``CircuitTopology`` instances pass
     through untouched, so prebuilt topologies stay amortised).
-    ``backend`` is one of ``"sequential"``, ``"thread"``, ``"process"``,
-    ``"vector"`` or ``"auto"``; with every stateful channel either seeded
-    or overridden per scenario (the :func:`monte_carlo` families are) all
-    backends produce bit-identical executions, and ``"vector"`` falls
-    back to the sequential path (with a warning and a capability report
-    on the result) when the sweep cannot be vectorized.
-
-    ``backend="auto"`` -- or any of ``checkpoint=`` (artifact store or
-    directory), ``retry=``, ``chunk_timeout=``, ``on_chunk_failure=`` --
-    engages the fault-tolerant sharded runner
-    (:func:`repro.engine.shard.run_many_sharded`): chunked spec-keyed
-    checkpointing with crash-safe resume, retry with exponential backoff,
-    poison-chunk quarantine, and per-chunk vector/scalar dispatch from a
+    ``backend`` picks the engine of each chunk (``"sequential"``,
+    ``"vector"`` or ``"auto"``) and ``max_workers`` where chunks run
+    (``None`` or 1 inline, N > 1 on N worker processes).  With every
+    stateful channel either seeded or overridden per scenario (the
+    :func:`monte_carlo` families are) every combination produces
+    bit-identical executions; a ``"vector"`` chunk the vector engine
+    cannot express runs scalar, with a warning and a capability report
+    on the result, and ``"auto"`` picks the engine per chunk from a
     deterministic cost model.
+
+    ``checkpoint=`` (artifact store or directory) adds spec-keyed chunk
+    checkpointing with crash-safe resume; ``retry=``,
+    ``chunk_timeout=`` and ``on_chunk_failure=`` govern failing chunks
+    (see :func:`repro.engine.sweep.run_many`).
 
     ``validate=True`` lints the circuit first (see :func:`lint`; prebuilt
     :class:`CircuitTopology` instances are exempt -- they were built from

@@ -20,12 +20,13 @@ Installed as the ``repro`` console script and reachable as
     machine-readable output, ``--vcd FILE`` for a waveform dump).
 ``sweep NETLIST --runs N``
     An eta Monte Carlo sweep (:func:`repro.engine.sweep.eta_monte_carlo`)
-    over the netlist's circuit, fanned out over the chosen ``--backend``.
-    ``--checkpoint DIR`` engages the fault-tolerant sharded runner
-    (:mod:`repro.engine.shard`): finished chunks persist as content-keyed
-    artifacts and a killed sweep resumes bit-identically (``--resume``
-    asserts that it did); ``--retries``/``--chunk-timeout`` bound how
-    stubbornly failing chunks are retried before quarantine.
+    over the netlist's circuit, in chunks run on the chosen ``--backend``
+    engine, inline or on ``--workers N`` processes
+    (:mod:`repro.engine.shard`).  ``--checkpoint DIR`` persists finished
+    chunks as content-keyed artifacts, so a killed sweep resumes
+    bit-identically (``--resume`` asserts that it did);
+    ``--retries``/``--chunk-timeout`` bound how stubbornly failing chunks
+    are retried before quarantine.
 ``export LIBRARY -o FILE``
     Write a library circuit (``inverter_chain``, ``buffer_chain``,
     ``spf``) as a netlist file, with eta-involution exp-channels and a
@@ -43,7 +44,7 @@ Examples::
     python -m repro lint examples/netlists/*.json
     python -m repro simulate examples/netlists/inverter_chain.json
     python -m repro sweep examples/netlists/inverter_chain.json --runs 50 \
-        --backend process --workers 4
+        --workers 4
     python -m repro sweep examples/netlists/inverter_chain.json --runs 500 \
         --backend auto --checkpoint sweep-ckpt/ --retries 3
     python -m repro export inverter_chain --stages 7 -o chain.json
@@ -122,19 +123,19 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
     sweep.add_argument(
         "--backend",
-        choices=("sequential", "thread", "process", "vector", "auto"),
-        default="sequential", help="sweep backend (default: sequential); "
-        "'vector' batch-evaluates all runs through numpy and falls back "
-        "to sequential (with a warning) when the circuit cannot be "
-        "vectorized; 'auto' runs the fault-tolerant sharded runner and "
-        "picks vector or scalar per chunk from a deterministic cost model "
-        "(chunks under 7 runs, and feedback loops whose fixpoint costs "
-        "more than the scalar events, run scalar); the 'chunks:' lines "
-        "report each chunk's engine, reason and cost estimates",
+        choices=("sequential", "vector", "auto"),
+        default="sequential", help="engine of each chunk (default: "
+        "sequential); 'vector' batch-evaluates a chunk's runs through numpy "
+        "and runs a chunk it cannot vectorize on sequential (with a "
+        "warning); 'auto' picks vector or scalar per chunk from a "
+        "deterministic cost model (chunks under 7 runs, and feedback loops "
+        "whose fixpoint costs more than the scalar events, run scalar); "
+        "the 'chunks:' lines report each chunk's engine, reason and cost "
+        "estimates",
     )
     sweep.add_argument(
         "--workers", type=int, default=None,
-        help="worker count for thread/process backends",
+        help="run chunks on N worker processes (default: inline)",
     )
     sweep.add_argument("--end-time", type=float, default=None, help="simulation horizon")
     sweep.add_argument(
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint", metavar="DIR",
         help="chunk-checkpoint store directory: finished chunks are written "
         "as content-keyed artifacts and reloaded on rerun, so a killed "
-        "sweep resumes bit-identically (engages the sharded runner)",
+        "sweep resumes bit-identically",
     )
     sweep.add_argument(
         "--resume", action="store_true",
@@ -154,19 +155,20 @@ def build_parser() -> argparse.ArgumentParser:
         "scripts whose parameters no longer match the stored chunks",
     )
     sweep.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=int, default=3, metavar="N",
         help="total attempts per chunk before quarantine (default: 3, with "
-        "exponential backoff; engages the sharded runner)",
+        "exponential backoff)",
     )
     sweep.add_argument(
         "--chunk-timeout", type=float, default=None, metavar="S",
         help="per-chunk wall-clock budget in seconds (enforced by killing "
-        "and respawning workers under --backend process)",
+        "and respawning workers; needs --workers 2 or more)",
     )
     sweep.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",
-        help="scenarios per chunk in sharded mode (default: 16; part of the "
-        "checkpoint identity -- resume with the size you ran with)",
+        help="scenarios per chunk (default: 16 with --checkpoint, else the "
+        "runs split evenly across the workers; part of the checkpoint "
+        "identity -- resume with the size you ran with)",
     )
     sweep.add_argument(
         "--keep-failures", action="store_true",
@@ -214,17 +216,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     erun.add_argument(
         "--backend",
-        choices=("sequential", "thread", "process", "vector", "auto"),
+        choices=("sequential", "vector", "auto"),
         default="sequential",
-        help="sweep backend for engine-driven experiments (default: "
+        help="sweep engine for engine-driven experiments (default: "
         "sequential); 'vector' opts into the numpy batch engine where the "
-        "circuit allows it; 'auto' runs sharded and picks vector or scalar "
-        "per chunk from a deterministic cost model (theorem9's storage "
-        "loop runs scalar: its fixpoint costs more than its events)",
+        "circuit allows it; 'auto' picks vector or scalar per chunk from a "
+        "deterministic cost model (theorem9's storage loop runs scalar: "
+        "its fixpoint costs more than its events)",
     )
     erun.add_argument(
         "--workers", type=int, default=None,
-        help="worker count for thread/process backends and analog sweeps",
+        help="worker processes for engine sweeps, threads for analog "
+        "sweeps (default: inline)",
     )
     erun.add_argument(
         "--cache", metavar="DIR",
@@ -432,7 +435,7 @@ def _cmd_sweep(args) -> int:
             retry=args.retries,
             chunk_timeout=args.chunk_timeout,
             chunk_size=args.chunk_size,
-            on_chunk_failure="keep" if args.keep_failures else None,
+            on_chunk_failure="keep" if args.keep_failures else "raise",
         )
     except Exception as exc:
         from .engine.shard import SweepFailedError
@@ -452,7 +455,7 @@ def _cmd_sweep(args) -> int:
             )
         return 1
     shard = result.shard_report
-    if args.resume and (shard is None or shard.resumed == 0):
+    if args.resume and shard.resumed == 0:
         print(
             "error: --resume was given but no chunk could be resumed from "
             f"{args.checkpoint} (parameters or chunk size changed?)",
@@ -494,14 +497,13 @@ def _cmd_sweep(args) -> int:
         }
         if result.vector_report is not None and not result.vector_report.supported:
             payload["vector_fallback_reasons"] = list(result.vector_report.reasons)
-        if shard is not None:
-            payload["chunks"] = {
-                "size": shard.chunk_size,
-                "computed": shard.computed,
-                "resumed": shard.resumed,
-                "failed": shard.failed,
-                "backends": shard.backends(),
-            }
+        payload["chunks"] = {
+            "size": shard.chunk_size,
+            "computed": shard.computed,
+            "resumed": shard.resumed,
+            "failed": shard.failed,
+            "backends": shard.backends(),
+        }
         if result.failure_report is not None:
             payload["failures"] = [
                 {
@@ -528,8 +530,7 @@ def _cmd_sweep(args) -> int:
                 for name, o in row["outputs"].items()
             )
             print(f"  {row['scenario']:<12s} {row['events']:>6d} events  {outs}")
-        if shard is not None:
-            print(f"chunks: {shard.summary()}")
+        print(f"chunks: {shard.summary()}")
         if result.failure_report is not None:
             print(f"failures: {result.failure_report.summary()}", file=sys.stderr)
         print(f"total: {result.total_seconds:.3f}s for {len(rows)} runs")

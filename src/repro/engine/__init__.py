@@ -9,12 +9,10 @@ Three layers, each usable on its own:
 * :mod:`repro.engine.scheduler` -- the event queue with delta-cycle
   batching (:class:`Scheduler`), the precomputed circuit view
   (:class:`CircuitTopology`) and the event loop (:class:`Engine`),
-* :mod:`repro.engine.sweep` -- the batched sweep runner
+* :mod:`repro.engine.sweep` -- the batched sweep entry point
   (:func:`run_many`) that amortises validation/topology across whole
-  scenario families, with per-run channel overrides, Monte Carlo eta
-  sampling (:func:`eta_monte_carlo`) and sequential/thread/process/vector
-  backends (process workers receive the circuit as declarative
-  :class:`repro.specs.CircuitSpec` JSON, never as a pickle),
+  scenario families, with per-run channel overrides and Monte Carlo eta
+  sampling (:func:`eta_monte_carlo`),
 * :mod:`repro.engine.capability` -- the static obstacle analyzer
   (:func:`~repro.engine.capability.analyze_sweep`) deciding which sweeps
   the vector backend can express, shared verbatim with the
@@ -26,11 +24,14 @@ Three layers, each usable on its own:
   lockstep schedule), bit-identical to the scalar engine, with a
   capability report
   (:func:`vector_capability`) for everything it cannot express,
-* :mod:`repro.engine.shard` -- the fault-tolerant sharded sweep layer:
-  spec-keyed chunk checkpointing with crash-safe resume, retry with
-  exponential backoff, per-chunk wall-clock timeouts, poison-chunk
-  quarantine, and per-chunk vector/scalar dispatch
-  (:func:`run_many_sharded`; ``run_many(backend="auto")`` routes here).
+* :mod:`repro.engine.shard` -- the one sweep pipeline behind
+  :func:`run_many` (:func:`run_many_sharded`): chunks planned from the
+  inputs, each run on the scalar or vector engine, inline or on a
+  respawning process pool (workers receive the circuit as declarative
+  :class:`repro.specs.CircuitSpec` JSON, never as a pickle), with
+  optional spec-keyed chunk checkpointing and crash-safe resume, retry
+  with exponential backoff, per-chunk wall-clock timeouts and
+  poison-chunk quarantine.
 
 The scheduler and sweep layers are imported lazily (PEP 562) because
 :mod:`repro.core.channel` imports the kernel at module load time; eager
@@ -83,7 +84,6 @@ __all__ = [
     "vector_capability",
     "compile_sweep",
     "predraw_random_adversaries",
-    "run_many_vector",
     # shard (lazy)
     "RetryPolicy",
     "ChunkFailure",
@@ -121,7 +121,6 @@ _VECTOR_EXPORTS = {
     "vector_capability",
     "compile_sweep",
     "predraw_random_adversaries",
-    "run_many_vector",
 }
 _SHARD_EXPORTS = {
     "RetryPolicy",

@@ -1,47 +1,55 @@
-"""Fault-tolerant sharded sweep execution: checkpoint, resume, retry, dispatch.
+"""The sweep pipeline: plan chunks, execute them, collect the results.
 
-:func:`repro.engine.sweep.run_many` is all-or-nothing: a worker crash,
-OOM-kill or Ctrl-C at scenario 119/120 loses everything, and one
-unsupported scenario shape drops the *entire* sweep from the vector
-backend to scalar.  This module makes scenario families resilient:
+Every :func:`repro.engine.sweep.run_many` call runs here.  A sweep is
+split into deterministic, order-preserving *chunks* (:func:`make_chunks`);
+each chunk runs on one engine, either inline or on a respawning process
+pool; the runs are collected in scenario order.  Two knobs choose how:
+``backend`` picks the engine of each chunk (``"auto"``, ``"sequential"``
+or ``"vector"``), ``max_workers`` picks where chunks run (``None`` or 1
+inline, N > 1 on N worker processes).
 
-Chunking and checkpointing
-    A sweep is split into deterministic, order-preserving *chunks*
-    (:func:`make_chunks`).  With ``checkpoint=`` (an
-    :class:`~repro.store.ArtifactStore` or directory path) every finished
-    chunk is written to the store under a content key -- the SHA-256 of
-    the circuit's declarative spec plus the chunk's computation-relevant
-    scenario JSON (inputs, channel overrides, horizons, engine policies;
-    see :func:`chunk_spec`).  A killed or crashed sweep *resumes* by
-    loading finished chunks and recomputing only the remainder,
-    bit-identical to an uninterrupted run: the packed signal encoding
-    round-trips float64 times exactly.
+Chunk size
+    An explicit ``chunk_size`` wins.  Otherwise it is
+    :data:`DEFAULT_CHUNK_SIZE` when checkpointing -- chunk boundaries are
+    part of the checkpoint key -- and an even split across the workers
+    without a store, i.e. the whole sweep in one chunk inline.
 
-Retry, timeout, and poison chunks
-    Each chunk executes under a :class:`RetryPolicy` (configurable
-    attempts with exponential backoff).  On the process backend a
-    per-chunk wall-clock timeout is enforced by killing and respawning
-    the worker pool, and a ``BrokenProcessPool`` (worker OOM-killed or
-    segfaulted) is likewise recovered by respawning.  A chunk that still
-    fails after its last attempt is *quarantined*: its exception is
-    captured in a structured :class:`ChunkFailure`, sibling chunks
-    complete normally, and the sweep either raises a
-    :class:`SweepFailedError` at the end (default) or -- with
-    ``on_chunk_failure="keep"`` -- returns the surviving runs with the
-    :class:`SweepFailureReport` attached to ``SweepResult.failure_report``.
+Checkpointing (an optional store)
+    With ``checkpoint=`` (an :class:`~repro.store.ArtifactStore` or
+    directory path) every finished chunk is written to the store under a
+    content key -- the SHA-256 of the circuit's declarative spec plus the
+    chunk's computation-relevant scenario JSON (inputs, channel
+    overrides, horizons, engine policies; see :func:`chunk_spec`).  A
+    killed or crashed sweep *resumes* by loading finished chunks and
+    recomputing only the remainder, bit-identical to an uninterrupted
+    run: the packed signal encoding round-trips float64 times exactly.
 
-Per-chunk backend dispatch
-    With ``backend="auto"`` (and inside each worker under
-    ``backend="process"``) every chunk picks its engine from a
+Retry, timeout, and failing chunks
+    Each chunk executes under a :class:`RetryPolicy` (one attempt unless
+    ``retry=`` asks for more, with exponential backoff).  On the process
+    pool a per-chunk wall-clock timeout is enforced by killing and
+    respawning the pool, and a ``BrokenProcessPool`` (worker OOM-killed
+    or segfaulted) is likewise recovered by respawning.  What happens to
+    a chunk that still fails after its last attempt is the same for every
+    engine and executor: with ``on_chunk_failure`` unset its own
+    exception propagates unchanged.  ``"raise"`` *quarantines* it -- the
+    exception is captured in a structured :class:`ChunkFailure`, sibling
+    chunks complete normally, and the sweep raises a
+    :class:`SweepFailedError` at the end -- and ``"keep"`` returns the
+    surviving runs with the :class:`SweepFailureReport` attached to
+    ``SweepResult.failure_report``.
+
+Per-chunk engine dispatch
+    With ``backend="auto"`` every chunk picks its engine from a
     deterministic cost model in scalar-event units: a chunk with fewer
     scenarios than the vector break-even runs scalar without compiling,
     and a cyclic chunk whose fixpoint iteration costs more than the
     scalar engine would stops and reruns scalar.  Those are decisions,
     recorded per chunk (:class:`ChunkRecord`), not fallbacks.
     ``backend="vector"`` runs every chunk that compiles on the vector
-    engine.  Chunks the vector engine cannot express fall back to the
-    scalar engine, never silently: per-chunk obstacles are aggregated into
-    the sweep's ``vector_report`` and a ``RuntimeWarning``.
+    engine.  A chunk the vector engine cannot express falls back to the
+    scalar engine, never silently: a ``RuntimeWarning`` names the
+    obstacle, and the sweep's ``vector_report`` collects them per chunk.
 
 Fault injection
     :class:`FaultInjector` wraps a chunk executor and raises chosen
@@ -139,9 +147,9 @@ class RetryPolicy:
 
 
 def as_retry_policy(retry) -> RetryPolicy:
-    """Coerce ``None`` (defaults), an int (total attempts), or a policy."""
+    """Coerce ``None`` (a single attempt), an int (total attempts), or a policy."""
     if retry is None:
-        return RetryPolicy()
+        return RetryPolicy(attempts=1)
     if isinstance(retry, RetryPolicy):
         return retry
     if isinstance(retry, int):
@@ -567,6 +575,7 @@ def _execute_chunk(
     dispatch: Optional[str],
     on_causality: str,
     max_events: int,
+    on_fallback: Optional[Callable[[Tuple[str, ...]], None]] = None,
 ) -> _ChunkOutcome:
     """Run one chunk on the engine ``dispatch`` chooses.
 
@@ -575,6 +584,9 @@ def _execute_chunk(
     Under dispatch the outcome records why its engine ran and the cost
     model's two estimates in scalar events: the scalar engine's event
     count, and the lockstep cost the vector engine paid or would pay.
+    ``on_fallback`` hears the obstacles of a chunk the vector engine
+    refuses, before the chunk reruns scalar (whose error, if any, then
+    propagates).
     """
     from .sweep import RunResult
 
@@ -610,6 +622,8 @@ def _execute_chunk(
                 # Per-chunk fallback: only THIS chunk pays the scalar price.
                 reasons = exc.report.reasons
                 reason = "the vector engine cannot run this chunk"
+                if on_fallback is not None:
+                    on_fallback(reasons)
             else:
                 return _ChunkOutcome(
                     runs=runs,
@@ -659,14 +673,14 @@ def _execute_chunk(
 class InlineChunkExecutor:
     """Executes chunks in-process, one at a time.
 
-    The default executor for the ``auto``/``vector``/``sequential``
-    sharded backends; also the natural base for a :class:`FaultInjector`.
-    ``dispatch`` selects the engine per chunk: ``"auto"`` (default) by
-    the cost model, ``"vector"`` whenever the chunk compiles, ``None``
-    pins every chunk to the scalar engine.
+    The executor of every sweep with ``max_workers`` unset or 1; also the
+    natural base for a :class:`FaultInjector`.  ``dispatch`` selects the
+    engine per chunk: ``"auto"`` (default) by the cost model,
+    ``"vector"`` whenever the chunk compiles, ``None`` pins every chunk
+    to the scalar engine.
 
     Note: an inline executor cannot preempt a hung chunk -- wall-clock
-    ``chunk_timeout`` enforcement needs ``backend="process"``, where a
+    ``chunk_timeout`` enforcement needs ``max_workers > 1``, where a
     stuck worker is killed and respawned.
     """
 
@@ -701,7 +715,18 @@ class InlineChunkExecutor:
             dispatch=self.dispatch,
             on_causality=self.on_causality,
             max_events=self.max_events,
+            on_fallback=_warn_fallback,
         )
+
+
+def _warn_fallback(reasons: Sequence[str]) -> None:
+    """The fallback warning: a chunk the vector engine refused runs scalar."""
+    warnings.warn(
+        "a sweep chunk fell back to the scalar engine: the vector engine "
+        f"cannot run it ({'; '.join(reasons)})",
+        RuntimeWarning,
+        stacklevel=2,
+    )
 
 
 class FaultInjector:
@@ -749,10 +774,11 @@ class FaultInjector:
 # Process-pool execution with kill/hang recovery
 # --------------------------------------------------------------------------- #
 # Workers rebuild the engine once per process from the declarative
-# CircuitSpec JSON (exactly like run_many's plain process backend) and run
-# whole chunks -- vectorized when the chunk compiles, scalar otherwise --
-# returning the packed JSON payload, which the parent both decodes into
-# live runs and (when checkpointing) writes to the store verbatim.
+# CircuitSpec JSON (specs preserve node/edge order, so the rebuilt circuit
+# executes bit-identically; no circuit object is ever pickled) and run
+# whole chunks on the engine the dispatch picks, returning the packed JSON
+# payload, which the parent both decodes into live runs and (when
+# checkpointing) writes to the store verbatim.
 
 _SHARD_WORKER: Optional[Dict[str, Any]] = None
 
@@ -793,14 +819,13 @@ def _apply_chaos(chaos: Dict[str, set], chunk_index: int, attempt: int) -> None:
         raise RuntimeError(f"chaos: injected failure in chunk {chunk_index}")
 
 
-def _shard_worker_run(payload: bytes) -> Dict[str, Any]:
+def _shard_worker_run(chunk_index: int, attempt: int, scenarios: bytes) -> Dict[str, Any]:
     state = _SHARD_WORKER
-    chunk_index, attempt, scenarios = pickle.loads(payload)
     _apply_chaos(state["chaos"], chunk_index, attempt)
     outcome = _execute_chunk(
         state["topo"],
         state["engine"],
-        scenarios,
+        pickle.loads(scenarios),
         dispatch=state["dispatch"],
         on_causality=state["on_causality"],
         max_events=state["max_events"],
@@ -860,22 +885,40 @@ class _ProcessChunkRunner:
                 pass
         pool.shutdown(wait=True, cancel_futures=True)
 
-    def _submit(self, chunk: SweepChunk, attempt: int):
-        payload = pickle.dumps((chunk.index, attempt, chunk.scenarios))
+    def _submit(self, chunk: SweepChunk, attempt: int, scenarios: bytes):
         try:
-            return self._pool_or_spawn().submit(_shard_worker_run, payload)
+            return self._pool_or_spawn().submit(
+                _shard_worker_run, chunk.index, attempt, scenarios
+            )
         except BrokenProcessPool:
             self._kill_pool()
-            return self._pool_or_spawn().submit(_shard_worker_run, payload)
+            return self._pool_or_spawn().submit(
+                _shard_worker_run, chunk.index, attempt, scenarios
+            )
 
     def run(
         self,
         chunks: Sequence[SweepChunk],
         policy: RetryPolicy,
         on_success: Callable[[SweepChunk, Dict[str, Any], int], None],
-        on_failure: Callable[[ChunkFailure], None],
+        on_failure: Callable[[SweepChunk, int, BaseException], None],
     ) -> None:
-        """Drive all chunks to success or quarantine; callbacks per chunk."""
+        """Drive all chunks to success or failure; callbacks per chunk.
+
+        ``on_failure`` gets each chunk whose last attempt failed; an
+        exception it raises ends the run, and the pool with it.
+        """
+        # Scenarios are pickled once, before any worker starts, so an
+        # unpicklable sweep fails up front and a retry re-sends bytes.
+        try:
+            scenarios = {chunk.index: pickle.dumps(chunk.scenarios) for chunk in chunks}
+        except Exception as exc:
+            raise SimulationError(
+                "max_workers > 1 ships the scenarios to its workers, so every "
+                "scenario (inputs, channel overrides, metadata) must be "
+                f"picklable ({exc}); run closure-based channels inline "
+                "(max_workers=None)"
+            ) from exc
         # waiting: (chunk, attempt, ready_at); in_flight: future -> (chunk,
         # attempt, deadline).  At most max_workers chunks are in flight, so
         # a submission's timeout clock starts when a worker actually can.
@@ -884,22 +927,12 @@ class _ProcessChunkRunner:
         )
         in_flight: Dict[object, Tuple[SweepChunk, int, float]] = {}
 
-        def fail_or_retry(chunk, attempt, kind, error) -> None:
+        def fail_or_retry(chunk, attempt, error) -> None:
             if attempt < policy.attempts:
                 ready = _time.monotonic() + policy.delay_before(attempt + 1)
                 waiting.append((chunk, attempt + 1, ready))
             else:
-                on_failure(
-                    ChunkFailure(
-                        index=chunk.index,
-                        scenario_names=chunk.names,
-                        attempts=attempt,
-                        kind=kind,
-                        error=str(error) or repr(error),
-                        error_type=type(error).__name__,
-                        key=chunk.key,
-                    )
-                )
+                on_failure(chunk, attempt, error)
 
         try:
             while waiting or in_flight:
@@ -918,17 +951,23 @@ class _ProcessChunkRunner:
                         if self.chunk_timeout is None
                         else _time.monotonic() + self.chunk_timeout
                     )
-                    in_flight[self._submit(chunk, attempt)] = (chunk, attempt, deadline)
+                    future = self._submit(chunk, attempt, scenarios[chunk.index])
+                    in_flight[future] = (chunk, attempt, deadline)
                 if not in_flight:
                     # Everything is backing off: sleep until the first retry.
                     _time.sleep(max(0.0, min(item[2] for item in waiting) - now))
                     continue
-                timeouts = [dl - now for (_, _, dl) in in_flight.values()]
-                timeouts += [item[2] - now for item in waiting]
-                wait_s = max(0.0, min(t for t in timeouts if t != math.inf))\
-                    if any(t != math.inf for t in timeouts) else None
+                # Wake for the first deadline or retry still in the future;
+                # chunks already ready but waiting for a free worker wait
+                # for a completion instead (counting them would spin).
+                wake = min(
+                    [dl for (_, _, dl) in in_flight.values()]
+                    + [item[2] for item in waiting if item[2] > now],
+                )
                 done, _ = wait(
-                    set(in_flight), timeout=wait_s, return_when=FIRST_COMPLETED
+                    set(in_flight),
+                    timeout=None if wake == math.inf else max(0.0, wake - now),
+                    return_when=FIRST_COMPLETED,
                 )
                 broken = False
                 for future in sorted(done, key=lambda f: in_flight[f][0].index):
@@ -944,7 +983,6 @@ class _ProcessChunkRunner:
                             fail_or_retry(
                                 chunk,
                                 attempt,
-                                "crash",
                                 WorkerCrashError(
                                     f"process worker died while running chunk "
                                     f"{chunk.index} ({exc})"
@@ -954,7 +992,7 @@ class _ProcessChunkRunner:
                             waiting.append((chunk, attempt, 0.0))
                         continue
                     except Exception as exc:
-                        fail_or_retry(chunk, attempt, "exception", exc)
+                        fail_or_retry(chunk, attempt, exc)
                         continue
                     on_success(chunk, payload, attempt)
                 if broken:
@@ -975,7 +1013,6 @@ class _ProcessChunkRunner:
                         fail_or_retry(
                             chunk,
                             attempt,
-                            "timeout",
                             ChunkTimeoutError(
                                 f"chunk {chunk.index} exceeded its "
                                 f"{self.chunk_timeout:g}s wall-clock timeout"
@@ -992,15 +1029,15 @@ class _ProcessChunkRunner:
 
 
 # --------------------------------------------------------------------------- #
-# Shard bookkeeping attached to SweepResult
+# Chunk bookkeeping attached to SweepResult
 # --------------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
 class ChunkRecord:
-    """How one chunk of a sharded sweep was satisfied.
+    """How one chunk of a sweep was satisfied.
 
-    Under engine dispatch (``backend="auto"``/``"process"``/``"vector"``)
+    Under engine dispatch (``backend="auto"`` or ``"vector"``)
     ``reason`` says why ``backend`` ran the chunk, and ``scalar_cost`` /
     ``vector_cost`` are the cost model's two estimates in scalar events
     (``vector_cost`` is ``None`` for chunks the vector engine cannot run).
@@ -1040,7 +1077,7 @@ class ChunkRecord:
 
 @dataclass(frozen=True)
 class ShardReport:
-    """Per-chunk accounting of a sharded sweep (``SweepResult.shard_report``)."""
+    """Per-chunk accounting of a sweep (``SweepResult.shard_report``)."""
 
     chunk_size: int
     executor: str  # "inline" | "process" | "custom"
@@ -1161,20 +1198,29 @@ class _CheckpointWriter:
 
 
 # --------------------------------------------------------------------------- #
-# The sharded runner
+# The runner
 # --------------------------------------------------------------------------- #
 
 
-def _circuit_spec_or_raise(topology: CircuitTopology, what: str) -> str:
+def _circuit_spec_or_raise(topology: CircuitTopology, what: str, remedy: str) -> str:
     from ..specs import SpecError
 
     try:
         return topology.circuit.to_spec().to_json(indent=None)
     except SpecError as exc:
         raise SimulationError(
-            f"{what} requires a spec-representable circuit ({exc}); register "
-            "the missing kind via repro.specs.register_channel_kind"
+            f"{what} as a declarative CircuitSpec, but this circuit cannot be "
+            f"expressed as one ({exc}); register the missing kind via "
+            f"repro.specs.register_channel_kind or {remedy}"
         ) from exc
+
+
+def _failure_kind(exc: BaseException) -> str:
+    if isinstance(exc, ChunkTimeoutError):
+        return "timeout"
+    if isinstance(exc, WorkerCrashError):
+        return "crash"
+    return "exception"
 
 
 def run_many_sharded(
@@ -1187,18 +1233,18 @@ def run_many_sharded(
     chunk_size: Optional[int] = None,
     retry=None,
     chunk_timeout: Optional[float] = None,
-    on_chunk_failure: str = "raise",
+    on_chunk_failure: Optional[str] = None,
     on_causality: str = "error",
     max_events: int = 1_000_000,
     executor=None,
     _sleep: Callable[[float], None] = _time.sleep,
     _chaos: Optional[Dict[str, List[List[int]]]] = None,
 ) -> "object":
-    """Execute a sweep in resilient, individually checkpointed chunks.
+    """Execute a sweep in chunks: plan, run each chunk, collect.
 
-    The fault-tolerant sibling of :func:`repro.engine.sweep.run_many`
-    (which delegates here whenever ``checkpoint``/``retry``/
-    ``chunk_timeout``/``on_chunk_failure`` is given or ``backend="auto"``).
+    The implementation of :func:`repro.engine.sweep.run_many`, which
+    passes every argument through; this entry additionally takes the
+    ``executor`` hook and defaults to ``backend="auto"``.
 
     Parameters
     ----------
@@ -1207,85 +1253,92 @@ def run_many_sharded(
         chunks are written as content-keyed artifacts; chunks already in
         the store are loaded instead of recomputed, bit-identically.
     backend:
-        ``"auto"`` picks the vector or scalar engine per chunk from the
-        cost model (see the module docstring); ``"process"`` does the
-        same inside each pool worker; ``"vector"`` runs every chunk that
-        compiles on the vector engine.  Chunks the vector engine cannot
-        express run scalar, with their reasons in ``vector_report``.
-        ``"sequential"`` pins the scalar engine.  ``"thread"`` is
-        accepted for drop-in compatibility with ``run_many`` defaults
-        but degrades to sequential chunk execution (and rejects
-        ``max_workers > 1``: GIL-bound chunk threads would serialize
-        anyway while muddying failure attribution).
+        The engine of each chunk.  ``"auto"`` picks the vector or scalar
+        engine per chunk from the cost model (see the module docstring);
+        ``"vector"`` runs every chunk that compiles on the vector engine;
+        chunks the vector engine cannot express run scalar, with their
+        reasons in ``vector_report``.  ``"sequential"`` pins the scalar
+        engine.
+    max_workers:
+        ``None`` or 1 runs chunks inline; N > 1 runs them on a
+        respawning pool of up to N worker processes (never more than
+        there are chunks to compute).
     chunk_size:
-        Scenarios per chunk (default :data:`DEFAULT_CHUNK_SIZE`).  Part
-        of the checkpoint identity: resume with the size you ran with.
+        Scenarios per chunk; see the module docstring for the default.
+        Part of the checkpoint identity: resume with the size you ran
+        with.
     retry:
-        :class:`RetryPolicy`, total-attempt count, or ``None`` for the
-        default policy (3 attempts, 0.1 s exponential backoff).
+        :class:`RetryPolicy`, total-attempt count, or ``None`` for a
+        single attempt.
     chunk_timeout:
         Per-attempt wall-clock budget in seconds.  Enforced by killing
-        and respawning the pool under ``backend="process"``; inline
-        executors cannot preempt a running chunk (a warning says so).
+        and respawning the pool; inline execution cannot preempt a
+        running chunk (a warning says so).
     on_chunk_failure:
-        ``"raise"`` (default): quarantine failing chunks, finish their
-        siblings, then raise :class:`SweepFailedError` carrying the
-        report and the partial result.  ``"keep"``: return the surviving
-        runs with ``failure_report`` attached.
+        ``None`` (default): the exception of a chunk's last attempt
+        propagates unchanged, after the checkpoint writer has drained.
+        ``"raise"``: quarantine failing chunks, finish their siblings,
+        then raise :class:`SweepFailedError` carrying the report and the
+        partial result.  ``"keep"``: return the surviving runs with
+        ``failure_report`` attached.
     executor:
         Override the chunk executor (an object with ``run_chunk(chunk,
         attempt)``) -- the :class:`FaultInjector` hook.  Forces inline
-        (serial) orchestration.
+        execution.
 
     Returns a :class:`~repro.engine.sweep.SweepResult` whose
-    ``shard_report`` records, per chunk, the backend that ran it, whether
-    it was resumed, and how many attempts it took.
+    ``shard_report`` records the executor and, per chunk, the engine
+    that ran it, whether it was resumed, and how many attempts it took.
     """
     from ..store import as_store
     from .sweep import SweepResult
 
-    if backend not in ("auto", "vector", "sequential", "thread", "process"):
+    if backend not in ("auto", "sequential", "vector"):
         raise ValueError(
-            "sharded backend must be 'auto', 'vector', 'sequential', "
-            "'thread' or 'process'"
+            f"backend must be 'auto', 'sequential' or 'vector', not {backend!r}; "
+            "to run chunks on N worker processes pass max_workers=N (None or 1 "
+            "runs them inline)"
         )
-    if on_chunk_failure not in ("raise", "keep"):
-        raise ValueError("on_chunk_failure must be 'raise' or 'keep'")
-    if backend == "thread" and max_workers is not None and max_workers > 1:
-        raise SimulationError(
-            "sharded sweeps do not support thread-parallel chunk execution "
-            "(GIL-bound chunks would serialize anyway); use backend='process' "
-            "for parallelism or backend='auto' for in-process dispatch"
-        )
+    if on_chunk_failure not in (None, "raise", "keep"):
+        raise ValueError("on_chunk_failure must be None, 'raise' or 'keep'")
     topology = (
         circuit if isinstance(circuit, CircuitTopology) else CircuitTopology(circuit)
     )
     scenarios = list(scenarios)
     policy = as_retry_policy(retry)
-    size = int(chunk_size) if chunk_size else DEFAULT_CHUNK_SIZE
-    dispatch = {"auto": "auto", "process": "auto", "vector": "vector"}.get(backend)
-    use_process = backend == "process" and executor is None
-    if use_process and max_workers is None:
-        max_workers = os.cpu_count() or 1
+    dispatch = None if backend == "sequential" else backend
+    use_process = executor is None and max_workers is not None and max_workers > 1
     if chunk_timeout is not None and not use_process:
         warnings.warn(
             "chunk_timeout cannot preempt in-process chunk execution; use "
-            "backend='process' for enforced wall-clock timeouts",
+            "max_workers > 1 for enforced wall-clock timeouts",
             RuntimeWarning,
             stacklevel=2,
         )
 
     store = as_store(checkpoint) if checkpoint is not None else None
+    if chunk_size is not None:
+        size = int(chunk_size)
+    elif store is not None:
+        size = DEFAULT_CHUNK_SIZE
+    else:
+        size = max(1, math.ceil(len(scenarios) / (max_workers if use_process else 1)))
     circuit_spec_json: Optional[str] = None
     circuit_spec_dict: Optional[Dict[str, Any]] = None
     if store is not None:
-        circuit_spec_json = _circuit_spec_or_raise(topology, "checkpoint=")
+        circuit_spec_json = _circuit_spec_or_raise(
+            topology, "checkpoint= keys chunks on the circuit", "drop checkpoint="
+        )
         import json as _json
 
         circuit_spec_dict = _json.loads(circuit_spec_json)
         store.gc_tmp()
     elif use_process:
-        circuit_spec_json = _circuit_spec_or_raise(topology, "backend='process'")
+        circuit_spec_json = _circuit_spec_or_raise(
+            topology,
+            "max_workers > 1 ships the circuit to its workers",
+            "run inline (max_workers=None)",
+        )
 
     from ..specs import SpecError
 
@@ -1332,9 +1385,24 @@ def run_many_sharded(
         if writer is not None:
             writer.submit(chunk, outcome)
 
+    def record_failure(chunk: SweepChunk, attempts: int, exc: BaseException) -> None:
+        if on_chunk_failure is None:
+            raise exc
+        failures.append(
+            ChunkFailure(
+                index=chunk.index,
+                scenario_names=chunk.names,
+                attempts=attempts,
+                kind=_failure_kind(exc),
+                error=str(exc) or repr(exc),
+                error_type=type(exc).__name__,
+                key=chunk.key,
+            )
+        )
+
     # -- compute the remainder ---------------------------------------------- #
     # The checkpoint writer thread must be drained and joined even when
-    # the compute phase dies (Ctrl-C, BrokenProcessPool escaping retry):
+    # the compute phase dies (Ctrl-C, a chunk's exception propagating):
     # chunks that finished before the interrupt stay durable.
     try:
         if pending and use_process:
@@ -1343,7 +1411,7 @@ def run_many_sharded(
                 on_causality=on_causality,
                 max_events=max_events,
                 dispatch=dispatch,
-                max_workers=max_workers,
+                max_workers=min(max_workers, len(pending)),
                 chunk_timeout=chunk_timeout,
                 chaos=_chaos,
             )
@@ -1353,21 +1421,17 @@ def run_many_sharded(
             ) -> None:
                 outcome = _decode_chunk_payload(topology, chunk, payload)
                 if outcome is None:  # a worker returned garbage: treat as failure
-                    failures.append(
-                        ChunkFailure(
-                            index=chunk.index,
-                            scenario_names=chunk.names,
-                            attempts=attempts,
-                            kind="exception",
-                            error="worker returned an undecodable chunk payload",
-                            error_type="ValueError",
-                            key=chunk.key,
-                        )
+                    record_failure(
+                        chunk,
+                        attempts,
+                        ValueError("worker returned an undecodable chunk payload"),
                     )
                     return
+                if outcome.vector_reasons:
+                    _warn_fallback(outcome.vector_reasons)
                 record_success(chunk, outcome, attempts)
 
-            runner.run(pending, policy, on_success, failures.append)
+            runner.run(pending, policy, on_success, record_failure)
         elif pending:
             chunk_executor = executor
             if chunk_executor is None:
@@ -1389,29 +1453,12 @@ def run_many_sharded(
                     try:
                         outcome = chunk_executor.run_chunk(chunk, attempt)
                         break
-                    except Exception as exc:  # noqa: BLE001 - quarantine protocol
+                    except Exception as exc:  # noqa: BLE001 - failure protocol
                         # KeyboardInterrupt/SystemExit propagate: a dying sweep
                         # keeps its checkpointed chunks and resumes later.
                         last_exc = exc
                 if outcome is None:
-                    kind = (
-                        "timeout"
-                        if isinstance(last_exc, ChunkTimeoutError)
-                        else "crash"
-                        if isinstance(last_exc, WorkerCrashError)
-                        else "exception"
-                    )
-                    failures.append(
-                        ChunkFailure(
-                            index=chunk.index,
-                            scenario_names=chunk.names,
-                            attempts=attempt,
-                            kind=kind,
-                            error=str(last_exc) or repr(last_exc),
-                            error_type=type(last_exc).__name__,
-                            key=chunk.key,
-                        )
-                    )
+                    record_failure(chunk, attempt, last_exc)
                 else:
                     record_success(chunk, outcome, attempt)
     finally:
@@ -1420,7 +1467,7 @@ def run_many_sharded(
     if writer is not None:
         writer.raise_first()
 
-    # -- assemble ------------------------------------------------------------ #
+    # -- collect ------------------------------------------------------------- #
     ordered_records = tuple(records[i] for i in sorted(records))
     shard_report = ShardReport(
         chunk_size=size,
@@ -1438,34 +1485,21 @@ def run_many_sharded(
         for record in ordered_records:
             for reason in record.vector_reasons:
                 by_reason.setdefault(reason, []).append(record.index)
-        if by_reason:
-            reasons = tuple(
+        vector_report = VectorCapability(
+            not by_reason,
+            tuple(
                 f"{reason} [chunk(s) {', '.join(map(str, indices))}]"
                 for reason, indices in sorted(by_reason.items())
-            )
-            vector_report = VectorCapability(False, reasons)
-            fell_back = sum(1 for r in ordered_records if r.vector_reasons)
-            warnings.warn(
-                f"sharded sweep: {fell_back} of {len(chunks)} chunk(s) fell "
-                f"back to the scalar engine ({'; '.join(reasons)})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            vector_report = VectorCapability(True)
+            ),
+        )
 
-    used = sorted({r.backend for r in ordered_records})
-    inner = "+".join(used) if used else "none"
-    label = f"sharded(process:{inner})" if use_process else f"sharded({inner})"
-    runs = [
-        run for index in sorted(outcomes) for run in outcomes[index].runs
-    ]
+    runs = [run for index in sorted(outcomes) for run in outcomes[index].runs]
     failure_report = SweepFailureReport(tuple(failures)) if failures else None
     result = SweepResult(
         topology=topology,
         runs=runs,
         total_seconds=_time.perf_counter() - start,
-        backend=label,
+        backend="+".join(sorted({r.backend for r in ordered_records})) or None,
         vector_report=vector_report,
         failure_report=failure_report,
         shard_report=shard_report,

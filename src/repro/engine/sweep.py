@@ -7,8 +7,8 @@ the circuit is validated and precomputed into a
 :class:`~repro.engine.scheduler.CircuitTopology` exactly once, and each
 :class:`Scenario` then only pays for its own event loop.  Scenarios can
 override per-edge channels (parameterised channel families, per-run eta
-adversaries) and fan out over threads or -- the actually-parallel option
-for this CPU-bound, pure-Python event loop -- a process pool.
+adversaries); the chunked runner of :mod:`repro.engine.shard` executes
+them on the scalar or vector engine, inline or on a process pool.
 
 Helpers:
 
@@ -23,19 +23,13 @@ Helpers:
 
 from __future__ import annotations
 
-import copy
-import math
-import os
-import pickle
-import time as _time
-import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
 from ..core.transitions import Signal
 from .errors import SimulationError
-from .scheduler import CircuitTopology, Engine, Execution
+from .scheduler import CircuitTopology, Execution
 
 __all__ = [
     "Scenario",
@@ -104,18 +98,18 @@ class RunResult:
 class SweepResult:
     """All runs of a sweep over one shared circuit topology.
 
-    ``backend`` records the backend that actually executed the runs --
-    which differs from the requested one when ``backend="vector"`` fell
-    back to the scalar path; ``vector_report`` then carries the
-    :class:`~repro.engine.vector.VectorCapability` explaining why.
+    ``backend`` joins the engines that executed the chunks with ``+``:
+    ``"sequential"``, ``"vector"`` or ``"sequential+vector"`` (``None``
+    for an empty sweep).  It differs from the requested backend when
+    ``"auto"`` chose per chunk or a ``"vector"`` chunk fell back to the
+    scalar engine; ``vector_report`` then carries the
+    :class:`~repro.engine.vector.VectorCapability` naming every obstacle.
 
-    Sharded sweeps (``backend="auto"``, or any of
-    ``checkpoint``/``retry``/``chunk_timeout``/``on_chunk_failure``)
-    additionally attach a :class:`~repro.engine.shard.ShardReport` as
-    ``shard_report`` (per-chunk backends with the reason each was chosen,
-    resumed-vs-computed counts, attempts) and -- when chunks were quarantined under
-    ``on_chunk_failure="keep"`` -- a
-    :class:`~repro.engine.shard.SweepFailureReport` as ``failure_report``.
+    ``shard_report`` is a :class:`~repro.engine.shard.ShardReport`: the
+    executor, and per chunk the engine that ran it and why,
+    resumed-vs-computed counts and attempts.  When chunks were
+    quarantined under ``on_chunk_failure="keep"``, ``failure_report`` is
+    a :class:`~repro.engine.shard.SweepFailureReport`.
     """
 
     topology: CircuitTopology
@@ -173,124 +167,6 @@ class SweepResult:
         return len(self.runs)
 
 
-# --------------------------------------------------------------------------- #
-# Process-pool worker machinery
-# --------------------------------------------------------------------------- #
-# The worker builds its topology and engine exactly once per process -- from
-# the declarative CircuitSpec JSON shipped through the initializer (specs
-# preserve node/edge order, so the rebuilt circuit executes bit-identically;
-# no circuit object is ever pickled) -- and then executes whole scenario
-# chunks, returning stripped signal payloads instead of full Execution
-# objects so the parent never re-serialises the circuit per run.
-
-_WORKER_ENGINE: Optional[Engine] = None
-
-#: Stripped per-run payload: (node_signals, edge_signals, event_count,
-#: dropped_transitions, seconds).
-_RunPayload = Tuple[Dict[str, Signal], Dict[str, Signal], int, int, float]
-
-
-def _process_worker_init(spec_json: str, on_causality: str, max_events: int) -> None:
-    global _WORKER_ENGINE
-    from ..specs import CircuitSpec
-
-    circuit = CircuitSpec.from_json(spec_json).build()
-    _WORKER_ENGINE = Engine(
-        CircuitTopology(circuit), on_causality=on_causality, max_events=max_events
-    )
-
-
-def _process_run_chunk(scenarios: Sequence[Scenario]) -> List[_RunPayload]:
-    engine = _WORKER_ENGINE
-    results: List[_RunPayload] = []
-    for scenario in scenarios:
-        start = _time.perf_counter()
-        execution = engine.run(
-            scenario.inputs, scenario.end_time, channels=scenario.channels or None
-        )
-        results.append(
-            (
-                execution.node_signals,
-                execution.edge_signals,
-                execution.event_count,
-                execution.dropped_transitions,
-                _time.perf_counter() - start,
-            )
-        )
-    return results
-
-
-def _chunked(items: Sequence[_T], chunk_size: int) -> List[Sequence[_T]]:
-    return [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-
-
-def _run_many_process(
-    topology: CircuitTopology,
-    scenarios: Sequence[Scenario],
-    *,
-    on_causality: str,
-    max_events: int,
-    max_workers: int,
-    chunk_size: Optional[int],
-) -> List[RunResult]:
-    from ..specs import SpecError
-
-    try:
-        spec_json = topology.circuit.to_spec().to_json(indent=None)
-    except SpecError as exc:
-        raise SimulationError(
-            "backend='process' ships declarative CircuitSpecs to its "
-            "workers, but this circuit cannot be expressed as one "
-            f"({exc}); register the missing kind via "
-            "repro.specs.register_channel_kind or use the thread backend"
-        ) from exc
-    try:
-        chunks = _chunked(list(scenarios), chunk_size or max(
-            1, math.ceil(len(scenarios) / (max_workers * 4))
-        ))
-        chunk_payloads = [pickle.dumps(chunk) for chunk in chunks]
-    except Exception as exc:
-        raise SimulationError(
-            "backend='process' requires every scenario (inputs, channel "
-            "overrides, metadata) to be picklable; use the thread backend "
-            f"for closure-based channels ({exc})"
-        ) from exc
-    with ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=_process_worker_init,
-        initargs=(spec_json, on_causality, max_events),
-    ) as pool:
-        chunk_results = list(pool.map(_process_run_chunk_pickled, chunk_payloads))
-    runs: List[RunResult] = []
-    circuit = topology.circuit
-    output_ports = topology.output_ports
-    for chunk, results in zip(chunks, chunk_results):
-        for scenario, (node_signals, edge_signals, events, dropped, secs) in zip(
-            chunk, results
-        ):
-            output_signals = {o: node_signals[o] for o in output_ports}
-            runs.append(
-                RunResult(
-                    scenario=scenario,
-                    execution=Execution(
-                        circuit=circuit,
-                        node_signals=node_signals,
-                        edge_signals=edge_signals,
-                        output_signals=output_signals,
-                        end_time=scenario.end_time,
-                        event_count=events,
-                        dropped_transitions=dropped,
-                    ),
-                    seconds=secs,
-                )
-            )
-    return runs
-
-
-def _process_run_chunk_pickled(chunk_payload: bytes) -> List[_RunPayload]:
-    return _process_run_chunk(pickle.loads(chunk_payload))
-
-
 def run_many(
     circuit,
     scenarios: Sequence[Scenario],
@@ -298,7 +174,7 @@ def run_many(
     on_causality: str = "error",
     max_events: int = 1_000_000,
     max_workers: Optional[int] = None,
-    backend: str = "thread",
+    backend: str = "sequential",
     chunk_size: Optional[int] = None,
     checkpoint=None,
     retry=None,
@@ -312,183 +188,69 @@ def run_many(
     fresh channel state) just as a standalone
     :func:`repro.circuits.simulator.simulate` call would.
 
-    Parallelism (``max_workers`` > 1) comes in two flavours
-    (``backend="sequential"`` explicitly opts out and ignores
-    ``max_workers``):
+    Every sweep takes the same pipeline
+    (:func:`repro.engine.shard.run_many_sharded`): the scenarios are
+    planned into order-preserving chunks, each chunk runs on one engine,
+    inline or on a process pool, and the results are collected in
+    scenario order.  Two knobs choose how:
 
-    ``backend="thread"``
-        A :class:`~concurrent.futures.ThreadPoolExecutor`.  The event loop
-        is pure CPU-bound Python, so threads time-slice under the GIL and
-        mostly *overlap* rather than speed up -- useful only when channel
-        callbacks release the GIL (numpy-heavy adversaries) or for latency
-        hiding.  Base channels of the circuit are stateful (adversary
-        RNGs), so every edge *not* overridden by the scenario is
-        deep-copied per run to keep threads from sharing mutable state.
-    ``backend="process"``
-        A :class:`~concurrent.futures.ProcessPoolExecutor`: real multi-core
-        scaling.  The circuit is shipped once per worker as its declarative
-        :class:`~repro.specs.CircuitSpec` JSON (workers rebuild it and its
-        topology locally; spec node/edge order preservation keeps the
-        rebuilt circuit bit-identical), scenarios are shipped in pickled
-        chunks (``chunk_size``, default ``len / (4 * max_workers)``), and
-        workers return stripped signal payloads.  Requires the circuit to
-        be spec-representable and the scenarios to be picklable.
-    ``backend="vector"``
-        The NumPy-vectorized batch engine (:mod:`repro.engine.vector`):
-        all scenarios of a feed-forward sweep are evaluated simultaneously
-        through masked array operations, typically several times faster
-        than ``sequential`` on one core for Monte Carlo families with real
-        per-run work.  Circuits or channels the vector compiler cannot
-        express (feedback loops, custom channel/adversary classes, ...)
-        fall back to the sequential scalar path automatically -- with a
-        :class:`~repro.engine.vector.VectorCapability` report attached as
-        ``SweepResult.vector_report`` and a ``RuntimeWarning`` naming
-        every obstacle, never silently.  ``SweepResult.backend`` records
-        the backend that actually ran.  Per-run ``seconds`` are the
-        batched wall time divided evenly across scenarios (the vector
-        engine has no per-scenario clock).
+    ``backend``
+        The engine of each chunk.  ``"sequential"`` runs the scalar event
+        loop.  ``"vector"`` runs every chunk the NumPy batch engine
+        (:mod:`repro.engine.vector`) can express on it; a chunk it cannot
+        express runs scalar, with a ``RuntimeWarning`` naming the
+        obstacle and the reasons collected in ``SweepResult.
+        vector_report``.  ``"auto"`` picks the engine per chunk from a
+        deterministic cost model (see :mod:`repro.engine.shard`).
+    ``max_workers``
+        Where chunks run: ``None`` or 1 inline in this process, N > 1 on
+        a pool of N worker processes.  Workers receive the circuit once
+        as declarative :class:`~repro.specs.CircuitSpec` JSON and the
+        scenarios as pickled chunks, so the pool needs a
+        spec-representable circuit and picklable scenarios; both are
+        checked before any worker starts.
+
+    ``chunk_size`` (scenarios per chunk) defaults to
+    :data:`~repro.engine.shard.DEFAULT_CHUNK_SIZE` when checkpointing,
+    because chunk boundaries are part of the checkpoint key, and
+    otherwise to an even split across the workers -- the whole sweep in
+    one chunk inline.
 
     Determinism guarantee: with every stateful channel either seeded or
-    overridden per scenario (as :func:`eta_monte_carlo` does), sequential,
-    thread, process and vector backends produce bit-identical executions
+    overridden per scenario (as :func:`eta_monte_carlo` does), every
+    engine, executor and chunk size produces bit-identical executions
     for the same scenarios -- kernels are rebuilt and channels reset per
     run, so no RNG state leaks across runs or workers.  The equivalence
     tests in ``tests/engine/test_sweep.py`` and
     ``tests/engine/test_vector.py`` pin this.
 
-    Fault tolerance: ``backend="auto"``, or any of ``checkpoint=`` (an
-    :class:`~repro.store.ArtifactStore` or directory path), ``retry=``,
-    ``chunk_timeout=`` or ``on_chunk_failure=``, routes the sweep through
-    the resilient sharded runner
-    (:func:`repro.engine.shard.run_many_sharded`): scenarios split into
-    deterministic spec-keyed chunks that are individually checkpointed,
-    retried with exponential backoff, quarantined when poisonous, and
-    dispatched per-chunk between the vector and scalar engines (by a
-    deterministic cost model under ``backend="auto"``).  In
-    sharded mode ``chunk_size`` means scenarios per chunk (default
-    :data:`~repro.engine.shard.DEFAULT_CHUNK_SIZE`) and is part of the
-    checkpoint identity.  See :mod:`repro.engine.shard` and
-    ``docs/resilience.md`` for the full semantics.
+    Fault tolerance: ``checkpoint=`` (an
+    :class:`~repro.store.ArtifactStore` or directory path) stores every
+    finished chunk under a content key, so a rerun resumes
+    bit-identically.  ``retry=`` (attempts per chunk, default 1) and
+    ``chunk_timeout=`` (enforced on the pool only) govern failing
+    chunks.  With ``on_chunk_failure`` unset, a chunk's own exception
+    propagates unchanged; ``"raise"`` quarantines failing chunks and
+    raises :class:`~repro.engine.shard.SweepFailedError` once their
+    siblings finish, ``"keep"`` returns the surviving runs with a
+    ``failure_report``.  See ``docs/resilience.md``.
     """
-    sharded = (
-        backend == "auto"
-        or checkpoint is not None
-        or retry is not None
-        or chunk_timeout is not None
-        or on_chunk_failure is not None
-    )
-    if sharded:
-        from .shard import run_many_sharded
+    # Imported per call, not with this module: a cached experiment imports
+    # the sweep API without running a sweep.
+    from . import shard
 
-        return run_many_sharded(
-            circuit,
-            scenarios,
-            checkpoint=checkpoint,
-            backend=backend,
-            max_workers=max_workers,
-            chunk_size=chunk_size,
-            retry=retry,
-            chunk_timeout=chunk_timeout,
-            on_chunk_failure=on_chunk_failure or "raise",
-            on_causality=on_causality,
-            max_events=max_events,
-        )
-    if backend not in ("sequential", "thread", "process", "vector"):
-        raise ValueError(
-            "backend must be 'auto', 'sequential', 'thread', 'process' "
-            "or 'vector'"
-        )
-    if backend == "process" and max_workers is None:
-        # An explicitly requested process backend means "use the cores":
-        # silently running sequentially would ignore the caller's choice.
-        max_workers = os.cpu_count() or 1
-    topology = (
-        circuit
-        if isinstance(circuit, CircuitTopology)
-        else CircuitTopology(circuit)
-    )
-    engine = Engine(topology, on_causality=on_causality, max_events=max_events)
-
-    def execute(scenario: Scenario, *, isolate: bool) -> RunResult:
-        channels = dict(scenario.channels) if scenario.channels else {}
-        if isolate:
-            for ename, edge in topology.edges.items():
-                if ename not in channels:
-                    channels[ename] = copy.deepcopy(edge.channel)
-        start = _time.perf_counter()
-        execution = engine.run(
-            scenario.inputs, scenario.end_time, channels=channels or None
-        )
-        return RunResult(
-            scenario=scenario,
-            execution=execution,
-            seconds=_time.perf_counter() - start,
-        )
-
-    start = _time.perf_counter()
-    vector_report = None
-    executed_backend = backend
-    if backend == "vector":
-        from .vector import VectorUnsupportedError, compile_sweep
-
-        try:
-            program = compile_sweep(
-                topology,
-                scenarios,
-                on_causality=on_causality,
-                max_events=max_events,
-            )
-            vector_report = program.report
-            # run() can still refuse dynamically (same-instant deliveries
-            # discovered mid-evaluation); that falls back like a compile
-            # refusal, discarding the partial vector work.
-            runs = program.run()
-        except VectorUnsupportedError as exc:
-            # Automatic fallback must never be silent: the capability
-            # report rides on the result and the warning names every
-            # obstacle, so a slow sweep is diagnosable.
-            vector_report = exc.report
-            executed_backend = "sequential"
-            warnings.warn(
-                "backend='vector' cannot express this sweep, falling back "
-                f"to the sequential scalar engine ({exc.report.summary()})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            runs = [execute(scenario, isolate=False) for scenario in scenarios]
-        return SweepResult(
-            topology=topology,
-            runs=runs,
-            total_seconds=_time.perf_counter() - start,
-            backend=executed_backend,
-            vector_report=vector_report,
-        )
-    parallel = (
-        backend != "sequential"
-        and max_workers is not None
-        and max_workers > 1
-        and len(scenarios) > 1
-    )
-    if parallel and backend == "process":
-        runs = _run_many_process(
-            topology,
-            scenarios,
-            on_causality=on_causality,
-            max_events=max_events,
-            max_workers=max_workers,
-            chunk_size=chunk_size,
-        )
-    elif parallel:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            runs = list(pool.map(lambda s: execute(s, isolate=True), scenarios))
-    else:
-        runs = [execute(scenario, isolate=False) for scenario in scenarios]
-        executed_backend = "sequential"
-    return SweepResult(
-        topology=topology,
-        runs=runs,
-        total_seconds=_time.perf_counter() - start,
-        backend=executed_backend,
+    return shard.run_many_sharded(
+        circuit,
+        scenarios,
+        checkpoint=checkpoint,
+        backend=backend,
+        max_workers=max_workers,
+        chunk_size=chunk_size,
+        retry=retry,
+        chunk_timeout=chunk_timeout,
+        on_chunk_failure=on_chunk_failure,
+        on_causality=on_causality,
+        max_events=max_events,
     )
 
 
@@ -538,8 +300,8 @@ def eta_monte_carlo(
     per (run, edge) from a deterministic seed sequence -- Monte Carlo
     sampling over the paper's admissible parameter ``H``.  Edges with
     non-eta channels keep their base channel.  The per-(run, edge) seeding
-    is what makes the scenarios embarrassingly parallel: any
-    :func:`run_many` backend executes them bit-identically.
+    is what makes the scenarios embarrassingly parallel: every
+    :func:`run_many` engine and executor runs them bit-identically.
     """
     import numpy as np
 
@@ -633,9 +395,9 @@ def sweep_map(
     sequential loops it replaced.  Threads help here (unlike in the event
     loop) because these sweeps spend their time in numpy, which releases
     the GIL for array-sized work; closures over unpicklable state are also
-    common in these drivers, which rules the process backend out.  For
+    common in these drivers, which rules a process pool out.  For
     picklable, pure-Python workloads prefer
-    ``run_many(..., backend="process")``.
+    ``run_many(..., max_workers=N)``.
     """
     items = list(items)
     if max_workers is None or max_workers <= 1 or len(items) <= 1:

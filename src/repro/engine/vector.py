@@ -18,7 +18,7 @@ once into dense arrays and evaluates **all scenarios simultaneously**:
 
 Bit-identity contract
 ---------------------
-``run_many_vector`` is **bit-identical** to ``run_many(backend=
+``run_many(backend="vector")`` is **bit-identical** to ``run_many(backend=
 "sequential")``: same transition lists (times compared as exact float64
 bits), same event counts, same dropped-transition counts, same SPF
 verdicts.  Failing sweeps fail on both backends with the same error when
@@ -60,8 +60,9 @@ adversary classes, zero-delay-only cycles, settle-instant glitches,
 scenario-dependent structure -- and same-instant arrival coincidences
 that only show up at run time make execution raise
 :class:`VectorUnsupportedError`; in both cases
-``run_many(backend="vector")`` falls back to the scalar path with the
-report attached rather than failing or silently slowing down.
+``run_many(backend="vector")`` runs the refused chunk on the scalar
+engine with a warning and the report attached rather than failing or
+silently slowing down.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ __all__ = [
     "compile_sweep",
     "predraw_random_adversaries",
     "VectorProgram",
-    "run_many_vector",
 ]
 
 _INF = math.inf
@@ -1560,24 +1560,3 @@ def _compile(
     )
     return VectorCapability(True), program
 
-
-def run_many_vector(
-    topology,
-    scenarios: Sequence[object],
-    *,
-    on_causality: str = "error",
-    max_events: int = 1_000_000,
-) -> List[object]:
-    """Compile and run a sweep on the vector backend in one call.
-
-    Returns the per-scenario :class:`~repro.engine.sweep.RunResult` list;
-    raises :class:`VectorUnsupportedError` when the sweep cannot be
-    compiled -- or when execution discovers a same-instant delivery whose
-    engine batch ordering cannot be replayed (callers wanting automatic
-    fallback should use :func:`repro.engine.sweep.run_many` with
-    ``backend="vector"``).
-    """
-    program = compile_sweep(
-        topology, scenarios, on_causality=on_causality, max_events=max_events
-    )
-    return program.run()

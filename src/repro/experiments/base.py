@@ -55,21 +55,22 @@ class ExperimentContext:
     """Execution knobs that must not change the numbers an experiment produces.
 
     ``backend``/``max_workers`` plumb straight into
-    :func:`repro.engine.sweep.run_many` (event-driven experiments) or
-    :func:`repro.engine.sweep.sweep_map` (analog characterisation sweeps);
-    the sweep runner's determinism guarantee is what makes them
+    :func:`repro.engine.sweep.run_many` (event-driven experiments: the
+    engine of each chunk, and worker processes) or ``max_workers`` into
+    :func:`repro.engine.sweep.sweep_map` (analog characterisation sweeps:
+    threads); the sweep runner's determinism guarantee is what makes them
     result-neutral, so the artifact store can key on the spec alone.
     ``backend="vector"`` opts engine-driven kinds (``theorem9``,
     ``scaling``, ``eta_coverage``, ...) into the NumPy batch engine of
-    :mod:`repro.engine.vector`, which falls back to the scalar path --
-    with a warning -- for circuits it cannot express (e.g. the
-    ``theorem9`` storage loop's feedback cycle).
+    :mod:`repro.engine.vector`, which runs scalar -- with a warning --
+    any chunk it cannot express; ``backend="auto"`` picks the engine per
+    chunk from a cost model (the ``theorem9`` storage loop runs scalar).
 
     ``observed`` is the runners' reporting channel back to provenance:
     kinds that execute sweeps record the backend that *actually* ran
     under ``"backend_executed"`` (a vector request may have fallen back),
     so cached artifacts never claim an execution strategy that never
-    happened.  Kinds whose sweeps run sharded additionally record
+    happened.  Kinds whose sweeps are checkpointed additionally record
     ``"chunks_computed"``/``"chunks_resumed"`` from the sweep's
     :class:`~repro.engine.shard.ShardReport`.
 
@@ -287,10 +288,9 @@ def _provenance(
         # defaulting to the *requested* backend would claim an execution
         # strategy that never ran.
         "backend_executed": context.observed.get("backend_executed"),
-        # Recorded by kinds whose sweeps ran sharded (checkpoint= or
-        # backend="auto"): how many chunks were computed fresh vs
-        # satisfied from the checkpoint store; null when no sharded
-        # sweep ran.
+        # Recorded by kinds whose sweeps were checkpointed: how many
+        # chunks were computed fresh vs satisfied from the checkpoint
+        # store; null when no checkpointed sweep ran.
         "chunks_computed": context.observed.get("chunks_computed"),
         "chunks_resumed": context.observed.get("chunks_resumed"),
         "max_workers": context.max_workers,

@@ -110,8 +110,8 @@ def _run_fig7(
     :func:`repro.engine.sweep.sweep_map` threads (sequential unless
     ``max_workers`` is set) -- the numpy-heavy waveform integration
     releases the GIL, which is what makes threads effective here; the
-    closure over the analog chain keeps this driver off the picklable
-    process backend.
+    closure over the analog chain keeps this driver off the process pool,
+    which needs picklable work.
     """
     technology = as_technology(technology)
 

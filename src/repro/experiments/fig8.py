@@ -112,7 +112,7 @@ def _run_fig8(
     :func:`repro.engine.sweep.sweep_map` threads (sequential unless
     ``max_workers`` is set); the numpy-heavy analog re-characterisation
     releases the GIL, so threads scale here, while the event-driven eta
-    sweeps should prefer ``run_many(backend="process")``.
+    sweeps should prefer ``run_many(max_workers=N)``.
     """
     technology = as_technology(technology)
     widths = _default_widths(technology, n_widths)

@@ -40,11 +40,10 @@ __all__ = ["ScalingSample", "run_scaling"]
 class ScalingSample:
     """Throughput measurement for one circuit size.
 
-    ``backend`` records the execution strategy that *actually* ran --
-    e.g. a requested ``process`` backend degrades to ``sequential`` for
-    this single-scenario workload (``run_many`` only fans out families),
-    and ``vector`` may fall back for unvectorizable channels; rows must
-    not label sequential measurements with a parallel backend name.
+    ``backend`` records the engine that *actually* ran -- e.g. ``auto``
+    picks ``sequential`` for this single-scenario workload (below the
+    vector break-even), and ``vector`` may fall back for unvectorizable
+    channels; rows must not label scalar measurements with another name.
     """
 
     stages: int
@@ -141,15 +140,16 @@ def _run_scaling(
                 max_workers=max_workers,
             )
             elapsed = time.perf_counter() - start
-            # run_many records what actually executed: thread/process
-            # degrade to sequential for a single scenario, vector may
-            # fall back -- the published row must say so.
-            ran_backend = sweep.backend or backend
+            # The one chunk's record names the engine that actually ran:
+            # auto picks scalar for a single scenario, vector may fall
+            # back -- the published row must say so.
+            (record,) = sweep.shard_report.records
+            ran_backend = record.backend
             if ran_backend != backend:
-                # The timed window above included the discarded vector
-                # attempt (or pool setup of a degraded parallel request);
-                # re-measure under the backend that actually ran so the
-                # row's throughput is a genuine measurement.
+                # The timed window above included the cost-model decision
+                # or the discarded vector attempt; re-measure on the
+                # engine that actually ran so the row's throughput is a
+                # genuine measurement.
                 start = time.perf_counter()
                 sweep = run_many(
                     topology,

@@ -180,7 +180,7 @@ def _simulated_eta_coverage(
     stimulus=None,
     end_time: Optional[float] = None,
     max_workers: Optional[int] = None,
-    backend: str = "thread",
+    backend: str = "sequential",
     label: str = "eta-monte-carlo",
     observed: Optional[Dict[str, object]] = None,
     checkpoint=None,
@@ -190,9 +190,9 @@ def _simulated_eta_coverage(
     The digital-side counterpart of :func:`compute_deviations`: an inverter
     chain of eta-involution channels is executed for ``n_runs`` sampled
     adversaries (:func:`repro.engine.sweep.eta_monte_carlo`) through one
-    shared :func:`repro.engine.sweep.run_many` sweep (``max_workers`` and
-    ``backend`` fan it out; ``backend="process"`` gives real multi-core
-    scaling since the scenarios are picklable and seeded per run).  Per channel and per
+    shared :func:`repro.engine.sweep.run_many` sweep (``backend`` picks the
+    engine, ``max_workers`` > 1 runs chunks on worker processes -- the
+    scenarios are picklable and seeded per run).  Per channel and per
     run, every output transition's crossing time is compared against the
     prediction of the *deterministic* involution delay function applied to
     the run's actual previous-output-to-input delay ``T`` -- exactly the
@@ -250,9 +250,9 @@ def _simulated_eta_coverage(
         # Provenance records the strategy that actually ran (a vector
         # request may have fallen back for unvectorizable channels).
         observed["backend_executed"] = sweep.backend or backend
-        if sweep.shard_report is not None:
-            # Sharded sweeps (checkpoint= or backend="auto") also report
-            # how much of the work was resumed from the checkpoint store.
+        if checkpoint is not None:
+            # Checkpointed sweeps also report how much of the work was
+            # resumed from the store.
             observed["chunks_computed"] = sweep.shard_report.computed
             observed["chunks_resumed"] = sweep.shard_report.resumed
 
@@ -298,7 +298,7 @@ def simulated_eta_coverage(
     stimulus=None,
     end_time: Optional[float] = None,
     max_workers: Optional[int] = None,
-    backend: str = "thread",
+    backend: str = "sequential",
     label: str = "eta-monte-carlo",
 ) -> DeviationAnalysis:
     """Monte Carlo coverage check on the event-driven engine.

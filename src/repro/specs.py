@@ -29,7 +29,7 @@ compared and shipped across process boundaries, in contrast to the opaque
 
 Node and edge *order* is part of a circuit spec: the engine's event-id tie
 breaking follows insertion order, so preserving it is what makes a rebuilt
-circuit execute bit-identically -- the property the process sweep backend
+circuit execute bit-identically -- the property the sweep's process pool
 (:func:`repro.engine.sweep.run_many`) relies on when it ships specs
 instead of pickled circuit objects.
 
@@ -172,7 +172,7 @@ class Spec:
         object.__setattr__(self, "params", _jsonify(merged))
         # The canonical key only matters for equality/hashing; computing it
         # eagerly would put a json.dumps on every construction, which the
-        # sharded sweep layer pays per (scenario, edge) when fingerprinting
+        # sweep runner pays per (scenario, edge) when fingerprinting
         # chunks.  Computed on first use instead (see _canonical).
         object.__setattr__(self, "_key", None)
 
@@ -574,7 +574,7 @@ def register_channel_kind(
     ``builder`` maps a params mapping to a fresh :class:`Channel` instance;
     ``channel_class`` + ``extractor`` (optional) enable ``to_spec`` for
     instances of that exact class, which is what lets circuits containing
-    the custom channel ride the process sweep backend and the JSON netlist
+    the custom channel ride the sweep's process pool and the JSON netlist
     format.
     """
     if kind in _CHANNEL_BUILDERS and not replace:

@@ -20,7 +20,7 @@ which is what makes large experiment sweeps resumable.
 
 Beyond whole experiments, the store also holds *generic JSON payloads*
 addressed the same way (:meth:`ArtifactStore.put_payload` /
-:meth:`ArtifactStore.get_payload`); the sharded sweep runner
+:meth:`ArtifactStore.get_payload`); the sweep runner
 (:mod:`repro.engine.shard`) uses those for its per-chunk checkpoints, so
 a killed sweep resumes from exactly the chunks that finished.
 """
@@ -163,7 +163,7 @@ class ArtifactStore:
         """Artifact path for a payload spec, honouring a precomputed key.
 
         ``key`` must be ``key_for(spec)`` for the same spec; callers that
-        already hold the hash (the sharded runner keys every chunk up
+        already hold the hash (the sweep runner keys every chunk up
         front) pass it to skip re-canonicalising a large spec dict on
         every store round-trip.  A wrong key is harmless on read -- the
         embedded-spec check turns it into a miss -- and on write produces
@@ -180,7 +180,7 @@ class ArtifactStore:
 
         The artifact embeds the spec dict and the ``fmt`` tag, so
         :meth:`get_payload` can verify both before trusting the content.
-        Used by the sharded sweep runner for per-chunk checkpoints.
+        Used by the sweep runner for per-chunk checkpoints.
         ``key`` optionally supplies the precomputed ``key_for(spec)``.
         """
         spec_dict = spec.to_dict() if hasattr(spec, "to_dict") else dict(spec)
@@ -234,7 +234,7 @@ class ArtifactStore:
         Only files older than ``max_age_s`` seconds are reclaimed, so a
         *live* sweep's in-flight chunk writers are never raced -- an atomic
         write holds its temp file for milliseconds, not an hour.  The
-        sharded sweep runner calls this on every checkpointed run, which
+        sweep runner calls this on every checkpointed run, which
         keeps a store that survived crashes from accumulating litter.
         Returns the number of files removed.
         """

@@ -74,6 +74,6 @@ class TestSweep:
         )
         assert len(scenarios) == 4
         sequential = api.sweep(circuit, scenarios)
-        process = api.sweep(circuit, scenarios, backend="process", max_workers=2)
+        process = api.sweep(circuit, scenarios, max_workers=2)
         for seq, proc in zip(sequential, process):
             assert seq.execution.node_signals == proc.execution.node_signals

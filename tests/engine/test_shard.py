@@ -105,7 +105,7 @@ class TestRetryPolicy:
             RetryPolicy(multiplier=0.5)
 
     def test_coercion(self):
-        assert as_retry_policy(None) == RetryPolicy()
+        assert as_retry_policy(None) == RetryPolicy(attempts=1)
         assert as_retry_policy(5).attempts == 5
         policy = RetryPolicy(attempts=2)
         assert as_retry_policy(policy) is policy
@@ -227,14 +227,34 @@ class TestShardedEquivalence:
             eta_chain, mc_scenarios, backend=backend, chunk_size=3
         )
         assert_sweeps_identical(baseline, sharded)
-        assert sharded.backend.startswith("sharded(")
+        # Three chunks of at most 3 scenarios: below the break-even, auto
+        # runs them all scalar.
+        assert sharded.backend == {
+            "auto": "sequential", "vector": "vector", "sequential": "sequential"
+        }[backend]
         assert sharded.shard_report.computed == 3
         assert sharded.shard_report.failed == 0
 
     def test_run_many_routes_auto_to_sharded(self, eta_chain, mc_scenarios):
         sweep = run_many(eta_chain, mc_scenarios, backend="auto")
         assert sweep.shard_report is not None
-        assert sweep.shard_report.chunk_size == DEFAULT_CHUNK_SIZE
+        # Without a store the whole sweep is one inline chunk.
+        assert sweep.shard_report.chunk_size == len(mc_scenarios)
+
+    def test_default_chunk_size_follows_the_inputs(
+        self, eta_chain, mc_scenarios, tmp_path
+    ):
+        def size(**kwargs):
+            sweep = run_many(eta_chain, mc_scenarios, **kwargs)
+            return sweep.shard_report.chunk_size
+
+        assert size() == len(mc_scenarios)
+        assert size(max_workers=2) == len(mc_scenarios) // 2
+        # Chunk boundaries are part of the checkpoint key: a store keeps
+        # the fixed default whatever the worker count.
+        assert size(checkpoint=tmp_path / "a") == DEFAULT_CHUNK_SIZE
+        assert size(checkpoint=tmp_path / "b", max_workers=2) == DEFAULT_CHUNK_SIZE
+        assert size(chunk_size=3, checkpoint=tmp_path / "c") == 3
 
     def test_run_many_routes_on_any_sharding_knob(self, eta_chain, mc_scenarios):
         sweep = run_many(eta_chain, mc_scenarios, backend="sequential", retry=2)
@@ -484,7 +504,7 @@ class TestRetrySemantics:
         with pytest.raises(SweepFailedError) as excinfo:
             run_many_sharded(
                 eta_chain, mc_scenarios, chunk_size=4, executor=injector,
-                retry=2, _sleep=lambda s: None,
+                retry=2, on_chunk_failure="raise", _sleep=lambda s: None,
             )
         assert excinfo.value.report.failures[0].attempts == 2
 
@@ -500,11 +520,26 @@ class TestRetrySemantics:
             with pytest.raises(SweepFailedError) as excinfo:
                 run_many_sharded(
                     eta_chain, mc_scenarios, chunk_size=8, executor=injector,
-                    retry=1,
+                    retry=1, on_chunk_failure="raise",
                 )
             failure = excinfo.value.report.failures[0]
             assert failure.kind == kind
             assert failure.error_type == type(fault).__name__
+
+    def test_unset_policy_is_one_attempt_then_the_chunk_exception(
+        self, eta_chain, mc_scenarios, tmp_path
+    ):
+        store = ArtifactStore(tmp_path / "ckpt")
+        fault = ValueError("bad chunk")
+        injector = FaultInjector(InlineChunkExecutor(eta_chain), {(1, 1): fault})
+        with pytest.raises(ValueError, match="bad chunk") as excinfo:
+            run_many_sharded(
+                eta_chain, mc_scenarios, chunk_size=3, executor=injector,
+                checkpoint=store,
+            )
+        assert excinfo.value is fault  # unchanged: same object, type and text
+        assert injector.calls == [(0, 1), (1, 1)]
+        assert len(store) == 1  # chunk 0 was written before the raise
 
 
 class TestPoisonChunks:
@@ -518,7 +553,7 @@ class TestPoisonChunks:
         with pytest.raises(SweepFailedError) as excinfo:
             run_many_sharded(
                 eta_chain, mc_scenarios, chunk_size=3, executor=injector,
-                retry=3, _sleep=lambda s: None,
+                retry=3, on_chunk_failure="raise", _sleep=lambda s: None,
             )
         error = excinfo.value
         assert len(error.report) == 1
@@ -591,7 +626,7 @@ class TestPerChunkDispatch:
         assert records[1].vector_reasons  # the obstacle is named
         assert not sweep.vector_report.supported
         assert any("chunk(s) 1" in r for r in sweep.vector_report.reasons)
-        assert sweep.backend == "sharded(sequential+vector)"
+        assert sweep.backend == "sequential+vector"
 
     def test_fully_eligible_sweep_reports_supported(self, eta_chain, mc_scenarios):
         with warnings.catch_warnings():
@@ -600,7 +635,7 @@ class TestPerChunkDispatch:
                 eta_chain, mc_scenarios, backend="vector", chunk_size=4
             )
         assert sweep.vector_report.supported
-        assert sweep.backend == "sharded(vector)"
+        assert sweep.backend == "vector"
 
     def test_sequential_backend_never_dispatches(self, eta_chain, mc_scenarios):
         sweep = run_many_sharded(
@@ -660,11 +695,12 @@ class TestCostModelDispatch:
         sequential = api.experiment("theorem9", backend="sequential")
         auto_sweep, sequential_sweep = sweeps
         records = auto_sweep.shard_report.records
-        assert [r.backend for r in records] == ["sequential"] * 5
+        # No store: the 72 scenarios are one inline chunk.
+        assert [(r.scenarios, r.backend) for r in records] == [(72, "sequential")]
         assert all(r.reason.startswith("fixpoint pass") for r in records)
         assert all(r.vector_cost > r.scalar_cost for r in records)
         assert auto_sweep.vector_report.supported
-        assert auto.provenance["backend_executed"] == "sharded(sequential)"
+        assert auto.provenance["backend_executed"] == "sequential"
         assert {row["adversary"] for row in auto.rows} >= {"random"}
         assert auto.rows == sequential.rows
         assert_sweeps_identical(sequential_sweep, auto_sweep)
@@ -676,7 +712,9 @@ class TestCostModelDispatch:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sweep = run_many_sharded(eta_chain, scenarios, backend="auto")
+            sweep = run_many_sharded(
+                eta_chain, scenarios, backend="auto", chunk_size=16
+            )
         records = sweep.shard_report.records
         assert [(r.scenarios, r.backend) for r in records] == [(16, "vector")] * 2
         assert all("reach the vector break-even" in r.reason for r in records)
@@ -724,7 +762,7 @@ class TestCostModelDispatch:
         vector = api.experiment("theorem9", params, backend="vector")
         assert vector.provenance["backend_executed"] == "vector"
         auto = api.experiment("theorem9", params, backend="auto")
-        assert auto.provenance["backend_executed"] == "sharded(sequential)"
+        assert auto.provenance["backend_executed"] == "sequential"
         assert auto.rows == vector.rows
 
     def test_resumed_chunks_report_the_stored_decision(
@@ -767,7 +805,7 @@ class TestValidation:
             )
 
     def test_thread_parallel_chunks_rejected(self, eta_chain, mc_scenarios):
-        with pytest.raises(SimulationError, match="thread"):
+        with pytest.raises(ValueError, match="max_workers="):
             run_many_sharded(
                 eta_chain, mc_scenarios, backend="thread", max_workers=4
             )
@@ -821,6 +859,28 @@ class TestApiPlumbing:
         assert result.provenance["chunks_computed"] is None
 
 
+class TestProcessPool:
+    def test_queued_chunks_do_not_make_the_parent_spin(
+        self, eta_chain, mc_scenarios, baseline, monkeypatch
+    ):
+        # More chunks than workers: a chunk waiting for a free worker must
+        # not turn the parent's wait() into a zero-timeout poll.
+        import repro.engine.shard as shard_module
+
+        calls = []
+        real_wait = shard_module.wait
+
+        def counting_wait(fs, timeout=None, return_when="ALL_COMPLETED"):
+            calls.append(timeout)
+            return real_wait(fs, timeout=timeout, return_when=return_when)
+
+        monkeypatch.setattr(shard_module, "wait", counting_wait)
+        sweep = run_many(eta_chain, mc_scenarios, max_workers=2, chunk_size=1)
+        assert_sweeps_identical(baseline, sweep)
+        assert len(sweep.shard_report.records) == len(mc_scenarios)
+        assert 0 < len(calls) <= len(mc_scenarios)
+
+
 # --------------------------------------------------------------------------- #
 # Chaos: real process workers killed, hung, and crashed
 # --------------------------------------------------------------------------- #
@@ -832,8 +892,8 @@ class TestProcessChaos:
         self, eta_chain, mc_scenarios, baseline
     ):
         sweep = run_many_sharded(
-            eta_chain, mc_scenarios, backend="process", chunk_size=3,
-            max_workers=1, retry=RetryPolicy(attempts=3, backoff_s=0.01),
+            eta_chain, mc_scenarios, backend="auto", chunk_size=3,
+            max_workers=2, retry=RetryPolicy(attempts=3, backoff_s=0.01),
             _chaos={"kill": [[0, 1]]},
         )
         assert_sweeps_identical(baseline, sweep)
@@ -844,8 +904,8 @@ class TestProcessChaos:
     def test_hung_worker_times_out_and_quarantines(self, eta_chain, mc_scenarios):
         with pytest.raises(SweepFailedError) as excinfo:
             run_many_sharded(
-                eta_chain, mc_scenarios, backend="process", chunk_size=3,
-                max_workers=1, chunk_timeout=1.0,
+                eta_chain, mc_scenarios, backend="auto", chunk_size=3,
+                max_workers=2, chunk_timeout=1.0, on_chunk_failure="raise",
                 retry=RetryPolicy(attempts=2, backoff_s=0.01),
                 _chaos={"hang": [[1, 1], [1, 2]]},
             )
@@ -861,8 +921,9 @@ class TestProcessChaos:
     ):
         with pytest.raises(SweepFailedError) as excinfo:
             run_many_sharded(
-                eta_chain, mc_scenarios, backend="process", chunk_size=4,
-                max_workers=1, retry=1, _chaos={"raise": [[0, 1]]},
+                eta_chain, mc_scenarios, backend="auto", chunk_size=4,
+                max_workers=2, retry=1, on_chunk_failure="raise",
+                _chaos={"raise": [[0, 1]]},
             )
         failure = excinfo.value.report.failures[0]
         assert failure.kind == "exception"
@@ -873,16 +934,16 @@ class TestProcessChaos:
     ):
         store = ArtifactStore(tmp_path / "ckpt")
         first = run_many_sharded(
-            eta_chain, mc_scenarios, backend="process", chunk_size=3,
-            max_workers=1, checkpoint=store,
+            eta_chain, mc_scenarios, backend="auto", chunk_size=3,
+            max_workers=2, checkpoint=store,
             retry=RetryPolicy(attempts=3, backoff_s=0.01),
             _chaos={"kill": [[2, 1]]},
         )
         assert_sweeps_identical(baseline, first)
         # The resumed run needs no pool at all: every chunk is on disk.
         resumed = run_many_sharded(
-            eta_chain, mc_scenarios, backend="process", chunk_size=3,
-            max_workers=1, checkpoint=store,
+            eta_chain, mc_scenarios, backend="auto", chunk_size=3,
+            max_workers=2, checkpoint=store,
         )
         assert resumed.shard_report.resumed == 3
         assert_sweeps_identical(baseline, resumed)
@@ -894,8 +955,8 @@ class TestProcessChaos:
         # runs it on the vector engine and checkpoints a vector payload.
         store = ArtifactStore(tmp_path / "ckpt")
         first = run_many_sharded(
-            eta_chain, mc_scenarios, backend="process", chunk_size=8,
-            max_workers=1, checkpoint=store,
+            eta_chain, mc_scenarios, backend="auto", chunk_size=8,
+            max_workers=2, checkpoint=store,
         )
         (record,) = first.shard_report.records
         assert record.backend == "vector"

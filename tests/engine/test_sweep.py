@@ -179,30 +179,40 @@ class TestBackendEquivalence:
         scenarios = eta_monte_carlo(circuit, inputs, 60.0, 8, seed=11)
         return circuit, scenarios
 
-    def test_all_backends_bit_identical(self, mc_setup):
+    def test_all_backends_bit_identical(self, mc_setup, tmp_path):
+        """Every engine x executor, with and without a store, matches inline
+        sequential run for run, in scenario order."""
         circuit, scenarios = mc_setup
-        sequential = run_many(circuit, scenarios)
-        threaded = run_many(circuit, scenarios, max_workers=3)
-        process = run_many(circuit, scenarios, max_workers=3, backend="process")
-        assert len(sequential) == len(threaded) == len(process) == len(scenarios)
-        for seq, thr, proc in zip(sequential, threaded, process):
-            assert seq.scenario.name == thr.scenario.name == proc.scenario.name
-            assert seq.execution.node_signals == thr.execution.node_signals
-            assert seq.execution.node_signals == proc.execution.node_signals
-            assert seq.execution.edge_signals == thr.execution.edge_signals
-            assert seq.execution.edge_signals == proc.execution.edge_signals
-            assert seq.execution.event_count == proc.execution.event_count
-            assert (
-                seq.execution.dropped_transitions
-                == proc.execution.dropped_transitions
-            )
+        reference = run_many(circuit, scenarios)
+        names = [run.scenario.name for run in reference]
+        for backend in ("sequential", "vector", "auto"):
+            for max_workers in (None, 2):
+                for store in (None, tmp_path / f"{backend}-{max_workers}"):
+                    case = (backend, max_workers, store)
+                    sweep = run_many(
+                        circuit,
+                        scenarios,
+                        backend=backend,
+                        max_workers=max_workers,
+                        checkpoint=store,
+                    )
+                    assert [run.scenario.name for run in sweep] == names, case
+                    assert sweep.shard_report.executor == (
+                        "process" if max_workers else "inline"
+                    ), case
+                    for ref, run in zip(reference, sweep):
+                        a, b = ref.execution, run.execution
+                        assert a.node_signals == b.node_signals, case
+                        assert a.edge_signals == b.edge_signals, case
+                        assert a.event_count == b.event_count, case
+                        assert a.dropped_transitions == b.dropped_transitions, case
 
     def test_process_backend_chunking_preserves_order(self, mc_setup):
         circuit, scenarios = mc_setup
         sequential = run_many(circuit, scenarios)
-        chunked = run_many(
-            circuit, scenarios, max_workers=2, backend="process", chunk_size=3
-        )
+        chunked = run_many(circuit, scenarios, max_workers=2, chunk_size=3)
+        assert chunked.shard_report.chunk_size == 3
+        assert len(chunked.shard_report.records) == 3
         for seq, proc in zip(sequential, chunked):
             assert seq.scenario.name == proc.scenario.name
             assert seq.execution.node_signals == proc.execution.node_signals
@@ -215,14 +225,14 @@ class TestBackendEquivalence:
         a parent-side engine run for run: the worker path needs no pickled
         circuit object.
         """
-        import repro.engine.sweep as sweep_module
+        import repro.engine.shard as shard_module
 
         circuit, scenarios = mc_setup
         spec_json = circuit.to_spec().to_json(indent=None)
-        original = sweep_module._WORKER_ENGINE
+        original = shard_module._SHARD_WORKER
         try:
-            sweep_module._process_worker_init(spec_json, "error", 1_000_000)
-            worker_engine = sweep_module._WORKER_ENGINE
+            shard_module._shard_worker_init(spec_json, "error", 1_000_000, None, None)
+            worker_engine = shard_module._SHARD_WORKER["engine"]
             scenario = scenarios[0]
             worker_run = worker_engine.run(
                 scenario.inputs, scenario.end_time, channels=scenario.channels
@@ -233,7 +243,7 @@ class TestBackendEquivalence:
             assert worker_run.node_signals == parent_run.node_signals
             assert worker_run.edge_signals == parent_run.edge_signals
         finally:
-            sweep_module._WORKER_ENGINE = original
+            shard_module._SHARD_WORKER = original
 
     def test_process_backend_rejects_unspecable_circuit(self, exp_pair):
         class OpaqueChannel(PureDelayChannel):
@@ -244,8 +254,8 @@ class TestBackendEquivalence:
             Scenario(f"s{i}", {"in": Signal.pulse(1.0, 2.0)}, 20.0) for i in range(2)
         ]
         with pytest.raises(SimulationError, match="CircuitSpec"):
-            run_many(circuit, scenarios, max_workers=2, backend="process")
-        # The same circuit still runs on the in-process backends.
+            run_many(circuit, scenarios, max_workers=2)
+        # The same circuit still runs inline.
         assert len(run_many(circuit, scenarios)) == 2
 
     def test_process_backend_rejects_unpicklable_scenarios(self, chain):
@@ -267,7 +277,21 @@ class TestBackendEquivalence:
             for i in range(2)
         ]
         with pytest.raises(SimulationError, match="picklable"):
-            run_many(chain, scenarios, max_workers=2, backend="process")
+            run_many(chain, scenarios, max_workers=2, retry=1)
+
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    def test_empty_sweep_returns_empty_result(self, chain, max_workers):
+        sweep = run_many(chain, [], max_workers=max_workers)
+        assert len(sweep) == 0
+        assert sweep.backend is None
+        assert sweep.shard_report.records == ()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_removed_backend_names_point_at_max_workers(self, chain, backend):
+        with pytest.raises(ValueError, match="max_workers="):
+            run_many(
+                chain, [Scenario("s", {"in": Signal.zero()}, 10.0)], backend=backend
+            )
 
 
 class TestChannelOverrides:

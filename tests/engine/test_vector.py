@@ -42,12 +42,16 @@ from repro.engine.vector import (
     VectorUnsupportedError,
     compile_sweep,
     predraw_random_adversaries,
-    run_many_vector,
     vector_capability,
 )
 
 PAIR = InvolutionPair.exp_channel(tau=1.0, t_p=0.5)
 ETA = admissible_eta_bound(PAIR, eta_plus=0.05)
+
+
+def run_vector(topology, scenarios, **kwargs):
+    """The vector engine alone: compile and run, with no scalar fallback."""
+    return compile_sweep(topology, scenarios, **kwargs).run()
 
 
 def assert_bit_identical(sequential, vector_runs):
@@ -75,7 +79,7 @@ def both_backends(circuit, scenarios, **kwargs):
     topology = CircuitTopology(circuit)
     sequential = run_many(topology, scenarios, backend="sequential", **kwargs)
     try:
-        vector_runs = run_many_vector(topology, scenarios, **kwargs)
+        vector_runs = run_vector(topology, scenarios, **kwargs)
     except VectorUnsupportedError:
         with pytest.warns(RuntimeWarning):
             fallback = run_many(topology, scenarios, backend="vector", **kwargs)
@@ -274,7 +278,7 @@ def test_on_causality_error_matches():
     with pytest.raises(CausalityError) as scalar_error:
         run_many(topology, scenarios, backend="sequential")
     with pytest.raises(CausalityError) as vector_error:
-        run_many_vector(topology, scenarios)
+        run_vector(topology, scenarios)
     assert str(scalar_error.value) == str(vector_error.value)
 
 
@@ -394,7 +398,7 @@ def test_bounded_oscillator_converges_and_raises_max_events_identically():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SimulationError) as vector_exc:
-            run_many_vector(CircuitTopology(ring), scenarios, max_events=40)
+            run_vector(CircuitTopology(ring), scenarios, max_events=40)
     assert str(scalar_exc.value) == str(vector_exc.value)
 
 
@@ -512,15 +516,16 @@ def test_cli_sweep_reports_executed_backend(tmp_path, capsys):
 
 
 def test_scaling_rows_record_executed_backend():
-    # A requested process backend degrades to sequential for scaling's
-    # single-scenario sweeps; the published rows must say what ran.
+    # backend="auto" runs scaling's single-scenario sweeps scalar (below
+    # the vector break-even), also on worker processes; the published
+    # rows must say what ran.
     from repro import api
 
     result = api.experiment(
         "scaling",
         {"stage_counts": [2], "input_transitions": 20},
-        backend="process",
-        max_workers=4,
+        backend="auto",
+        max_workers=2,
     )
     assert [row["backend"] for row in result.rows] == ["sequential"]
     vectorized = api.experiment(
@@ -708,7 +713,7 @@ def test_inadmissible_sequence_shift_raises_like_scalar():
     with pytest.raises(ValueError, match="outside the admissible"):
         run_many(topology, scenarios, backend="sequential")
     with pytest.raises(ValueError, match="outside the admissible"):
-        run_many_vector(topology, scenarios)
+        run_vector(topology, scenarios)
 
 
 def test_varying_end_times_and_inputs():
@@ -770,7 +775,7 @@ def test_max_events_exceeded_raises_like_scalar():
     with pytest.raises(SimulationError, match="max_events"):
         run_many(topology, scenarios, backend="sequential", max_events=20)
     with pytest.raises(SimulationError, match="max_events"):
-        run_many_vector(topology, scenarios, max_events=20)
+        run_vector(topology, scenarios, max_events=20)
 
 
 def test_api_sweep_vector_backend():

@@ -53,8 +53,8 @@ from repro.engine.sweep import Scenario
 from repro.engine.vector import (
     _BREAK_EVEN_LANES,
     VectorUnsupportedError,
+    compile_sweep,
     predraw_random_adversaries,
-    run_many_vector,
 )
 
 pytestmark = pytest.mark.differential
@@ -113,7 +113,8 @@ def assert_auto_matches(topology, scenarios, sequential, seq_err, **kwargs):
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             auto = run_many(
-                topology, scenarios * copies, backend="auto", retry=1, **kwargs
+                topology, scenarios * copies, backend="auto",
+                on_chunk_failure="raise", **kwargs
             )
         except SweepFailedError as exc:
             (failure,) = exc.report.failures
@@ -140,7 +141,7 @@ def assert_differential(circuit, scenarios, **kwargs):
     assert_auto_matches(topology, scenarios, sequential, seq_err, **kwargs)
     try:
         vector_runs, vec_err = _outcome(
-            lambda: run_many_vector(topology, scenarios, **kwargs)
+            lambda: compile_sweep(topology, scenarios, **kwargs).run()
         )
     except VectorUnsupportedError:
         with warnings.catch_warnings():

@@ -339,9 +339,10 @@ class TestEquivalence:
 
 
 class TestBackends:
-    """Experiments inherit the sweep runner's backends, result-neutrally."""
+    """Experiments inherit the sweep runner's engines and executors,
+    result-neutrally."""
 
-    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["sequential", "vector", "auto"])
     def test_theorem9_backend_equivalence(self, backend):
         reference = run_experiment("theorem9", THEOREM9_PARAMS)
         other = run_experiment(
@@ -353,10 +354,18 @@ class TestBackends:
     def test_eta_coverage_backend_equivalence(self):
         params = {"stages": 2, "n_runs": 4, "seed": 9}
         sequential = run_experiment("eta_coverage", params)
-        threaded = run_experiment(
-            "eta_coverage", params, backend="thread", max_workers=2
+        pooled = run_experiment("eta_coverage", params, max_workers=2)
+        assert pooled.rows == sequential.rows
+
+    def test_scaling_under_auto_remeasures_on_the_engine_that_ran(self):
+        # Regression: the re-measurement fed the sweep's result label
+        # back in as a backend and raised ValueError.
+        result = api.experiment(
+            "scaling", {"stage_counts": [2, 4], "input_transitions": 20},
+            backend="auto",
         )
-        assert threaded.rows == sequential.rows
+        assert result.provenance["backend_executed"] == "sequential"
+        assert [row["backend"] for row in result.rows] == ["sequential"] * 2
 
 
 class TestWrapperFallback:

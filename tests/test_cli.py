@@ -136,7 +136,10 @@ class TestSweep:
         assert len(first["results"]) == 3
 
     def test_sweep_auto_prints_each_chunk_decision(self, chain_netlist, capsys):
-        argv = ["sweep", str(chain_netlist), "--runs", "20", "--backend", "auto"]
+        argv = [
+            "sweep", str(chain_netlist), "--runs", "20", "--backend", "auto",
+            "--chunk-size", "16",
+        ]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "chunks: 2 chunk(s) computed" in out
@@ -148,7 +151,7 @@ class TestSweep:
         assert main(argv) == 0
         sequential = json.loads(capsys.readouterr().out)
         assert (
-            main(argv + ["--backend", "process", "--workers", "2"]) == 0
+            main(argv + ["--workers", "2"]) == 0
         )
         process = json.loads(capsys.readouterr().out)
         for seq, proc in zip(sequential["results"], process["results"]):

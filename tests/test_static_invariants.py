@@ -23,6 +23,9 @@ under ``src/repro`` but ``core/transitions.py`` may read or assign a
 Signal's ``_times``/``_initial_value`` fields or build Transitions
 through ``Transition.__new__``.  Everyone else goes through the public
 API or the private constructor and accessor that module provides.
+
+A third gate keeps one process pool: ``ProcessPoolExecutor`` may appear
+only in ``engine/shard.py``, the sweep pipeline's respawning pool.
 """
 
 import ast
@@ -40,6 +43,8 @@ ALLOWED_NP_RANDOM_ATTRS = {"default_rng", "SeedSequence", "Generator"}
 SIGNAL_HOME = SRC / "core" / "transitions.py"
 #: Signal fields no other module may touch.
 SIGNAL_FIELDS = {"_times", "_initial_value"}
+#: The one module that owns a process pool.
+POOL_HOME = SRC / "engine" / "shard.py"
 
 
 def _checked_files():
@@ -209,3 +214,41 @@ def test_representation_gate_detects_leaks(tmp_path):
     )
     assert not _representation_leaks(clean)
     assert SIGNAL_HOME.exists() and _representation_leaks(SIGNAL_HOME)
+
+
+def _pool_uses(path):
+    """Lines naming ``ProcessPoolExecutor`` (import, name or attribute)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if "ProcessPoolExecutor" in names:
+            found.append(node.lineno)
+    return found
+
+
+def test_process_pool_lives_in_one_module():
+    owners = [p for p in sorted(SRC.rglob("*.py")) if _pool_uses(p)]
+    assert owners == [POOL_HOME], [str(p.relative_to(SRC)) for p in owners]
+
+
+def test_pool_gate_detects_uses(tmp_path):
+    """The detector itself is tested: seed each spelling."""
+    for source in (
+        "from concurrent.futures import ProcessPoolExecutor\n",
+        "import concurrent.futures\npool = concurrent.futures.ProcessPoolExecutor()\n",
+        "def f(pool: ProcessPoolExecutor): pass\n",
+    ):
+        probe = tmp_path / "probe.py"
+        probe.write_text(source)
+        assert _pool_uses(probe), source
+    clean = tmp_path / "clean.py"
+    clean.write_text("from concurrent.futures import ThreadPoolExecutor\n")
+    assert not _pool_uses(clean)
