@@ -10,8 +10,8 @@ delays exploding as V_DD approaches the transistor threshold.
 import numpy as np
 
 from conftest import run_once
-from repro.analog import UMC90
-from repro.experiments import print_table, run_fig7
+from repro import api
+from repro.experiments import print_table
 
 #: The supply sweep of Fig. 7 (0.3 V is very close to the device threshold
 #: voltage of the substrate, as in the paper).
@@ -21,14 +21,17 @@ VDD_LEVELS = (0.4, 0.6, 0.7, 0.8, 1.0)
 def test_fig7_delta_down_vs_vdd(benchmark):
     result = run_once(
         benchmark,
-        run_fig7,
-        UMC90,
-        VDD_LEVELS,
-        stages=3,
-        stage_index=1,
-        n_widths=20,
-        rising_output=False,
-    )
+        api.experiment,
+        "fig7",
+        {
+            "technology": "UMC90",
+            "vdd_levels": list(VDD_LEVELS),
+            "stages": 3,
+            "stage_index": 1,
+            "n_widths": 20,
+            "rising_output": False,
+        },
+    ).raw
     print()
     print_table(result.rows(), title="FIG7: characterised delta_down(T) per supply voltage [ps]")
     # Reproduce selected points of each curve (like reading values off Fig. 7).

@@ -13,20 +13,23 @@ qualitative findings:
 """
 
 from conftest import run_once
-from repro.analog import UMC90
-from repro.experiments import print_table, run_fig8
+from repro import api
+from repro.experiments import print_table
 
 
 def test_fig8_deviation_coverage(benchmark):
     result = run_once(
         benchmark,
-        run_fig8,
-        UMC90,
-        stages=3,
-        stage_index=1,
-        n_widths=24,
-        seed=2018,
-    )
+        api.experiment,
+        "fig8",
+        {
+            "technology": "UMC90",
+            "stages": 3,
+            "stage_index": 1,
+            "n_widths": 24,
+            "seed": 2018,
+        },
+    ).raw
     print()
     print(
         f"FIG8: eta band = [-{result.scenarios['supply_1pct'].analysis.eta.eta_minus:.3g}, "

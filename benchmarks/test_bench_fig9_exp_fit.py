@@ -7,19 +7,17 @@ grows with T, eventually exceeding the admissible eta band.
 """
 
 from conftest import run_once
-from repro.analog import UMC90
-from repro.experiments import print_table, run_fig9
+from repro import api
+from repro.experiments import print_table
 
 
 def test_fig9_exp_channel_fit(benchmark):
     result = run_once(
         benchmark,
-        run_fig9,
-        UMC90,
-        stages=3,
-        stage_index=1,
-        n_widths=28,
-    )
+        api.experiment,
+        "fig9",
+        {"technology": "UMC90", "stages": 3, "stage_index": 1, "n_widths": 28},
+    ).raw
     print()
     print_table(
         result.rows(),

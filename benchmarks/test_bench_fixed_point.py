@@ -5,17 +5,20 @@ sweep of the noise bound eta_plus (with eta_minus maximal under constraint
 (C)), and benchmarks the fixed-point solver itself.
 """
 
-import numpy as np
-
-from repro.core import EtaBound
-from repro.experiments import print_table, run_lemma5_sweep
+from repro import api
+from repro.experiments import print_table
+from repro.specs import pair_to_dict
 from repro.spf import SPFAnalysis
 
 ETA_PLUS_SWEEP = [0.0, 0.01, 0.02, 0.05, 0.08, 0.12, 0.16, 0.2]
 
 
 def test_lemma5_quantities_vs_eta(benchmark, exp_pair):
-    rows = benchmark(run_lemma5_sweep, exp_pair, ETA_PLUS_SWEEP)
+    rows = benchmark(
+        api.experiment,
+        "lemma5",
+        {"pair": pair_to_dict(exp_pair), "eta_plus_values": ETA_PLUS_SWEEP},
+    ).raw
     print()
     print_table(
         rows,

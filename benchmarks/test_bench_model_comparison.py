@@ -8,9 +8,10 @@ glitch trains gradually along an inverter chain.
 """
 
 from conftest import run_once
-from repro.experiments import print_table, run_model_comparison
+from repro import api
+from repro.experiments import print_table
 from repro.spf import SPFChecker, build_spf_circuit
-from repro.core import RandomAdversary, WorstCaseAdversary, ZeroAdversary, admissible_eta_bound
+from repro.core import RandomAdversary, WorstCaseAdversary, ZeroAdversary
 
 import numpy as np
 
@@ -18,13 +19,16 @@ import numpy as np
 def test_model_comparison_glitch_trains(benchmark):
     result = run_once(
         benchmark,
-        run_model_comparison,
-        stages=6,
-        pulse_width=0.4,
-        gap=0.6,
-        pulse_count=12,
-        end_time=400.0,
-    )
+        api.experiment,
+        "comparison",
+        {
+            "stages": 6,
+            "pulse_width": 0.4,
+            "gap": 0.6,
+            "pulse_count": 12,
+            "end_time": 400.0,
+        },
+    ).raw
     print()
     print_table(
         result.rows(),

@@ -8,16 +8,17 @@ random adversary (the most expensive configuration).
 """
 
 from conftest import run_once
-from repro.experiments import print_table, run_scaling
+from repro import api
+from repro.experiments import print_table
 
 
 def test_simulator_scaling(benchmark):
     samples = run_once(
         benchmark,
-        run_scaling,
-        stage_counts=(4, 8, 16, 32),
-        input_transitions=300,
-    )
+        api.experiment,
+        "scaling",
+        {"stage_counts": [4, 8, 16, 32], "input_transitions": 300},
+    ).raw
     rows = [
         {
             "stages": s.stages,

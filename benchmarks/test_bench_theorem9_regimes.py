@@ -8,21 +8,26 @@ storage loop is classified against the analytical regime boundaries
 oscillating pulse trains are checked.
 """
 
-import numpy as np
-
 from conftest import run_once
-from repro.experiments import default_adversaries, print_table, run_theorem9
+from repro import api
+from repro.experiments import default_adversaries, print_table
+from repro.specs import eta_to_dict, pair_to_dict
 
 
 def test_theorem9_regime_sweep(benchmark, exp_pair, eta_small):
     result = run_once(
         benchmark,
-        run_theorem9,
-        exp_pair,
-        eta_small,
-        adversaries=default_adversaries(),
-        end_time=400.0,
-    )
+        api.experiment,
+        "theorem9",
+        {
+            "pair": pair_to_dict(exp_pair),
+            "eta": eta_to_dict(eta_small),
+            "adversaries": {
+                name: spec.to_dict() for name, spec in default_adversaries().items()
+            },
+            "end_time": 400.0,
+        },
+    ).raw
     print()
     print_table([result.analysis_summary], title="THM9: analytical quantities of the storage loop")
     rows = result.rows()

@@ -16,10 +16,11 @@ Run with ``python examples/inverter_chain_validation.py``.
 
 import numpy as np
 
+from repro import api
 from repro.analog import AnalogInverterChain, UMC90, pulse_stimulus
 from repro.circuits import inverter_chain, simulate
-from repro.core import InvolutionChannel, Signal
-from repro.experiments import print_table, run_fig7
+from repro.core import InvolutionChannel
+from repro.experiments import print_table
 from repro.fitting import CharacterizationDriver
 from repro.io import signals_to_vcd
 
@@ -51,7 +52,16 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 2. Delay characterisation across supply voltages (Fig. 7).
     # ------------------------------------------------------------------ #
-    fig7 = run_fig7(technology, vdd_levels=(0.6, 0.8, 1.0), stages=3, stage_index=1, n_widths=16)
+    fig7 = api.experiment(
+        "fig7",
+        {
+            "technology": "UMC90",
+            "vdd_levels": [0.6, 0.8, 1.0],
+            "stages": 3,
+            "stage_index": 1,
+            "n_widths": 16,
+        },
+    ).raw
     print_table(fig7.rows(), title="Characterised delta_down(T) per supply voltage [ps]")
     print(f"Delays ordered by V_DD (lower V_DD => slower): {fig7.is_monotone_in_vdd()}")
     print()

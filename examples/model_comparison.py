@@ -11,14 +11,22 @@ channels attenuate the train gradually.
 Run with ``python examples/model_comparison.py``.
 """
 
-from repro.experiments import print_table, run_model_comparison
+from repro import api
+from repro.experiments import print_table
 
 
 def main() -> None:
     for width in (0.3, 0.45, 0.6):
-        result = run_model_comparison(
-            stages=6, pulse_width=width, gap=1.0 - width, pulse_count=10, end_time=300.0
-        )
+        result = api.experiment(
+            "comparison",
+            {
+                "stages": 6,
+                "pulse_width": width,
+                "gap": 1.0 - width,
+                "pulse_count": 10,
+                "end_time": 300.0,
+            },
+        ).raw
         print_table(
             result.rows(),
             title=(

@@ -9,15 +9,24 @@ eta-involution model can absorb -- the experiment behind Figs. 8 and 9.
 Run with ``python examples/noise_coverage.py``.
 """
 
-from repro.analog import UMC90
-from repro.experiments import print_table, run_fig8, run_fig9
+from repro import api
+from repro.experiments import print_table
 
 
 def main() -> None:
     # ------------------------------------------------------------------ #
     # Fig. 8: deviations under variations vs the admissible eta band.
     # ------------------------------------------------------------------ #
-    fig8 = run_fig8(UMC90, stages=3, stage_index=1, n_widths=20, seed=1)
+    fig8 = api.experiment(
+        "fig8",
+        {
+            "technology": "UMC90",
+            "stages": 3,
+            "stage_index": 1,
+            "n_widths": 20,
+            "seed": 1,
+        },
+    ).raw
     band = fig8.scenarios["supply_1pct"].analysis.eta
     print(
         f"Admissible eta band derived from constraint (C): "
@@ -39,7 +48,9 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # Fig. 9: a fitted exp-channel as the reference model.
     # ------------------------------------------------------------------ #
-    fig9 = run_fig9(UMC90, stages=3, stage_index=1, n_widths=20)
+    fig9 = api.experiment(
+        "fig9", {"technology": "UMC90", "stages": 3, "stage_index": 1, "n_widths": 20}
+    ).raw
     print_table(
         fig9.rows(),
         columns=[

@@ -17,8 +17,8 @@ The package is organised as follows:
   Section V.
 * :mod:`repro.fitting` -- delay-function characterisation, exp-channel
   fitting and eta-coverage (deviation) analysis.
-* :mod:`repro.experiments` -- drivers that regenerate the paper's figures
-  (used by ``benchmarks/`` and ``examples/``).
+* :mod:`repro.experiments` -- registered experiment kinds that regenerate
+  the paper's figures, run through :func:`repro.api.experiment`.
 
 * :mod:`repro.specs` -- declarative, JSON-round-trippable specs
   (``DelaySpec``/``ChannelSpec``/``CircuitSpec``/``ExperimentSpec``) with
@@ -83,7 +83,7 @@ from .core import (
     satisfies_constraint_C,
 )
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 # The spec/api layer is exported lazily (PEP 562): `repro.api` pulls in the
 # engine's scheduler/sweep modules, which must not load as a side effect of

@@ -14,8 +14,8 @@ chain, and :func:`width_variation` produces the scaled technologies.
 
 :class:`VariationScenario` bundles one such operating condition
 (technology + supply) into a sweepable unit; :func:`standard_variations`
-produces the three conditions of Fig. 8, which the experiment drivers fan
-out over :func:`repro.engine.sweep.sweep_map`.
+produces the three conditions of Fig. 8, which the ``fig8`` experiment
+characterises one after another.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ All builders take their channels as either
   declarative API; every edge gets a fresh ``spec.build()`` instance, so
   the resulting circuit is serialisable, hashable and shippable to the
   process sweep backend, or
-* a factory callable producing a fresh channel per edge -- the original
-  API, kept as a thin deprecated wrapper (factories cannot be serialised
-  or compared; prefer specs for new code).
+* a factory callable producing a fresh channel per edge -- the way tests
+  build circuits from fakes that have no spec (factories cannot be
+  serialised or compared, so such circuits stay off the process pool and
+  the checkpoint store).
 
 Both are normalised through :func:`repro.specs.as_channel_factory`, so the
 same topology can be simulated with pure, inertial, DDM, involution or
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 #: A callable producing a fresh channel instance for every edge it is used
-#: on (the deprecated pre-spec configuration style).
+#: on (for channels that have no spec).
 ChannelFactory = Callable[[], Channel]
 
 #: What the library builders accept wherever a per-edge channel source is
@@ -71,7 +72,7 @@ def inverter_chain(
     otherwise only the final stage drives the single output ``out``.
 
     ``channel_factory`` is a :class:`~repro.specs.ChannelSpec` (preferred)
-    or a factory callable (deprecated).
+    or a factory callable.
     """
     if stages < 1:
         raise ValueError("an inverter chain needs at least one stage")

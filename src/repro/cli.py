@@ -226,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     erun.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for engine sweeps, threads for analog "
-        "sweeps (default: inline)",
+        help="worker processes for engine-driven experiments' sweeps "
+        "(default: inline); the analog kinds fig7/fig8/fig9 always run "
+        "inline",
     )
     erun.add_argument(
         "--cache", metavar="DIR",

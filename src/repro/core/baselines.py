@@ -121,13 +121,7 @@ class InertialDelayChannel(Channel):
     def rejection_window(self) -> float:
         return self.window
 
-    def apply(
-        self,
-        signal: Signal,
-        *,
-        mode: str = "transport",
-        use_reference_cancellation: bool = False,
-    ) -> Signal:
+    def apply(self, signal: Signal, *, mode: str = "transport") -> Signal:
         filtered = remove_short_pulses(signal, self.window)
         transitions = []
         for tr in filtered.transitions:

@@ -136,20 +136,11 @@ class Channel:
         """Apply the channel function to an input signal."""
         return self.apply(signal, **kwargs)
 
-    def apply(
-        self,
-        signal: Signal,
-        *,
-        mode: str = "transport",
-        use_reference_cancellation: bool = False,
-    ) -> Signal:
+    def apply(self, signal: Signal, *, mode: str = "transport") -> Signal:
         """Apply the channel function to ``signal`` and return the output."""
         pending = self.pending_transitions(signal)
         return pending_to_signal(
-            self.output_initial_value(signal.initial_value),
-            pending,
-            mode=mode,
-            use_reference_cancellation=use_reference_cancellation,
+            self.output_initial_value(signal.initial_value), pending, mode=mode
         )
 
     def __repr__(self) -> str:
@@ -168,13 +159,7 @@ class ZeroDelayChannel(Channel):
     def delay_for(self, T: float, rising_output: bool, index: int, time: float) -> float:
         return 0.0
 
-    def apply(
-        self,
-        signal: Signal,
-        *,
-        mode: str = "transport",
-        use_reference_cancellation: bool = False,
-    ) -> Signal:
+    def apply(self, signal: Signal, *, mode: str = "transport") -> Signal:
         if not self.inverting:
             return signal
         return signal.inverted()

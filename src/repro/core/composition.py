@@ -59,20 +59,10 @@ class SerialChannel(Channel):
             value = stage.output_initial_value(value)
         return value
 
-    def apply(
-        self,
-        signal: Signal,
-        *,
-        mode: str = "transport",
-        use_reference_cancellation: bool = False,
-    ) -> Signal:
+    def apply(self, signal: Signal, *, mode: str = "transport") -> Signal:
         current = signal
         for stage in self.stages:
-            current = stage.apply(
-                current,
-                mode=mode,
-                use_reference_cancellation=use_reference_cancellation,
-            )
+            current = stage.apply(current, mode=mode)
         return current
 
     def stage_outputs(self, signal: Signal, *, mode: str = "transport") -> List[Signal]:

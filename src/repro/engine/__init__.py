@@ -76,7 +76,6 @@ __all__ = [
     "run_many",
     "channel_overrides",
     "eta_monte_carlo",
-    "sweep_map",
     # vector (lazy)
     "VectorCapability",
     "VectorUnsupportedError",
@@ -112,7 +111,6 @@ _SWEEP_EXPORTS = {
     "run_many",
     "channel_overrides",
     "eta_monte_carlo",
-    "sweep_map",
 }
 _VECTOR_EXPORTS = {
     "VectorCapability",

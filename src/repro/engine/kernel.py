@@ -598,18 +598,13 @@ def pending_to_signal(
     pending: Sequence[PendingTransition],
     *,
     mode: str = "transport",
-    use_reference_cancellation: bool = False,
 ) -> Signal:
     """Apply the cancellation phase and assemble the output signal.
 
     ``mode`` selects the resolver: ``"transport"`` (default, well-formed for
     arbitrary overlaps), ``"record"`` (O(n) two-sided-record sweep of the
     literal pairwise rule) or ``"pairwise"`` (O(n^2) literal reference).
-    ``use_reference_cancellation=True`` is a legacy alias for
-    ``mode="pairwise"``.
     """
-    if use_reference_cancellation:
-        mode = "pairwise"
     if mode == "transport":
         return transport_resolve(initial_value, pending)
     times = [p.output_time for p in pending]

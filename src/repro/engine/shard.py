@@ -1291,14 +1291,9 @@ def run_many_sharded(
     that ran it, whether it was resumed, and how many attempts it took.
     """
     from ..store import as_store
-    from .sweep import SweepResult
+    from .sweep import SweepResult, check_backend
 
-    if backend not in ("auto", "sequential", "vector"):
-        raise ValueError(
-            f"backend must be 'auto', 'sequential' or 'vector', not {backend!r}; "
-            "to run chunks on N worker processes pass max_workers=N (None or 1 "
-            "runs them inline)"
-        )
+    check_backend(backend)
     if on_chunk_failure not in (None, "raise", "keep"):
         raise ValueError("on_chunk_failure must be None, 'raise' or 'keep'")
     topology = (

@@ -16,16 +16,13 @@ Helpers:
   (e.g. "replace every non-zero-delay channel with a fresh eta channel"),
 * :func:`eta_monte_carlo` -- scenario family sampling an independent random
   eta adversary per channel per run (Monte Carlo over the admissible
-  parameter ``H`` of the paper's execution definition),
-* :func:`sweep_map` -- a generic ordered (optionally threaded) map used by
-  the analog characterisation drivers for their per-condition sweeps.
+  parameter ``H`` of the paper's execution definition).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.transitions import Signal
 from .errors import SimulationError
@@ -38,11 +35,7 @@ __all__ = [
     "run_many",
     "channel_overrides",
     "eta_monte_carlo",
-    "sweep_map",
 ]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 @dataclass
@@ -165,6 +158,22 @@ class SweepResult:
 
     def __len__(self) -> int:
         return len(self.runs)
+
+
+def check_backend(backend: str) -> None:
+    """Raise ``ValueError`` unless ``backend`` names a sweep engine.
+
+    The check every entry point that takes ``backend=`` runs before any
+    work: :func:`~repro.engine.shard.run_many_sharded` and
+    :func:`repro.experiments.run_experiment` (before its cache lookup, so
+    an unknown backend never reaches provenance or a stored artifact).
+    """
+    if backend not in ("auto", "sequential", "vector"):
+        raise ValueError(
+            f"backend must be 'auto', 'sequential' or 'vector', not {backend!r}; "
+            "to run chunks on N worker processes pass max_workers=N (None or 1 "
+            "runs them inline)"
+        )
 
 
 def run_many(
@@ -378,29 +387,3 @@ def eta_monte_carlo(
             )
         )
     return scenarios
-
-
-def sweep_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    *,
-    max_workers: Optional[int] = None,
-) -> List[_R]:
-    """Ordered map over independent sweep points, optionally threaded.
-
-    The analog characterisation drivers (Fig. 7/8/9 sweeps over supply
-    voltages and variation scenarios) fan their independent condition
-    sweeps out through this helper; with ``max_workers=None`` it degrades
-    to a plain list comprehension, keeping results bitwise identical to the
-    sequential loops it replaced.  Threads help here (unlike in the event
-    loop) because these sweeps spend their time in numpy, which releases
-    the GIL for array-sized work; closures over unpicklable state are also
-    common in these drivers, which rules a process pool out.  For
-    picklable, pure-Python workloads prefer
-    ``run_many(..., max_workers=N)``.
-    """
-    items = list(items)
-    if max_workers is None or max_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))

@@ -20,8 +20,9 @@ registry (:func:`repro.specs.register_experiment_kind`):
 :class:`~repro.specs.ExperimentSpec` and returns an
 :class:`ExperimentResult` -- schema'd rows plus parameters and provenance
 -- optionally cached in the content-addressed artifact store
-(:mod:`repro.store`).  The legacy ``run_*`` entry points remain as thin
-deprecated wrappers pinned bit-identical to this path.
+(:mod:`repro.store`).  It is the only way to run one; in-process callers
+that want the kind's typed result (``Fig7Result.curves``,
+``Theorem9Result.all_consistent``, ...) read ``ExperimentResult.raw``.
 """
 
 from ..specs import (
@@ -37,19 +38,13 @@ from .base import (
     ExperimentResult,
     run_experiment,
 )
-from .comparison import ModelComparisonResult, default_model_factories, run_model_comparison
-from .fig7 import DEFAULT_VDD_LEVELS, Fig7Curve, Fig7Result, run_fig7
-from .fig8 import DEFAULT_SCENARIOS, Fig8Result, Fig8Scenario, run_fig8
-from .fig9 import Fig9Result, run_fig9
+from .comparison import ModelComparisonResult, default_model_factories
+from .fig7 import DEFAULT_VDD_LEVELS, Fig7Curve, Fig7Result
+from .fig8 import DEFAULT_SCENARIOS, Fig8Result, Fig8Scenario
+from .fig9 import Fig9Result
 from .reporting import format_table, format_value, print_table
-from .scaling import ScalingSample, run_scaling
-from .theorem9 import (
-    RegimeObservation,
-    Theorem9Result,
-    default_adversaries,
-    run_lemma5_sweep,
-    run_theorem9,
-)
+from .scaling import ScalingSample
+from .theorem9 import RegimeObservation, Theorem9Result, default_adversaries
 
 # The eta_coverage kind registers itself when repro.fitting.eta_coverage is
 # imported; import it here so `import repro.experiments` (which the spec
@@ -66,25 +61,18 @@ __all__ = [
     "experiment_kinds",
     "get_experiment_kind",
     "register_experiment_kind",
-    "run_fig7",
     "Fig7Result",
     "Fig7Curve",
     "DEFAULT_VDD_LEVELS",
-    "run_fig8",
     "Fig8Result",
     "Fig8Scenario",
     "DEFAULT_SCENARIOS",
-    "run_fig9",
     "Fig9Result",
-    "run_theorem9",
-    "run_lemma5_sweep",
     "Theorem9Result",
     "RegimeObservation",
     "default_adversaries",
-    "run_model_comparison",
     "ModelComparisonResult",
     "default_model_factories",
-    "run_scaling",
     "ScalingSample",
     "format_table",
     "format_value",

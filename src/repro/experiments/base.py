@@ -1,7 +1,7 @@
 """The unified experiment runtime: results, provenance, and the runner.
 
-PR 3 made circuits declarative; this module does the same for the paper's
-experiments.  Every experiment is a registered *kind*
+Circuits are declarative (:mod:`repro.specs`); this module does the same
+for the paper's experiments.  Every experiment is a registered *kind*
 (:func:`repro.specs.register_experiment_kind`) whose runner maps a fully
 resolved parameter dict to an :class:`ExperimentOutcome`;
 :func:`run_experiment` wraps that call with
@@ -14,9 +14,10 @@ resolved parameter dict to an :class:`ExperimentOutcome`;
   (``cache=...``): identical specs return the stored result without
   recomputation, which is what makes large parameter sweeps resumable.
 
-The legacy ``run_fig7``/``run_theorem9``/... entry points are thin
-deprecated wrappers over this path; equivalence tests pin their output
-bit-identical to the direct implementation calls they replaced.
+This is the one way an experiment runs: registered kind ->
+:func:`run_experiment` -> the kind's ``_run_*`` implementation.  Callers
+that need the kind's typed result (numpy curves, dataclasses) read
+:attr:`ExperimentResult.raw`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
+from ..engine.sweep import check_backend
 from ..specs import (
     ExperimentSpec,
     SpecError,
@@ -55,11 +57,12 @@ class ExperimentContext:
     """Execution knobs that must not change the numbers an experiment produces.
 
     ``backend``/``max_workers`` plumb straight into
-    :func:`repro.engine.sweep.run_many` (event-driven experiments: the
-    engine of each chunk, and worker processes) or ``max_workers`` into
-    :func:`repro.engine.sweep.sweep_map` (analog characterisation sweeps:
-    threads); the sweep runner's determinism guarantee is what makes them
-    result-neutral, so the artifact store can key on the spec alone.
+    :func:`repro.engine.sweep.run_many` for the event-driven kinds: the
+    engine of each chunk, and how many worker processes run the chunks.
+    The analog kinds (``fig7``/``fig8``/``fig9``) run inline; for them
+    ``max_workers`` only reaches provenance.  The sweep runner's
+    determinism guarantee is what makes both knobs result-neutral, so the
+    artifact store can key on the spec alone.
     ``backend="vector"`` opts engine-driven kinds (``theorem9``,
     ``scaling``, ``eta_coverage``, ...) into the NumPy batch engine of
     :mod:`repro.engine.vector`, which runs scalar -- with a warning --
@@ -96,8 +99,9 @@ class ExperimentOutcome:
     scalars/lists); ``summary`` holds experiment-level scalars (analysis
     quantities, fitted parameters); ``traces`` optionally maps trace names
     to signal dicts (:func:`repro.io.netlist.signal_to_dict`) for VCD
-    export; ``raw`` is the legacy result object handed back by the
-    deprecated wrappers -- transient, never serialised.
+    export; ``raw`` is the kind's in-process result object (e.g.
+    :class:`~repro.experiments.fig7.Fig7Result` with its numpy curves) --
+    transient, never serialised.
     """
 
     rows: List[Dict[str, Any]]
@@ -113,7 +117,9 @@ class ExperimentResult:
     Two results are equal iff their spec, columns, rows, summary and traces
     are (canonical-JSON comparison); provenance is excluded -- wall time
     and host facts differ between equal reruns by construction.  ``raw``
-    and ``from_cache`` are transient: they do not survive serialisation.
+    (the kind's in-process result object, see :class:`ExperimentOutcome`)
+    and ``from_cache`` are transient: they do not survive serialisation,
+    so a cache hit has ``raw=None``.
     """
 
     spec: ExperimentSpec
@@ -284,7 +290,7 @@ def _provenance(
         "backend": context.backend,
         # Recorded by kinds that execute engine sweeps (theorem9,
         # comparison, scaling, eta_coverage); null for kinds that never
-        # run one (analog sweep_map fan-outs, pure-analysis kinds) --
+        # run one (analog characterisations, pure-analysis kinds) --
         # defaulting to the *requested* backend would claim an execution
         # strategy that never ran.
         "backend_executed": context.observed.get("backend_executed"),
@@ -317,7 +323,8 @@ def run_experiment(
     ``spec`` is an :class:`~repro.specs.ExperimentSpec`, a kind name (with
     optional ``params``), or a spec dict.  ``backend``/``max_workers``
     choose the sweep execution strategy (result-neutral by the engine's
-    determinism guarantee).  ``cache`` (an
+    determinism guarantee); an unknown ``backend`` raises ``ValueError``
+    before the cache is consulted.  ``cache`` (an
     :class:`~repro.store.ArtifactStore` or a directory path) enables the
     content-addressed artifact store: a stored result for the identical
     resolved spec is returned directly with ``from_cache=True`` (unless
@@ -327,6 +334,7 @@ def run_experiment(
     :class:`ExperimentContext`) -- finer-grained than ``cache``: the
     cache resumes whole experiments, the checkpoint resumes *mid-sweep*.
     """
+    check_backend(backend)
     resolved = as_experiment_spec(spec, params).resolved()
     store = None
     if cache is not None:
@@ -359,126 +367,3 @@ def run_experiment(
     if store is not None:
         store.put(result)
     return result
-
-
-# --------------------------------------------------------------------------- #
-# Speccability helpers shared by the deprecated wrapper entry points
-# --------------------------------------------------------------------------- #
-# Each legacy `run_*` function tries to express its arguments as a JSON
-# parameter dict; when that succeeds the call routes through the registered
-# kind (one canonical code path, full provenance), and when an argument is
-# genuinely unspeccable (a closure-based factory, a custom subclass) the
-# wrapper falls back to the identical direct implementation.
-
-
-def maybe_spec_params(build: Callable[[], Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-    """Run a params builder, mapping speccability failures to ``None``."""
-    try:
-        return build()
-    except (SpecError, TypeError):
-        return None
-
-
-def run_via_spec(
-    kind: str,
-    params: Dict[str, Any],
-    *,
-    backend: str = "sequential",
-    max_workers: Optional[int] = None,
-):
-    """Run a kind through the canonical path and hand back the legacy object."""
-    result = run_experiment(
-        ExperimentSpec(kind, params), backend=backend, max_workers=max_workers
-    )
-    return result.raw
-
-
-def pair_param(pair) -> Dict[str, Any]:
-    """Speccify an involution pair argument (live pair or spec dict)."""
-    from ..specs import as_pair, pair_to_dict
-
-    if isinstance(pair, Mapping):
-        return dict(pair)
-    return pair_to_dict(as_pair(pair))
-
-
-def eta_param(eta) -> Optional[Dict[str, Any]]:
-    """Speccify an optional eta-bound argument."""
-    from ..specs import as_eta, eta_to_dict
-
-    if eta is None:
-        return None
-    if isinstance(eta, Mapping):
-        return dict(eta)
-    return eta_to_dict(as_eta(eta))
-
-
-def adversary_param(factory) -> Dict[str, Any]:
-    """Speccify one adversary factory (spec, dict, instance, or callable)."""
-    from ..core.adversary import Adversary
-    from ..specs import AdversarySpec
-
-    if isinstance(factory, AdversarySpec):
-        return factory.to_dict()
-    if isinstance(factory, Mapping):
-        return dict(factory)
-    if isinstance(factory, Adversary):
-        return AdversarySpec.from_adversary(factory).to_dict()
-    if callable(factory):
-        return AdversarySpec.from_adversary(factory()).to_dict()
-    raise SpecError(f"cannot speccify adversary factory {factory!r}")
-
-
-def channel_param(factory) -> Dict[str, Any]:
-    """Speccify one channel factory (spec, dict, instance, or callable)."""
-    from ..core.channel import Channel
-    from ..specs import ChannelSpec
-
-    if isinstance(factory, ChannelSpec):
-        return factory.to_dict()
-    if isinstance(factory, Channel):
-        return ChannelSpec.from_channel(factory).to_dict()
-    if isinstance(factory, Mapping):
-        return dict(factory)
-    if callable(factory):
-        return ChannelSpec.from_channel(factory()).to_dict()
-    raise SpecError(f"cannot speccify channel factory {factory!r}")
-
-
-def technology_param(technology) -> Union[str, Dict[str, Any]]:
-    """Speccify a technology argument: preset name, dict, or field dict.
-
-    Subclasses of :class:`~repro.analog.technology.Technology` may override
-    behaviour that a field dict cannot capture, so only exact instances are
-    speccable.
-    """
-    from ..analog.technology import (
-        TECHNOLOGY_PRESETS,
-        Technology,
-        technology_to_dict,
-    )
-
-    if isinstance(technology, str):
-        return technology
-    if isinstance(technology, Mapping):
-        return dict(technology)
-    if type(technology) is Technology:
-        for name, preset in TECHNOLOGY_PRESETS.items():
-            if technology == preset:
-                return name
-        return technology_to_dict(technology)
-    raise SpecError(f"cannot speccify technology {technology!r}")
-
-
-def signal_param(signal) -> Optional[Dict[str, Any]]:
-    """Speccify an optional stimulus signal argument."""
-    from ..core.transitions import Signal
-    from ..io.netlist import signal_to_dict
-
-    if signal is None:
-        return None
-    if isinstance(signal, Mapping):
-        return dict(signal)
-    if isinstance(signal, Signal):
-        return signal_to_dict(signal)
-    raise SpecError(f"cannot speccify stimulus {signal!r}")

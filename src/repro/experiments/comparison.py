@@ -13,30 +13,24 @@ This driver propagates a train of narrow pulses through an inverter chain
 modelled with each of the channel families and records how many pulses
 survive at every stage -- reproducing the qualitative comparison that
 motivates the paper (and Fig. 2's pulse-attenuation behaviour).  It is the
-registered ``comparison`` experiment kind; :func:`run_model_comparison` is
-the thin deprecated wrapper.
+registered ``comparison`` experiment kind
+(``repro.api.experiment("comparison", {...})``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..circuits.library import inverter_chain
-from ..core.channel import Channel
 from ..core.constraint import admissible_eta_bound
 from ..core.involution import InvolutionPair
 from ..core.transitions import Signal
 from ..engine.sweep import Scenario, channel_overrides, run_many
 from ..specs import AdversarySpec, ChannelSpec, register_experiment_kind
-from .base import (
-    ExperimentOutcome,
-    channel_param,
-    maybe_spec_params,
-    run_via_spec,
-)
+from .base import ExperimentOutcome
 
-__all__ = ["ModelComparisonResult", "run_model_comparison", "default_model_factories"]
+__all__ = ["ModelComparisonResult", "default_model_factories"]
 
 
 def default_model_factories(
@@ -51,9 +45,10 @@ def default_model_factories(
     The nominal (saturated) delay of the involution exp-channel is
     ``t_p + tau*ln(2)``; the pure/inertial/DDM channels are parametrised to
     the same nominal delay so the comparison isolates the glitch handling.
-    Earlier revisions returned factory callables; the returned
-    :class:`~repro.specs.ChannelSpec` objects are accepted everywhere
-    factories were (:func:`repro.specs.as_channel_factory`).
+    ``api.experiment("comparison", {"factories": ...})`` takes the specs'
+    dict form (``spec.to_dict()``); a direct ``_run_model_comparison``
+    call also accepts factory callables
+    (:func:`repro.specs.as_channel_factory`).
     """
     pair = InvolutionPair.exp_channel(tau, t_p)
     nominal_delay = pair.delta_up_inf
@@ -108,13 +103,13 @@ def _run_model_comparison(
     record_traces: bool = False,
     observed: Optional[Dict[str, object]] = None,
 ) -> Tuple[ModelComparisonResult, Optional[Dict[str, dict]]]:
-    """The model-comparison implementation (shared by wrapper and kind runner).
+    """The model-comparison implementation behind the ``comparison`` kind.
 
     Every model uses the same chain topology; the recorded metric is the
     number of surviving pulses at each stage output (either polarity, since
     stages invert), plus the raw transition count at the final output.
-    ``factories`` values may be factory callables (deprecated) or
-    :class:`~repro.specs.ChannelSpec` objects / spec dicts.
+    ``factories`` values may be :class:`~repro.specs.ChannelSpec` objects,
+    spec dicts, or factory callables (a test's fakes).
     """
     from ..specs import as_channel_factory
 
@@ -179,65 +174,6 @@ def _run_model_comparison(
         ),
         traces,
     )
-
-
-def run_model_comparison(
-    *,
-    stages: int = 5,
-    pulse_width: float = 0.4,
-    gap: float = 0.6,
-    pulse_count: int = 8,
-    tau: float = 1.0,
-    t_p: float = 0.5,
-    factories: Optional[Dict[str, Callable[[], Channel]]] = None,
-    end_time: float = 200.0,
-    backend: str = "sequential",
-    max_workers: Optional[int] = None,
-) -> ModelComparisonResult:
-    """Propagate a narrow-pulse train through an inverter chain per model.
-
-    .. deprecated::
-        Prefer ``repro.api.experiment("comparison", {...})``; this wrapper
-        routes speccable arguments through the canonical path and only
-        falls back to a direct call for unspeccable channel factories.
-    """
-    params = maybe_spec_params(
-        lambda: {
-            "stages": int(stages),
-            "pulse_width": float(pulse_width),
-            "gap": float(gap),
-            "pulse_count": int(pulse_count),
-            "tau": float(tau),
-            "t_p": float(t_p),
-            "factories": (
-                None
-                if factories is None
-                else {
-                    model: channel_param(factory)
-                    for model, factory in factories.items()
-                }
-            ),
-            "end_time": float(end_time),
-            "record_traces": False,
-        }
-    )
-    if params is not None:
-        return run_via_spec(
-            "comparison", params, backend=backend, max_workers=max_workers
-        )
-    result, _ = _run_model_comparison(
-        stages=stages,
-        pulse_width=pulse_width,
-        gap=gap,
-        pulse_count=pulse_count,
-        tau=tau,
-        t_p=t_p,
-        factories=factories,
-        end_time=end_time,
-        backend=backend,
-        max_workers=max_workers,
-    )
-    return result
 
 
 def _comparison_experiment(params: dict, context) -> ExperimentOutcome:

@@ -12,25 +12,24 @@ analog substrate are:
 * for small/negative ``T`` the delay drops steeply (pulse attenuation).
 
 The registered ``fig7`` experiment kind runs this characterisation from a
-declarative parameter set; :func:`run_fig7` is the deprecated wrapper.
+declarative parameter set (``repro.api.experiment("fig7", {...})``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
 from ..analog.chain import AnalogInverterChain
 from ..analog.technology import Technology, UMC90, as_technology
 from ..analog.variations import ConstantSupply
-from ..engine.sweep import sweep_map
 from ..fitting.characterize import CharacterizationDriver, DelayMeasurement
 from ..specs import register_experiment_kind
-from .base import ExperimentOutcome, maybe_spec_params, run_via_spec, technology_param
+from .base import ExperimentOutcome
 
-__all__ = ["Fig7Curve", "Fig7Result", "run_fig7", "DEFAULT_VDD_LEVELS"]
+__all__ = ["Fig7Curve", "Fig7Result", "DEFAULT_VDD_LEVELS"]
 
 #: Supply voltages of the paper's Fig. 7 [V].
 DEFAULT_VDD_LEVELS = (0.6, 0.7, 0.8, 1.0)
@@ -99,19 +98,12 @@ def _run_fig7(
     stage_index: int = 1,
     n_widths: int = 24,
     rising_output: bool = False,
-    max_workers: Optional[int] = None,
 ) -> Fig7Result:
     """Characterise ``delta(T)`` of one inverter stage for several supplies.
 
     ``rising_output=False`` reproduces the paper's ``delta_down`` curves.
     The pulse-width sweep is scaled with the per-stage delay at each supply
-    voltage so every curve covers a comparable ``T`` range.  The per-supply
-    characterisations are independent and fan out over
-    :func:`repro.engine.sweep.sweep_map` threads (sequential unless
-    ``max_workers`` is set) -- the numpy-heavy waveform integration
-    releases the GIL, which is what makes threads effective here; the
-    closure over the analog chain keeps this driver off the process pool,
-    which needs picklable work.
+    voltage so every curve covers a comparable ``T`` range.
     """
     technology = as_technology(technology)
 
@@ -140,51 +132,9 @@ def _run_fig7(
         T, delta = measurement.polarity(rising_output)
         return Fig7Curve(vdd=float(vdd), T=T, delta=delta, measurement=measurement)
 
-    results = sweep_map(
-        characterise, [float(v) for v in vdd_levels], max_workers=max_workers
-    )
+    results = [characterise(float(v)) for v in vdd_levels]
     curves = {curve.vdd: curve for curve in results}
     return Fig7Result(curves=curves, polarity="delta_up" if rising_output else "delta_down")
-
-
-def run_fig7(
-    technology: Union[Technology, str, dict] = UMC90,
-    vdd_levels: Sequence[float] = DEFAULT_VDD_LEVELS,
-    *,
-    stages: int = 3,
-    stage_index: int = 1,
-    n_widths: int = 24,
-    rising_output: bool = False,
-    max_workers: Optional[int] = None,
-) -> Fig7Result:
-    """Characterise ``delta(T)`` of one inverter stage for several supplies.
-
-    .. deprecated::
-        Prefer ``repro.api.experiment("fig7", {...})``; this wrapper routes
-        speccable arguments through the canonical path and only falls back
-        to a direct call for custom :class:`Technology` subclasses.
-    """
-    params = maybe_spec_params(
-        lambda: {
-            "technology": technology_param(technology),
-            "vdd_levels": [float(v) for v in vdd_levels],
-            "stages": int(stages),
-            "stage_index": int(stage_index),
-            "n_widths": int(n_widths),
-            "rising_output": bool(rising_output),
-        }
-    )
-    if params is not None:
-        return run_via_spec("fig7", params, max_workers=max_workers)
-    return _run_fig7(
-        technology,
-        vdd_levels,
-        stages=stages,
-        stage_index=stage_index,
-        n_widths=n_widths,
-        rising_output=rising_output,
-        max_workers=max_workers,
-    )
 
 
 def _fig7_experiment(params: dict, context) -> ExperimentOutcome:
@@ -195,7 +145,6 @@ def _fig7_experiment(params: dict, context) -> ExperimentOutcome:
         stage_index=params["stage_index"],
         n_widths=params["n_widths"],
         rising_output=params["rising_output"],
-        max_workers=context.max_workers,
     )
     return ExperimentOutcome(
         rows=result.rows(),

@@ -17,8 +17,8 @@ maximal under constraint (C)).  The qualitative findings to reproduce:
 * the absolute deviation grows with ``T`` in all cases, so coverage is
   best exactly in the small-``T`` region relevant for faithfulness.
 
-The registered ``fig8`` experiment kind runs this analysis declaratively;
-:func:`run_fig8` is the deprecated wrapper.
+The registered ``fig8`` experiment kind runs this analysis declaratively
+(``repro.api.experiment("fig8", {...})``).
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from ..analog.chain import AnalogInverterChain
 from ..analog.technology import Technology, UMC90, as_technology
 from ..analog.variations import VariationScenario, standard_variations
 from ..core.involution import InvolutionPair
-from ..engine.sweep import sweep_map
 from ..fitting.characterize import CharacterizationDriver
 from ..fitting.eta_coverage import DeviationAnalysis, compute_deviations, eta_band
-from ..specs import register_experiment_kind
-from .base import ExperimentOutcome, maybe_spec_params, run_via_spec, technology_param
+from ..specs import SpecError, register_experiment_kind
+from .base import ExperimentOutcome
 
-__all__ = ["Fig8Scenario", "Fig8Result", "run_fig8", "DEFAULT_SCENARIOS"]
+__all__ = ["Fig8Scenario", "Fig8Result", "DEFAULT_SCENARIOS"]
 
 #: The three variation scenarios of Fig. 8.
 DEFAULT_SCENARIOS = ("supply_1pct", "width_plus10", "width_minus10")
@@ -98,7 +97,6 @@ def _run_fig8(
     eta_plus: Optional[float] = None,
     supply_amplitude: float = 0.01,
     seed: int = 2018,
-    max_workers: Optional[int] = None,
 ) -> Fig8Result:
     """The Fig. 8 deviation/coverage implementation.
 
@@ -107,23 +105,11 @@ def _run_fig8(
     (built by :func:`repro.analog.variations.standard_variations`) and
     compares against the reference.  ``eta_plus`` defaults to 20 % of the
     reference ``delta_min`` (a "suitable value" in the paper's words);
-    ``eta_minus`` is then maximal under constraint (C).  The independent
-    per-scenario characterisations fan out over
-    :func:`repro.engine.sweep.sweep_map` threads (sequential unless
-    ``max_workers`` is set); the numpy-heavy analog re-characterisation
-    releases the GIL, so threads scale here, while the event-driven eta
-    sweeps should prefer ``run_many(max_workers=N)``.
+    ``eta_minus`` is then maximal under constraint (C).  Unknown scenario
+    names raise :class:`~repro.specs.SpecError` before any
+    characterisation runs.
     """
     technology = as_technology(technology)
-    widths = _default_widths(technology, n_widths)
-    nominal_chain = AnalogInverterChain(technology, stages=stages)
-    nominal_driver = CharacterizationDriver(nominal_chain, stage_index=stage_index)
-    reference_measurement = nominal_driver.measure(widths, label="nominal")
-    reference = reference_measurement.to_involution_pair()
-    if eta_plus is None:
-        eta_plus = 0.2 * reference.delta_min
-    band = eta_band(reference, eta_plus)
-
     available = {
         variation.name: variation
         for variation in standard_variations(
@@ -132,7 +118,17 @@ def _run_fig8(
     }
     unknown = [name for name in scenarios if name not in available]
     if unknown:
-        raise ValueError(f"unknown scenario {unknown[0]!r}")
+        raise SpecError(
+            f"unknown fig8 scenario {unknown[0]!r}; known: {sorted(available)}"
+        )
+    widths = _default_widths(technology, n_widths)
+    nominal_chain = AnalogInverterChain(technology, stages=stages)
+    nominal_driver = CharacterizationDriver(nominal_chain, stage_index=stage_index)
+    reference_measurement = nominal_driver.measure(widths, label="nominal")
+    reference = reference_measurement.to_involution_pair()
+    if eta_plus is None:
+        eta_plus = 0.2 * reference.delta_min
+    band = eta_band(reference, eta_plus)
 
     def characterise(variation: VariationScenario) -> Fig8Scenario:
         chain = AnalogInverterChain(variation.technology, stages=stages)
@@ -147,59 +143,9 @@ def _run_fig8(
             name=variation.name, analysis=analysis, summary=analysis.summary()
         )
 
-    characterised = sweep_map(
-        characterise,
-        [available[name] for name in scenarios],
-        max_workers=max_workers,
-    )
+    characterised = [characterise(available[name]) for name in scenarios]
     results = {scenario.name: scenario for scenario in characterised}
     return Fig8Result(scenarios=results, reference=reference, eta_plus=float(eta_plus))
-
-
-def run_fig8(
-    technology: Union[Technology, str, dict] = UMC90,
-    scenarios: Sequence[str] = DEFAULT_SCENARIOS,
-    *,
-    stages: int = 3,
-    stage_index: int = 1,
-    n_widths: int = 20,
-    eta_plus: Optional[float] = None,
-    supply_amplitude: float = 0.01,
-    seed: int = 2018,
-    max_workers: Optional[int] = None,
-) -> Fig8Result:
-    """Run the Fig. 8 deviation/coverage experiment.
-
-    .. deprecated::
-        Prefer ``repro.api.experiment("fig8", {...})``; this wrapper routes
-        speccable arguments through the canonical path and only falls back
-        to a direct call for custom :class:`Technology` subclasses.
-    """
-    params = maybe_spec_params(
-        lambda: {
-            "technology": technology_param(technology),
-            "scenarios": [str(s) for s in scenarios],
-            "stages": int(stages),
-            "stage_index": int(stage_index),
-            "n_widths": int(n_widths),
-            "eta_plus": None if eta_plus is None else float(eta_plus),
-            "supply_amplitude": float(supply_amplitude),
-            "seed": int(seed),
-        }
-    )
-    if params is not None:
-        return run_via_spec("fig8", params, max_workers=max_workers)
-    return _run_fig8(
-        technology,
-        scenarios,
-        stages=stages,
-        stage_index=stage_index,
-        n_widths=n_widths,
-        eta_plus=eta_plus,
-        supply_amplitude=supply_amplitude,
-        seed=seed,
-        max_workers=max_workers,
-    )
 
 
 def _fig8_experiment(params: dict, context) -> ExperimentOutcome:
@@ -214,7 +160,6 @@ def _fig8_experiment(params: dict, context) -> ExperimentOutcome:
         eta_plus=params["eta_plus"],
         supply_amplitude=params["supply_amplitude"],
         seed=params["seed"],
-        max_workers=context.max_workers,
     )
     return ExperimentOutcome(
         rows=result.rows(),

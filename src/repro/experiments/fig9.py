@@ -11,8 +11,8 @@ This driver characterises the stage, fits the exp-channel, and evaluates
 the deviation of the fitted model against the measured samples together
 with the eta band of the *fitted* pair (as in the paper, where the band is
 derived from the delay function used for prediction).  It is the
-registered ``fig9`` experiment kind; :func:`run_fig9` is the deprecated
-wrapper.
+registered ``fig9`` experiment kind
+(``repro.api.experiment("fig9", {...})``).
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from ..fitting.characterize import CharacterizationDriver, DelayMeasurement
 from ..fitting.eta_coverage import DeviationAnalysis, compute_deviations, eta_band
 from ..fitting.exp_fit import ExpFitResult, fit_exp_channel
 from ..specs import register_experiment_kind
-from .base import ExperimentOutcome, maybe_spec_params, run_via_spec, technology_param
+from .base import ExperimentOutcome
 from .fig8 import _default_widths
 
-__all__ = ["Fig9Result", "run_fig9"]
+__all__ = ["Fig9Result"]
 
 
 @dataclass
@@ -80,44 +80,6 @@ def _run_fig9(
         measurement=measurement,
         analysis=analysis,
         summary=analysis.summary(),
-    )
-
-
-def run_fig9(
-    technology: Union[Technology, str, dict] = UMC90,
-    *,
-    stages: int = 3,
-    stage_index: int = 1,
-    n_widths: int = 24,
-    eta_plus: Optional[float] = None,
-    fit_threshold: bool = True,
-) -> Fig9Result:
-    """Characterise a stage, fit an exp-channel and analyse its deviations.
-
-    .. deprecated::
-        Prefer ``repro.api.experiment("fig9", {...})``; this wrapper routes
-        speccable arguments through the canonical path and only falls back
-        to a direct call for custom :class:`Technology` subclasses.
-    """
-    params = maybe_spec_params(
-        lambda: {
-            "technology": technology_param(technology),
-            "stages": int(stages),
-            "stage_index": int(stage_index),
-            "n_widths": int(n_widths),
-            "eta_plus": None if eta_plus is None else float(eta_plus),
-            "fit_threshold": bool(fit_threshold),
-        }
-    )
-    if params is not None:
-        return run_via_spec("fig9", params)
-    return _run_fig9(
-        technology,
-        stages=stages,
-        stage_index=stage_index,
-        n_widths=n_widths,
-        eta_plus=eta_plus,
-        fit_threshold=fit_threshold,
     )
 
 

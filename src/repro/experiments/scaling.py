@@ -5,8 +5,9 @@ tools" for dynamic timing analysis; the practical counterpart in this
 reproduction is the throughput of the event-driven simulator.  This driver
 measures events per second over circuit size and stimulus length, which the
 benchmark harness reports alongside the figure reproductions.  It is the
-registered ``scaling`` experiment kind; :func:`run_scaling` is the
-deprecated wrapper.  The event counts are deterministic; the ``seconds``,
+registered ``scaling`` experiment kind
+(``repro.api.experiment("scaling", {...})``).  The event counts are
+deterministic; the ``seconds``,
 ``events_per_second`` and ``backend`` columns describe the *measurement*
 that produced the rows (wall clock, execution strategy) and therefore
 vary between otherwise-equal reruns.  Because the artifact store keys on
@@ -31,9 +32,9 @@ from ..core.involution import InvolutionPair
 from ..core.transitions import Signal
 from ..engine.scheduler import CircuitTopology, Engine
 from ..specs import register_experiment_kind
-from .base import ExperimentOutcome, channel_param, maybe_spec_params, run_via_spec
+from .base import ExperimentOutcome
 
-__all__ = ["ScalingSample", "run_scaling"]
+__all__ = ["ScalingSample"]
 
 
 @dataclass
@@ -172,50 +173,6 @@ def _run_scaling(
         if observed is not None:
             observed["backend_executed"] = ran_backend
     return samples
-
-
-def run_scaling(
-    stage_counts: Sequence[int] = (4, 8, 16, 32),
-    *,
-    input_transitions: int = 200,
-    tau: float = 1.0,
-    t_p: float = 0.5,
-    eta_plus: float = 0.05,
-    seed: int = 3,
-    use_eta: bool = True,
-    channel=None,
-) -> List[ScalingSample]:
-    """Measure simulator throughput for chains of increasing depth.
-
-    .. deprecated::
-        Prefer ``repro.api.experiment("scaling", {...})``; this wrapper
-        routes speccable arguments through the canonical path and only
-        falls back to a direct call for unspeccable channel factories.
-    """
-    params = maybe_spec_params(
-        lambda: {
-            "stage_counts": [int(s) for s in stage_counts],
-            "input_transitions": int(input_transitions),
-            "tau": float(tau),
-            "t_p": float(t_p),
-            "eta_plus": float(eta_plus),
-            "seed": int(seed),
-            "use_eta": bool(use_eta),
-            "channel": None if channel is None else channel_param(channel),
-        }
-    )
-    if params is not None:
-        return run_via_spec("scaling", params)
-    return _run_scaling(
-        stage_counts,
-        input_transitions=input_transitions,
-        tau=tau,
-        t_p=t_p,
-        eta_plus=eta_plus,
-        seed=seed,
-        use_eta=use_eta,
-        channel=channel,
-    )
 
 
 def _scaling_experiment(params: dict, context) -> ExperimentOutcome:

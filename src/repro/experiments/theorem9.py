@@ -11,21 +11,19 @@ drivers
 * sweep the noise bound ``eta_plus`` and tabulate ``tau``, ``Delta``,
   ``P``, ``gamma`` and ``Delta_0_tilde`` (LEM5).
 
-Both are registered experiment kinds (``theorem9``, ``lemma5``); the
-:func:`run_theorem9` / :func:`run_lemma5_sweep` entry points are thin
-deprecated wrappers that route speccable arguments through the canonical
-:func:`repro.experiments.run_experiment` path.
+Both are registered experiment kinds (``theorem9``, ``lemma5``): run them
+with ``repro.api.experiment("theorem9", {...})``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..circuits.library import fed_back_or
-from ..core.adversary import Adversary, EtaBound, ZeroAdversary
+from ..core.adversary import EtaBound, ZeroAdversary
 from ..core.constraint import admissible_eta_bound
 from ..core.eta_channel import EtaInvolutionChannel
 from ..core.involution import InvolutionPair
@@ -33,22 +31,9 @@ from ..core.transitions import Signal
 from ..engine.sweep import Scenario, run_many
 from ..specs import AdversarySpec, register_experiment_kind
 from ..spf.analysis import SPFAnalysis, SPFRegime
-from .base import (
-    ExperimentOutcome,
-    adversary_param,
-    eta_param,
-    maybe_spec_params,
-    pair_param,
-    run_via_spec,
-)
+from .base import ExperimentOutcome
 
-__all__ = [
-    "RegimeObservation",
-    "Theorem9Result",
-    "run_theorem9",
-    "run_lemma5_sweep",
-    "default_adversaries",
-]
+__all__ = ["RegimeObservation", "Theorem9Result", "default_adversaries"]
 
 #: Default parameters of the exp-channel pair used when none is given.
 _DEFAULT_PAIR = {"kind": "exp", "tau": 1.0, "t_p": 0.5, "v_th": 0.5}
@@ -57,9 +42,10 @@ _DEFAULT_PAIR = {"kind": "exp", "tau": 1.0, "t_p": 0.5, "v_th": 0.5}
 def default_adversaries(seed: int = 7) -> Dict[str, AdversarySpec]:
     """The adversary set used by the Theorem 9 sweep (as declarative specs).
 
-    Earlier revisions returned factory callables; every entry point coerces
-    through :func:`repro.specs.as_adversary_factory`, which accepts both,
-    so callables still work where callers pass their own.
+    ``_run_theorem9`` coerces each entry through
+    :func:`repro.specs.as_adversary_factory`, so a direct call may also
+    pass factory callables; ``api.experiment("theorem9", ...)`` takes the
+    specs' dict form (``{"kind": "random", "seed": 7}``).
     """
     return {
         "zero": AdversarySpec("zero"),
@@ -145,7 +131,7 @@ def _run_theorem9(
     record_traces: bool = False,
     observed: Optional[Dict[str, object]] = None,
 ) -> Tuple[Theorem9Result, Optional[Dict[str, dict]]]:
-    """The Theorem 9 sweep implementation (shared by wrapper and kind runner).
+    """The Theorem 9 sweep implementation behind the ``theorem9`` kind.
 
     For each (pulse length, adversary) pair the fed-back OR is simulated and
     the observed output is checked against the analytical predictions.
@@ -239,99 +225,7 @@ def _run_theorem9(
     )
 
 
-def _theorem9_params(
-    pair, eta, eta_plus, pulse_lengths, adversaries, end_time, max_events
-) -> Optional[dict]:
-    """Speccify the wrapper arguments, or ``None`` if any is unspeccable."""
-
-    def build() -> dict:
-        return {
-            "pair": pair_param(pair),
-            "eta": eta_param(eta),
-            "eta_plus": float(eta_plus),
-            "pulse_lengths": (
-                None
-                if pulse_lengths is None
-                else [float(x) for x in pulse_lengths]
-            ),
-            "adversaries": (
-                None
-                if adversaries is None
-                else {
-                    name: adversary_param(factory)
-                    for name, factory in adversaries.items()
-                }
-            ),
-            "end_time": float(end_time),
-            "max_events": int(max_events),
-            "record_traces": False,
-        }
-
-    return maybe_spec_params(build)
-
-
-def run_theorem9(
-    pair: Union[InvolutionPair, dict],
-    eta: Optional[Union[EtaBound, dict]] = None,
-    *,
-    eta_plus: float = 0.05,
-    pulse_lengths: Optional[Sequence[float]] = None,
-    adversaries: Optional[Dict[str, Callable[[], Adversary]]] = None,
-    end_time: float = 400.0,
-    max_events: int = 2_000_000,
-    backend: str = "sequential",
-    max_workers: Optional[int] = None,
-) -> Theorem9Result:
-    """Sweep input pulse lengths across the Theorem 9 regimes.
-
-    .. deprecated::
-        Prefer ``repro.api.experiment("theorem9", {...})`` (or
-        ``ExperimentSpec("theorem9", ...).run()``) -- this wrapper routes
-        speccable arguments through that canonical path and only falls
-        back to a direct call for unspeccable live objects (e.g. closure
-        factories for unregistered adversary classes).
-    """
-    params = _theorem9_params(
-        pair, eta, eta_plus, pulse_lengths, adversaries, end_time, max_events
-    )
-    if params is not None:
-        return run_via_spec(
-            "theorem9", params, backend=backend, max_workers=max_workers
-        )
-    result, _ = _run_theorem9(
-        pair,
-        eta,
-        eta_plus=eta_plus,
-        pulse_lengths=pulse_lengths,
-        adversaries=adversaries,
-        end_time=end_time,
-        max_events=max_events,
-        backend=backend,
-        max_workers=max_workers,
-    )
-    return result
-
-
 def _run_lemma5(
-    pair: Union[InvolutionPair, dict],
-    eta_plus_values: Sequence[float],
-    *,
-    back_off: float = 1e-3,
-) -> List[Dict[str, float]]:
-    """Tabulate the Lemma 5/6/8 quantities over a sweep of ``eta_plus``."""
-    from ..specs import as_pair
-
-    pair = as_pair(pair)
-    rows: List[Dict[str, float]] = []
-    for eta_plus in eta_plus_values:
-        eta = admissible_eta_bound(pair, float(eta_plus), back_off=back_off)
-        analysis = SPFAnalysis(pair, eta)
-        row = analysis.summary()
-        rows.append({k: float(v) for k, v in row.items()})
-    return rows
-
-
-def run_lemma5_sweep(
     pair: Union[InvolutionPair, dict],
     eta_plus_values: Sequence[float],
     *,
@@ -342,21 +236,17 @@ def run_lemma5_sweep(
     For each ``eta_plus`` the maximal admissible ``eta_minus`` (backed off
     to keep constraint (C) strict) is used; the row records ``tau``,
     ``Delta``, ``gamma``, ``Delta_0_tilde`` and the regime boundaries.
-
-    .. deprecated::
-        Prefer ``repro.api.experiment("lemma5", {...})``; see
-        :func:`run_theorem9`.
     """
-    params = maybe_spec_params(
-        lambda: {
-            "pair": pair_param(pair),
-            "eta_plus_values": [float(x) for x in eta_plus_values],
-            "back_off": float(back_off),
-        }
-    )
-    if params is not None:
-        return run_via_spec("lemma5", params)
-    return _run_lemma5(pair, eta_plus_values, back_off=back_off)
+    from ..specs import as_pair
+
+    pair = as_pair(pair)
+    rows: List[Dict[str, float]] = []
+    for eta_plus in eta_plus_values:
+        eta = admissible_eta_bound(pair, float(eta_plus), back_off=back_off)
+        analysis = SPFAnalysis(pair, eta)
+        row = analysis.summary()
+        rows.append({k: float(v) for k, v in row.items()})
+    return rows
 
 
 # --------------------------------------------------------------------------- #

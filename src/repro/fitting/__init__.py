@@ -11,7 +11,6 @@ from .eta_coverage import (
     DeviationSample,
     compute_deviations,
     eta_band,
-    simulated_eta_coverage,
 )
 from .exp_fit import ExpFitResult, exp_delay_model, fit_exp_channel
 
@@ -27,5 +26,4 @@ __all__ = [
     "DeviationAnalysis",
     "compute_deviations",
     "eta_band",
-    "simulated_eta_coverage",
 ]

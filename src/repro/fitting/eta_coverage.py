@@ -36,7 +36,6 @@ __all__ = [
     "DeviationAnalysis",
     "compute_deviations",
     "eta_band",
-    "simulated_eta_coverage",
 ]
 
 
@@ -286,67 +285,6 @@ def _simulated_eta_coverage(
                     )
                 )
     return DeviationAnalysis(samples=samples, eta=eta, label=label)
-
-
-def simulated_eta_coverage(
-    pair: InvolutionPair,
-    eta: EtaBound,
-    *,
-    stages: int = 3,
-    n_runs: int = 50,
-    seed: int = 2018,
-    stimulus=None,
-    end_time: Optional[float] = None,
-    max_workers: Optional[int] = None,
-    backend: str = "sequential",
-    label: str = "eta-monte-carlo",
-) -> DeviationAnalysis:
-    """Monte Carlo coverage check on the event-driven engine.
-
-    See :func:`_simulated_eta_coverage` for the methodology.
-
-    .. deprecated::
-        Prefer ``repro.api.experiment("eta_coverage", {...})``; this
-        wrapper routes speccable arguments through the canonical
-        registered-experiment path (provenance, caching) and only falls
-        back to a direct call for unspeccable pairs or stimuli.
-    """
-    from ..experiments.base import (
-        eta_param,
-        maybe_spec_params,
-        pair_param,
-        run_via_spec,
-        signal_param,
-    )
-
-    params = maybe_spec_params(
-        lambda: {
-            "pair": pair_param(pair),
-            "eta": eta_param(eta),
-            "stages": int(stages),
-            "n_runs": int(n_runs),
-            "seed": int(seed),
-            "stimulus": signal_param(stimulus),
-            "end_time": None if end_time is None else float(end_time),
-            "label": str(label),
-        }
-    )
-    if params is not None:
-        return run_via_spec(
-            "eta_coverage", params, backend=backend, max_workers=max_workers
-        )
-    return _simulated_eta_coverage(
-        pair,
-        eta,
-        stages=stages,
-        n_runs=n_runs,
-        seed=seed,
-        stimulus=stimulus,
-        end_time=end_time,
-        max_workers=max_workers,
-        backend=backend,
-        label=label,
-    )
 
 
 def _eta_coverage_experiment(params: dict, context):

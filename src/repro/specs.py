@@ -617,8 +617,8 @@ class ChannelSpec(Spec):
         except KeyError:
             raise SpecError(
                 f"no spec kind registered for channel {type(channel).__name__}; "
-                "register one via repro.specs.register_channel_kind or use "
-                "factory/thread-based entry points"
+                "register one via repro.specs.register_channel_kind or pass "
+                "a factory callable to the circuit builders"
             ) from None
         params = extractor(channel)
         if channel.name != type(channel).__name__:
@@ -965,8 +965,8 @@ def as_channel(obj) -> Channel:
 def as_channel_factory(obj) -> Callable[[], Channel]:
     """Coerce a factory callable, ChannelSpec, or spec dict to a factory.
 
-    This is the bridge between the deprecated factory-lambda API and the
-    spec API: library builders accept either and normalise through here.
+    Library builders accept either a spec or a factory callable (a test's
+    fake channel that has no spec) and normalise through here.
     A channel *instance* is coerced through its spec (every edge must get
     a fresh, unshared channel) -- channels are callable, so without this
     they would be mistaken for factories and fail far from the call site.

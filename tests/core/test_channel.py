@@ -102,11 +102,6 @@ class TestCancellationResolvers:
         with pytest.raises(ValueError):
             pending_to_signal(0, make_pending([1.0]), mode="bogus")
 
-    def test_legacy_reference_flag(self):
-        pending = make_pending([2.0, 1.0])
-        out = pending_to_signal(0, pending, use_reference_cancellation=True)
-        assert out.is_zero()
-
 
 class TestZeroDelayChannel:
     def test_identity(self):

@@ -6,7 +6,6 @@ from repro.circuits import fed_back_or, inverter_chain, simulate
 from repro.core import (
     EtaInvolutionChannel,
     InvolutionChannel,
-    InvolutionPair,
     PureDelayChannel,
     Signal,
     WorstCaseAdversary,
@@ -20,7 +19,6 @@ from repro.engine import (
     channel_overrides,
     eta_monte_carlo,
     run_many,
-    sweep_map,
 )
 
 
@@ -338,17 +336,6 @@ class TestEtaMonteCarlo:
         circuit = inverter_chain(3, lambda: InvolutionChannel(exp_pair))
         scenarios = eta_monte_carlo(circuit, {"in": Signal.zero()}, 10.0, 2)
         assert all(s.channels == {} for s in scenarios)
-
-
-class TestSweepMap:
-    def test_sequential_identity(self):
-        assert sweep_map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
-
-    def test_parallel_preserves_order(self):
-        items = list(range(20))
-        assert sweep_map(lambda x: x + 1, items, max_workers=4) == [
-            x + 1 for x in items
-        ]
 
 
 class TestEngineReuse:

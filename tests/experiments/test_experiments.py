@@ -2,25 +2,23 @@
 
 The full-size experiments run in ``benchmarks/``; here we only check that
 the drivers work end to end and that the qualitative shapes match the
-paper (monotonicities, coverage orderings, regime consistency).
+paper (monotonicities, coverage orderings, regime consistency).  Every
+experiment runs through ``api.experiment``; the assertions read the kind's
+typed result from ``ExperimentResult.raw``.
 """
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core import InvolutionPair
-from repro.experiments import (
-    default_adversaries,
-    format_table,
-    format_value,
-    run_fig7,
-    run_fig8,
-    run_fig9,
-    run_lemma5_sweep,
-    run_model_comparison,
-    run_scaling,
-    run_theorem9,
-)
+from repro.experiments import default_adversaries, format_table, format_value
+from repro.specs import pair_to_dict
+
+
+def run(kind, **params):
+    """The kind's in-process result object, via the one experiment path."""
+    return api.experiment(kind, params).raw
 
 
 @pytest.fixture(scope="module")
@@ -69,13 +67,15 @@ class TestReporting:
 
 class TestFig7:
     def test_delay_ordering_with_vdd(self):
-        result = run_fig7(vdd_levels=(0.6, 1.0), n_widths=10, stages=2, stage_index=1)
+        result = run(
+            "fig7", vdd_levels=[0.6, 1.0], n_widths=10, stages=2, stage_index=1
+        )
         assert result.is_monotone_in_vdd()
         delays = result.saturation_delays()
         assert delays[0.6] > delays[1.0]
 
     def test_curves_are_concave_increasing(self):
-        result = run_fig7(vdd_levels=(1.0,), n_widths=12, stages=2, stage_index=1)
+        result = run("fig7", vdd_levels=[1.0], n_widths=12, stages=2, stage_index=1)
         curve = result.curves[1.0]
         assert len(curve.T) >= 6
         # Increasing in T (up to digitisation wiggle).
@@ -83,7 +83,7 @@ class TestFig7:
         assert all(b >= a - 0.05 for a, b in zip(coarse, coarse[1:]))
 
     def test_rows_structure(self):
-        result = run_fig7(vdd_levels=(1.0,), n_widths=8, stages=2, stage_index=1)
+        result = run("fig7", vdd_levels=[1.0], n_widths=8, stages=2, stage_index=1)
         rows = result.rows()
         assert rows[0]["vdd"] == 1.0
         assert rows[0]["n_samples"] > 0
@@ -97,7 +97,7 @@ class TestFig8:
         # overestimated; the band asymmetry (large eta_minus, small eta_plus)
         # then matches the paper's dimensioning and the Fig. 8 coverage
         # pattern.
-        return run_fig8(stages=3, stage_index=1, n_widths=16, seed=1)
+        return run("fig8", stages=3, stage_index=1, n_widths=16, seed=1)
 
     def test_all_scenarios_present(self, result):
         assert set(result.scenarios) == {"supply_1pct", "width_plus10", "width_minus10"}
@@ -122,12 +122,12 @@ class TestFig8:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
-            run_fig8(scenarios=("bogus",), stages=2, n_widths=6)
+            run("fig8", scenarios=["bogus"], stages=2, n_widths=6)
 
 
 class TestFig9:
     def test_exp_fit_reasonable(self):
-        result = run_fig9(stages=2, stage_index=1, n_widths=12)
+        result = run("fig9", stages=2, stage_index=1, n_widths=12)
         assert result.fit.tau > 0
         assert result.fit.t_p > 0
         assert 0.0 < result.fit.v_th < 1.0
@@ -139,22 +139,27 @@ class TestFig9:
 
 class TestTheorem9:
     def test_all_observations_consistent(self, pair):
-        result = run_theorem9(
-            pair,
-            pulse_lengths=np.linspace(0.2, 1.4, 7),
-            adversaries=default_adversaries(),
+        result = run(
+            "theorem9",
+            pair=pair_to_dict(pair),
+            pulse_lengths=np.linspace(0.2, 1.4, 7).tolist(),
+            adversaries={
+                name: spec.to_dict() for name, spec in default_adversaries().items()
+            },
             end_time=250.0,
         )
         assert result.all_consistent
         assert len(result.rows()) == 7 * 4
 
     def test_regime_fractions(self, pair):
-        result = run_theorem9(pair, end_time=250.0)
+        result = run("theorem9", pair=pair_to_dict(pair), end_time=250.0)
         regimes = {obs.regime for obs in result.observations}
         assert {"cancelled", "marginal", "latched"} <= regimes
 
     def test_lemma5_sweep_monotonicities(self, pair):
-        rows = run_lemma5_sweep(pair, [0.0, 0.02, 0.05, 0.1])
+        rows = run(
+            "lemma5", pair=pair_to_dict(pair), eta_plus_values=[0.0, 0.02, 0.05, 0.1]
+        )
         taus = [row["tau"] for row in rows]
         gammas = [row["gamma"] for row in rows]
         assert all(b > a for a, b in zip(taus, taus[1:]))
@@ -162,30 +167,35 @@ class TestTheorem9:
         assert all(row["Delta"] < row["delta_min"] for row in rows)
 
     def test_accepts_pair_and_adversary_specs(self, pair):
-        """Drivers accept declarative spec dicts in place of live objects."""
+        """Spec dicts through the kind match live objects through the driver."""
+        from repro.experiments.theorem9 import _run_lemma5, _run_theorem9
+
         lengths = np.linspace(0.3, 1.3, 3)
-        from_objects = run_theorem9(
+        from_objects, _ = _run_theorem9(
             pair,
             pulse_lengths=lengths,
             adversaries={"zero": default_adversaries()["zero"]},
             end_time=150.0,
         )
-        from_specs = run_theorem9(
-            {"kind": "exp", "tau": 1.0, "t_p": 0.5, "v_th": 0.5},
-            pulse_lengths=lengths,
+        from_specs = run(
+            "theorem9",
+            pair={"kind": "exp", "tau": 1.0, "t_p": 0.5, "v_th": 0.5},
+            pulse_lengths=lengths.tolist(),
             adversaries={"zero": {"kind": "zero"}},
             end_time=150.0,
         )
         assert from_objects.rows() == from_specs.rows()
-        spec_rows = run_lemma5_sweep(
-            {"kind": "exp", "tau": 1.0, "t_p": 0.5}, [0.02, 0.05]
+        spec_rows = run(
+            "lemma5",
+            pair={"kind": "exp", "tau": 1.0, "t_p": 0.5},
+            eta_plus_values=[0.02, 0.05],
         )
-        assert spec_rows == run_lemma5_sweep(pair, [0.02, 0.05])
+        assert spec_rows == _run_lemma5(pair, [0.02, 0.05])
 
 
 class TestModelComparison:
     def test_qualitative_ordering(self):
-        result = run_model_comparison(stages=3, pulse_count=4)
+        result = run("comparison", stages=3, pulse_count=4)
         survivors = result.stage_survivors
         # Pure delay keeps every glitch; inertial kills them all at stage 1;
         # involution-family channels attenuate gradually (at most the input count).
@@ -196,7 +206,7 @@ class TestModelComparison:
         assert result.output_transitions["pure"] == 8
 
     def test_rows(self):
-        result = run_model_comparison(stages=2, pulse_count=3)
+        result = run("comparison", stages=2, pulse_count=3)
         rows = result.rows()
         assert {row["model"] for row in rows} == {
             "pure",
@@ -209,7 +219,7 @@ class TestModelComparison:
 
 class TestScaling:
     def test_throughput_measured(self):
-        samples = run_scaling(stage_counts=(2, 4), input_transitions=40)
+        samples = run("scaling", stage_counts=[2, 4], input_transitions=40)
         assert len(samples) == 2
         assert all(s.events > 0 for s in samples)
         assert all(s.events_per_second > 0 for s in samples)
@@ -218,10 +228,11 @@ class TestScaling:
     def test_accepts_channel_spec(self):
         from repro.specs import ChannelSpec
 
-        samples = run_scaling(
-            stage_counts=(2,),
+        samples = run(
+            "scaling",
+            stage_counts=[2],
             input_transitions=20,
-            channel=ChannelSpec.exp_involution(1.0, 0.5),
+            channel=ChannelSpec.exp_involution(1.0, 0.5).to_dict(),
         )
         assert samples[0].events > 0
 
@@ -229,17 +240,19 @@ class TestScaling:
 class TestModelComparisonSpecs:
     def test_spec_factories_match_callable_factories(self):
         from repro.core import PureDelayChannel
+        from repro.experiments.comparison import _run_model_comparison
         from repro.specs import ChannelSpec
 
-        with_callables = run_model_comparison(
+        with_callables, _ = _run_model_comparison(
             stages=2,
             pulse_count=3,
             factories={"pure": lambda: PureDelayChannel(1.19)},
         )
-        with_specs = run_model_comparison(
+        with_specs = run(
+            "comparison",
             stages=2,
             pulse_count=3,
-            factories={"pure": ChannelSpec("pure", delay=1.19)},
+            factories={"pure": ChannelSpec("pure", delay=1.19).to_dict()},
         )
         assert with_callables.stage_survivors == with_specs.stage_survivors
         assert with_callables.output_transitions == with_specs.output_transitions

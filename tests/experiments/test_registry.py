@@ -3,8 +3,8 @@
 Pins the ISSUE-4 acceptance criteria:
 
 * every experiment kind runs via ``repro.api.experiment`` and produces
-  numbers bit-identical to the pre-PR direct-call path (the private
-  ``_run_*`` implementations the deprecated wrappers fall back to),
+  numbers bit-identical to a direct call of its private ``_run_*``
+  implementation,
 * :class:`ExperimentResult` round-trips through JSON,
 * identical re-runs hit the artifact store.
 """
@@ -202,10 +202,10 @@ class TestCaching:
 
 
 class TestEquivalence:
-    """Wrapper entry points vs. the canonical registered-kind path."""
+    """Direct ``_run_*`` implementation calls vs. the registered-kind path."""
 
     def test_theorem9(self):
-        from repro.experiments.theorem9 import _run_theorem9, run_theorem9
+        from repro.experiments.theorem9 import _run_theorem9
         from repro.core import InvolutionPair, ZeroAdversary, RandomAdversary
 
         pair = InvolutionPair.exp_channel(1.0, 0.5)
@@ -218,112 +218,83 @@ class TestEquivalence:
             },
             end_time=150.0,
         )
-        wrapped = run_theorem9(
-            pair,
-            pulse_lengths=np.asarray(THEOREM9_PARAMS["pulse_lengths"]),
-            adversaries={
-                "zero": ZeroAdversary(),
-                "random": RandomAdversary(seed=5),
-            },
-            end_time=150.0,
-        )
         via_api = api.experiment("theorem9", THEOREM9_PARAMS)
-        assert wrapped.rows() == direct.rows()
         assert via_api.rows == direct.rows()
         assert via_api.raw.analysis_summary == direct.analysis_summary
 
     def test_lemma5(self):
-        from repro.experiments.theorem9 import _run_lemma5, run_lemma5_sweep
+        from repro.experiments.theorem9 import _run_lemma5
         from repro.core import InvolutionPair
 
         pair = InvolutionPair.exp_channel(1.0, 0.5)
         direct = _run_lemma5(pair, [0.02, 0.05])
-        assert run_lemma5_sweep(pair, [0.02, 0.05]) == direct
         assert api.experiment("lemma5", {"eta_plus_values": [0.02, 0.05]}).rows == direct
 
     def test_comparison(self):
-        from repro.experiments.comparison import (
-            _run_model_comparison,
-            run_model_comparison,
-        )
+        from repro.experiments.comparison import _run_model_comparison
 
         direct, _ = _run_model_comparison(**COMPARISON_PARAMS)
-        wrapped = run_model_comparison(**COMPARISON_PARAMS)
         via_api = api.experiment("comparison", COMPARISON_PARAMS)
-        assert wrapped.stage_survivors == direct.stage_survivors
-        assert wrapped.output_transitions == direct.output_transitions
         assert via_api.rows == direct.rows()
 
     def test_scaling_deterministic_columns(self):
-        from repro.experiments.scaling import _run_scaling, run_scaling
+        from repro.experiments.scaling import _run_scaling
 
         config = dict(stage_counts=(2, 3), input_transitions=30)
         direct = _run_scaling(**config)
-        wrapped = run_scaling(**config)
         via_api = api.experiment(
             "scaling", {"stage_counts": [2, 3], "input_transitions": 30}
         )
         # seconds/events_per_second are wall clock; events are pinned.
-        assert [s.events for s in wrapped] == [s.events for s in direct]
         assert [row["events"] for row in via_api.rows] == [s.events for s in direct]
 
     def test_eta_coverage(self):
         from repro.core import EtaBound, InvolutionPair
-        from repro.fitting.eta_coverage import (
-            _simulated_eta_coverage,
-            simulated_eta_coverage,
-        )
+        from repro.fitting.eta_coverage import _simulated_eta_coverage
 
         pair = InvolutionPair.exp_channel(1.0, 0.5)
         eta = EtaBound(0.05, 0.05)
         config = dict(stages=2, n_runs=4, seed=9)
         direct = _simulated_eta_coverage(pair, eta, **config)
-        wrapped = simulated_eta_coverage(pair, eta, **config)
         via_api = api.experiment(
             "eta_coverage",
             {"eta": {"eta_plus": 0.05, "eta_minus": 0.05}, **config},
         )
-        assert wrapped.samples == direct.samples
         assert via_api.rows == [direct.summary()]
         assert via_api.raw.samples == direct.samples
 
     def test_fig9(self):
-        from repro.experiments.fig9 import _run_fig9, run_fig9
+        from repro.experiments.fig9 import _run_fig9
 
         config = dict(stages=2, stage_index=1, n_widths=10)
         direct = _run_fig9(**config)
-        wrapped = run_fig9(**config)
         via_api = api.experiment(
             "fig9", {"stages": 2, "stage_index": 1, "n_widths": 10}
         )
-        assert wrapped.rows() == direct.rows()
         assert via_api.rows == direct.rows()
         assert via_api.raw.fit.tau == direct.fit.tau
 
     def test_fig7(self):
-        from repro.experiments.fig7 import _run_fig7, run_fig7
+        from repro.experiments.fig7 import _run_fig7
 
         config = dict(vdd_levels=(1.0,), stages=2, stage_index=1, n_widths=8)
         direct = _run_fig7(**config)
-        wrapped = run_fig7(**config)
         via_api = api.experiment(
             "fig7",
             {"vdd_levels": [1.0], "stages": 2, "stage_index": 1, "n_widths": 8},
         )
-        assert wrapped.rows() == direct.rows()
         assert via_api.rows == direct.rows()
         np.testing.assert_array_equal(
             via_api.raw.curves[1.0].delta, direct.curves[1.0].delta
         )
 
     def test_fig8(self):
-        from repro.experiments.fig8 import _run_fig8, run_fig8
+        from repro.experiments.fig8 import _run_fig8
 
         config = dict(
             scenarios=("width_plus10",), stages=2, stage_index=1, n_widths=8, seed=1
         )
         direct = _run_fig8(**config)
-        wrapped = run_fig8(**config)
         via_api = api.experiment(
             "fig8",
             {
@@ -334,7 +305,6 @@ class TestEquivalence:
                 "seed": 1,
             },
         )
-        assert wrapped.rows() == direct.rows()
         assert via_api.rows == direct.rows()
 
 
@@ -367,39 +337,72 @@ class TestBackends:
         assert result.provenance["backend_executed"] == "sequential"
         assert [row["backend"] for row in result.rows] == ["sequential"] * 2
 
+    @pytest.mark.parametrize("kind", ["fig7", "lemma5"])
+    def test_unknown_backend_raises(self, kind):
+        # Regression: kinds that never call run_many ran anyway and wrote
+        # the bogus backend into provenance and the stored artifact.
+        with pytest.raises(ValueError, match="max_workers="):
+            api.experiment(kind, backend="thread")
 
-class TestWrapperFallback:
-    """Unspeccable live arguments still work through the direct path."""
+    def test_unknown_backend_raises_before_the_cache_lookup(self, tmp_path):
+        params = {"eta_plus_values": [0.02]}
+        api.experiment("lemma5", params, cache=tmp_path)
+        with pytest.raises(ValueError, match="max_workers="):
+            api.experiment("lemma5", params, backend="thread", cache=tmp_path)
 
-    def test_theorem9_with_unspeccable_adversary(self):
+
+class TestUserClasses:
+    """User-defined adversaries and channels run through their registered kind."""
+
+    def test_custom_adversary_kind_runs_in_theorem9(self):
         from repro.core import ZeroAdversary
-        from repro.core.adversary import Adversary
-        from repro.experiments import run_theorem9
-        from repro.core import InvolutionPair
+        from repro.specs import register_adversary_kind
 
         class CustomAdversary(ZeroAdversary):
             pass
 
-        pair = InvolutionPair.exp_channel(1.0, 0.5)
-        result = run_theorem9(
-            pair,
-            pulse_lengths=[0.3],
-            adversaries={"custom": CustomAdversary},
-            end_time=100.0,
-        )
-        assert len(result.observations) == 1
+        built = []
 
-    def test_comparison_with_closure_factory(self):
+        def build(params):
+            built.append(CustomAdversary())
+            return built[-1]
+
+        register_adversary_kind("test_custom_adversary", build, replace=True)
+        result = api.experiment(
+            "theorem9",
+            {
+                "pulse_lengths": [0.3],
+                "adversaries": {"custom": {"kind": "test_custom_adversary"}},
+                "end_time": 100.0,
+            },
+        )
+        assert len(result.raw.observations) == 1
+        assert built
+
+    def test_custom_channel_kind_runs_in_comparison(self):
         from repro.core import PureDelayChannel
-        from repro.experiments import run_model_comparison
+        from repro.specs import register_channel_kind
 
         class OddChannel(PureDelayChannel):
             pass
 
-        result = run_model_comparison(
-            stages=2, pulse_count=3, factories={"odd": lambda: OddChannel(1.0)}
+        built = []
+
+        def build(params):
+            built.append(OddChannel(float(params["delay"])))
+            return built[-1]
+
+        register_channel_kind("test_odd_channel", build, replace=True)
+        result = api.experiment(
+            "comparison",
+            {
+                "stages": 2,
+                "pulse_count": 3,
+                "factories": {"odd": {"kind": "test_odd_channel", "delay": 1.0}},
+            },
         )
-        assert set(result.stage_survivors) == {"odd"}
+        assert set(result.raw.stage_survivors) == {"odd"}
+        assert built
 
 
 class TestExtensionHook:

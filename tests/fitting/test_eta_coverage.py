@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import EtaBound, InvolutionPair, max_eta_minus
+from repro.core import EtaBound, max_eta_minus
 from repro.fitting import (
     DelayMeasurement,
     DelaySample,
@@ -129,12 +129,19 @@ class TestComputeDeviations:
         assert np.isnan(analysis.coverage())
 
 
+def simulated_eta_coverage(pair, eta, **params):
+    """The ``eta_coverage`` kind's DeviationAnalysis for a live pair and band."""
+    from repro import api
+    from repro.specs import eta_to_dict, pair_to_dict
+
+    params.update(pair=pair_to_dict(pair), eta=eta_to_dict(eta))
+    return api.experiment("eta_coverage", params).raw
+
+
 class TestSimulatedEtaCoverage:
     """Monte Carlo coverage via the batched sweep runner."""
 
     def test_admissible_noise_is_fully_covered(self, exp_pair, eta_small):
-        from repro.fitting import simulated_eta_coverage
-
         analysis = simulated_eta_coverage(
             exp_pair, eta_small, stages=3, n_runs=8, seed=7
         )
@@ -147,8 +154,6 @@ class TestSimulatedEtaCoverage:
         ) + 1e-9
 
     def test_deterministic_per_seed(self, exp_pair, eta_small):
-        from repro.fitting import simulated_eta_coverage
-
         first = simulated_eta_coverage(exp_pair, eta_small, stages=2, n_runs=4, seed=3)
         second = simulated_eta_coverage(exp_pair, eta_small, stages=2, n_runs=4, seed=3)
         assert [s.deviation for s in first.samples] == [

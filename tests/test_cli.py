@@ -278,6 +278,20 @@ class TestExperimentCLI:
         with pytest.raises(SystemExit, match="unknown technology preset"):
             main(["experiment", "run", "fig7", "--param", "technology=BOGUS"])
 
+    def test_unknown_fig8_scenario_exits_cleanly(self):
+        # Regression: the name was checked after the nominal
+        # characterisation and escaped the CLI as a ValueError traceback.
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "experiment", "run", "fig8",
+             "--param", 'scenarios=["bogus"]'],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert "unknown fig8 scenario 'bogus'" in result.stderr
+
     def test_bad_param_spec_exits(self):
         with pytest.raises(SystemExit, match="NAME=VALUE"):
             main(["experiment", "run", "lemma5", "--param", "oops"])

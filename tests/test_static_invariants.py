@@ -25,7 +25,11 @@ through ``Transition.__new__``.  Everyone else goes through the public
 API or the private constructor and accessor that module provides.
 
 A third gate keeps one process pool: ``ProcessPoolExecutor`` may appear
-only in ``engine/shard.py``, the sweep pipeline's respawning pool.
+only in ``engine/shard.py``, the sweep pipeline's respawning pool, and
+``ThreadPoolExecutor`` in no module at all.
+
+A fourth keeps the API free of deprecated shims: no docstring under
+``src/repro`` carries a ``.. deprecated::`` directive.
 """
 
 import ast
@@ -216,8 +220,8 @@ def test_representation_gate_detects_leaks(tmp_path):
     assert SIGNAL_HOME.exists() and _representation_leaks(SIGNAL_HOME)
 
 
-def _pool_uses(path):
-    """Lines naming ``ProcessPoolExecutor`` (import, name or attribute)."""
+def _pool_uses(path, executor):
+    """Lines naming the ``executor`` class (import, name or attribute)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -229,26 +233,46 @@ def _pool_uses(path):
             names = [node.attr]
         else:
             continue
-        if "ProcessPoolExecutor" in names:
+        if executor in names:
             found.append(node.lineno)
     return found
 
 
+def _pool_owners(executor):
+    return [p for p in sorted(SRC.rglob("*.py")) if _pool_uses(p, executor)]
+
+
 def test_process_pool_lives_in_one_module():
-    owners = [p for p in sorted(SRC.rglob("*.py")) if _pool_uses(p)]
+    owners = _pool_owners("ProcessPoolExecutor")
     assert owners == [POOL_HOME], [str(p.relative_to(SRC)) for p in owners]
 
 
+def test_no_module_uses_a_thread_pool():
+    owners = _pool_owners("ThreadPoolExecutor")
+    assert owners == [], [str(p.relative_to(SRC)) for p in owners]
+
+
 def test_pool_gate_detects_uses(tmp_path):
-    """The detector itself is tested: seed each spelling."""
-    for source in (
-        "from concurrent.futures import ProcessPoolExecutor\n",
-        "import concurrent.futures\npool = concurrent.futures.ProcessPoolExecutor()\n",
-        "def f(pool: ProcessPoolExecutor): pass\n",
-    ):
-        probe = tmp_path / "probe.py"
-        probe.write_text(source)
-        assert _pool_uses(probe), source
-    clean = tmp_path / "clean.py"
-    clean.write_text("from concurrent.futures import ThreadPoolExecutor\n")
-    assert not _pool_uses(clean)
+    """The detector itself is tested: seed each spelling of both executors."""
+    executors = ("ProcessPoolExecutor", "ThreadPoolExecutor")
+    for executor, other in zip(executors, reversed(executors)):
+        for source in (
+            f"from concurrent.futures import {executor}\n",
+            f"import concurrent.futures\npool = concurrent.futures.{executor}()\n",
+            f"def f(pool: {executor}): pass\n",
+        ):
+            probe = tmp_path / "probe.py"
+            probe.write_text(source)
+            assert _pool_uses(probe, executor), source
+        clean = tmp_path / "clean.py"
+        clean.write_text(f"from concurrent.futures import {other}\n")
+        assert not _pool_uses(clean, executor)
+
+
+def test_no_deprecated_directives():
+    marked = [
+        str(p.relative_to(SRC))
+        for p in sorted(SRC.rglob("*.py"))
+        if ".. deprecated::" in p.read_text()
+    ]
+    assert marked == []
