@@ -21,12 +21,13 @@ The circuit is a plain data structure; execution lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.channel import Channel, ZeroDelayChannel
 from .gates import GateType
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["CircuitError", "Node", "InputPort", "OutputPort", "GateInstance", "Edge", "Circuit"]
 
@@ -233,7 +234,15 @@ class Circuit:
 
     def has_feedback(self) -> bool:
         """True if the circuit graph contains a cycle (a storage loop)."""
-        return not nx.is_directed_acyclic_graph(self.to_networkx())
+        from ..engine.capability import topological_order
+
+        node_id = {name: nid for nid, name in enumerate(self._nodes)}
+        out_edges: List[List[int]] = [[] for _ in node_id]
+        edge_target: List[int] = []
+        for eid, edge in enumerate(self._edges.values()):
+            out_edges[node_id[edge.source]].append(eid)
+            edge_target.append(node_id[edge.target])
+        return topological_order(len(node_id), out_edges, edge_target) is None
 
     # ------------------------------------------------------------------ #
     # Declarative specs
@@ -291,6 +300,8 @@ class Circuit:
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export the circuit as a networkx multigraph (for analysis/plotting)."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph(name=self.name)
         for name, node in self._nodes.items():
             graph.add_node(name, kind=type(node).__name__, node=node)

@@ -48,16 +48,18 @@ __all__ = [
 class EtaBound:
     """The admissible shift interval ``[-eta_minus, +eta_plus]``.
 
-    Both bounds are non-negative; ``eta_plus`` limits how much later an
-    output transition may occur than the deterministic involution delay
-    predicts, ``eta_minus`` how much earlier.
+    Both bounds are finite and non-negative; ``eta_plus`` limits how much
+    later an output transition may occur than the deterministic involution
+    delay predicts, ``eta_minus`` how much earlier.
     """
 
     __slots__ = ("eta_plus", "eta_minus")
 
     def __init__(self, eta_plus: float, eta_minus: float) -> None:
-        if eta_plus < 0 or eta_minus < 0:
-            raise ValueError("eta bounds must be non-negative")
+        for name, value in (("eta_plus", eta_plus), ("eta_minus", eta_minus)):
+            # Written so NaN fails too: every comparison with NaN is False.
+            if not 0 <= value < math.inf:
+                raise ValueError(f"eta bound {name}={value} must be finite and non-negative")
         self.eta_plus = float(eta_plus)
         self.eta_minus = float(eta_minus)
 
@@ -175,14 +177,17 @@ class RandomAdversary(Adversary):
         to the admissible interval.
     """
 
+    #: The accepted ``distribution`` names (also checked by ``repro lint``).
+    DISTRIBUTIONS = ("uniform", "gaussian")
+
     def __init__(
         self,
         seed: Optional[int] = None,
         distribution: str = "uniform",
         sigma_fraction: float = 0.5,
     ) -> None:
-        if distribution not in ("uniform", "gaussian"):
-            raise ValueError("distribution must be 'uniform' or 'gaussian'")
+        if distribution not in self.DISTRIBUTIONS:
+            raise ValueError(f"distribution must be one of {self.DISTRIBUTIONS}")
         self._seed = seed
         self.distribution = distribution
         self.sigma_fraction = float(sigma_fraction)

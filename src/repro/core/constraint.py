@@ -26,6 +26,7 @@ from typing import Optional
 
 from .adversary import EtaBound
 from .involution import InvolutionPair
+from .rootfind import brentq
 
 __all__ = [
     "constraint_C_margin",
@@ -98,9 +99,7 @@ def max_eta_plus(pair: InvolutionPair) -> float:
         g_hi = gap(hi)
         if hi > 1e6 * max(pair.delta_min, 1.0):  # pragma: no cover - defensive
             raise RuntimeError("could not bracket max_eta_plus")
-    from scipy import optimize
-
-    return float(optimize.brentq(gap, lo, hi, xtol=1e-15, rtol=1e-14))
+    return brentq(gap, lo, hi, xtol=1e-15, rtol=1e-14)
 
 
 def max_symmetric_eta(pair: InvolutionPair) -> float:
@@ -127,9 +126,7 @@ def max_symmetric_eta(pair: InvolutionPair) -> float:
         g_hi = gap(hi)
         if hi > 1e6 * max(pair.delta_min, 1.0):  # pragma: no cover - defensive
             raise RuntimeError("could not bracket max_symmetric_eta")
-    from scipy import optimize
-
-    return float(optimize.brentq(gap, lo, hi, xtol=1e-15, rtol=1e-14))
+    return brentq(gap, lo, hi, xtol=1e-15, rtol=1e-14)
 
 
 def admissible_eta_bound(

@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .delay_functions import DelayFunction, ExpDelay, FunctionalDelay, TableDelay
+from .rootfind import brentq
 
 __all__ = ["InvolutionPair", "InvolutionError", "exp_channel_pair"]
 
@@ -186,9 +187,7 @@ class InvolutionPair:
             shrink += 1
             if shrink > 200:
                 raise InvolutionError("could not bracket delta_min")
-        from scipy import optimize
-
-        return float(optimize.brentq(equation, lo, hi, xtol=1e-14, rtol=1e-13))
+        return brentq(equation, lo, hi, xtol=1e-14, rtol=1e-13)
 
     def derivative_up(self, T: float) -> float:
         """``delta_up'(T)``."""

@@ -26,6 +26,7 @@ The rendered catalogue with examples lives in ``docs/linting.md``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -741,8 +742,10 @@ def _check_invalid_channel_params(ctx: CircuitContext) -> Iterator[Finding]:
 )
 def _check_out_of_domain_params(ctx: CircuitContext) -> Iterator[Finding]:
     """Delays must be non-negative, time constants strictly positive,
-    thresholds inside (0, 1), and eta bounds non-negative -- the domains
-    under which the paper's involution results hold."""
+    thresholds inside (0, 1), and eta bounds finite and non-negative --
+    the domains under which the paper's involution results hold."""
+    from ..core.adversary import RandomAdversary
+
     for path, channel in ctx.channels():
         kind = channel.get("kind")
         params = _params(channel)
@@ -801,7 +804,14 @@ def _check_out_of_domain_params(ctx: CircuitContext) -> Iterator[Finding]:
                 if isinstance(eta, Mapping):
                     for key in ("eta_plus", "eta_minus"):
                         value = _num(eta.get(key))
-                        if value is not None and value < 0:
+                        if value is None:
+                            continue
+                        if not math.isfinite(value):
+                            yield (
+                                f"{path}/eta/{key}",
+                                f"non-finite eta bound {key}={value}",
+                            )
+                        elif value < 0:
                             yield (
                                 f"{path}/eta/{key}",
                                 f"negative eta bound {key}={value}",
@@ -816,11 +826,13 @@ def _check_out_of_domain_params(ctx: CircuitContext) -> Iterator[Finding]:
                                 f"negative sigma fraction {sigma}",
                             )
                         dist = adversary.get("distribution", "uniform")
-                        if dist not in ("uniform", "normal"):
+                        names = RandomAdversary.DISTRIBUTIONS
+                        if dist not in names:
+                            expected = " or ".join(map(repr, names))
                             yield (
                                 f"{path}/adversary/distribution",
                                 f"unknown distribution {dist!r} "
-                                "(expected uniform or normal)",
+                                f"(expected {expected})",
                             )
                     elif adversary.get("kind") == "sine":
                         period = _num(adversary.get("period"))

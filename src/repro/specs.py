@@ -409,8 +409,16 @@ def eta_to_dict(eta: EtaBound) -> Dict[str, float]:
 
 
 def eta_from_dict(data: Mapping[str, Any]) -> EtaBound:
-    """Rebuild an eta bound from :func:`eta_to_dict` output."""
-    return EtaBound(float(data["eta_plus"]), float(data["eta_minus"]))
+    """Rebuild an eta bound from :func:`eta_to_dict` output.
+
+    Raises :class:`SpecError` naming the field when a bound is negative,
+    infinite or NaN.
+    """
+    eta_plus, eta_minus = float(data["eta_plus"]), float(data["eta_minus"])
+    try:
+        return EtaBound(eta_plus, eta_minus)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
 
 
 # --------------------------------------------------------------------------- #

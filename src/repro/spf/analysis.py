@@ -34,6 +34,7 @@ from typing import List, Optional, Tuple
 from ..core.adversary import EtaBound
 from ..core.constraint import constraint_C_margin, satisfies_constraint_C
 from ..core.involution import InvolutionPair
+from ..core.rootfind import brentq
 
 __all__ = ["SPFRegime", "WorstCaseTrain", "SPFAnalysis"]
 
@@ -196,9 +197,7 @@ class SPFAnalysis:
                 break
         if hi is None:
             raise ValueError("could not bracket the fixed point tau")
-        from scipy import optimize
-
-        return float(optimize.brentq(self.h, tau_0, hi, xtol=1e-14, rtol=1e-13))
+        return brentq(self.h, tau_0, hi, xtol=1e-14, rtol=1e-13)
 
     @property
     def period(self) -> float:
@@ -304,9 +303,7 @@ class SPFAnalysis:
                 "first_pulse_map never reaches Delta on the marginal band; "
                 "the delay pair violates the assumptions of Lemma 8"
             )
-        from scipy import optimize
-
-        return float(optimize.brentq(gap, lo_eff, hi_eff, xtol=1e-14, rtol=1e-13))
+        return brentq(gap, lo_eff, hi_eff, xtol=1e-14, rtol=1e-13)
 
     # ------------------------------------------------------------------ #
     # Theorem 9

@@ -2,7 +2,19 @@
 
 import pytest
 
-from repro.circuits import BUF, INV, OR2, Circuit, CircuitError
+from repro.circuits import (
+    AND2,
+    BUF,
+    INV,
+    OR2,
+    Circuit,
+    CircuitError,
+    buffer_chain,
+    fed_back_or,
+    glitch_generator,
+    inverter_chain,
+    sr_latch_nor,
+)
 from repro.core import PureDelayChannel, ZeroDelayChannel
 
 
@@ -14,6 +26,60 @@ def small_circuit() -> Circuit:
     circuit.connect("a", "g", PureDelayChannel(1.0), pin=0)
     circuit.connect("g", "y")
     return circuit
+
+
+def _self_loop() -> Circuit:
+    circuit = Circuit("self_loop")
+    circuit.add_input("i")
+    circuit.add_gate("or", OR2)
+    circuit.add_output("o")
+    circuit.connect("i", "or", pin=0)
+    circuit.connect("or", "or", PureDelayChannel(1.0), pin=1)
+    circuit.connect("or", "o")
+    return circuit
+
+
+def _parallel_edges(loop: bool) -> Circuit:
+    """Both AND pins driven by one node: by the input, or by a gate fed back."""
+    circuit = Circuit("parallel_loop" if loop else "parallel")
+    circuit.add_input("a")
+    circuit.add_gate("buf", BUF)
+    circuit.add_gate("and", AND2)
+    circuit.add_output("y")
+    circuit.connect("a", "buf")
+    source = "and" if loop else "buf"
+    circuit.connect(source, "and", PureDelayChannel(1.0), pin=0)
+    circuit.connect(source, "and", PureDelayChannel(2.0), pin=1)
+    circuit.connect("and", "y")
+    return circuit
+
+
+def _two_gate_loop() -> Circuit:
+    circuit = Circuit("two_gate_loop")
+    circuit.add_input("i")
+    circuit.add_gate("or", OR2)
+    circuit.add_gate("buf", BUF)
+    circuit.add_output("o")
+    circuit.connect("i", "or", pin=0)
+    circuit.connect("or", "buf", PureDelayChannel(1.0))
+    circuit.connect("buf", "or", PureDelayChannel(1.0), pin=1)
+    circuit.connect("buf", "o")
+    return circuit
+
+
+#: Circuits with and without cycles: self-loops, parallel edges and the library.
+FEEDBACK_CASES = {
+    "small": small_circuit,
+    "self_loop": _self_loop,
+    "parallel": lambda: _parallel_edges(loop=False),
+    "parallel_loop": lambda: _parallel_edges(loop=True),
+    "two_gate_loop": _two_gate_loop,
+    "inverter_chain": lambda: inverter_chain(3, lambda: PureDelayChannel(1.0)),
+    "buffer_chain": lambda: buffer_chain(3, lambda: PureDelayChannel(1.0)),
+    "fed_back_or": lambda: fed_back_or(PureDelayChannel(1.0)),
+    "sr_latch_nor": lambda: sr_latch_nor(lambda: PureDelayChannel(1.0)),
+    "glitch_generator": lambda: glitch_generator(PureDelayChannel(1.0), ZeroDelayChannel()),
+}
 
 
 class TestConstruction:
@@ -140,6 +206,14 @@ class TestValidationAndQueries:
         circuit.connect("or", "o")
         assert circuit.has_feedback()
         assert not small_circuit().has_feedback()
+
+    @pytest.mark.parametrize("name", sorted(FEEDBACK_CASES))
+    def test_feedback_detection_agrees_with_networkx(self, name):
+        nx = pytest.importorskip("networkx")
+        circuit = FEEDBACK_CASES[name]()
+        assert circuit.has_feedback() == (
+            not nx.is_directed_acyclic_graph(circuit.to_networkx())
+        )
 
     def test_to_networkx(self):
         graph = small_circuit().to_networkx()

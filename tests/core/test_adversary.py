@@ -29,6 +29,13 @@ class TestEtaBound:
         with pytest.raises(ValueError):
             EtaBound(0.0, -0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bounds_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            EtaBound(0.05, value)
+        with pytest.raises(ValueError, match="finite"):
+            EtaBound(value, 0.05)
+
     def test_zero_and_symmetric(self):
         assert EtaBound.zero().width == 0.0
         sym = EtaBound.symmetric(0.25)

@@ -1,6 +1,7 @@
 """Smoke tests for the ``python -m repro`` CLI (driven in-process)."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,52 @@ class TestSimulate:
         )
         with pytest.raises(SystemExit, match="end-time"):
             main(["simulate", str(bare)])
+
+
+class TestChannelParamDomains:
+    """lint and simulate agree on which channel parameters are valid."""
+
+    @staticmethod
+    def _netlist(tmp_path, mutate):
+        """The example inverter chain with its first channel mutated."""
+        data = json.loads((EXAMPLES / "inverter_chain.json").read_text())
+        mutate(data["circuit"]["edges"][0]["channel"])
+        path = tmp_path / "netlist.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @staticmethod
+    def _random(distribution):
+        return lambda channel: channel.update(
+            adversary={"kind": "random", "seed": 1, "distribution": distribution}
+        )
+
+    def test_gaussian_random_adversary_is_lint_clean(self, tmp_path, capsys):
+        path = self._netlist(tmp_path, self._random("gaussian"))
+        assert main(["lint", path]) == 0
+        assert main(["simulate", path]) == 0
+        assert "simulated to" in capsys.readouterr().out
+
+    def test_unknown_distribution_names_the_valid_ones(self, tmp_path, capsys):
+        path = self._netlist(tmp_path, self._random("normal"))
+        assert main(["lint", path]) == 1
+        finding = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if "/adversary/distribution REP106 error" in line
+        )
+        assert "'normal'" in finding and "'gaussian'" in finding
+
+    @pytest.mark.parametrize("key", ["eta_plus", "eta_minus"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"]
+    )
+    def test_non_finite_eta_bound_is_an_error(self, tmp_path, capsys, key, value):
+        path = self._netlist(tmp_path, lambda channel: channel["eta"].update({key: value}))
+        assert main(["lint", path]) == 1
+        assert f"/eta/{key} REP106 error" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match=f"^error: eta bound {key}="):
+            main(["simulate", path])
 
 
 class TestSweep:
@@ -324,7 +371,14 @@ class TestPackagedEntryPoints:
 
 
 class TestLazyScipy:
-    """scipy loads inside the solvers that call it, never at CLI start-up."""
+    """scipy loads only for fig9's fit, never at CLI start-up or to simulate.
+
+    The blocked cases run with ``sys.modules["scipy"]`` and
+    ``sys.modules["networkx"]`` set to ``None``, so any import of either
+    raises: the simulation path must not need them.
+    """
+
+    BLOCK = "sys.modules['scipy'] = sys.modules['networkx'] = None"
 
     PROBE = (
         "import sys\n"
@@ -356,3 +410,30 @@ class TestLazyScipy:
         )
         assert "cache=hit" in output
         assert modules == "[]"
+
+    def test_computed_theorem9_run_needs_neither_scipy_nor_networkx(self, capsys):
+        argv = ["experiment", "run", "theorem9", "--json"]
+        assert main(argv) == 0
+        unblocked = json.loads(capsys.readouterr().out)
+        output, _ = self._run_probe(
+            f"{self.BLOCK}\nfrom repro.cli import main\nassert main({argv!r}) == 0"
+        )
+        blocked = json.loads(output)
+        assert blocked["from_cache"] is False
+        assert blocked["result"]["rows"] == unblocked["result"]["rows"]
+
+    def test_netlist_commands_need_neither_scipy_nor_networkx(self):
+        chain = str(EXAMPLES / "inverter_chain.json")
+        commands = [
+            ["simulate", chain],
+            ["info", str(EXAMPLES / "spf.json")],
+            ["lint", chain, str(EXAMPLES / "spf.json")],
+            ["sweep", chain, "--runs", "20", "--backend", "auto"],
+        ]
+        body = "\n".join(
+            [self.BLOCK, "from repro.cli import main"]
+            + [f"assert main({argv!r}) == 0" for argv in commands]
+        )
+        output, _ = self._run_probe(body)
+        assert "simulated to" in output
+        assert "(with feedback)" in output

@@ -30,6 +30,12 @@ only in ``engine/shard.py``, the sweep pipeline's respawning pool, and
 
 A fourth keeps the API free of deprecated shims: no docstring under
 ``src/repro`` carries a ``.. deprecated::`` directive.
+
+A fifth keeps scipy and networkx off the simulation path: no module
+under ``src/repro`` imports either at load time (imports under
+``if TYPE_CHECKING:`` never run), and inside functions scipy is imported
+only by fig9's exponential fit and networkx only by
+``Circuit.to_networkx``.
 """
 
 import ast
@@ -49,6 +55,13 @@ SIGNAL_HOME = SRC / "core" / "transitions.py"
 SIGNAL_FIELDS = {"_times", "_initial_value"}
 #: The one module that owns a process pool.
 POOL_HOME = SRC / "engine" / "shard.py"
+#: Packages no module may import at load time.
+HEAVY_PACKAGES = ("scipy", "networkx")
+#: The only runtime imports of those: (package, module, importing function).
+HEAVY_IMPORT_HOMES = {
+    ("scipy", "fitting/exp_fit.py", "fit_exp_channel"),
+    ("networkx", "circuits/circuit.py", "Circuit.to_networkx"),
+}
 
 
 def _checked_files():
@@ -276,3 +289,119 @@ def test_no_deprecated_directives():
         if ".. deprecated::" in p.read_text()
     ]
     assert marked == []
+
+
+def _is_type_checking(test):
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _imported_packages(node):
+    """Top-level packages a statement or call imports by absolute name."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] if node.level == 0 else []
+    elif isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        names = [
+            arg.value
+            for arg in node.args[:1]
+            if name in ("__import__", "import_module")
+            and isinstance(arg, ast.Constant)
+            and isinstance(arg.value, str)
+        ]
+    else:
+        names = []
+    return [name.split(".")[0] for name in names]
+
+
+def _heavy_imports(path):
+    """``(line, package, function)`` for each runtime scipy/networkx import.
+
+    ``function`` is the qualified name of the outermost enclosing
+    function, or ``None`` when the import runs at load time (module or
+    class body).  Imports under ``if TYPE_CHECKING:`` never run and are
+    skipped.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, qualname, function):
+        for package in _imported_packages(node):
+            if package in HEAVY_PACKAGES:
+                found.append((node.lineno, package, function))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = f"{qualname}.{node.name}" if qualname else node.name
+            if function is None and not isinstance(node, ast.ClassDef):
+                function = qualname
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            children = node.orelse
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, qualname, function)
+
+    visit(tree, "", None)
+    return found
+
+
+def test_no_module_imports_scipy_or_networkx_at_load_time():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}: {package}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, package, function in _heavy_imports(path)
+        if function is None
+    ]
+    assert offenders == []
+
+
+def test_scipy_and_networkx_are_imported_only_where_needed():
+    found = {
+        (package, str(path.relative_to(SRC)), function)
+        for path in sorted(SRC.rglob("*.py"))
+        for _, package, function in _heavy_imports(path)
+    }
+    assert found == HEAVY_IMPORT_HOMES
+
+
+def test_heavy_import_gate_detects_imports(tmp_path):
+    """The detector itself is tested: seed each spelling at each scope."""
+    cases = {
+        "import scipy.optimize\n": [(1, "scipy", None)],
+        "from networkx import DiGraph\n": [(1, "networkx", None)],
+        "import numpy, networkx as nx\n": [(1, "networkx", None)],
+        "import importlib\nnx = importlib.import_module('networkx')\n": [
+            (2, "networkx", None)
+        ],
+        "sp = __import__('scipy.optimize')\n": [(1, "scipy", None)],
+        "class A:\n    import scipy\n": [(2, "scipy", None)],
+        "try:\n    import scipy\nexcept ImportError:\n    pass\n": [
+            (2, "scipy", None)
+        ],
+        "def f():\n    from scipy import optimize\n": [(2, "scipy", "f")],
+        "class C:\n    def m(self):\n        def g():\n"
+        "            import networkx\n": [(4, "networkx", "C.m")],
+        "if not TYPE_CHECKING:\n    import scipy\n": [(2, "scipy", None)],
+        "if TYPE_CHECKING:\n    pass\nelse:\n    import scipy\n": [
+            (4, "scipy", None)
+        ],
+    }
+    for source, expected in cases.items():
+        probe = tmp_path / "probe.py"
+        probe.write_text(source)
+        assert _heavy_imports(probe) == expected, source
+
+    clean = tmp_path / "clean.py"
+    clean.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "import typing\n"
+        "if TYPE_CHECKING:\n    import networkx as nx\n"
+        "if typing.TYPE_CHECKING:\n    from scipy import optimize\n"
+        "from . import scipy_like\n"
+        "from .networkx import shim\n"
+        "import scipyish\n"
+    )
+    assert _heavy_imports(clean) == []
