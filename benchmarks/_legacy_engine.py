@@ -1,15 +1,18 @@
-"""Frozen snapshot of the PR-1 event loop, used as a benchmark baseline.
+"""Frozen snapshot of the first event loop: the engine's reference.
 
-``test_bench_engine_hot_path.py`` measures the optimized engine against the
-event loop this repository shipped before the hot-path optimization pass:
-``ChannelKernel.deliver`` linear-scanned the pending list per delivery,
-``mature`` popped from the front of a Python list, and the ``Engine`` batch
-loop ran on string-keyed dict lookups with O(n) list-membership checks.
-This module is a verbatim-behaviour copy of that code (imports adjusted,
-classes prefixed ``Legacy``) so the speedup is measured against the real
-pre-PR implementation rather than a strawman.
+``test_bench_engine_hot_path.py::test_event_loop_vs_legacy`` runs the
+optimized engine and this loop on the same delay-line workload and
+requires every edge signal and the output to be bit-identical.  The loop
+is the one this repository shipped before the hot-path optimization
+pass: ``ChannelKernel.deliver`` linear-scanned the pending list per
+delivery, ``mature`` popped from the front of a Python list, and the
+``Engine`` batch loop ran on string-keyed dict lookups with O(n)
+list-membership checks.  This module is a verbatim-behaviour copy of
+that code (imports adjusted, classes prefixed ``Legacy``), so the
+comparison is against the real earlier implementation rather than a
+strawman.
 
-Not part of the library -- benchmark-only, never imported from ``src/``.
+Not part of the library -- test-only, never imported from ``src/``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Experiments FIG8a/b/c: deviation coverage under variations.
+"""Fig. 8a/b/c: deviation coverage under variations.
 
 Regenerates the three sub-figures of Fig. 8: the deviation ``D`` between
 the nominal-model prediction and the "real" (analog-substrate) crossings
@@ -12,15 +12,11 @@ qualitative findings:
   small-``T`` region that matters for faithfulness.
 """
 
-from conftest import run_once
 from repro import api
-from repro.experiments import print_table
 
 
-def test_fig8_deviation_coverage(benchmark):
-    result = run_once(
-        benchmark,
-        api.experiment,
+def test_fig8_deviation_coverage():
+    result = api.experiment(
         "fig8",
         {
             "technology": "UMC90",
@@ -30,25 +26,6 @@ def test_fig8_deviation_coverage(benchmark):
             "seed": 2018,
         },
     ).raw
-    print()
-    print(
-        f"FIG8: eta band = [-{result.scenarios['supply_1pct'].analysis.eta.eta_minus:.3g}, "
-        f"+{result.eta_plus:.3g}] ps around the nominal characterised delay"
-    )
-    print_table(
-        result.rows(),
-        columns=[
-            "scenario",
-            "n_samples",
-            "coverage_all",
-            "coverage_small_T",
-            "max_abs_deviation",
-            "max_abs_deviation_small_T",
-            "small_T_threshold",
-        ],
-        title="FIG8: deviation coverage per variation scenario",
-    )
-
     supply = result.scenarios["supply_1pct"].summary
     wide = result.scenarios["width_plus10"].summary
     narrow = result.scenarios["width_minus10"].summary

@@ -1,4 +1,4 @@
-"""Experiment THM9: regimes of the fed-back OR storage loop.
+"""Theorem 9: regimes of the fed-back OR storage loop.
 
 Regenerates the content of Theorem 9 as a table: for a sweep of input pulse
 lengths and a set of adversaries, the event-driven simulation of the
@@ -8,16 +8,13 @@ storage loop is classified against the analytical regime boundaries
 oscillating pulse trains are checked.
 """
 
-from conftest import run_once
 from repro import api
-from repro.experiments import default_adversaries, print_table
+from repro.experiments import default_adversaries
 from repro.specs import eta_to_dict, pair_to_dict
 
 
-def test_theorem9_regime_sweep(benchmark, exp_pair, eta_small):
-    result = run_once(
-        benchmark,
-        api.experiment,
+def test_theorem9_regime_sweep(exp_pair, eta_small):
+    result = api.experiment(
         "theorem9",
         {
             "pair": pair_to_dict(exp_pair),
@@ -28,24 +25,7 @@ def test_theorem9_regime_sweep(benchmark, exp_pair, eta_small):
             "end_time": 400.0,
         },
     ).raw
-    print()
-    print_table([result.analysis_summary], title="THM9: analytical quantities of the storage loop")
     rows = result.rows()
-    print_table(
-        rows,
-        columns=[
-            "delta_0",
-            "adversary",
-            "regime",
-            "final_value",
-            "n_pulses",
-            "max_up_time",
-            "max_duty_cycle",
-            "stabilization_time",
-            "consistent",
-        ],
-        title="THM9: simulated storage-loop behaviour vs analytical regime",
-    )
     assert result.all_consistent
 
     # Aggregate view per regime (the "table" the theorem describes).
@@ -58,10 +38,8 @@ def test_theorem9_regime_sweep(benchmark, exp_pair, eta_small):
                 "observations": len(in_regime),
                 "resolved_to_1": sum(r["final_value"] == 1 for r in in_regime),
                 "resolved_to_0": sum(r["final_value"] == 0 for r in in_regime),
-                "max_loop_pulse": max((r["max_up_time"] for r in in_regime), default=0.0),
             }
         )
-    print_table(summary_rows, title="THM9: aggregate per regime")
     by_regime = {row["regime"]: row for row in summary_rows}
     assert by_regime["cancelled"]["resolved_to_1"] == 0
     assert by_regime["latched"]["resolved_to_0"] == 0

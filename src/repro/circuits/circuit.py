@@ -49,6 +49,10 @@ class InputPort(Node):
 
     initial_value: int = 0
 
+    def __post_init__(self) -> None:
+        if self.initial_value not in (0, 1):
+            raise CircuitError("input initial value must be 0 or 1")
+
 
 @dataclass(frozen=True)
 class OutputPort(Node):

@@ -59,7 +59,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 __all__ = ["main", "build_parser"]
 
@@ -67,6 +67,33 @@ __all__ = ["main", "build_parser"]
 # --------------------------------------------------------------------------- #
 # Argument plumbing
 # --------------------------------------------------------------------------- #
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse ``type=``: an int >= *minimum*; argparse exits 2 naming
+    the flag otherwise."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type=``: a float > 0 (NaN is not)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run an eta Monte Carlo sweep over the netlist's circuit"
     )
     sweep.add_argument("netlist", help="netlist JSON file")
-    sweep.add_argument("--runs", type=int, default=20, help="Monte Carlo runs (default: 20)")
+    sweep.add_argument(
+        "--runs", type=_int_at_least(0), default=20, help="Monte Carlo runs (default: 20)"
+    )
     sweep.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
     sweep.add_argument(
         "--backend",
@@ -134,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "estimates",
     )
     sweep.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_int_at_least(1), default=None,
         help="run chunks on N worker processes (default: inline)",
     )
     sweep.add_argument("--end-time", type=float, default=None, help="simulation horizon")
@@ -155,17 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
         "scripts whose parameters no longer match the stored chunks",
     )
     sweep.add_argument(
-        "--retries", type=int, default=3, metavar="N",
+        "--retries", type=_int_at_least(1), default=3, metavar="N",
         help="total attempts per chunk before quarantine (default: 3, with "
         "exponential backoff)",
     )
     sweep.add_argument(
-        "--chunk-timeout", type=float, default=None, metavar="S",
+        "--chunk-timeout", type=_positive_float, default=None, metavar="S",
         help="per-chunk wall-clock budget in seconds (enforced by killing "
         "and respawning workers; needs --workers 2 or more)",
     )
     sweep.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
+        "--chunk-size", type=_int_at_least(1), default=None, metavar="N",
         help="scenarios per chunk (default: 16 with --checkpoint, else the "
         "runs split evenly across the workers; part of the checkpoint "
         "identity -- resume with the size you ran with)",
@@ -183,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="which prebuilt circuit to export",
     )
     export.add_argument("-o", "--output", required=True, help="output netlist path")
-    export.add_argument("--stages", type=int, default=7, help="chain stages (default: 7)")
+    export.add_argument(
+        "--stages", type=_int_at_least(1), default=7, help="chain stages (default: 7)"
+    )
     export.add_argument("--tau", type=float, default=1.0, help="exp-channel RC constant")
     export.add_argument("--t-p", type=float, default=0.5, help="exp-channel pure delay")
     export.add_argument("--v-th", type=float, default=0.5, help="normalised threshold")
@@ -225,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "its fixpoint costs more than its events)",
     )
     erun.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_int_at_least(1), default=None,
         help="worker processes for engine-driven experiments' sweeps "
         "(default: inline); the analog kinds fig7/fig8/fig9 always run "
         "inline",
@@ -711,6 +742,7 @@ def _cmd_experiment(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (the ``repro`` console script)."""
+    from .circuits.circuit import CircuitError
     from .engine.errors import SimulationError
     from .specs import SpecError
 
@@ -725,7 +757,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FileNotFoundError, SpecError, SimulationError) as exc:
+    except (FileNotFoundError, SpecError, CircuitError, SimulationError) as exc:
         # Routine bad-input cases get a one-line error, not a traceback.
         raise SystemExit(f"error: {exc}") from exc
 

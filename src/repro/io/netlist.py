@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 from ..core.transitions import Signal, Transition
-from ..specs import CircuitSpec, SpecError, as_circuit
+from ..specs import BUILD_ERRORS, CircuitSpec, SpecError, as_circuit, located
 
 __all__ = [
     "NETLIST_FORMAT",
@@ -130,8 +130,11 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
     """Parse a netlist dict (the inverse of :func:`netlist_to_dict`).
 
     A bare circuit-spec dict (``{"name", "nodes", "edges"}``) is accepted
-    too, so hand-written netlists can omit the envelope.
+    too, so hand-written netlists can omit the envelope.  A field that
+    does not decode raises :class:`SpecError` naming it.
     """
+    if not isinstance(data, Mapping):
+        raise SpecError(f"netlist is not an object: {data!r}")
     if "circuit" not in data:
         if {"nodes", "edges"} <= set(data):
             return Netlist(circuit=CircuitSpec.from_dict(data))
@@ -139,21 +142,38 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
     fmt = data.get("format", NETLIST_FORMAT)
     if fmt != NETLIST_FORMAT:
         raise SpecError(f"not a repro netlist (format={fmt!r})")
-    version = int(data.get("version", NETLIST_VERSION))
+    if not isinstance(data["circuit"], Mapping):
+        raise SpecError("netlist 'circuit' field is not an object")
+    try:
+        version = int(data.get("version", NETLIST_VERSION))
+    except BUILD_ERRORS as exc:
+        raise located(exc, "/version") from exc
     if version > NETLIST_VERSION:
         raise SpecError(
             f"netlist version {version} is newer than supported ({NETLIST_VERSION})"
         )
-    inputs = {
-        name: signal_from_dict(sig)
-        for name, sig in (data.get("inputs") or {}).items()
-    }
+    raw_inputs = data.get("inputs") or {}
+    if not isinstance(raw_inputs, Mapping):
+        raise SpecError("netlist 'inputs' field is not an object (at /inputs)")
+    inputs: Dict[str, Signal] = {}
+    for name, sig in raw_inputs.items():
+        try:
+            inputs[name] = signal_from_dict(sig)
+        except BUILD_ERRORS as exc:
+            raise located(exc, f"/inputs/{name}") from exc
     end_time = data.get("end_time")
+    try:
+        end_time = None if end_time is None else float(end_time)
+    except BUILD_ERRORS as exc:
+        raise located(exc, "/end_time") from exc
+    metadata = data.get("metadata") or {}
+    if not isinstance(metadata, Mapping):
+        raise SpecError("netlist 'metadata' field is not an object (at /metadata)")
     return Netlist(
         circuit=CircuitSpec.from_dict(data["circuit"]),
         inputs=inputs,
-        end_time=None if end_time is None else float(end_time),
-        metadata=dict(data.get("metadata") or {}),
+        end_time=end_time,
+        metadata=dict(metadata),
     )
 
 

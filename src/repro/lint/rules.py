@@ -37,6 +37,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -677,21 +678,25 @@ def _check_invalid_channel_params(ctx: CircuitContext) -> Iterator[Finding]:
     itself: this rule attempts ``ChannelSpec.from_dict(...).build()`` per
     edge and reports the failure.  Channels whose kinds are unknown are
     skipped (REP101/REP103/REP104 already own those)."""
-    from ..specs import ChannelSpec, SpecError, adversary_kinds, channel_kinds, delay_kinds
+    from ..specs import BUILD_ERRORS, ChannelSpec, adversary_kinds, channel_kinds, delay_kinds
 
     known_channels = set(channel_kinds())
     known_adversaries = set(adversary_kinds())
     known_delays = set(delay_kinds())
 
+    def known(kind: Any, registered: Set[str]) -> bool:
+        # A non-string kind is unknown (REP101/REP103/REP104 report it).
+        return isinstance(kind, str) and kind in registered
+
     def kinds_known(channel: Mapping[str, Any]) -> bool:
         kind = channel.get("kind")
-        if kind not in known_channels:
+        if not known(kind, known_channels):
             return False
         params = _params(channel)
         if kind == "eta_involution":
             adversary = params.get("adversary")
-            if isinstance(adversary, Mapping) and (
-                adversary.get("kind") not in known_adversaries
+            if isinstance(adversary, Mapping) and not known(
+                adversary.get("kind"), known_adversaries
             ):
                 return False
         if kind in ("involution", "eta_involution"):
@@ -703,8 +708,8 @@ def _check_invalid_channel_params(ctx: CircuitContext) -> Iterator[Finding]:
                 if pkind == "pair":
                     for side in ("up", "down"):
                         delay = pair.get(side)
-                        if isinstance(delay, Mapping) and (
-                            delay.get("kind") not in known_delays
+                        if isinstance(delay, Mapping) and not known(
+                            delay.get("kind"), known_delays
                         ):
                             return False
         if kind == "serial":
@@ -726,7 +731,7 @@ def _check_invalid_channel_params(ctx: CircuitContext) -> Iterator[Finding]:
                 ctx.path(f"/edges/{i}/channel"),
                 f"channel is missing required parameter {exc}",
             )
-        except (SpecError, TypeError, ValueError) as exc:
+        except BUILD_ERRORS as exc:
             yield (
                 ctx.path(f"/edges/{i}/channel"),
                 f"channel does not build: {exc}",
@@ -855,8 +860,8 @@ def _check_non_involution_pair(ctx: CircuitContext) -> Iterator[Finding]:
     ``-delta_up(-delta_down(T)) == T``; an explicit up/down pair that
     breaks it still simulates, but the model guarantees no longer
     apply."""
-    from ..core.involution import InvolutionError, InvolutionPair
-    from ..specs import DelaySpec, SpecError
+    from ..core.involution import InvolutionPair
+    from ..specs import BUILD_ERRORS, DelaySpec
 
     for path, channel in ctx.channels():
         if channel.get("kind") not in ("involution", "eta_involution"):
@@ -875,7 +880,7 @@ def _check_non_involution_pair(ctx: CircuitContext) -> Iterator[Finding]:
                 validate=False,
             )
             consistent = built.satisfies_involution()
-        except (SpecError, InvolutionError, KeyError, TypeError, ValueError):
+        except BUILD_ERRORS:
             continue  # unbuildable pairs belong to REP104/REP105
         if not consistent:
             yield (
@@ -1125,7 +1130,7 @@ def _check_vector_fallback(ctx: CircuitContext) -> Iterator[Finding]:
     from ..engine.sweep import Scenario
     from ..engine.vector import vector_capability
     from ..io.netlist import signal_from_dict
-    from ..specs import CircuitSpec, SpecError
+    from ..specs import BUILD_ERRORS, CircuitSpec
 
     try:
         circuit = CircuitSpec.from_dict(
@@ -1139,7 +1144,7 @@ def _check_vector_fallback(ctx: CircuitContext) -> Iterator[Finding]:
         # (undriven pins, fan-in conflicts) bail out here and stay the
         # REP0xx rules' findings.
         circuit.validate()
-    except (SpecError, KeyError, TypeError, ValueError):
+    except BUILD_ERRORS:
         return
 
     inputs: Dict[str, Signal] = {}
@@ -1155,7 +1160,7 @@ def _check_vector_fallback(ctx: CircuitContext) -> Iterator[Finding]:
         if isinstance(declared, Mapping):
             try:
                 signal = signal_from_dict(declared)
-            except (KeyError, TypeError, ValueError):
+            except BUILD_ERRORS:
                 signal = None
         if signal is None:
             initial = node.get("initial_value", 0)

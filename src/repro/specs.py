@@ -81,6 +81,8 @@ from .core.involution_channel import InvolutionChannel
 
 __all__ = [
     "SpecError",
+    "BUILD_ERRORS",
+    "located",
     "Spec",
     "DelaySpec",
     "AdversarySpec",
@@ -113,6 +115,20 @@ __all__ = [
 
 class SpecError(ValueError):
     """Raised for unknown kinds, malformed params, or objects with no spec."""
+
+
+#: What building a spec raises on malformed input: a missing field
+#: (KeyError), a value of the wrong type (TypeError, AttributeError) or an
+#: out-of-domain value (ValueError, which SpecError and the core's
+#: CircuitError, InvolutionError and SignalError all are).
+BUILD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def located(exc: Exception, where: str) -> SpecError:
+    """*exc*, raised while decoding the document field *where*, as a
+    :class:`SpecError` whose message ends with that location."""
+    message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return SpecError(f"{message} (at {where})")
 
 
 # --------------------------------------------------------------------------- #
@@ -877,28 +893,38 @@ class CircuitSpec:
         from .circuits.circuit import Circuit
 
         circuit = Circuit(self.name)
-        for node in self.nodes:
-            kind = node.get("kind")
-            if kind == "input":
-                circuit.add_input(node["name"], int(node.get("initial_value", 0)))
-            elif kind == "output":
-                circuit.add_output(node["name"])
-            elif kind == "gate":
-                circuit.add_gate(
-                    node["name"],
-                    _gate_type_from_spec(node["type"]),
-                    int(node.get("initial_value", 0)),
+        for i, node in enumerate(self.nodes):
+            try:
+                if not isinstance(node, Mapping):
+                    raise SpecError(f"node is not an object: {node!r}")
+                kind = node.get("kind")
+                if kind == "input":
+                    circuit.add_input(node["name"], int(node.get("initial_value", 0)))
+                elif kind == "output":
+                    circuit.add_output(node["name"])
+                elif kind == "gate":
+                    circuit.add_gate(
+                        node["name"],
+                        _gate_type_from_spec(node["type"]),
+                        int(node.get("initial_value", 0)),
+                    )
+                else:
+                    raise SpecError(f"unknown node kind {kind!r} in circuit spec")
+            except BUILD_ERRORS as exc:
+                raise located(exc, f"/nodes/{i}") from exc
+        for i, edge in enumerate(self.edges):
+            try:
+                if not isinstance(edge, Mapping):
+                    raise SpecError(f"edge is not an object: {edge!r}")
+                circuit.connect(
+                    edge["source"],
+                    edge["target"],
+                    ChannelSpec.from_dict(edge["channel"]).build(),
+                    pin=int(edge.get("pin", 0)),
+                    name=edge.get("name"),
                 )
-            else:
-                raise SpecError(f"unknown node kind {kind!r} in circuit spec")
-        for edge in self.edges:
-            circuit.connect(
-                edge["source"],
-                edge["target"],
-                ChannelSpec.from_dict(edge["channel"]).build(),
-                pin=int(edge.get("pin", 0)),
-                name=edge.get("name"),
-            )
+            except BUILD_ERRORS as exc:
+                raise located(exc, f"/edges/{i}") from exc
         return circuit
 
     # -- serialisation ------------------------------------------------------ #
@@ -909,11 +935,23 @@ class CircuitSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CircuitSpec":
-        """Rebuild a circuit spec from its :meth:`to_dict` form."""
+        """Rebuild a circuit spec from its :meth:`to_dict` form.
+
+        Raises :class:`SpecError` for a missing field or a ``nodes`` /
+        ``edges`` value that is not a list; :meth:`build` reports a
+        malformed node or edge with its location.
+        """
         try:
-            return cls(data["name"], data["nodes"], data["edges"])
+            name, nodes, edges = data["name"], data["nodes"], data["edges"]
         except KeyError as exc:
             raise SpecError(f"circuit spec dict is missing field {exc}") from None
+        for field_name, value in (("nodes", nodes), ("edges", edges)):
+            if not isinstance(value, (list, tuple)):
+                raise SpecError(
+                    f"circuit spec field {field_name!r} is not a list: {value!r} "
+                    f"(at /{field_name})"
+                )
+        return cls(name, nodes, edges)
 
     def to_json(self, *, indent: Optional[int] = 2) -> str:
         """JSON text of :meth:`to_dict` (see :mod:`repro.io.netlist` for files)."""

@@ -412,7 +412,8 @@ class SPFAnalysis:
     # ------------------------------------------------------------------ #
 
     def summary(self) -> dict:
-        """All key quantities in a dictionary (used by benchmarks/EXPERIMENTS.md)."""
+        """All key quantities in a dictionary (the rows and summaries of the
+        theorem9, lemma5, fig8 and fig9 experiments)."""
         return {
             "delta_min": self.delta_min,
             "delta_up_inf": self.delta_up_inf,

@@ -142,6 +142,11 @@ class TestConstruction:
         with pytest.raises(CircuitError):
             circuit.add_gate("g", BUF, initial_value=2)
 
+    def test_input_initial_value_validated(self):
+        circuit = Circuit()
+        with pytest.raises(CircuitError, match="input initial value"):
+            circuit.add_input("a", initial_value=-1)
+
     def test_duplicate_edge_name_rejected(self):
         circuit = Circuit()
         circuit.add_input("a")

@@ -646,10 +646,10 @@ class TestPerChunkDispatch:
 
 
 def _cyclic_chain_sweep(n):
-    """The vector benchmark's cyclic chain: 32 eta stages into a storage loop.
+    """The cyclic eta chain: 32 eta stages into a storage loop.
 
-    Mirrors ``_cyclic_sweep_workload`` in
-    ``benchmarks/test_bench_vector_backend.py`` at full size.
+    Mirrors the ``cyclic_chain`` workload of ``benchmarks/conftest.py``
+    at its full size.
     """
     from repro.circuits import BUF, OR2
     from repro.core import InvolutionPair, PureDelayChannel, admissible_eta_bound

@@ -84,6 +84,27 @@ class TestNetlistRoundTrip:
         with pytest.raises(SpecError, match="JSON"):
             load_netlist(path)
 
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [
+            ("version", "x", "/version"),
+            ("end_time", [], "/end_time"),
+            ("inputs", 1, "/inputs"),
+            ("inputs", {"in": {"transitions": [[1.0]]}}, "/inputs/in"),
+            ("inputs", {"in": {"initial_value": -1}}, "/inputs/in"),
+            ("metadata", "x", "/metadata"),
+        ],
+    )
+    def test_envelope_field_that_does_not_decode_is_named(self, field, value, where):
+        data = netlist_to_dict(self._chain(), end_time=10.0)
+        data[field] = value
+        with pytest.raises(SpecError, match=rf"\(at {where}\)$"):
+            netlist_from_dict(data)
+
+    def test_circuit_that_is_not_an_object_rejected(self):
+        with pytest.raises(SpecError, match="'circuit' field is not an object"):
+            netlist_from_dict({"circuit": None})
+
 
 class TestGoldenFiles:
     """Committed netlists must keep loading and producing the same outputs."""

@@ -322,6 +322,31 @@ class TestCircuitSpec:
         with pytest.raises(SpecError):
             circuit.to_spec()
 
+    def test_build_failure_names_the_edge(self):
+        data = inverter_chain(4, _eta_spec()).to_spec().to_dict()
+        data["edges"][3]["channel"]["pair"]["tau"] = -1.0
+        spec = CircuitSpec.from_dict(data)
+        with pytest.raises(SpecError, match=r"^tau must be positive.* \(at /edges/3\)$") as info:
+            spec.build()
+        assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize(
+        "node, message",
+        [("inv1", "node is not an object"), ({"kind": "gate", "name": "g"}, "missing field 'type'")],
+    )
+    def test_build_failure_names_the_node(self, node, message):
+        data = inverter_chain(2, _eta_spec()).to_spec().to_dict()
+        data["nodes"][1] = node
+        with pytest.raises(SpecError, match=rf"^{message}.* \(at /nodes/1\)$"):
+            CircuitSpec.from_dict(data).build()
+
+    @pytest.mark.parametrize("field", ["nodes", "edges"])
+    def test_from_dict_rejects_a_field_that_is_not_a_list(self, field):
+        data = inverter_chain(2, _eta_spec()).to_spec().to_dict()
+        data[field] = "x"
+        with pytest.raises(SpecError, match=f"at /{field}"):
+            CircuitSpec.from_dict(data)
+
 
 class TestSimulateEquivalence:
     """to_spec -> from_spec rebuilds must execute bit-identically."""

@@ -101,6 +101,14 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", str(chain_netlist), "--pulse", "in=oops"])
 
+    def test_circuit_error_is_one_error_line(self, chain_netlist, tmp_path):
+        data = json.loads(chain_netlist.read_text())
+        data["circuit"]["edges"] = []
+        path = tmp_path / "unwired.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit, match="^error: gate 'inv1' has undriven input pins"):
+            main(["simulate", str(path)])
+
     def test_missing_end_time_exits(self, tmp_path):
         from repro.circuits import inverter_chain
         from repro.io.netlist import save_netlist
@@ -204,6 +212,32 @@ class TestSweep:
         for seq, proc in zip(sequential["results"], process["results"]):
             assert seq["outputs"] == proc["outputs"]
             assert seq["events"] == proc["events"]
+
+
+class TestFlagRanges:
+    """Out-of-range integer flags exit 2 naming the flag, before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "n.json", "--runs", "-2"],
+            ["sweep", "n.json", "--retries", "0"],
+            ["sweep", "n.json", "--chunk-size", "0"],
+            ["sweep", "n.json", "--workers", "0"],
+            ["sweep", "n.json", "--chunk-timeout", "-1"],
+            ["experiment", "run", "theorem9", "--workers", "-1"],
+            ["export", "inverter_chain", "-o", "n.json", "--stages", "0"],
+        ],
+        ids=["runs", "retries", "chunk-size", "sweep-workers", "chunk-timeout",
+             "experiment-workers", "stages"],
+    )
+    def test_out_of_range_flag_exits_2(self, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
+        assert not (tmp_path / "n.json").exists()
 
 
 class TestExperimentCLI:
