@@ -28,6 +28,7 @@ the paper's proofs and experiments:
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -43,6 +44,9 @@ __all__ = [
     "SequenceAdversary",
     "DeCancelAdversary",
 ]
+
+#: Raw draws a :class:`RandomAdversary` takes from its generator at a time.
+BLOCK = 64
 
 
 class EtaBound:
@@ -175,6 +179,22 @@ class RandomAdversary(Adversary):
         ``"gaussian"`` draws a zero-mean Gaussian with standard deviation
         ``sigma_fraction * (eta_plus + eta_minus) / 2`` truncated (clipped)
         to the admissible interval.
+    sigma_fraction:
+        The Gaussian's width relative to the half-width of the interval;
+        finite and non-negative.
+
+    The generator's raw stream is drawn :data:`BLOCK` (64) values at a
+    time -- ``rng.random`` for uniform, ``rng.standard_normal`` for
+    gaussian -- and :meth:`choose` maps one raw draw per shift with the
+    bound it is given, by the formula NumPy applies per scalar call.  So
+    every shift is, bit for bit, the float one scalar
+    ``rng.uniform(-eta_minus, eta_plus)`` (or ``rng.normal(0.0, sigma)``
+    followed by :meth:`EtaBound.clip`) would return, and a zero-width
+    gaussian returns 0.0 without consuming a draw.  The unused tail of a
+    block stays with the adversary, pickles with it, and is consumed by
+    the next :meth:`choose`; so after a run :attr:`rng` stands up to
+    ``BLOCK - 1`` draws past the last shift returned.  :meth:`reset`
+    restarts the stream from the seed.
     """
 
     #: The accepted ``distribution`` names (also checked by ``repro lint``).
@@ -188,33 +208,60 @@ class RandomAdversary(Adversary):
     ) -> None:
         if distribution not in self.DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {self.DISTRIBUTIONS}")
+        sigma_fraction = float(sigma_fraction)
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not 0 <= sigma_fraction < math.inf:
+            raise ValueError(f"sigma_fraction={sigma_fraction} must be finite and non-negative")
         self._seed = seed
         self.distribution = distribution
-        self.sigma_fraction = float(sigma_fraction)
+        self.sigma_fraction = sigma_fraction
         # The generator is created lazily on the first draw: every channel
         # is reset at the start of every simulation run, but in large
         # circuits most channels never see a transition, and generator
         # construction (~10 us each) would dominate the engine's per-run
         # setup cost.
         self._rng: Optional[np.random.Generator] = None
+        self._block = array("d")
+        self._next = BLOCK  # index of the next unused draw; BLOCK = spent
 
     def reset(self) -> None:
         self._rng = None
+        self._next = BLOCK
 
     @property
     def rng(self) -> np.random.Generator:
-        """The underlying generator (re-seeded lazily after every reset)."""
+        """The underlying generator (re-seeded lazily after every reset).
+
+        It runs ahead of the shifts returned by up to ``BLOCK - 1`` draws,
+        the unused tail of the current block.
+        """
         if self._rng is None:
             self._rng = np.random.default_rng(self._seed)
         return self._rng
 
+    def _draw(self) -> float:
+        """The next raw draw of the stream, refilling the block when spent."""
+        i = self._next
+        if i == BLOCK:
+            if self.distribution == "uniform":
+                raw = self.rng.random(size=BLOCK)
+            else:
+                raw = self.rng.standard_normal(size=BLOCK)
+            self._block = array("d", raw.tobytes())
+            i = 0
+        self._next = i + 1
+        return self._block[i]
+
     def choose(self, index: int, time: float, rising: bool, T: float, bound: EtaBound) -> float:
+        # NumPy's scalar uniform(low, high) is low + (high - low) * random(),
+        # and normal(loc, scale) is loc + scale * standard_normal().
         if self.distribution == "uniform":
-            return float(self.rng.uniform(-bound.eta_minus, bound.eta_plus))
+            low = -bound.eta_minus
+            return low + (bound.eta_plus - low) * self._draw()
         sigma = self.sigma_fraction * bound.width / 2.0
         if sigma == 0.0:
             return 0.0
-        return bound.clip(float(self.rng.normal(0.0, sigma)))
+        return bound.clip(0.0 + sigma * self._draw())
 
     def __repr__(self) -> str:
         return f"RandomAdversary(seed={self._seed!r}, distribution={self.distribution!r})"
@@ -230,12 +277,15 @@ class SineAdversary(Adversary):
     """
 
     def __init__(self, period: float, phase: float = 0.0, amplitude_fraction: float = 1.0) -> None:
-        if period <= 0:
-            raise ValueError("period must be positive")
+        period, phase = float(period), float(phase)
+        if not 0 < period < math.inf:
+            raise ValueError(f"period={period} must be finite and positive")
+        if not math.isfinite(phase):
+            raise ValueError(f"phase={phase} must be finite")
         if not (0.0 <= amplitude_fraction <= 1.0):
             raise ValueError("amplitude_fraction must be in [0, 1]")
-        self.period = float(period)
-        self.phase = float(phase)
+        self.period = period
+        self.phase = phase
         self.amplitude_fraction = float(amplitude_fraction)
 
     def choose(self, index: int, time: float, rising: bool, T: float, bound: EtaBound) -> float:

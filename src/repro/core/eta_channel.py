@@ -24,6 +24,7 @@ perfectly well defined without it) but can be checked via
 from __future__ import annotations
 
 import math
+from array import array
 from typing import List, Optional, Sequence
 
 from .adversary import Adversary, EtaBound, SequenceAdversary, ZeroAdversary
@@ -63,7 +64,8 @@ class EtaInvolutionChannel(Channel):
         self.pair = pair
         self.eta = eta
         self.adversary = adversary if adversary is not None else ZeroAdversary()
-        self._last_etas: List[float] = []
+        # One float64 per shift: a sweep keeps every channel's record.
+        self._last_etas: array[float] = array("d")
         # Hot-path constants (delay_for runs once per transition): polarity
         # function references, limits, domain edges and the admissible
         # interval, hoisted out of the per-call method lookups.
@@ -119,7 +121,7 @@ class EtaInvolutionChannel(Channel):
     @property
     def last_eta_choices(self) -> List[float]:
         """The shift sequence used in the most recent evaluation."""
-        return list(self._last_etas)
+        return self._last_etas.tolist()
 
     def satisfies_constraint_C(self) -> bool:
         """True if the noise bound satisfies constraint (C) of the paper."""
@@ -143,7 +145,7 @@ class EtaInvolutionChannel(Channel):
 
     def reset(self) -> None:
         self.adversary.reset()
-        self._last_etas = []
+        self._last_etas = array("d")
 
     def delay_for(self, T: float, rising_output: bool, index: int, time: float) -> float:
         if rising_output:

@@ -747,8 +747,11 @@ def _check_invalid_channel_params(ctx: CircuitContext) -> Iterator[Finding]:
 )
 def _check_out_of_domain_params(ctx: CircuitContext) -> Iterator[Finding]:
     """Delays must be non-negative, time constants strictly positive,
-    thresholds inside (0, 1), and eta bounds finite and non-negative --
-    the domains under which the paper's involution results hold."""
+    thresholds inside (0, 1), eta bounds finite and non-negative --
+    the domains under which the paper's involution results hold -- and
+    an adversary's parameters finite: a random adversary's
+    ``sigma_fraction`` non-negative, a sine adversary's ``period``
+    positive."""
     from ..core.adversary import RandomAdversary
 
     for path, channel in ctx.channels():
@@ -825,10 +828,11 @@ def _check_out_of_domain_params(ctx: CircuitContext) -> Iterator[Finding]:
                 if isinstance(adversary, Mapping):
                     if adversary.get("kind") == "random":
                         sigma = _num(adversary.get("sigma_fraction"))
-                        if sigma is not None and sigma < 0:
+                        if sigma is not None and not 0 <= sigma < math.inf:
                             yield (
                                 f"{path}/adversary/sigma_fraction",
-                                f"negative sigma fraction {sigma}",
+                                f"sigma fraction {sigma} must be finite "
+                                "and non-negative",
                             )
                         dist = adversary.get("distribution", "uniform")
                         names = RandomAdversary.DISTRIBUTIONS
@@ -841,10 +845,17 @@ def _check_out_of_domain_params(ctx: CircuitContext) -> Iterator[Finding]:
                             )
                     elif adversary.get("kind") == "sine":
                         period = _num(adversary.get("period"))
-                        if period is not None and period <= 0:
+                        if period is not None and not 0 < period < math.inf:
                             yield (
                                 f"{path}/adversary/period",
-                                f"sine period {period} must be positive",
+                                f"sine period {period} must be finite and "
+                                "positive",
+                            )
+                        phase = _num(adversary.get("phase"))
+                        if phase is not None and not math.isfinite(phase):
+                            yield (
+                                f"{path}/adversary/phase",
+                                f"sine phase {phase} must be finite",
                             )
 
 

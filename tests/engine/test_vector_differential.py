@@ -3,8 +3,10 @@
 PR 5's property tests pinned scalar/vector bit-identity for acyclic
 chains.  This module extends the pin to the shapes the fixpoint
 lockstep schedule and pre-drawn RNG streams opened up: feedback loops,
-unseeded ``RandomAdversary`` channels, zero-delay edges into
-multi-input gates, and settle-inconsistent initial values.  Each
+unseeded ``RandomAdversary`` channels, seeded gaussian ones whose clip
+fires (the scalar engine's block draws against the vector engine's
+``size=n`` draws), zero-delay edges into multi-input gates, and
+settle-inconsistent initial values.  Each
 hypothesis example builds a random circuit + scenario family and
 asserts the two backends agree on *everything*: node/edge/output
 signals, event counts, dropped-transition counts, and raised errors.
@@ -186,14 +188,18 @@ def _channel_from_code(code, salt):
         return EtaInvolutionChannel(PAIR, ETA, RandomAdversary(seed=salt))
     if code == 9:
         return EtaInvolutionChannel(PAIR, ETA, RandomAdversary())  # unseeded
+    if code == 10:
+        # Wide enough that the clip to [-eta_minus, eta_plus] fires often.
+        gaussian = RandomAdversary(seed=salt, distribution="gaussian", sigma_fraction=2.0)
+        return EtaInvolutionChannel(PAIR, ETA, gaussian)
     return ZeroDelayChannel()
 
 
 # Loop-internal edges stay timed (a zero-delay-only cycle is a static
 # obstacle by design) and avoid the dynamically-refusing degradation
 # channel so most examples exercise the fixpoint path, not the fallback.
-_TIMED_CODES = st.integers(min_value=0, max_value=9).filter(lambda c: c != 3)
-_ANY_CODE = st.integers(min_value=0, max_value=10)
+_TIMED_CODES = st.integers(min_value=0, max_value=10).filter(lambda c: c != 3)
+_ANY_CODE = st.integers(min_value=0, max_value=11)
 
 
 @st.composite

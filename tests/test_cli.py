@@ -167,6 +167,38 @@ class TestChannelParamDomains:
         with pytest.raises(SystemExit, match=f"^error: eta bound {key}="):
             main(["simulate", path])
 
+    @pytest.mark.parametrize(
+        "adversary, pointer, message",
+        [
+            (
+                {"kind": "random", "seed": 1, "distribution": "gaussian", "sigma_fraction": -1},
+                "sigma_fraction",
+                "sigma_fraction=-1.0 must be finite and non-negative",
+            ),
+            (
+                {"kind": "random", "seed": 1, "distribution": "gaussian", "sigma_fraction": math.nan},
+                "sigma_fraction",
+                "sigma_fraction=nan must be finite and non-negative",
+            ),
+            ({"kind": "sine", "period": math.nan}, "period", "period=nan must be finite and positive"),
+            ({"kind": "sine", "period": math.inf}, "period", "period=inf must be finite and positive"),
+            ({"kind": "sine", "period": 2.0, "phase": math.nan}, "phase", "phase=nan must be finite"),
+        ],
+        ids=["negative-sigma", "NaN-sigma", "NaN-period", "Infinity-period", "NaN-phase"],
+    )
+    def test_bad_adversary_parameter_is_an_error(self, tmp_path, capsys, adversary, pointer, message):
+        data = json.loads((EXAMPLES / "inverter_chain.json").read_text())
+        for edge in data["circuit"]["edges"]:
+            if edge["channel"]["kind"] == "eta_involution":
+                edge["channel"]["adversary"] = dict(adversary)
+        path = tmp_path / "netlist.json"
+        path.write_text(json.dumps(data))
+        assert main(["lint", str(path)]) == 1
+        assert f"/edges/0/channel/adversary/{pointer} REP106 error" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", str(path)])
+        assert str(exit_info.value) == f"error: {message} (at /edges/0)"
+
 
 class TestSweep:
     def test_sweep_runs_monte_carlo(self, chain_netlist, capsys):
