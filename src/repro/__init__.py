@@ -56,6 +56,7 @@ from .core import (
     DeCancelAdversary,
     DegradationDelayChannel,
     DelayFunction,
+    DomainError,
     EtaBound,
     EtaInvolutionChannel,
     ExpDelay,
@@ -138,6 +139,7 @@ __all__ = [
     "ConstantDelay",
     "InvolutionPair",
     "InvolutionError",
+    "DomainError",
     "exp_channel_pair",
     "Channel",
     "ZeroDelayChannel",

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ..core.transitions import Signal
-from ..engine.errors import CausalityError, SimulationError
+from ..engine.errors import CAUSALITY_MODES, CausalityError, SimulationError
 from ..engine.scheduler import CircuitTopology, Engine, Execution
 from .circuit import Circuit
 
@@ -61,8 +61,8 @@ class Simulator:
         on_causality: str = "error",
         max_events: int = 1_000_000,
     ) -> None:
-        if on_causality not in ("error", "drop"):
-            raise ValueError("on_causality must be 'error' or 'drop'")
+        if on_causality not in CAUSALITY_MODES:
+            raise ValueError(f"on_causality must be one of {list(CAUSALITY_MODES)}")
         circuit.validate()
         self.circuit = circuit
         self.on_causality = on_causality

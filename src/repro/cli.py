@@ -98,6 +98,8 @@ def _positive_float(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser."""
+    from .engine.errors import CAUSALITY_MODES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Faithful binary circuit model with adversarial noise: "
@@ -132,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override an input port with a single pulse (repeatable)",
     )
     simulate.add_argument(
-        "--on-causality", choices=("error", "drop"), default="error",
+        "--on-causality", choices=CAUSALITY_MODES, default="error",
         help="policy for causality violations (default: error)",
     )
     simulate.add_argument(
@@ -743,6 +745,7 @@ def _cmd_experiment(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (the ``repro`` console script)."""
     from .circuits.circuit import CircuitError
+    from .core.domain import DomainError
     from .engine.errors import SimulationError
     from .specs import SpecError
 
@@ -757,8 +760,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FileNotFoundError, SpecError, CircuitError, SimulationError) as exc:
-        # Routine bad-input cases get a one-line error, not a traceback.
+    except (FileNotFoundError, SpecError, DomainError, CircuitError, SimulationError) as exc:
+        # Routine bad-input cases get a one-line error, not a traceback: a
+        # DomainError reaches here from parameters built outside a spec's
+        # located() wrapper (experiment params).
         raise SystemExit(f"error: {exc}") from exc
 
 

@@ -49,6 +49,7 @@ from .delay_functions import (
     ShiftedDelay,
     TableDelay,
 )
+from .domain import DomainError
 from .eta_channel import EtaInvolutionChannel
 from .involution import InvolutionError, InvolutionPair, exp_channel_pair
 from .involution_channel import InvolutionChannel
@@ -73,6 +74,7 @@ __all__ = [
     # involution
     "InvolutionPair",
     "InvolutionError",
+    "DomainError",
     "exp_channel_pair",
     # channels
     "Channel",

@@ -33,6 +33,8 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
+from .domain import DomainError
+
 __all__ = [
     "EtaBound",
     "Adversary",
@@ -63,7 +65,9 @@ class EtaBound:
         for name, value in (("eta_plus", eta_plus), ("eta_minus", eta_minus)):
             # Written so NaN fails too: every comparison with NaN is False.
             if not 0 <= value < math.inf:
-                raise ValueError(f"eta bound {name}={value} must be finite and non-negative")
+                raise DomainError(
+                    name, f"eta bound {name}={value} must be finite and non-negative"
+                )
         self.eta_plus = float(eta_plus)
         self.eta_minus = float(eta_minus)
 
@@ -197,7 +201,7 @@ class RandomAdversary(Adversary):
     restarts the stream from the seed.
     """
 
-    #: The accepted ``distribution`` names (also checked by ``repro lint``).
+    #: The accepted ``distribution`` names.
     DISTRIBUTIONS = ("uniform", "gaussian")
 
     def __init__(
@@ -207,11 +211,17 @@ class RandomAdversary(Adversary):
         sigma_fraction: float = 0.5,
     ) -> None:
         if distribution not in self.DISTRIBUTIONS:
-            raise ValueError(f"distribution must be one of {self.DISTRIBUTIONS}")
+            expected = " or ".join(map(repr, self.DISTRIBUTIONS))
+            raise DomainError(
+                "distribution", f"unknown distribution {distribution!r} (expected {expected})"
+            )
         sigma_fraction = float(sigma_fraction)
         # Written so NaN fails too: every comparison with NaN is False.
         if not 0 <= sigma_fraction < math.inf:
-            raise ValueError(f"sigma_fraction={sigma_fraction} must be finite and non-negative")
+            raise DomainError(
+                "sigma_fraction",
+                f"sigma_fraction={sigma_fraction} must be finite and non-negative",
+            )
         self._seed = seed
         self.distribution = distribution
         self.sigma_fraction = sigma_fraction
@@ -278,15 +288,18 @@ class SineAdversary(Adversary):
 
     def __init__(self, period: float, phase: float = 0.0, amplitude_fraction: float = 1.0) -> None:
         period, phase = float(period), float(phase)
+        amplitude_fraction = float(amplitude_fraction)
         if not 0 < period < math.inf:
-            raise ValueError(f"period={period} must be finite and positive")
+            raise DomainError("period", f"period={period} must be finite and positive")
         if not math.isfinite(phase):
-            raise ValueError(f"phase={phase} must be finite")
-        if not (0.0 <= amplitude_fraction <= 1.0):
-            raise ValueError("amplitude_fraction must be in [0, 1]")
+            raise DomainError("phase", f"phase={phase} must be finite")
+        if not 0.0 <= amplitude_fraction <= 1.0:
+            raise DomainError(
+                "amplitude_fraction", f"amplitude_fraction={amplitude_fraction} must be in [0, 1]"
+            )
         self.period = period
         self.phase = phase
-        self.amplitude_fraction = float(amplitude_fraction)
+        self.amplitude_fraction = amplitude_fraction
 
     def choose(self, index: int, time: float, rising: bool, T: float, bound: EtaBound) -> float:
         s = math.sin(2.0 * math.pi * time / self.period + self.phase)
@@ -313,6 +326,10 @@ class SequenceAdversary(Adversary):
         self.shifts = [float(s) for s in shifts]
         self.fill = float(fill)
         self.clip_values = bool(clip)
+        if not all(map(math.isfinite, self.shifts)):
+            raise DomainError("shifts", "every shift must be finite")
+        if not math.isfinite(self.fill):
+            raise DomainError("fill", f"fill={self.fill} must be finite")
 
     def choose(self, index: int, time: float, rising: bool, T: float, bound: EtaBound) -> float:
         eta = self.shifts[index] if index < len(self.shifts) else self.fill

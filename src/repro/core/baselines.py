@@ -24,6 +24,7 @@ import math
 from typing import Optional
 
 from .channel import Channel
+from .domain import DomainError
 from .transitions import Signal, Transition
 
 __all__ = [
@@ -72,8 +73,10 @@ class PureDelayChannel(Channel):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(inverting=inverting, name=name)
-        if delay < 0 or (falling_delay is not None and falling_delay < 0):
-            raise ValueError("pure delays must be non-negative")
+        for param, value in (("delay", delay), ("falling_delay", falling_delay)):
+            # Written so NaN fails too: every comparison with NaN is False.
+            if value is not None and not 0 <= value < math.inf:
+                raise DomainError(param, f"{param}={value} must be finite and non-negative")
         self.rising_delay = float(delay)
         self.falling_delay = float(delay if falling_delay is None else falling_delay)
 
@@ -108,10 +111,9 @@ class InertialDelayChannel(Channel):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(inverting=inverting, name=name)
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        if window < 0:
-            raise ValueError("window must be non-negative")
+        for param, value in (("delay", delay), ("window", window)):
+            if not 0 <= value < math.inf:
+                raise DomainError(param, f"{param}={value} must be finite and non-negative")
         self.delay = float(delay)
         self.window = float(window)
 
@@ -163,10 +165,11 @@ class DegradationDelayChannel(Channel):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(inverting=inverting, name=name)
-        if delta_nominal <= 0:
-            raise ValueError("nominal delay must be positive")
-        if tau_deg <= 0:
-            raise ValueError("degradation time constant must be positive")
+        for param, value in (("delta_nominal", delta_nominal), ("tau_deg", tau_deg)):
+            if not 0 < value < math.inf:
+                raise DomainError(param, f"{param}={value} must be finite and positive")
+        if not math.isfinite(T0):
+            raise DomainError("T0", f"degradation onset T0={T0} must be finite")
         self.delta_nominal = float(delta_nominal)
         self.tau_deg = float(tau_deg)
         self.T0 = float(T0)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .channel import Channel
+from .domain import DomainError
 from .transitions import Signal
 
 __all__ = ["SerialChannel"]
@@ -38,7 +39,7 @@ class SerialChannel(Channel):
 
     def __init__(self, stages: Sequence[Channel], *, name: Optional[str] = None) -> None:
         if not stages:
-            raise ValueError("a serial channel needs at least one stage")
+            raise DomainError("stages", "a serial channel needs at least one stage")
         inverting = sum(1 for s in stages if s.inverting) % 2 == 1
         super().__init__(inverting=inverting, name=name or "SerialChannel")
         self.stages: List[Channel] = list(stages)

@@ -26,6 +26,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .domain import DomainError
+
 __all__ = [
     "DelayFunction",
     "ExpDelay",
@@ -172,12 +174,15 @@ class ExpDelay(DelayFunction):
     """
 
     def __init__(self, tau: float, t_p: float, v_th: float = 0.5, rising: bool = True) -> None:
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        if not (0.0 < v_th < 1.0):
-            raise ValueError(f"normalised threshold must be in (0, 1), got {v_th}")
-        if t_p <= 0:
-            raise ValueError(f"pure delay component t_p must be positive, got {t_p}")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not 0 < tau < math.inf:
+            raise DomainError("tau", f"tau must be positive and finite, got {tau}")
+        if not 0.0 < v_th < 1.0:
+            raise DomainError("v_th", f"normalised threshold must be in (0, 1), got {v_th}")
+        if not 0 < t_p < math.inf:
+            raise DomainError(
+                "t_p", f"pure delay component t_p must be positive and finite, got {t_p}"
+            )
         self.tau = float(tau)
         self.t_p = float(t_p)
         self.v_th = float(v_th)
@@ -241,8 +246,8 @@ class ConstantDelay(DelayFunction):
     """
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise ValueError("pure delay must be non-negative")
+        if not 0 <= delay < math.inf:
+            raise DomainError("delay", f"delay={delay} must be finite and non-negative")
         self.delay = float(delay)
 
     def __call__(self, T: float) -> float:
@@ -269,6 +274,9 @@ class ShiftedDelay(DelayFunction):
     """
 
     def __init__(self, base: DelayFunction, shift_T: float = 0.0, shift_delta: float = 0.0) -> None:
+        for param, value in (("shift_T", shift_T), ("shift_delta", shift_delta)):
+            if not math.isfinite(value):
+                raise DomainError(param, f"{param}={value} must be finite")
         self.base = base
         self.shift_T = float(shift_T)
         self.shift_delta = float(shift_delta)
@@ -298,8 +306,8 @@ class ScaledDelay(DelayFunction):
     """
 
     def __init__(self, base: DelayFunction, scale: float) -> None:
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < scale < math.inf:
+            raise DomainError("scale", f"scale={scale} must be finite and positive")
         self.base = base
         self.scale = float(scale)
 
@@ -390,13 +398,18 @@ class TableDelay(DelayFunction):
         T = np.asarray(T_samples, dtype=float)
         d = np.asarray(delta_samples, dtype=float)
         if T.ndim != 1 or d.ndim != 1 or len(T) != len(d):
-            raise ValueError("T_samples and delta_samples must be 1-D of equal length")
+            raise DomainError(
+                "delta_samples", "T_samples and delta_samples must be 1-D of equal length"
+            )
         if len(T) < 2:
-            raise ValueError("need at least two samples")
+            raise DomainError("T_samples", "need at least two samples")
+        for param, samples in (("T_samples", T), ("delta_samples", d)):
+            if not np.all(np.isfinite(samples)):
+                raise DomainError(param, f"{param} must be finite")
         order = np.argsort(T)
         T, d = T[order], d[order]
         if np.any(np.diff(T) <= 0):
-            raise ValueError("T samples must be strictly increasing")
+            raise DomainError("T_samples", "T samples must be strictly increasing")
         d = np.maximum.accumulate(d)
         eps = 1e-12 * max(1.0, float(np.max(np.abs(d))))
         for i in range(1, len(d)):
@@ -407,8 +420,11 @@ class TableDelay(DelayFunction):
         if delta_inf is None:
             span = float(d[-1] - d[0])
             delta_inf = float(d[-1]) + max(0.05 * span, eps)
-        if delta_inf <= d[-1]:
-            raise ValueError("delta_inf must exceed the largest delta sample")
+        if not d[-1] < delta_inf < math.inf:
+            raise DomainError(
+                "delta_inf",
+                f"delta_inf={delta_inf} must be finite and exceed the largest delta sample",
+            )
         self._delta_inf = float(delta_inf)
         # Right tail: delta(T) = delta_inf - A*exp(-(T - T_last)/tau_tail)
         # matched to value and slope at the last sample.

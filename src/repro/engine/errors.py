@@ -9,7 +9,11 @@ working.
 
 from __future__ import annotations
 
-__all__ = ["SimulationError", "CausalityError"]
+__all__ = ["CAUSALITY_MODES", "SimulationError", "CausalityError"]
+
+#: The engine's causality policies (``on_causality``): raise a
+#: :class:`CausalityError`, or drop the offending transition.
+CAUSALITY_MODES = ("error", "drop")
 
 
 class SimulationError(RuntimeError):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.transitions import Signal, Transition, _signal_times
-from .errors import CausalityError, SimulationError
+from .errors import CAUSALITY_MODES, CausalityError, SimulationError
 
 __all__ = [
     "PendingTransition",
@@ -185,8 +185,8 @@ class ChannelKernel:
         queue_horizon: float = -math.inf,
         tombstones: Optional[Set[int]] = None,
     ) -> None:
-        if on_causality not in ("error", "drop"):
-            raise ValueError("on_causality must be 'error' or 'drop'")
+        if on_causality not in CAUSALITY_MODES:
+            raise ValueError(f"on_causality must be one of {list(CAUSALITY_MODES)}")
         self.channel = channel
         self.name = name or (getattr(channel, "name", None) or "channel")
         self.on_causality = on_causality

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.transitions import Signal, _signal_from_times, _signal_times
-from .errors import SimulationError
+from .errors import CAUSALITY_MODES, SimulationError
 from .kernel import ChannelKernel
 
 __all__ = [
@@ -336,8 +336,8 @@ class Engine:
         on_causality: str = "error",
         max_events: int = 1_000_000,
     ) -> None:
-        if on_causality not in ("error", "drop"):
-            raise ValueError("on_causality must be 'error' or 'drop'")
+        if on_causality not in CAUSALITY_MODES:
+            raise ValueError(f"on_causality must be one of {list(CAUSALITY_MODES)}")
         if not isinstance(topology, CircuitTopology):
             topology = CircuitTopology(topology)
         self.topology = topology

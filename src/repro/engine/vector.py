@@ -83,7 +83,7 @@ from .capability import (
     adversary_obstacle,
     analyze_sweep,
 )
-from .errors import CausalityError, SimulationError
+from .errors import CAUSALITY_MODES, CausalityError, SimulationError
 from .scheduler import CircuitTopology, Execution, _NODE_GATE, _NODE_OUTPUT
 
 __all__ = [
@@ -1381,8 +1381,8 @@ def compile_sweep(
     channels cannot be expressed; use :func:`vector_capability` for a
     non-raising probe.
     """
-    if on_causality not in ("error", "drop"):
-        raise ValueError("on_causality must be 'error' or 'drop'")
+    if on_causality not in CAUSALITY_MODES:
+        raise ValueError(f"on_causality must be one of {list(CAUSALITY_MODES)}")
     topo = (
         topology
         if isinstance(topology, CircuitTopology)

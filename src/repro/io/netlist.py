@@ -130,8 +130,11 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
     """Parse a netlist dict (the inverse of :func:`netlist_to_dict`).
 
     A bare circuit-spec dict (``{"name", "nodes", "edges"}``) is accepted
-    too, so hand-written netlists can omit the envelope.  A field that
-    does not decode raises :class:`SpecError` naming it.
+    too, so hand-written netlists can omit the envelope.  This decodes the
+    envelope and the circuit's skeleton; :meth:`Netlist.build` builds its
+    nodes and edges.  An envelope field that does not decode raises
+    :class:`SpecError` whose ``path`` names it; ``repro lint`` reports the
+    same error as REP009.
     """
     if not isinstance(data, Mapping):
         raise SpecError(f"netlist is not an object: {data!r}")
@@ -141,7 +144,7 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
         raise SpecError("netlist dict has neither a 'circuit' field nor nodes/edges")
     fmt = data.get("format", NETLIST_FORMAT)
     if fmt != NETLIST_FORMAT:
-        raise SpecError(f"not a repro netlist (format={fmt!r})")
+        raise located(SpecError(f"not a repro netlist (format={fmt!r})"), "/format")
     if not isinstance(data["circuit"], Mapping):
         raise SpecError("netlist 'circuit' field is not an object")
     try:
@@ -149,12 +152,13 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
     except BUILD_ERRORS as exc:
         raise located(exc, "/version") from exc
     if version > NETLIST_VERSION:
-        raise SpecError(
-            f"netlist version {version} is newer than supported ({NETLIST_VERSION})"
+        raise located(
+            SpecError(f"netlist version {version} is newer than supported ({NETLIST_VERSION})"),
+            "/version",
         )
     raw_inputs = data.get("inputs") or {}
     if not isinstance(raw_inputs, Mapping):
-        raise SpecError("netlist 'inputs' field is not an object (at /inputs)")
+        raise located(SpecError("netlist 'inputs' field is not an object"), "/inputs")
     inputs: Dict[str, Signal] = {}
     for name, sig in raw_inputs.items():
         try:
@@ -168,7 +172,7 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
         raise located(exc, "/end_time") from exc
     metadata = data.get("metadata") or {}
     if not isinstance(metadata, Mapping):
-        raise SpecError("netlist 'metadata' field is not an object (at /metadata)")
+        raise located(SpecError("netlist 'metadata' field is not an object"), "/metadata")
     return Netlist(
         circuit=CircuitSpec.from_dict(data["circuit"]),
         inputs=inputs,

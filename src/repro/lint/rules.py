@@ -9,6 +9,12 @@ Rules are pure and defensive: they must never raise on malformed input
 access tolerates missing or mistyped fields and leaves reporting those
 to the rule that owns them.
 
+Lint keeps no copy of a builder's check.  REP009 runs the netlist
+loader's own decode step, and REP101 and REP103--REP106 report the
+exceptions the registered spec builders raise: one walker
+(:class:`SpecBuild`, once per document) builds every channel spec and,
+where one fails, its sub-specs at their own JSON pointers.
+
 Code blocks
 -----------
 
@@ -26,8 +32,8 @@ The rendered catalogue with examples lives in ``docs/linting.md``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Any,
     Callable,
@@ -37,10 +43,10 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
+from ..engine.errors import CAUSALITY_MODES
 from .diagnostics import Severity
 
 __all__ = [
@@ -54,10 +60,6 @@ __all__ = [
 
 #: Yields of a check function: ``(json_path, message)`` pairs.
 Finding = Tuple[str, str]
-
-#: The built-in causality policies of the engine (``Engine.run``'s
-#: ``on_causality``); anything else fails at run time.
-CAUSALITY_MODES = ("error", "drop")
 
 
 # --------------------------------------------------------------------------- #
@@ -79,15 +81,11 @@ class CircuitContext:
         doc: Mapping[str, Any],
         base: str,
         circuit: Mapping[str, Any],
-        inputs: Optional[Mapping[str, Any]] = None,
-        end_time: Optional[float] = None,
         metadata: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self.doc = doc
         self.base = base
         self.circuit = circuit
-        self.inputs = dict(inputs or {})
-        self.end_time = end_time
         self.metadata = dict(metadata or {})
         raw_nodes = circuit.get("nodes")
         raw_edges = circuit.get("edges")
@@ -147,28 +145,10 @@ class CircuitContext:
             return repr(name)
         return f"#{index}"
 
-    def channels(self) -> Iterator[Tuple[str, Mapping[str, Any]]]:
-        """Walk every channel-spec dict, recursing into serial stages.
-
-        Yields ``(json_path, channel_dict)``, parents before stages.
-        """
-        for i, edge in self.edges:
-            channel = edge.get("channel")
-            if isinstance(channel, Mapping):
-                yield from self._walk_channel(
-                    self.path(f"/edges/{i}/channel"), channel
-                )
-
-    def _walk_channel(
-        self, path: str, channel: Mapping[str, Any]
-    ) -> Iterator[Tuple[str, Mapping[str, Any]]]:
-        yield path, channel
-        if channel.get("kind") == "serial":
-            stages = _params(channel).get("stages")
-            if isinstance(stages, list):
-                for j, stage in enumerate(stages):
-                    if isinstance(stage, Mapping):
-                        yield from self._walk_channel(f"{path}/stages/{j}", stage)
+    @cached_property
+    def specs(self) -> "SpecBuild":
+        """Every channel spec of the document, built once (see :class:`SpecBuild`)."""
+        return SpecBuild(self)
 
 
 @dataclass
@@ -236,15 +216,6 @@ def iter_rules() -> List[Rule]:
 def get_rule(code: str) -> Rule:
     """Look up a rule by its code; raises ``KeyError`` for unknown codes."""
     return RULES[code]
-
-
-def _params(channel: Mapping[str, Any]) -> Mapping[str, Any]:
-    """The parameter view of a spec dict.
-
-    Spec dicts are *flat* -- ``{"kind": "pure", "delay": 0.5}``, per
-    :meth:`repro.specs.Spec.to_dict` -- so the dict itself doubles as its
-    parameter mapping (no caller looks up ``"kind"`` through this)."""
-    return channel
 
 
 def _num(value: Any) -> Optional[float]:
@@ -381,17 +352,23 @@ def _check_undriven_node(ctx: CircuitContext) -> Iterator[Finding]:
     "duplicate-edge-name",
     Severity.ERROR,
     "circuit",
-    "Two edges declare the same name.",
+    "Two edges declare the same name, or an edge name is not a string.",
 )
 def _check_duplicate_edge_name(ctx: CircuitContext) -> Iterator[Finding]:
     """Edge names key per-scenario channel overrides and sweep reports;
-    a duplicate makes overrides ambiguous and the builder rejects it."""
+    a duplicate makes overrides ambiguous and the builder rejects it.  A
+    name is optional, but one that is given must be a string."""
     seen: Dict[str, int] = {}
     for i, edge in ctx.edges:
         name = edge.get("name")
-        if not isinstance(name, str):
+        if name is None:
             continue
-        if name in seen:
+        if not isinstance(name, str):
+            yield (
+                ctx.path(f"/edges/{i}/name"),
+                f"edge #{i} name {name!r} is not a string",
+            )
+        elif name in seen:
             yield (
                 ctx.path(f"/edges/{i}/name"),
                 f"duplicate edge name {name!r} "
@@ -504,7 +481,7 @@ def _check_invalid_node(ctx: CircuitContext) -> Iterator[Finding]:
             )
         if not isinstance(node.get("name"), str):
             yield (ctx.path(f"/nodes/{i}"), "node has no name")
-        if kind == "gate" and "type" not in node:
+        if kind == "gate" and node.get("type") is None:
             yield (
                 ctx.path(f"/nodes/{i}"),
                 f"gate {node.get('name')!r} has no type",
@@ -519,9 +496,148 @@ def _check_invalid_node(ctx: CircuitContext) -> Iterator[Finding]:
                 )
 
 
+@_rule(
+    "REP009",
+    "invalid-netlist",
+    Severity.ERROR,
+    "circuit",
+    "The netlist envelope or the circuit skeleton does not decode.",
+)
+def _check_invalid_netlist(ctx: CircuitContext) -> Iterator[Finding]:
+    """The loader decodes the envelope (``format``, ``version``,
+    ``inputs``, ``end_time``, ``metadata``) and the circuit's ``name``,
+    ``nodes`` and ``edges`` before it builds anything.  This rule runs
+    that same step (``repro.io.netlist.netlist_from_dict``) and reports
+    its error at the field it names, or at the circuit."""
+    from ..io.netlist import netlist_from_dict
+    from ..specs import SpecError
+
+    try:
+        netlist_from_dict(ctx.doc)
+    except SpecError as exc:
+        yield (ctx.base if exc.path is None else exc.path, str(exc))
+
+
 # --------------------------------------------------------------------------- #
 # REP1xx -- spec kinds and parameter domains
 # --------------------------------------------------------------------------- #
+
+
+class SpecBuild:
+    """Every spec dict of every channel, built through the registered builders.
+
+    A channel that builds is sound, and so are its sub-specs.  One that
+    does not has each of its sub-specs -- ``pair`` with its ``up`` and
+    ``down`` (and a shifted or scaled delay's ``base``), ``eta``,
+    ``adversary`` and serial ``stages`` -- built at its own JSON pointer,
+    recursively, and its own error counts only when they all built.  So
+    one defect is one finding, and independent defects are all found.
+    What a builder raises decides the rule:
+
+    * ``UnknownKindError`` -- REP101 (channel), REP103 (adversary) or
+      REP104 (involution pair, delay), at ``.../kind``;
+    * ``DomainError`` -- REP106, at ``.../<param>``;
+    * any other build error -- REP105, at the spec.
+
+    ``findings`` maps those codes to their findings in document order;
+    ``ok`` lists ``(path, registry, spec dict)`` for every spec that builds.
+    """
+
+    #: The rule that reports an unknown kind, by the registry that names it.
+    UNKNOWN_KIND_RULES = {
+        "channel": "REP101",
+        "adversary": "REP103",
+        "involution-pair": "REP104",
+        "delay": "REP104",
+    }
+    #: What each registry builds, as REP105 names it.
+    NOUNS = {
+        "channel": "channel",
+        "adversary": "adversary",
+        "involution-pair": "involution pair",
+        "delay": "delay function",
+        "eta": "eta bound",
+    }
+    #: The sub-specs of a built-in ``(registry, kind)``: ``(key, registry)``
+    #: pairs; ``stages`` holds a list of them.
+    PARTS: Dict[Tuple[str, str], Tuple[Tuple[str, str], ...]] = {
+        ("channel", "involution"): (("pair", "involution-pair"),),
+        ("channel", "eta_involution"): (
+            ("pair", "involution-pair"),
+            ("eta", "eta"),
+            ("adversary", "adversary"),
+        ),
+        ("channel", "serial"): (("stages", "channel"),),
+        ("involution-pair", "pair"): (("up", "delay"), ("down", "delay")),
+        ("delay", "shifted"): (("base", "delay"),),
+        ("delay", "scaled"): (("base", "delay"),),
+    }
+
+    def __init__(self, ctx: CircuitContext) -> None:
+        from ..specs import AdversarySpec, ChannelSpec, DelaySpec, eta_from_dict, pair_from_dict
+
+        self.builders: Dict[str, Callable[[Any], Any]] = {
+            "channel": lambda data: ChannelSpec.from_dict(data).build(),
+            "adversary": lambda data: AdversarySpec.from_dict(data).build(),
+            "delay": lambda data: DelaySpec.from_dict(data).build(),
+            "involution-pair": pair_from_dict,
+            "eta": eta_from_dict,
+        }
+        self.findings: Dict[str, List[Finding]] = {
+            code: [] for code in ("REP101", "REP103", "REP104", "REP105", "REP106")
+        }
+        self.ok: List[Tuple[str, str, Any]] = []
+        for i, edge in ctx.edges:
+            channel = edge.get("channel")
+            if isinstance(channel, Mapping):
+                self._build(ctx.path(f"/edges/{i}/channel"), "channel", channel)
+
+    def _parts(self, path: str, registry: str, data: Any) -> List[Tuple[str, str, Any]]:
+        """``(path, registry, spec)`` of each sub-spec *data* holds."""
+        kind = data.get("kind") if isinstance(data, Mapping) else None
+        parts: List[Tuple[str, str, Any]] = []
+        for key, part in self.PARTS.get((registry, kind), ()) if isinstance(kind, str) else ():
+            value = data.get(key)
+            if key != "stages":
+                if key in data:  # else the builder's default, or its KeyError
+                    parts.append((f"{path}/{key}", part, value))
+            elif isinstance(value, list):
+                parts += [(f"{path}/stages/{j}", part, stage) for j, stage in enumerate(value)]
+        return parts
+
+    def _build(self, path: str, registry: str, data: Any) -> bool:
+        """Build *data*, placing its error as the class docstring says;
+        True when it built."""
+        from ..core.domain import DomainError
+        from ..specs import BUILD_ERRORS, UnknownKindError
+
+        try:
+            self.builders[registry](data)
+        except BUILD_ERRORS as exc:
+            error = exc
+        else:
+            self._built(path, registry, data)
+            return True
+        if not all([self._build(*part) for part in self._parts(path, registry, data)]):
+            return False  # the sub-specs' findings explain this spec's error
+        if isinstance(error, UnknownKindError):
+            code = self.UNKNOWN_KIND_RULES.get(error.registry, "REP105")
+            self.findings[code].append((f"{path}/kind", str(error)))
+        elif isinstance(error, DomainError):
+            self.findings["REP106"].append((f"{path}/{error.param}", str(error)))
+        elif isinstance(error, KeyError):
+            message = f"{self.NOUNS[registry]} is missing required parameter {error}"
+            self.findings["REP105"].append((path, message))
+        else:
+            message = f"{self.NOUNS[registry]} does not build: {error}"
+            self.findings["REP105"].append((path, message))
+        return False
+
+    def _built(self, path: str, registry: str, data: Any) -> None:
+        """Record *data* and the sub-specs that built with it."""
+        self.ok.append((path, registry, data))
+        for part in self._parts(path, registry, data):
+            self._built(*part)
 
 
 @_rule(
@@ -533,24 +649,16 @@ def _check_invalid_node(ctx: CircuitContext) -> Iterator[Finding]:
 )
 def _check_unknown_channel_kind(ctx: CircuitContext) -> Iterator[Finding]:
     """Channel kinds must be registered (built-in or via
-    ``repro.specs.register_channel_kind``); an unknown kind fails at
-    build time.  Serial stages are checked recursively."""
-    from ..specs import channel_kinds
-
-    known = set(channel_kinds())
+    ``repro.specs.register_channel_kind``): the channel registry's
+    ``UnknownKindError``, reported at the spec's ``kind``.  Serial stages
+    are built, and reported, one by one."""
     for i, edge in ctx.edges:
         if not isinstance(edge.get("channel"), Mapping):
             yield (
                 ctx.path(f"/edges/{i}"),
                 f"edge {ctx.edge_label(i, edge)} has no channel spec",
             )
-    for path, channel in ctx.channels():
-        kind = channel.get("kind")
-        if not isinstance(kind, str) or kind not in known:
-            yield (
-                f"{path}/kind",
-                f"unknown channel kind {kind!r}; registered: {sorted(known)}",
-            )
+    yield from ctx.specs.findings["REP101"]
 
 
 @_rule(
@@ -601,28 +709,9 @@ def _check_unknown_gate_type(ctx: CircuitContext) -> Iterator[Finding]:
 )
 def _check_unknown_adversary_kind(ctx: CircuitContext) -> Iterator[Finding]:
     """Adversary strategies must be registered (built-in or via
-    ``repro.specs.register_adversary_kind``)."""
-    from ..specs import adversary_kinds
-
-    known = set(adversary_kinds())
-    for path, channel in ctx.channels():
-        if channel.get("kind") != "eta_involution":
-            continue
-        adversary = _params(channel).get("adversary")
-        if adversary is None:
-            continue  # defaults to the zero adversary
-        if not isinstance(adversary, Mapping):
-            yield (
-                f"{path}/adversary",
-                f"adversary spec is not an object: {adversary!r}",
-            )
-            continue
-        kind = adversary.get("kind")
-        if not isinstance(kind, str) or kind not in known:
-            yield (
-                f"{path}/adversary/kind",
-                f"unknown adversary kind {kind!r}; registered: {sorted(known)}",
-            )
+    ``repro.specs.register_adversary_kind``): the adversary registry's
+    ``UnknownKindError``, reported at the adversary's ``kind``."""
+    yield from ctx.specs.findings["REP103"]
 
 
 @_rule(
@@ -635,35 +724,10 @@ def _check_unknown_adversary_kind(ctx: CircuitContext) -> Iterator[Finding]:
 def _check_unknown_delay_kind(ctx: CircuitContext) -> Iterator[Finding]:
     """Involution pairs are ``{"kind": "exp"}`` closed forms or explicit
     ``{"kind": "pair", "up": ..., "down": ...}`` dicts whose up/down
-    delay functions must use registered delay kinds."""
-    from ..specs import delay_kinds
-
-    known = set(delay_kinds())
-    for path, channel in ctx.channels():
-        if channel.get("kind") not in ("involution", "eta_involution"):
-            continue
-        pair = _params(channel).get("pair")
-        if not isinstance(pair, Mapping):
-            continue  # missing pair is a build failure (REP105)
-        kind = pair.get("kind")
-        if kind == "exp":
-            continue
-        if kind != "pair":
-            yield (
-                f"{path}/pair/kind",
-                f"unknown involution-pair kind {kind!r} (expected exp or pair)",
-            )
-            continue
-        for side in ("up", "down"):
-            delay = pair.get(side)
-            if not isinstance(delay, Mapping):
-                continue
-            dkind = delay.get("kind")
-            if not isinstance(dkind, str) or dkind not in known:
-                yield (
-                    f"{path}/pair/{side}/kind",
-                    f"unknown delay kind {dkind!r}; registered: {sorted(known)}",
-                )
+    delay functions must use registered delay kinds: the
+    ``UnknownKindError`` of ``pair_from_dict`` or the delay registry,
+    reported at the spec's ``kind``."""
+    yield from ctx.specs.findings["REP104"]
 
 
 @_rule(
@@ -675,67 +739,11 @@ def _check_unknown_delay_kind(ctx: CircuitContext) -> Iterator[Finding]:
 )
 def _check_invalid_channel_params(ctx: CircuitContext) -> Iterator[Finding]:
     """The authoritative parameter check is the registered builder
-    itself: this rule attempts ``ChannelSpec.from_dict(...).build()`` per
-    edge and reports the failure.  Channels whose kinds are unknown are
-    skipped (REP101/REP103/REP104 already own those)."""
-    from ..specs import BUILD_ERRORS, ChannelSpec, adversary_kinds, channel_kinds, delay_kinds
-
-    known_channels = set(channel_kinds())
-    known_adversaries = set(adversary_kinds())
-    known_delays = set(delay_kinds())
-
-    def known(kind: Any, registered: Set[str]) -> bool:
-        # A non-string kind is unknown (REP101/REP103/REP104 report it).
-        return isinstance(kind, str) and kind in registered
-
-    def kinds_known(channel: Mapping[str, Any]) -> bool:
-        kind = channel.get("kind")
-        if not known(kind, known_channels):
-            return False
-        params = _params(channel)
-        if kind == "eta_involution":
-            adversary = params.get("adversary")
-            if isinstance(adversary, Mapping) and not known(
-                adversary.get("kind"), known_adversaries
-            ):
-                return False
-        if kind in ("involution", "eta_involution"):
-            pair = params.get("pair")
-            if isinstance(pair, Mapping):
-                pkind = pair.get("kind")
-                if pkind not in ("exp", "pair"):
-                    return False
-                if pkind == "pair":
-                    for side in ("up", "down"):
-                        delay = pair.get(side)
-                        if isinstance(delay, Mapping) and not known(
-                            delay.get("kind"), known_delays
-                        ):
-                            return False
-        if kind == "serial":
-            stages = params.get("stages")
-            if isinstance(stages, list):
-                return all(
-                    kinds_known(s) for s in stages if isinstance(s, Mapping)
-                )
-        return True
-
-    for i, edge in ctx.edges:
-        channel = edge.get("channel")
-        if not isinstance(channel, Mapping) or not kinds_known(channel):
-            continue
-        try:
-            ChannelSpec.from_dict(channel).build()
-        except KeyError as exc:
-            yield (
-                ctx.path(f"/edges/{i}/channel"),
-                f"channel is missing required parameter {exc}",
-            )
-        except BUILD_ERRORS as exc:
-            yield (
-                ctx.path(f"/edges/{i}/channel"),
-                f"channel does not build: {exc}",
-            )
+    itself: every build error that is neither an unknown kind
+    (REP101/REP103/REP104) nor an out-of-domain parameter (REP106) --
+    a missing parameter, a value of the wrong type, a pair that is no
+    involution -- is reported at the spec that does not build."""
+    yield from ctx.specs.findings["REP105"]
 
 
 @_rule(
@@ -746,117 +754,13 @@ def _check_invalid_channel_params(ctx: CircuitContext) -> Iterator[Finding]:
     "A channel parameter is outside its mathematical domain.",
 )
 def _check_out_of_domain_params(ctx: CircuitContext) -> Iterator[Finding]:
-    """Delays must be non-negative, time constants strictly positive,
-    thresholds inside (0, 1), eta bounds finite and non-negative --
-    the domains under which the paper's involution results hold -- and
-    an adversary's parameters finite: a random adversary's
-    ``sigma_fraction`` non-negative, a sine adversary's ``period``
-    positive."""
-    from ..core.adversary import RandomAdversary
-
-    for path, channel in ctx.channels():
-        kind = channel.get("kind")
-        params = _params(channel)
-        if kind == "pure":
-            for key in ("delay", "falling_delay"):
-                value = _num(params.get(key))
-                if value is not None and value < 0:
-                    yield (f"{path}/{key}", f"negative delay {value}")
-        elif kind == "inertial":
-            value = _num(params.get("delay"))
-            if value is not None and value < 0:
-                yield (f"{path}/delay", f"negative delay {value}")
-            window = _num(params.get("window"))
-            if window is not None and window < 0:
-                yield (
-                    f"{path}/window",
-                    f"negative rejection window {window}",
-                )
-        elif kind == "ddm":
-            nominal = _num(params.get("delta_nominal"))
-            if nominal is not None and nominal < 0:
-                yield (
-                    f"{path}/delta_nominal",
-                    f"negative nominal delay {nominal}",
-                )
-            tau = _num(params.get("tau_deg"))
-            if tau is not None and tau <= 0:
-                yield (
-                    f"{path}/tau_deg",
-                    f"degradation time constant {tau} must be positive",
-                )
-        elif kind in ("involution", "eta_involution"):
-            pair = params.get("pair")
-            if isinstance(pair, Mapping) and pair.get("kind") == "exp":
-                tau = _num(pair.get("tau"))
-                if tau is not None and tau <= 0:
-                    yield (
-                        f"{path}/pair/tau",
-                        f"time constant tau {tau} must be positive",
-                    )
-                t_p = _num(pair.get("t_p"))
-                if t_p is not None and t_p <= 0:
-                    yield (
-                        f"{path}/pair/t_p",
-                        f"pure delay t_p {t_p} must be positive",
-                    )
-                v_th = _num(pair.get("v_th", 0.5))
-                if v_th is not None and not 0.0 < v_th < 1.0:
-                    yield (
-                        f"{path}/pair/v_th",
-                        f"threshold v_th {v_th} must lie strictly "
-                        "between 0 and 1",
-                    )
-            if kind == "eta_involution":
-                eta = params.get("eta")
-                if isinstance(eta, Mapping):
-                    for key in ("eta_plus", "eta_minus"):
-                        value = _num(eta.get(key))
-                        if value is None:
-                            continue
-                        if not math.isfinite(value):
-                            yield (
-                                f"{path}/eta/{key}",
-                                f"non-finite eta bound {key}={value}",
-                            )
-                        elif value < 0:
-                            yield (
-                                f"{path}/eta/{key}",
-                                f"negative eta bound {key}={value}",
-                            )
-                adversary = _params(channel).get("adversary")
-                if isinstance(adversary, Mapping):
-                    if adversary.get("kind") == "random":
-                        sigma = _num(adversary.get("sigma_fraction"))
-                        if sigma is not None and not 0 <= sigma < math.inf:
-                            yield (
-                                f"{path}/adversary/sigma_fraction",
-                                f"sigma fraction {sigma} must be finite "
-                                "and non-negative",
-                            )
-                        dist = adversary.get("distribution", "uniform")
-                        names = RandomAdversary.DISTRIBUTIONS
-                        if dist not in names:
-                            expected = " or ".join(map(repr, names))
-                            yield (
-                                f"{path}/adversary/distribution",
-                                f"unknown distribution {dist!r} "
-                                f"(expected {expected})",
-                            )
-                    elif adversary.get("kind") == "sine":
-                        period = _num(adversary.get("period"))
-                        if period is not None and not 0 < period < math.inf:
-                            yield (
-                                f"{path}/adversary/period",
-                                f"sine period {period} must be finite and "
-                                "positive",
-                            )
-                        phase = _num(adversary.get("phase"))
-                        if phase is not None and not math.isfinite(phase):
-                            yield (
-                                f"{path}/adversary/phase",
-                                f"sine phase {phase} must be finite",
-                            )
+    """The channel, delay-function and adversary constructors own the
+    domains under which the paper's results hold -- delays non-negative,
+    time constants strictly positive, thresholds inside (0, 1), eta
+    bounds non-negative, and NaN and +-inf rejected wherever a finite
+    value is required.  A constructor raises ``DomainError`` naming the
+    parameter, and this rule reports it at the parameter's pointer."""
+    yield from ctx.specs.findings["REP106"]
 
 
 @_rule(
@@ -870,32 +774,19 @@ def _check_non_involution_pair(ctx: CircuitContext) -> Iterator[Finding]:
     """The paper's results (Theorem 9 in particular) require
     ``-delta_up(-delta_down(T)) == T``; an explicit up/down pair that
     breaks it still simulates, but the model guarantees no longer
-    apply."""
-    from ..core.involution import InvolutionPair
-    from ..specs import BUILD_ERRORS, DelaySpec
+    apply.  Pairs that do not build belong to REP104-REP106."""
+    from ..specs import BUILD_ERRORS, pair_from_dict
 
-    for path, channel in ctx.channels():
-        if channel.get("kind") not in ("involution", "eta_involution"):
-            continue
-        pair = _params(channel).get("pair")
-        if not isinstance(pair, Mapping) or pair.get("kind") != "pair":
-            continue
-        up_data = pair.get("up")
-        down_data = pair.get("down")
-        if not isinstance(up_data, Mapping) or not isinstance(down_data, Mapping):
+    for path, registry, data in ctx.specs.ok:
+        if registry != "involution-pair" or data.get("kind") != "pair":
             continue
         try:
-            built = InvolutionPair(
-                DelaySpec.from_dict(up_data).build(),
-                DelaySpec.from_dict(down_data).build(),
-                validate=False,
-            )
-            consistent = built.satisfies_involution()
+            consistent = pair_from_dict(data).satisfies_involution()
         except BUILD_ERRORS:
-            continue  # unbuildable pairs belong to REP104/REP105
+            continue
         if not consistent:
             yield (
-                f"{path}/pair",
+                path,
                 "explicit delay pair does not satisfy the involution "
                 "property (residual of -delta_up(-delta_down(T)) - T "
                 "exceeds tolerance)",
@@ -947,17 +838,16 @@ def _check_experiment_causality_mode(ctx: ExperimentContext) -> Iterator[Finding
 def _is_zero_delay(channel: Mapping[str, Any]) -> bool:
     """True when a channel spec statically delivers with zero delay."""
     kind = channel.get("kind")
-    params = _params(channel)
     if kind == "zero":
         return True
     if kind == "pure":
-        delay = _num(params.get("delay"))
-        falling = _num(params.get("falling_delay"))
+        delay = _num(channel.get("delay"))
+        falling = _num(channel.get("falling_delay"))
         return delay == 0.0 and (falling is None or falling == 0.0)
     if kind == "inertial":
-        return _num(params.get("delay")) == 0.0
+        return _num(channel.get("delay")) == 0.0
     if kind == "serial":
-        stages = params.get("stages")
+        stages = channel.get("stages")
         if isinstance(stages, list) and stages:
             return all(
                 _is_zero_delay(s) for s in stages if isinstance(s, Mapping)
@@ -1135,22 +1025,17 @@ def _check_vector_fallback(ctx: CircuitContext) -> Iterator[Finding]:
     (:func:`repro.engine.capability.analyze_sweep`) on a scenario built
     from the netlist's declared stimuli -- so the prediction and an
     actual ``run_many(backend="vector")`` fallback can never disagree.
-    Circuits that do not build are skipped (the REP0xx/REP1xx rules own
-    those findings)."""
+    Netlists that do not load or build are skipped (REP009 and the
+    REP0xx/REP1xx rules own those findings)."""
     from ..core.transitions import Signal
     from ..engine.sweep import Scenario
     from ..engine.vector import vector_capability
-    from ..io.netlist import signal_from_dict
-    from ..specs import BUILD_ERRORS, CircuitSpec
+    from ..io.netlist import netlist_from_dict
+    from ..specs import BUILD_ERRORS
 
     try:
-        circuit = CircuitSpec.from_dict(
-            {
-                "name": ctx.circuit.get("name", "lint"),
-                "nodes": ctx.circuit.get("nodes", []),
-                "edges": ctx.circuit.get("edges", []),
-            }
-        ).build()
+        netlist = netlist_from_dict(ctx.doc)
+        circuit = netlist.build()
         # CircuitError is a ValueError: structurally invalid circuits
         # (undriven pins, fan-in conflicts) bail out here and stay the
         # REP0xx rules' findings.
@@ -1158,30 +1043,15 @@ def _check_vector_fallback(ctx: CircuitContext) -> Iterator[Finding]:
     except BUILD_ERRORS:
         return
 
-    inputs: Dict[str, Signal] = {}
-    end_time = 10.0
-    for i, node in ctx.nodes:
-        if node.get("kind") != "input":
-            continue
-        name = node.get("name")
-        if not isinstance(name, str):
-            continue
-        declared = ctx.inputs.get(name)
-        signal: Optional[Signal] = None
-        if isinstance(declared, Mapping):
-            try:
-                signal = signal_from_dict(declared)
-            except BUILD_ERRORS:
-                signal = None
-        if signal is None:
-            initial = node.get("initial_value", 0)
-            signal = Signal(initial if initial in (0, 1) else 0, [])
-        inputs[name] = signal
-        if len(signal):
-            end_time = max(end_time, signal.stabilization_time() + 1.0)
-    if ctx.end_time is not None:
-        end_time = float(ctx.end_time)
-
+    inputs = {
+        port.name: netlist.inputs.get(port.name, Signal(port.initial_value, []))
+        for port in circuit.input_ports()
+    }
+    end_time = netlist.end_time
+    if end_time is None:
+        end_time = max(
+            [10.0] + [s.stabilization_time() + 1.0 for s in inputs.values() if len(s)]
+        )
     report = vector_capability(
         circuit, [Scenario(name="lint", inputs=inputs, end_time=end_time)]
     )

@@ -75,15 +75,11 @@ def _circuit_context(doc: Mapping[str, Any]) -> CircuitContext:
         raise SpecError(
             "document has neither a 'circuit' field nor nodes/edges"
         )
-    inputs = doc.get("inputs")
     metadata = doc.get("metadata")
-    end_time = doc.get("end_time")
     return CircuitContext(
         doc=doc,
         base=base,
         circuit=circuit,
-        inputs=inputs if isinstance(inputs, Mapping) else {},
-        end_time=end_time if isinstance(end_time, (int, float)) else None,
         metadata=metadata if isinstance(metadata, Mapping) else {},
     )
 

@@ -47,7 +47,7 @@ fitting, :mod:`repro.api`) accept either the live object or its spec.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
 
 from .core.adversary import (
     Adversary,
@@ -81,6 +81,7 @@ from .core.involution_channel import InvolutionChannel
 
 __all__ = [
     "SpecError",
+    "UnknownKindError",
     "BUILD_ERRORS",
     "located",
     "Spec",
@@ -114,7 +115,29 @@ __all__ = [
 
 
 class SpecError(ValueError):
-    """Raised for unknown kinds, malformed params, or objects with no spec."""
+    """Raised for unknown kinds, malformed params, or objects with no spec.
+
+    ``path`` is the JSON pointer of the field that did not decode, when the
+    raiser knows it (:func:`located` sets it).
+    """
+
+    path: Optional[str] = None
+
+
+class UnknownKindError(SpecError):
+    """A spec names a kind that its registry does not hold.
+
+    ``registry`` names the registry: ``"channel"``, ``"delay"``,
+    ``"adversary"``, ``"experiment"`` or ``"involution-pair"``.  A kind that
+    is not a string is unknown too.
+    """
+
+    def __init__(self, registry: str, kind: Any, known: Iterable[str]) -> None:
+        self.registry, self.kind, self.known = registry, kind, sorted(known)
+        super().__init__(f"unknown {registry} kind {kind!r}; registered: {self.known}")
+
+    def __reduce__(self) -> Tuple[Type["UnknownKindError"], Tuple[str, Any, List[str]]]:
+        return type(self), (self.registry, self.kind, self.known)
 
 
 #: What building a spec raises on malformed input: a missing field
@@ -128,7 +151,9 @@ def located(exc: Exception, where: str) -> SpecError:
     """*exc*, raised while decoding the document field *where*, as a
     :class:`SpecError` whose message ends with that location."""
     message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-    return SpecError(f"{message} (at {where})")
+    error = SpecError(f"{message} (at {where})")
+    error.path = where
+    return error
 
 
 # --------------------------------------------------------------------------- #
@@ -181,10 +206,17 @@ class Spec:
 
     __slots__ = ("kind", "params", "_key")
 
+    #: The registry of this spec's kinds: its name, builders and extractors.
+    _REGISTRY = "spec"
+    _BUILDERS: Mapping[str, Callable[[Mapping[str, Any]], Any]] = {}
+    _EXTRACTORS: Mapping[Any, Tuple[str, Callable[[Any], Dict[str, Any]]]] = {}
+
     def __init__(self, kind: str, params: Optional[Mapping[str, Any]] = None, **kw: Any) -> None:
+        if not isinstance(kind, str):
+            raise UnknownKindError(self._REGISTRY, kind, self._known_kinds())
         merged = dict(params or {})
         merged.update(kw)
-        object.__setattr__(self, "kind", str(kind))
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", _jsonify(merged))
         # The canonical key only matters for equality/hashing; computing it
         # eagerly would put a json.dumps on every construction, which the
@@ -202,6 +234,29 @@ class Spec:
             object.__setattr__(self, "_key", key)
         return key
 
+    @classmethod
+    def _known_kinds(cls) -> List[str]:
+        return sorted(cls._BUILDERS)
+
+    def _builder(self) -> Callable[[Mapping[str, Any]], Any]:
+        """The registered builder of this spec's kind."""
+        try:
+            return self._BUILDERS[self.kind]
+        except KeyError:
+            raise UnknownKindError(self._REGISTRY, self.kind, self._BUILDERS) from None
+
+    @classmethod
+    def _extract(cls, obj: Any, remedy: str = "") -> Tuple[str, Dict[str, Any]]:
+        """Kind and params of *obj*, by its exact class's registered extractor."""
+        try:
+            kind, extractor = cls._EXTRACTORS[type(obj)]
+        except KeyError:
+            raise SpecError(
+                f"no spec kind registered for {cls._REGISTRY} {type(obj).__name__}; "
+                f"register one via repro.specs.register_{cls._REGISTRY}_kind{remedy}"
+            ) from None
+        return kind, extractor(obj)
+
     # -- serialisation --------------------------------------------------- #
 
     def to_dict(self) -> Dict[str, Any]:
@@ -215,11 +270,12 @@ class Spec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Spec":
-        """Rebuild a spec from its :meth:`to_dict` form."""
-        if "kind" not in data:
-            raise SpecError(f"spec dict needs a 'kind' field, got {dict(data)!r}")
+        """Rebuild a spec from its :meth:`to_dict` form (a missing kind is
+        an unknown one)."""
+        if not isinstance(data, Mapping):
+            raise SpecError(f"{cls._REGISTRY} spec is not an object: {data!r}")
         params = {k: v for k, v in data.items() if k != "kind"}
-        return cls(data["kind"], params)
+        return cls(data.get("kind"), params)
 
     def to_json(self, *, indent: Optional[int] = None) -> str:
         """JSON text of :meth:`to_dict`."""
@@ -281,28 +337,18 @@ def register_delay_kind(
 class DelaySpec(Spec):
     """Declarative description of a :class:`~repro.core.delay_functions.DelayFunction`."""
 
+    _REGISTRY = "delay"
+    _BUILDERS = _DELAY_BUILDERS
+    _EXTRACTORS = _DELAY_EXTRACTORS
+
     def build(self) -> DelayFunction:
         """Instantiate the delay function this spec describes."""
-        try:
-            builder = _DELAY_BUILDERS[self.kind]
-        except KeyError:
-            raise SpecError(
-                f"unknown delay kind {self.kind!r}; registered: "
-                f"{sorted(_DELAY_BUILDERS)}"
-            ) from None
-        return builder(self.params)
+        return self._builder()(self.params)
 
     @classmethod
     def from_delay(cls, fn: DelayFunction) -> "DelaySpec":
         """Extract the spec of a delay-function instance (exact-class match)."""
-        try:
-            kind, extractor = _DELAY_EXTRACTORS[type(fn)]
-        except KeyError:
-            raise SpecError(
-                f"no spec kind registered for delay function {type(fn).__name__}; "
-                "register one via repro.specs.register_delay_kind"
-            ) from None
-        return cls(kind, extractor(fn))
+        return cls(*cls._extract(fn))
 
 
 def _build_exp(params: Mapping[str, Any]) -> ExpDelay:
@@ -404,7 +450,11 @@ def pair_to_dict(pair: InvolutionPair) -> Dict[str, Any]:
 
 
 def pair_from_dict(data: Mapping[str, Any]) -> InvolutionPair:
-    """Rebuild an involution pair from :func:`pair_to_dict` output."""
+    """Rebuild an involution pair from :func:`pair_to_dict` output.
+
+    Raises :class:`UnknownKindError` for a kind other than ``exp`` and
+    ``pair``.
+    """
     kind = data.get("kind")
     if kind == "exp":
         return InvolutionPair.exp_channel(
@@ -416,7 +466,7 @@ def pair_from_dict(data: Mapping[str, Any]) -> InvolutionPair:
             DelaySpec.from_dict(data["down"]).build(),
             validate=False,
         )
-    raise SpecError(f"unknown involution-pair kind {kind!r}")
+    raise UnknownKindError("involution-pair", kind, ("exp", "pair"))
 
 
 def eta_to_dict(eta: EtaBound) -> Dict[str, float]:
@@ -425,16 +475,8 @@ def eta_to_dict(eta: EtaBound) -> Dict[str, float]:
 
 
 def eta_from_dict(data: Mapping[str, Any]) -> EtaBound:
-    """Rebuild an eta bound from :func:`eta_to_dict` output.
-
-    Raises :class:`SpecError` naming the field when a bound is negative,
-    infinite or NaN.
-    """
-    eta_plus, eta_minus = float(data["eta_plus"]), float(data["eta_minus"])
-    try:
-        return EtaBound(eta_plus, eta_minus)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    """Rebuild an eta bound from :func:`eta_to_dict` output."""
+    return EtaBound(float(data["eta_plus"]), float(data["eta_minus"]))
 
 
 # --------------------------------------------------------------------------- #
@@ -466,28 +508,18 @@ def register_adversary_kind(
 class AdversarySpec(Spec):
     """Declarative description of an :class:`~repro.core.adversary.Adversary`."""
 
+    _REGISTRY = "adversary"
+    _BUILDERS = _ADVERSARY_BUILDERS
+    _EXTRACTORS = _ADVERSARY_EXTRACTORS
+
     def build(self) -> Adversary:
         """Instantiate the adversary this spec describes."""
-        try:
-            builder = _ADVERSARY_BUILDERS[self.kind]
-        except KeyError:
-            raise SpecError(
-                f"unknown adversary kind {self.kind!r}; registered: "
-                f"{sorted(_ADVERSARY_BUILDERS)}"
-            ) from None
-        return builder(self.params)
+        return self._builder()(self.params)
 
     @classmethod
     def from_adversary(cls, adversary: Adversary) -> "AdversarySpec":
         """Extract the spec of an adversary instance (exact-class match)."""
-        try:
-            kind, extractor = _ADVERSARY_EXTRACTORS[type(adversary)]
-        except KeyError:
-            raise SpecError(
-                f"no spec kind registered for adversary {type(adversary).__name__}; "
-                "register one via repro.specs.register_adversary_kind"
-            ) from None
-        return cls(kind, extractor(adversary))
+        return cls(*cls._extract(adversary))
 
 
 def _seed_to_json(seed: Any) -> Any:
@@ -618,16 +650,13 @@ class ChannelSpec(Spec):
     any shared mutable adversary/RNG state.
     """
 
+    _REGISTRY = "channel"
+    _BUILDERS = _CHANNEL_BUILDERS
+    _EXTRACTORS = _CHANNEL_EXTRACTORS
+
     def build(self) -> Channel:
         """Instantiate a fresh channel from this spec."""
-        try:
-            builder = _CHANNEL_BUILDERS[self.kind]
-        except KeyError:
-            raise SpecError(
-                f"unknown channel kind {self.kind!r}; registered: "
-                f"{sorted(_CHANNEL_BUILDERS)}"
-            ) from None
-        channel = builder(self.params)
+        channel: Channel = self._builder()(self.params)
         name = self.params.get("name")
         if name is not None:
             channel.name = name
@@ -636,15 +665,7 @@ class ChannelSpec(Spec):
     @classmethod
     def from_channel(cls, channel: Channel) -> "ChannelSpec":
         """Extract the spec of a channel instance (exact-class match)."""
-        try:
-            kind, extractor = _CHANNEL_EXTRACTORS[type(channel)]
-        except KeyError:
-            raise SpecError(
-                f"no spec kind registered for channel {type(channel).__name__}; "
-                "register one via repro.specs.register_channel_kind or pass "
-                "a factory callable to the circuit builders"
-            ) from None
-        params = extractor(channel)
+        kind, params = cls._extract(channel, " or pass a factory callable to the circuit builders")
         if channel.name != type(channel).__name__:
             params.setdefault("name", channel.name)
         return cls(kind, params)
@@ -1182,10 +1203,7 @@ def get_experiment_kind(kind: str) -> ExperimentKind:
     try:
         return _EXPERIMENT_KINDS[kind]
     except KeyError:
-        raise SpecError(
-            f"unknown experiment kind {kind!r}; registered: "
-            f"{sorted(_EXPERIMENT_KINDS)}"
-        ) from None
+        raise UnknownKindError("experiment", kind, _EXPERIMENT_KINDS) from None
 
 
 class ExperimentSpec(Spec):
@@ -1197,6 +1215,12 @@ class ExperimentSpec(Spec):
     hash of the *resolved* form (defaults merged) is the artifact-store
     cache key (:mod:`repro.store`).
     """
+
+    _REGISTRY = "experiment"
+
+    @classmethod
+    def _known_kinds(cls) -> List[str]:
+        return experiment_kinds()
 
     def kind_info(self) -> ExperimentKind:
         """The registered :class:`ExperimentKind` this spec refers to."""

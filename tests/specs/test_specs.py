@@ -1,6 +1,7 @@
 """Unit and property-based tests for the declarative spec layer."""
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +32,14 @@ from repro.specs import (
     ChannelSpec,
     CircuitSpec,
     DelaySpec,
+    ExperimentSpec,
     SpecError,
+    UnknownKindError,
     as_channel,
     as_channel_factory,
     as_eta,
     as_pair,
+    pair_from_dict,
     register_channel_kind,
 )
 
@@ -157,6 +161,27 @@ class TestChannelSpecRoundTrip:
     def test_unknown_kind_raises(self):
         with pytest.raises(SpecError, match="unknown channel kind"):
             ChannelSpec("no-such-kind").build()
+
+    @pytest.mark.parametrize(
+        "build, registry, kind",
+        [
+            (lambda: ChannelSpec("no-such-kind").build(), "channel", "no-such-kind"),
+            (lambda: ChannelSpec.from_dict({"kind": ["pure"]}), "channel", ["pure"]),
+            (lambda: ChannelSpec.from_dict({"delay": 1.0}), "channel", None),
+            (lambda: AdversarySpec.from_dict({"kind": {}}), "adversary", {}),
+            (lambda: DelaySpec("warp").build(), "delay", "warp"),
+            (lambda: pair_from_dict({"kind": "spline"}), "involution-pair", "spline"),
+            (lambda: ExperimentSpec(7), "experiment", 7),
+        ],
+        ids=["channel", "list-kind", "missing-kind", "adversary", "delay", "pair", "experiment"],
+    )
+    def test_unknown_kind_error_names_its_registry_and_the_kind(self, build, registry, kind):
+        with pytest.raises(UnknownKindError) as info:
+            build()
+        assert (info.value.registry, info.value.kind) == (registry, kind)
+        assert str(info.value).startswith(f"unknown {registry} kind {kind!r}; registered: [")
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert (copy.registry, copy.kind, str(copy)) == (registry, kind, str(info.value))
 
     def test_build_returns_fresh_instances(self):
         spec = ChannelSpec.from_channel(

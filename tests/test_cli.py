@@ -122,6 +122,29 @@ class TestSimulate:
             main(["simulate", str(bare)])
 
 
+EXP = {"kind": "exp", "tau": 1.0, "t_p": 0.5}
+
+
+def _pair_channel(up):
+    """An involution channel whose explicit pair has *up* as its up-delay."""
+    return {
+        "kind": "involution",
+        "pair": {"kind": "pair", "up": up, "down": dict(EXP, rising=False)},
+    }
+
+
+def _eta_channel(**change):
+    """An exp eta channel with the sub-specs in *change* updated."""
+    channel = {
+        "kind": "eta_involution",
+        "pair": dict(EXP),
+        "eta": {"eta_plus": 0.05, "eta_minus": 0.05},
+    }
+    for key, value in change.items():
+        channel[key] = dict(channel.get(key, {}), **value)
+    return channel
+
+
 class TestChannelParamDomains:
     """lint and simulate agree on which channel parameters are valid."""
 
@@ -198,6 +221,119 @@ class TestChannelParamDomains:
         with pytest.raises(SystemExit) as exit_info:
             main(["simulate", str(path)])
         assert str(exit_info.value) == f"error: {message} (at /edges/0)"
+
+    #: name -> (channel with the parameter set to v, the parameter's pointer
+    #: below the channel, one more out-of-domain value).
+    DOMAIN_CASES = {
+        "pure-delay": (lambda v: {"kind": "pure", "delay": v}, "delay", -0.5),
+        "pure-falling_delay": (
+            lambda v: {"kind": "pure", "delay": 1.0, "falling_delay": v}, "falling_delay", -0.5
+        ),
+        "inertial-delay": (
+            lambda v: {"kind": "inertial", "delay": v, "window": 0.1}, "delay", -1.0
+        ),
+        "inertial-window": (
+            lambda v: {"kind": "inertial", "delay": 1.0, "window": v}, "window", -1.0
+        ),
+        "ddm-delta_nominal": (
+            lambda v: {"kind": "ddm", "delta_nominal": v, "tau_deg": 1.0}, "delta_nominal", 0.0
+        ),
+        "ddm-tau_deg": (
+            lambda v: {"kind": "ddm", "delta_nominal": 1.0, "tau_deg": v}, "tau_deg", 0.0
+        ),
+        "ddm-T0": (
+            lambda v: {"kind": "ddm", "delta_nominal": 1.0, "tau_deg": 1.0, "T0": v},
+            "T0",
+            -math.inf,
+        ),
+        "exp-tau": (lambda v: _eta_channel(pair={"tau": v}), "pair/tau", 0.0),
+        "exp-t_p": (lambda v: _eta_channel(pair={"t_p": v}), "pair/t_p", -0.5),
+        "exp-v_th": (lambda v: _eta_channel(pair={"v_th": v}), "pair/v_th", 1.0),
+        "constant-delay": (
+            lambda v: _pair_channel({"kind": "constant", "delay": v}), "pair/up/delay", -1.0
+        ),
+        "shifted-shift_T": (
+            lambda v: _pair_channel({"kind": "shifted", "base": EXP, "shift_T": v}),
+            "pair/up/shift_T",
+            -math.inf,
+        ),
+        "scaled-scale": (
+            lambda v: _pair_channel({"kind": "scaled", "base": EXP, "scale": v}),
+            "pair/up/scale",
+            0.0,
+        ),
+        "eta-eta_plus": (lambda v: _eta_channel(eta={"eta_plus": v}), "eta/eta_plus", -0.1),
+        "eta-eta_minus": (lambda v: _eta_channel(eta={"eta_minus": v}), "eta/eta_minus", -0.1),
+        "random-sigma_fraction": (
+            lambda v: _eta_channel(
+                adversary={"kind": "random", "seed": 1, "distribution": "gaussian",
+                           "sigma_fraction": v}
+            ),
+            "adversary/sigma_fraction",
+            -1.0,
+        ),
+        "random-distribution": (
+            lambda v: _eta_channel(adversary={"kind": "random", "seed": 1, "distribution": v}),
+            "adversary/distribution",
+            "normal",
+        ),
+        "sine-period": (
+            lambda v: _eta_channel(adversary={"kind": "sine", "period": v}),
+            "adversary/period",
+            0.0,
+        ),
+        "sine-phase": (
+            lambda v: _eta_channel(adversary={"kind": "sine", "period": 2.0, "phase": v}),
+            "adversary/phase",
+            -math.inf,
+        ),
+        "sine-amplitude_fraction": (
+            lambda v: _eta_channel(
+                adversary={"kind": "sine", "period": 2.0, "amplitude_fraction": v}
+            ),
+            "adversary/amplitude_fraction",
+            1.5,
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, "bad"], ids=["NaN", "Infinity", "out-of-domain"]
+    )
+    @pytest.mark.parametrize("case", sorted(DOMAIN_CASES))
+    def test_out_of_domain_parameter_is_one_finding_and_one_error_line(
+        self, tmp_path, capsys, case, value
+    ):
+        channel, pointer, bad = self.DOMAIN_CASES[case]
+        spec = channel(bad if value == "bad" else value)
+        path = self._netlist(tmp_path, lambda first: (first.clear(), first.update(spec)))
+        assert main(["lint", path]) == 1
+        findings = capsys.readouterr().out.splitlines()[:-1]
+        assert len(findings) == 1, findings
+        assert f":/circuit/edges/0/channel/{pointer} REP106 error: " in findings[0]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", path])
+        message = str(exit_info.value)
+        assert message.startswith("error: ") and message.endswith(" (at /edges/0)")
+        assert "\n" not in message
+
+    def test_in_domain_cases_are_lint_clean(self, tmp_path, capsys):
+        """The channels above, with an in-domain value, lint clean: the one
+        finding each case gets is the out-of-domain parameter's."""
+        in_domain = {
+            "pure-delay": 0.5, "pure-falling_delay": 0.5, "inertial-delay": 1.0,
+            "inertial-window": 0.1, "ddm-delta_nominal": 1.0, "ddm-tau_deg": 1.0,
+            "ddm-T0": 0.0, "exp-tau": 1.0, "exp-t_p": 0.5, "exp-v_th": 0.5,
+            "constant-delay": 0.5, "shifted-shift_T": 0.0, "scaled-scale": 1.0,
+            "eta-eta_plus": 0.05, "eta-eta_minus": 0.05, "random-sigma_fraction": 0.5,
+            "random-distribution": "uniform", "sine-period": 2.0, "sine-phase": 0.0,
+            "sine-amplitude_fraction": 0.5,
+        }
+        assert set(in_domain) == set(self.DOMAIN_CASES)
+        for case, value in sorted(in_domain.items()):
+            spec = self.DOMAIN_CASES[case][0](value)
+            path = self._netlist(tmp_path, lambda first: (first.clear(), first.update(spec)))
+            assert main(["lint", path]) == 0, (case, capsys.readouterr().out)
+            capsys.readouterr()
 
 
 class TestSweep:
@@ -408,6 +544,36 @@ class TestExperimentCLI:
     def test_bad_param_spec_exits(self):
         with pytest.raises(SystemExit, match="NAME=VALUE"):
             main(["experiment", "run", "lemma5", "--param", "oops"])
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (
+                {"adversaries": {"s": {"kind": "sine", "period": -1}}},
+                "period=-1.0 must be finite and positive",
+            ),
+            (
+                {
+                    "adversaries": {
+                        "r": {"kind": "random", "seed": 1, "distribution": "gaussian",
+                              "sigma_fraction": -2},
+                    }
+                },
+                "sigma_fraction=-2.0 must be finite and non-negative",
+            ),
+            (
+                {"pair": {"kind": "exp", "tau": -1, "t_p": 0.5}},
+                "tau must be positive and finite, got -1.0",
+            ),
+        ],
+        ids=["sine-period", "random-sigma_fraction", "exp-tau"],
+    )
+    def test_out_of_domain_param_is_one_error_line(self, params, message):
+        """Experiment parameters are built outside a circuit spec; their
+        constructor's DomainError still ends the run in one line."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "run", "theorem9", "--params-json", json.dumps(params)])
+        assert str(exit_info.value) == f"error: {message}"
 
 
 class TestPackagedEntryPoints:

@@ -10,12 +10,16 @@ of the first edge (its channel included), and of the first transition of
   purpose, and ``repro lint`` exits 2 on them.
 * ``repro simulate`` ends every one in a result or a one-line ``error:``
   exit, never in another exception.
+* A document ``lint()`` passes also loads, builds and validates: lint
+  reads the envelope and the circuit skeleton the way the loader does.
+* One defect is one finding: no document gets both REP105 and REP106.
 
 The ``ci`` hypothesis profile (the ``differential`` CI job) runs all 480
 documents, the default ``dev`` profile a fixed sample of 120.
 """
 
 import copy
+import functools
 import json
 from pathlib import Path
 
@@ -23,6 +27,7 @@ import pytest
 from hypothesis import settings
 
 from repro.cli import main
+from repro.io.netlist import netlist_from_dict
 from repro.lint import lint
 from repro.specs import SpecError
 
@@ -99,6 +104,40 @@ def test_simulate_exits_cleanly(tmp_path, capsys):
             tracebacks.append((path, value, repr(exc)))
         capsys.readouterr()
     assert tracebacks == []
+
+
+@functools.lru_cache(maxsize=None)
+def _lint_reports():
+    """``(path, value, document, report)`` for each readable sample
+    document, linted once for the tests below."""
+    reports = []
+    for path, value in SAMPLE:
+        if path != ("circuit",):  # the by-design unreadable documents
+            doc = _mutated(path, value)
+            reports.append((path, value, doc, lint(doc)))
+    return reports
+
+
+@pytest.mark.differential
+def test_lint_clean_documents_load_and_build():
+    failures = []
+    for path, value, doc, report in _lint_reports():
+        if report.ok:
+            try:
+                netlist_from_dict(doc).build().validate()
+            except Exception as exc:
+                failures.append((path, value, repr(exc)))
+    assert failures == []
+
+
+@pytest.mark.differential
+def test_no_document_gets_both_rep105_and_rep106():
+    both = [
+        (path, value)
+        for path, value, _, report in _lint_reports()
+        if {"REP105", "REP106"} <= {d.code for d in report}
+    ]
+    assert both == []
 
 
 CHANNEL = ("circuit", "edges", 0, "channel")

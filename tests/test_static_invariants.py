@@ -43,6 +43,14 @@ method (``uniform``, ``normal``, ``random``, ``standard_normal``,
 ``integers``) without a ``size=`` keyword.  A scalar draw costs about
 2 us of NumPy call overhead, a 64-wide block about 30 ns per value, and
 mapped by NumPy's own formula a block gives the same floats.
+
+A seventh keeps each parameter check in one home: every ``raise`` inside
+an ``__init__`` of ``core/baselines.py``, ``core/delay_functions.py``,
+``core/adversary.py`` and ``core/composition.py`` raises ``DomainError``,
+and ``lint/rules.py`` does not import ``math``.  Lint reports the
+constructors' ``DomainError`` at the parameter's pointer instead of
+keeping a copy of their checks, and a copy of a domain check is what
+would need ``math.isfinite`` there.
 """
 
 import ast
@@ -71,6 +79,13 @@ HEAVY_IMPORT_HOMES = {
 }
 #: NumPy Generator methods that draw; called without ``size=`` they draw one.
 DRAW_METHODS = {"uniform", "normal", "random", "standard_normal", "integers"}
+#: The modules whose constructors own their parameter domains.
+DOMAIN_HOMES = [
+    SRC / "core" / name
+    for name in ("baselines.py", "delay_functions.py", "adversary.py", "composition.py")
+]
+#: The lint rules, which report those constructors' errors.
+LINT_RULES = SRC / "lint" / "rules.py"
 
 
 def _checked_files():
@@ -460,3 +475,65 @@ def test_scalar_draw_gate_detects_draws(tmp_path):
         "f = np.random.default_rng(np.random.SeedSequence(7))\n"
     )
     assert _scalar_draws(clean) == []
+
+
+def _foreign_init_raises(path):
+    """``(line, exception)`` for each ``raise`` in an ``__init__`` that
+    does not raise ``DomainError``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            for raised in ast.walk(node):
+                if not isinstance(raised, ast.Raise):
+                    continue
+                exc = raised.exc.func if isinstance(raised.exc, ast.Call) else raised.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                if name != "DomainError":
+                    found.append((raised.lineno, name))
+    return found
+
+
+def _math_imports(path):
+    """Lines importing the ``math`` module or a name from it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "math" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "math")
+    ]
+
+
+@pytest.mark.parametrize("path", DOMAIN_HOMES, ids=lambda p: str(p.relative_to(SRC)))
+def test_constructors_raise_only_domain_errors(path):
+    raises = _foreign_init_raises(path)
+    assert not raises, "\n".join(f"{path}:{line}: raise {name}" for line, name in raises)
+
+
+def test_lint_rules_keep_no_copy_of_a_domain_check():
+    assert _math_imports(LINT_RULES) == []
+
+
+def test_domain_gate_detects_copies(tmp_path):
+    """The detector itself is tested: seed each forbidden construct."""
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class A:\n"
+        "    def __init__(self, x):\n"
+        "        if x < 0:\n"
+        "            raise ValueError('x')\n"
+        "        if x > 9:\n"
+        "            raise errors.SpecError\n"
+        "        if x == 5:\n"
+        "            raise\n"
+        "        raise DomainError('x', 'x is bad')\n"
+        "    def check(self):\n"
+        "        raise ValueError('not a constructor')\n"
+    )
+    assert _foreign_init_raises(probe) == [(4, "ValueError"), (6, "SpecError"), (8, None)]
+    for source in ("import math\n", "import os, math\n", "from math import isfinite\n"):
+        probe.write_text(source)
+        assert _math_imports(probe) == [1], source
+    probe.write_text("from .math import x\nimport mathx\n")
+    assert _math_imports(probe) == []
