@@ -21,7 +21,7 @@ The circuit is a plain data structure; execution lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.channel import Channel, ZeroDelayChannel
 from .gates import GateType
@@ -29,11 +29,60 @@ from .gates import GateType
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["CircuitError", "Node", "InputPort", "OutputPort", "GateInstance", "Edge", "Circuit"]
+__all__ = [
+    "CircuitError",
+    "DuplicateNameError",
+    "UnknownNodeError",
+    "IncompleteCircuitError",
+    "Node",
+    "InputPort",
+    "OutputPort",
+    "GateInstance",
+    "Edge",
+    "Circuit",
+]
 
 
 class CircuitError(ValueError):
-    """Raised for malformed circuits (dangling pins, duplicate drivers...)."""
+    """Raised for malformed circuits (dangling pins, duplicate drivers...).
+
+    ``field`` names the node or edge field at fault (``"name"``,
+    ``"initial_value"``, ``"source"``, ``"target"``, ``"pin"``, ``"type"``),
+    which is also its key in a circuit spec, or is None.
+    """
+
+    def __init__(self, message: str, field: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.field = field
+
+
+class DuplicateNameError(CircuitError):
+    """A node or edge name is already taken."""
+
+
+class UnknownNodeError(CircuitError):
+    """An edge's source or target names no node of the circuit."""
+
+
+class IncompleteCircuitError(CircuitError):
+    """A circuit :meth:`Circuit.validate` rejects.
+
+    ``node`` names the undriven (or wrongly driven) node, None for a circuit
+    with no input or no output port.  The error ``validate`` raises names
+    every defect and holds one error per defect in ``defects``.
+    """
+
+    defects: Tuple["IncompleteCircuitError", ...] = ()
+
+    def __init__(self, message: str, node: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.node = node
+
+
+def _binary(value: Any, what: str) -> None:
+    """Reject an initial value that is not the int 0 or 1 (a ``bool`` is not)."""
+    if type(value) is not int or value not in (0, 1):
+        raise CircuitError(f"{what} initial value must be 0 or 1, got {value!r}", "initial_value")
 
 
 @dataclass(frozen=True)
@@ -50,8 +99,7 @@ class InputPort(Node):
     initial_value: int = 0
 
     def __post_init__(self) -> None:
-        if self.initial_value not in (0, 1):
-            raise CircuitError("input initial value must be 0 or 1")
+        _binary(self.initial_value, "input")
 
 
 @dataclass(frozen=True)
@@ -68,9 +116,8 @@ class GateInstance(Node):
 
     def __post_init__(self) -> None:
         if self.gate_type is None:
-            raise CircuitError("gate instance requires a gate type")
-        if self.initial_value not in (0, 1):
-            raise CircuitError("gate initial value must be 0 or 1")
+            raise CircuitError("gate instance requires a gate type", "type")
+        _binary(self.initial_value, "gate")
 
 
 @dataclass
@@ -142,43 +189,50 @@ class Circuit:
         """Connect ``source`` to input ``pin`` of ``target`` through ``channel``.
 
         If no channel is given, a zero-delay channel is used (the paper's
-        convention for port connections).
+        convention for port connections).  A pin is an ``int`` (a ``bool`` is
+        not one) and a name a string.
         """
-        if source not in self._nodes:
-            raise CircuitError(f"unknown source node {source!r}")
-        if target not in self._nodes:
-            raise CircuitError(f"unknown target node {target!r}")
+        for field, endpoint in (("source", source), ("target", target)):
+            if not isinstance(endpoint, str) or endpoint not in self._nodes:
+                raise UnknownNodeError(f"unknown {field} node {endpoint!r}", field)
         source_node = self._nodes[source]
         target_node = self._nodes[target]
         if isinstance(source_node, OutputPort):
-            raise CircuitError("output ports cannot drive channels")
+            raise CircuitError("output ports cannot drive channels", "source")
         if isinstance(target_node, InputPort):
-            raise CircuitError("input ports cannot be driven")
+            raise CircuitError("input ports cannot be driven", "target")
+        if type(pin) is not int:
+            raise CircuitError(f"pin must be an integer, got {pin!r}", "pin")
         if isinstance(target_node, OutputPort) and pin != 0:
-            raise CircuitError("output ports have a single pin (0)")
+            raise CircuitError("output ports have a single pin (0)", "pin")
         if isinstance(target_node, GateInstance) and not (0 <= pin < target_node.gate_type.arity):
             raise CircuitError(
-                f"gate {target!r} has {target_node.gate_type.arity} pins, pin {pin} is invalid"
+                f"gate {target!r} has {target_node.gate_type.arity} pins, pin {pin} is invalid",
+                "pin",
             )
         for edge in self._edges.values():
             if edge.target == target and edge.pin == pin:
                 raise CircuitError(
-                    f"pin {pin} of {target!r} is already driven by {edge.source!r}"
+                    f"pin {pin} of {target!r} is already driven by {edge.source!r}", "pin"
                 )
         if channel is None:
             channel = ZeroDelayChannel()
         if name is None:
             name = f"{source}->{target}.{pin}#{self._edge_counter}"
+        elif not isinstance(name, str):
+            raise CircuitError(f"edge name must be a string, got {name!r}", "name")
         if name in self._edges:
-            raise CircuitError(f"duplicate edge name {name!r}")
+            raise DuplicateNameError(f"duplicate edge name {name!r}", "name")
         edge = Edge(name=name, source=source, target=target, pin=pin, channel=channel)
         self._edges[name] = edge
         self._edge_counter += 1
         return edge
 
     def _register(self, node: Node) -> None:
+        if not isinstance(node.name, str):
+            raise CircuitError(f"node name must be a string, got {node.name!r}", "name")
         if node.name in self._nodes:
-            raise CircuitError(f"duplicate node name {node.name!r}")
+            raise DuplicateNameError(f"duplicate node name {node.name!r}", "name")
         self._nodes[node.name] = node
 
     # ------------------------------------------------------------------ #
@@ -267,7 +321,9 @@ class Circuit:
 
     @classmethod
     def from_spec(cls, spec) -> "Circuit":
-        """Build a circuit from a :class:`repro.specs.CircuitSpec` (or dict)."""
+        """Build a well-formed circuit from a :class:`repro.specs.CircuitSpec`
+        (or dict); a malformed one raises one ``SpecError`` listing every
+        defect (see :meth:`repro.specs.CircuitSpec.build`)."""
         from ..specs import CircuitSpec
 
         if not isinstance(spec, CircuitSpec):
@@ -279,28 +335,35 @@ class Circuit:
     # ------------------------------------------------------------------ #
 
     def validate(self) -> None:
-        """Check the well-formedness constraints; raise :class:`CircuitError`."""
-        for node in self._nodes.values():
+        """Check the well-formedness constraints.
+
+        Raises one :class:`IncompleteCircuitError` naming every undriven
+        gate pin and output port, every driven input port and a missing
+        input or output port.
+        """
+        pins: Dict[str, List[int]] = {name: [] for name in self._nodes}
+        for edge in self._edges.values():
+            pins[edge.target].append(edge.pin)
+        defects: List[IncompleteCircuitError] = []
+        for name, node in self._nodes.items():
+            message = None
             if isinstance(node, GateInstance):
-                pins = {e.pin for e in self.edges_into(node.name)}
-                expected = set(range(node.gate_type.arity))
-                missing = expected - pins
+                missing = sorted(set(range(node.gate_type.arity)) - set(pins[name]))
                 if missing:
-                    raise CircuitError(
-                        f"gate {node.name!r} has undriven input pins {sorted(missing)}"
-                    )
-            elif isinstance(node, OutputPort):
-                if self.fan_in(node.name) != 1:
-                    raise CircuitError(
-                        f"output port {node.name!r} must be driven by exactly one channel"
-                    )
-            elif isinstance(node, InputPort):
-                if self.edges_into(node.name):
-                    raise CircuitError(f"input port {node.name!r} must not be driven")
-        if not self.input_ports():
-            raise CircuitError("circuit has no input ports")
-        if not self.output_ports():
-            raise CircuitError("circuit has no output ports")
+                    message = f"gate {name!r} has undriven input pins {missing}"
+            elif isinstance(node, OutputPort) and len(pins[name]) != 1:
+                message = f"output port {name!r} must be driven by exactly one channel"
+            elif isinstance(node, InputPort) and pins[name]:
+                message = f"input port {name!r} must not be driven"
+            if message is not None:
+                defects.append(IncompleteCircuitError(message, name))
+        for kind, ports in (("input", self.input_ports()), ("output", self.output_ports())):
+            if not ports:
+                defects.append(IncompleteCircuitError(f"circuit has no {kind} ports"))
+        if defects:
+            error = IncompleteCircuitError("; ".join(map(str, defects)))
+            error.defects = tuple(defects)
+            raise error
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export the circuit as a networkx multigraph (for analysis/plotting)."""

@@ -54,8 +54,10 @@ class GateType:
     function: Callable[[Tuple[int, ...]], int] = field(compare=False)
 
     def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValueError("gate arity must be at least 1")
+        if not isinstance(self.name, str):
+            raise ValueError(f"gate name must be a string, got {self.name!r}")
+        if type(self.arity) is not int or self.arity < 1:
+            raise ValueError(f"gate arity must be an integer of at least 1, got {self.arity!r}")
 
     def evaluate(self, inputs: Sequence[int]) -> int:
         """Evaluate the gate on the given input values."""
@@ -85,17 +87,27 @@ class GateType:
     def from_truth_table(cls, name: str, arity: int, table: Dict[Tuple[int, ...], int]) -> "GateType":
         """Build a gate type from an explicit truth table.
 
-        Missing rows default to 0.
+        Each key is a tuple of ``arity`` input values and maps to the
+        output; inputs and outputs are the ints 0 and 1 (a ``bool`` is not
+        one).  Missing rows default to 0.
         """
-        frozen = {tuple(int(v) for v in key): int(bool(val)) for key, val in table.items()}
-        return cls(name, arity, lambda values: frozen.get(values, 0))
+        frozen = dict(table)
+        gate = cls(name, arity, lambda values: frozen.get(values, 0))
+        for key, value in frozen.items():
+            row = (*key, value)
+            if len(key) != arity or not all(type(v) is int and v in (0, 1) for v in row):
+                raise ValueError(
+                    f"gate {name!r} truth-table row {list(row)} is not {arity} "
+                    "binary inputs and a binary output"
+                )
+        return gate
 
     def truth_table(self) -> Dict[Tuple[int, ...], int]:
         """Enumerate the full truth table of the gate."""
         table = {}
         for index in range(2 ** self.arity):
             row = tuple((index >> bit) & 1 for bit in reversed(range(self.arity)))
-            table[row] = self.evaluate(row)
+            table[row] = int(self.evaluate(row))
         return table
 
     def __reduce__(self):

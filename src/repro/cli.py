@@ -350,7 +350,6 @@ def _cmd_info(args) -> int:
 
     netlist = load_netlist(args.netlist)
     circuit = netlist.build()
-    circuit.validate()
     print(circuit.summary())
     for port in circuit.input_ports():
         default = netlist.inputs.get(port.name)

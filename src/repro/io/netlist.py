@@ -147,16 +147,15 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
         raise located(SpecError(f"not a repro netlist (format={fmt!r})"), "/format")
     if not isinstance(data["circuit"], Mapping):
         raise SpecError("netlist 'circuit' field is not an object")
-    try:
-        version = int(data.get("version", NETLIST_VERSION))
-    except BUILD_ERRORS as exc:
-        raise located(exc, "/version") from exc
+    version = _field(data, "version", NETLIST_VERSION)
+    if type(version) is not int:
+        raise located(SpecError(f"netlist version {version!r} is not an integer"), "/version")
     if version > NETLIST_VERSION:
         raise located(
             SpecError(f"netlist version {version} is newer than supported ({NETLIST_VERSION})"),
             "/version",
         )
-    raw_inputs = data.get("inputs") or {}
+    raw_inputs = _field(data, "inputs", {})
     if not isinstance(raw_inputs, Mapping):
         raise located(SpecError("netlist 'inputs' field is not an object"), "/inputs")
     inputs: Dict[str, Signal] = {}
@@ -166,11 +165,11 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
         except BUILD_ERRORS as exc:
             raise located(exc, f"/inputs/{name}") from exc
     end_time = data.get("end_time")
-    try:
-        end_time = None if end_time is None else float(end_time)
-    except BUILD_ERRORS as exc:
-        raise located(exc, "/end_time") from exc
-    metadata = data.get("metadata") or {}
+    if end_time is not None:
+        if isinstance(end_time, bool) or not isinstance(end_time, (int, float)):
+            raise located(SpecError(f"end_time {end_time!r} is not a number"), "/end_time")
+        end_time = float(end_time)
+    metadata = _field(data, "metadata", {})
     if not isinstance(metadata, Mapping):
         raise located(SpecError("netlist 'metadata' field is not an object"), "/metadata")
     return Netlist(
@@ -179,6 +178,12 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
         end_time=end_time,
         metadata=dict(metadata),
     )
+
+
+def _field(data: Mapping[str, Any], key: str, default: Any) -> Any:
+    """``data[key]``, or *default* when the field is missing or null."""
+    value = data.get(key)
+    return default if value is None else value
 
 
 def load_netlist(path: Union[str, Path]) -> Netlist:

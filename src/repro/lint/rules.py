@@ -10,10 +10,12 @@ access tolerates missing or mistyped fields and leaves reporting those
 to the rule that owns them.
 
 Lint keeps no copy of a builder's check.  REP009 runs the netlist
-loader's own decode step, and REP101 and REP103--REP106 report the
-exceptions the registered spec builders raise: one walker
-(:class:`SpecBuild`, once per document) builds every channel spec and,
-where one fails, its sub-specs at their own JSON pointers.
+loader's own decode step; REP001--REP006, REP008 and REP102 report the
+errors of ``CircuitSpec.build`` (:class:`CircuitBuild`, once per
+document), and REP101 and REP103--REP106 the exceptions the registered
+spec builders raise: one walker (:class:`SpecBuild`, once per document)
+builds every channel spec and, where one fails, its sub-specs at their
+own JSON pointers.
 
 Code blocks
 -----------
@@ -103,40 +105,19 @@ class CircuitContext:
         ]
         #: First declaration index of each node name.
         self.node_index: Dict[str, int] = {}
-        #: Node kind by name (first declaration wins, like ``Circuit``).
-        self.node_kind: Dict[str, str] = {}
         for i, node in self.nodes:
             name = node.get("name")
             if isinstance(name, str) and name not in self.node_index:
                 self.node_index[name] = i
-                kind = node.get("kind")
-                self.node_kind[name] = kind if isinstance(kind, str) else "?"
-        self.in_edges: Dict[str, List[Tuple[int, Mapping[str, Any]]]] = {}
         self.out_edges: Dict[str, List[Tuple[int, Mapping[str, Any]]]] = {}
         for i, edge in self.edges:
-            target = edge.get("target")
             source = edge.get("source")
-            if isinstance(target, str):
-                self.in_edges.setdefault(target, []).append((i, edge))
             if isinstance(source, str):
                 self.out_edges.setdefault(source, []).append((i, edge))
 
     def path(self, suffix: str) -> str:
         """Join ``suffix`` (circuit-relative) onto the circuit's base path."""
         return f"{self.base}{suffix}"
-
-    def gate_arity(self, node: Mapping[str, Any]) -> Optional[int]:
-        """Arity of a gate node's type, or ``None`` when it cannot be known."""
-        from ..circuits.gates import GATE_LIBRARY
-
-        gtype = node.get("type")
-        if isinstance(gtype, str):
-            gate = GATE_LIBRARY.get(gtype)
-            return None if gate is None else gate.arity
-        if isinstance(gtype, Mapping):
-            arity = gtype.get("arity")
-            return arity if isinstance(arity, int) else None
-        return None
 
     def edge_label(self, index: int, edge: Mapping[str, Any]) -> str:
         """Human-readable identifier of an edge (name or positional)."""
@@ -149,6 +130,11 @@ class CircuitContext:
     def specs(self) -> "SpecBuild":
         """Every channel spec of the document, built once (see :class:`SpecBuild`)."""
         return SpecBuild(self)
+
+    @cached_property
+    def build(self) -> "CircuitBuild":
+        """The document's circuit, built once (see :class:`CircuitBuild`)."""
+        return CircuitBuild(self)
 
 
 @dataclass
@@ -219,8 +205,9 @@ def get_rule(code: str) -> Rule:
 
 
 def _num(value: Any) -> Optional[float]:
-    """Coerce a JSON number, or ``None`` (bools excluded: JSON booleans
-    in numeric fields are a type error REP105 reports via the builder)."""
+    """A JSON number as a float, or ``None``.  A JSON boolean is not a
+    number: the spec builders reject one in a numeric field with a
+    ``TypeError``, which REP105 reports."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     return None
@@ -229,6 +216,64 @@ def _num(value: Any) -> Optional[float]:
 # --------------------------------------------------------------------------- #
 # REP0xx -- netlist structure
 # --------------------------------------------------------------------------- #
+
+
+class CircuitBuild:
+    """The document's circuit, built once by ``CircuitSpec.build``.
+
+    ``circuit`` is the circuit, or None when it does not build (or its
+    skeleton does not decode, which is REP009's).  ``findings`` maps
+    REP001--REP006, REP008 and REP102 to the builder's errors in document
+    order, each at the field it names: the builder goes on past a node or
+    edge that does not build and raises one error listing them all.  The
+    error's type decides the rule, or else where it is located and the
+    ``field`` it names (see :meth:`rule`).
+    """
+
+    #: The rules these findings belong to.
+    CODES = ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP008", "REP102")
+    #: The rule of an edge's ``CircuitError``, by the field it names.
+    EDGE_FIELDS = {"source": "REP003", "target": "REP003", "name": "REP005", "pin": "REP006"}
+
+    def __init__(self, ctx: CircuitContext) -> None:
+        from ..specs import CircuitSpec, SpecError
+
+        self.circuit: Any = None
+        self.findings: Dict[str, List[Finding]] = {code: [] for code in self.CODES}
+        try:
+            self.circuit = CircuitSpec.from_dict(ctx.circuit).build()
+        except SpecError as exc:
+            for defect in exc.defects:
+                code = self.rule(defect)
+                if code is not None:
+                    field = getattr(defect.__cause__, "field", None)
+                    where = defect.path if field is None else f"{defect.path}/{field}"
+                    self.findings[code].append((ctx.path(where), str(defect)))
+
+    @classmethod
+    def rule(cls, defect: Any) -> Optional[str]:
+        """The rule of one builder error, None for a channel's (REP101,
+        REP103--REP106 report those through :class:`SpecBuild`)."""
+        from ..circuits.circuit import (
+            CircuitError,
+            DuplicateNameError,
+            IncompleteCircuitError,
+            UnknownNodeError,
+        )
+
+        cause = defect.__cause__
+        if isinstance(cause, UnknownNodeError):
+            return "REP002"
+        if isinstance(cause, IncompleteCircuitError):
+            return "REP004"
+        field = getattr(cause, "field", None)
+        if defect.path.startswith("/nodes/"):
+            if isinstance(cause, DuplicateNameError):
+                return "REP001"
+            return "REP102" if field == "type" else "REP008"
+        if not isinstance(cause, CircuitError):
+            return None
+        return cls.EDGE_FIELDS.get(field, "REP008")
 
 
 @_rule(
@@ -240,17 +285,10 @@ def _num(value: Any) -> Optional[float]:
 )
 def _check_duplicate_node_name(ctx: CircuitContext) -> Iterator[Finding]:
     """Node names are the circuit's namespace: edges address sources and
-    targets by name, so a duplicate silently shadows the first
-    declaration when the circuit is built."""
-    for i, node in ctx.nodes:
-        name = node.get("name")
-        if isinstance(name, str) and ctx.node_index.get(name) != i:
-            first = ctx.node_index[name]
-            yield (
-                ctx.path(f"/nodes/{i}/name"),
-                f"duplicate node name {name!r} "
-                f"(first declared at {ctx.path(f'/nodes/{first}')})",
-            )
+    targets by name, so a second declaration cannot be told from the
+    first.  ``Circuit`` raises ``DuplicateNameError`` for it, reported at
+    its ``name``."""
+    yield from ctx.build.findings["REP001"]
 
 
 @_rule(
@@ -261,22 +299,11 @@ def _check_duplicate_node_name(ctx: CircuitContext) -> Iterator[Finding]:
     "An edge references a node that is not declared.",
 )
 def _check_unknown_edge_endpoint(ctx: CircuitContext) -> Iterator[Finding]:
-    """A dangling endpoint means the edge cannot be wired at build time;
-    ``Circuit.connect`` would fail with a lookup error."""
-    for i, edge in ctx.edges:
-        label = ctx.edge_label(i, edge)
-        for role in ("source", "target"):
-            endpoint = edge.get(role)
-            if not isinstance(endpoint, str):
-                yield (
-                    ctx.path(f"/edges/{i}/{role}"),
-                    f"edge {label} has no {role} node",
-                )
-            elif endpoint not in ctx.node_index:
-                yield (
-                    ctx.path(f"/edges/{i}/{role}"),
-                    f"edge {label} {role} {endpoint!r} is not a declared node",
-                )
+    """A dangling endpoint means the edge cannot be wired:
+    ``Circuit.connect`` raises ``UnknownNodeError``, reported at the
+    edge's ``source`` or ``target``.  An edge naming a node that does not
+    build is not reported: the node keeps its name."""
+    yield from ctx.build.findings["REP002"]
 
 
 @_rule(
@@ -289,23 +316,9 @@ def _check_unknown_edge_endpoint(ctx: CircuitContext) -> Iterator[Finding]:
 def _check_invalid_edge_endpoint(ctx: CircuitContext) -> Iterator[Finding]:
     """Input ports are pure sources and output ports pure sinks in the
     paper's circuit model; an edge in the wrong direction has no
-    semantics and the builder rejects it."""
-    for i, edge in ctx.edges:
-        label = ctx.edge_label(i, edge)
-        source = edge.get("source")
-        target = edge.get("target")
-        if isinstance(source, str) and ctx.node_kind.get(source) == "output":
-            yield (
-                ctx.path(f"/edges/{i}/source"),
-                f"edge {label} drives from output port {source!r} "
-                "(output ports are sinks)",
-            )
-        if isinstance(target, str) and ctx.node_kind.get(target) == "input":
-            yield (
-                ctx.path(f"/edges/{i}/target"),
-                f"edge {label} drives into input port {target!r} "
-                "(input ports are sources)",
-            )
+    semantics, and ``Circuit.connect`` rejects it at its ``source`` or
+    ``target``."""
+    yield from ctx.build.findings["REP003"]
 
 
 @_rule(
@@ -313,38 +326,16 @@ def _check_invalid_edge_endpoint(ctx: CircuitContext) -> Iterator[Finding]:
     "undriven-node",
     Severity.ERROR,
     "circuit",
-    "A gate pin or output port has no incoming edge.",
+    "A gate pin or output port has no incoming edge, or the circuit has no input or output port.",
 )
 def _check_undriven_node(ctx: CircuitContext) -> Iterator[Finding]:
-    """Every gate pin and every output port needs exactly one driver;
-    an undriven one makes the circuit unrunnable (``Circuit.validate``
-    raises at run time -- the linter reports it statically)."""
-    for i, node in ctx.nodes:
-        name = node.get("name")
-        if not isinstance(name, str) or ctx.node_index.get(name) != i:
-            continue
-        kind = node.get("kind")
-        incoming = ctx.in_edges.get(name, [])
-        if kind == "output" and not incoming:
-            yield (
-                ctx.path(f"/nodes/{i}"),
-                f"output port {name!r} is never driven",
-            )
-        elif kind == "gate":
-            arity = ctx.gate_arity(node)
-            if arity is None:
-                continue
-            driven = {
-                edge.get("pin", 0)
-                for _, edge in incoming
-                if isinstance(edge.get("pin", 0), int)
-            }
-            for pin in range(arity):
-                if pin not in driven:
-                    yield (
-                        ctx.path(f"/nodes/{i}"),
-                        f"gate {name!r} input pin {pin} is never driven",
-                    )
+    """Every gate pin and every output port needs exactly one driver, and
+    a circuit needs an input and an output port.  ``Circuit.validate``
+    names every defect, reported at the node (or at ``nodes`` for a
+    missing port); the builder runs it once every node and edge is
+    wired, so an edge whose channel does not build still drives its
+    target."""
+    yield from ctx.build.findings["REP004"]
 
 
 @_rule(
@@ -356,26 +347,10 @@ def _check_undriven_node(ctx: CircuitContext) -> Iterator[Finding]:
 )
 def _check_duplicate_edge_name(ctx: CircuitContext) -> Iterator[Finding]:
     """Edge names key per-scenario channel overrides and sweep reports;
-    a duplicate makes overrides ambiguous and the builder rejects it.  A
-    name is optional, but one that is given must be a string."""
-    seen: Dict[str, int] = {}
-    for i, edge in ctx.edges:
-        name = edge.get("name")
-        if name is None:
-            continue
-        if not isinstance(name, str):
-            yield (
-                ctx.path(f"/edges/{i}/name"),
-                f"edge #{i} name {name!r} is not a string",
-            )
-        elif name in seen:
-            yield (
-                ctx.path(f"/edges/{i}/name"),
-                f"duplicate edge name {name!r} "
-                f"(first declared at {ctx.path(f'/edges/{seen[name]}')})",
-            )
-        else:
-            seen[name] = i
+    a duplicate makes overrides ambiguous.  A name is optional, but one
+    that is given must be a string.  ``Circuit.connect`` rejects both at
+    the edge's ``name``."""
+    yield from ctx.build.findings["REP005"]
 
 
 @_rule(
@@ -387,49 +362,10 @@ def _check_duplicate_edge_name(ctx: CircuitContext) -> Iterator[Finding]:
 )
 def _check_conflicting_drivers(ctx: CircuitContext) -> Iterator[Finding]:
     """Gate pins and output ports have fan-in exactly one; a second
-    driver (or a pin outside the gate's arity) cannot be wired."""
-    for name, incoming in ctx.in_edges.items():
-        kind = ctx.node_kind.get(name)
-        if kind == "output" and len(incoming) > 1:
-            first_i, first = incoming[0]
-            for i, edge in incoming[1:]:
-                yield (
-                    ctx.path(f"/edges/{i}/target"),
-                    f"output port {name!r} is driven by both edge "
-                    f"{ctx.edge_label(first_i, first)} and edge "
-                    f"{ctx.edge_label(i, edge)} (fan-in must be 1)",
-                )
-        elif kind == "gate":
-            node = dict(ctx.nodes)[ctx.node_index[name]]
-            arity = ctx.gate_arity(node)
-            pins: Dict[int, Tuple[int, Mapping[str, Any]]] = {}
-            for i, edge in incoming:
-                pin = edge.get("pin", 0)
-                if not isinstance(pin, int) or isinstance(pin, bool):
-                    yield (
-                        ctx.path(f"/edges/{i}/pin"),
-                        f"edge {ctx.edge_label(i, edge)} pin {pin!r} "
-                        "is not an integer",
-                    )
-                    continue
-                if pin < 0 or (arity is not None and pin >= arity):
-                    bound = "" if arity is None else f" (arity {arity})"
-                    yield (
-                        ctx.path(f"/edges/{i}/pin"),
-                        f"edge {ctx.edge_label(i, edge)} pin {pin} is out of "
-                        f"range for gate {name!r}{bound}",
-                    )
-                    continue
-                if pin in pins:
-                    first_i, first = pins[pin]
-                    yield (
-                        ctx.path(f"/edges/{i}/pin"),
-                        f"edge {ctx.edge_label(i, edge)} drives gate {name!r} "
-                        f"pin {pin} already driven by edge "
-                        f"{ctx.edge_label(first_i, first)}",
-                    )
-                else:
-                    pins[pin] = (i, edge)
+    driver, a pin outside the gate's arity, or a pin that is not an
+    integer cannot be wired.  ``Circuit.connect`` rejects each at the
+    edge's ``pin``."""
+    yield from ctx.build.findings["REP006"]
 
 
 @_rule(
@@ -460,40 +396,17 @@ def _check_dangling_node(ctx: CircuitContext) -> Iterator[Finding]:
     "invalid-node",
     Severity.ERROR,
     "circuit",
-    "A node has an unknown kind, no name, or an out-of-domain initial value.",
+    "A node or edge is not an object, or a node has an unknown kind, no name, no gate type, "
+    "or an initial value outside {0, 1}.",
 )
 def _check_invalid_node(ctx: CircuitContext) -> Iterator[Finding]:
-    """Nodes must be ``input``/``output``/``gate`` dicts with a name;
-    initial values live in the binary domain {0, 1}."""
-    raw_nodes = ctx.circuit.get("nodes")
-    for i, node in enumerate(raw_nodes if isinstance(raw_nodes, list) else []):
-        if not isinstance(node, Mapping):
-            yield (
-                ctx.path(f"/nodes/{i}"),
-                f"node entry is not an object: {node!r}",
-            )
-            continue
-        kind = node.get("kind")
-        if kind not in ("input", "output", "gate"):
-            yield (
-                ctx.path(f"/nodes/{i}/kind"),
-                f"unknown node kind {kind!r} (expected input, output, or gate)",
-            )
-        if not isinstance(node.get("name"), str):
-            yield (ctx.path(f"/nodes/{i}"), "node has no name")
-        if kind == "gate" and node.get("type") is None:
-            yield (
-                ctx.path(f"/nodes/{i}"),
-                f"gate {node.get('name')!r} has no type",
-            )
-        if kind in ("input", "gate"):
-            initial = node.get("initial_value", 0)
-            if initial not in (0, 1) or isinstance(initial, bool):
-                yield (
-                    ctx.path(f"/nodes/{i}/initial_value"),
-                    f"initial value {initial!r} is outside the binary "
-                    "domain {0, 1}",
-                )
+    """Nodes are ``input``/``output``/``gate`` objects with a string name,
+    and initial values are the integers 0 and 1 of the binary domain (a
+    JSON boolean is not one).  The builder and ``Circuit`` reject a
+    malformed node at the field they name (``kind``, ``name``,
+    ``initial_value``), or at the node, and an edge that is not an
+    object at the edge."""
+    yield from ctx.build.findings["REP008"]
 
 
 @_rule(
@@ -670,34 +583,10 @@ def _check_unknown_channel_kind(ctx: CircuitContext) -> Iterator[Finding]:
 )
 def _check_unknown_gate_type(ctx: CircuitContext) -> Iterator[Finding]:
     """Gate types are either a library name (``repro.circuits.gates``)
-    or an inline ``{name, arity, table}`` truth table."""
-    from ..circuits.gates import GATE_LIBRARY
-
-    for i, node in ctx.nodes:
-        if node.get("kind") != "gate":
-            continue
-        gtype = node.get("type")
-        if isinstance(gtype, str):
-            if gtype not in GATE_LIBRARY:
-                yield (
-                    ctx.path(f"/nodes/{i}/type"),
-                    f"unknown library gate {gtype!r}; "
-                    f"known: {sorted(GATE_LIBRARY)}",
-                )
-        elif isinstance(gtype, Mapping):
-            missing = [k for k in ("name", "arity", "table") if k not in gtype]
-            if missing:
-                yield (
-                    ctx.path(f"/nodes/{i}/type"),
-                    f"custom gate type is missing {missing} "
-                    "(needs name, arity, table)",
-                )
-        elif gtype is not None:
-            yield (
-                ctx.path(f"/nodes/{i}/type"),
-                f"gate type must be a library name or a truth-table object, "
-                f"got {gtype!r}",
-            )
+    or an inline ``{name, arity, table}`` truth table whose rows list
+    ``arity`` inputs and the output, all 0 or 1.  ``GateType`` decides,
+    and its error is reported at the node's ``type``."""
+    yield from ctx.build.findings["REP102"]
 
 
 @_rule(
@@ -1031,16 +920,14 @@ def _check_vector_fallback(ctx: CircuitContext) -> Iterator[Finding]:
     from ..engine.sweep import Scenario
     from ..engine.vector import vector_capability
     from ..io.netlist import netlist_from_dict
-    from ..specs import BUILD_ERRORS
+    from ..specs import SpecError
 
+    circuit = ctx.build.circuit
+    if circuit is None:
+        return
     try:
         netlist = netlist_from_dict(ctx.doc)
-        circuit = netlist.build()
-        # CircuitError is a ValueError: structurally invalid circuits
-        # (undriven pins, fan-in conflicts) bail out here and stay the
-        # REP0xx rules' findings.
-        circuit.validate()
-    except BUILD_ERRORS:
+    except SpecError:
         return
 
     inputs = {

@@ -75,6 +75,7 @@ from .core.delay_functions import (
     ShiftedDelay,
     TableDelay,
 )
+from .core.domain import DomainError
 from .core.eta_channel import EtaInvolutionChannel
 from .core.involution import InvolutionPair
 from .core.involution_channel import InvolutionChannel
@@ -118,10 +119,13 @@ class SpecError(ValueError):
     """Raised for unknown kinds, malformed params, or objects with no spec.
 
     ``path`` is the JSON pointer of the field that did not decode, when the
-    raiser knows it (:func:`located` sets it).
+    raiser knows it (:func:`located` sets it).  An error that reports
+    several located errors at once (:meth:`CircuitSpec.build`) is the first
+    of them, and ``defects`` lists them all.
     """
 
     path: Optional[str] = None
+    defects: Tuple["SpecError", ...] = ()
 
 
 class UnknownKindError(SpecError):
@@ -140,20 +144,50 @@ class UnknownKindError(SpecError):
         return type(self), (self.registry, self.kind, self.known)
 
 
-#: What building a spec raises on malformed input: a missing field
-#: (KeyError), a value of the wrong type (TypeError, AttributeError) or an
-#: out-of-domain value (ValueError, which SpecError and the core's
-#: CircuitError, InvolutionError and SignalError all are).
-BUILD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+#: What building a spec raises on malformed input: a missing field or list
+#: entry (KeyError, IndexError), a value of the wrong type (TypeError,
+#: AttributeError) or an out-of-domain value (ValueError, which SpecError
+#: and the core's CircuitError, InvolutionError and SignalError all are).
+BUILD_ERRORS = (AttributeError, LookupError, TypeError, ValueError)
 
 
 def located(exc: Exception, where: str) -> SpecError:
     """*exc*, raised while decoding the document field *where*, as a
-    :class:`SpecError` whose message ends with that location."""
-    message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-    error = SpecError(f"{message} (at {where})")
-    error.path = where
+    :class:`SpecError` whose message ends with that location and whose
+    ``__cause__`` is *exc*."""
+    error = SpecError(f"{_describe(exc)} (at {where})")
+    error.path, error.__cause__ = where, exc
     return error
+
+
+def _describe(exc: Exception) -> str:
+    """The message of a build error (a ``KeyError`` is a missing field)."""
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+_REQUIRED: Any = object()
+
+
+def _param(params: Mapping[str, Any], key: str, default: Any = _REQUIRED) -> Any:
+    """The spec parameter *key*, or *default* when it is absent.
+
+    Where the default is a flag, the value must be a JSON boolean; else it
+    is a number, or a list of numbers, returned as floats (a JSON boolean
+    is not a number).  A ``None`` default lets the value be null.  A
+    missing required parameter raises ``KeyError`` and a value of the
+    wrong type ``TypeError``, so no builder converts one silently.
+    """
+    value = params[key] if default is _REQUIRED else params.get(key, default)
+    if value is None and default is None:
+        return None
+    flag, many = isinstance(default, bool), isinstance(value, list)
+    for item in value if many and not flag else [value]:
+        if isinstance(item, bool) != flag or not isinstance(item, (int, float)):
+            noun = "true or false" if flag else "numbers" if many else "a number"
+            raise TypeError(f"{key}={value!r} must be {noun}")
+    if flag:
+        return value
+    return [float(item) for item in value] if many else float(value)
 
 
 # --------------------------------------------------------------------------- #
@@ -353,18 +387,18 @@ class DelaySpec(Spec):
 
 def _build_exp(params: Mapping[str, Any]) -> ExpDelay:
     return ExpDelay(
-        float(params["tau"]),
-        float(params["t_p"]),
-        float(params.get("v_th", 0.5)),
-        rising=bool(params.get("rising", True)),
+        _param(params, "tau"),
+        _param(params, "t_p"),
+        _param(params, "v_th", 0.5),
+        rising=_param(params, "rising", True),
     )
 
 
 def _build_table(params: Mapping[str, Any]) -> TableDelay:
     return TableDelay(
-        [float(t) for t in params["T_samples"]],
-        [float(d) for d in params["delta_samples"]],
-        None if params.get("delta_inf") is None else float(params["delta_inf"]),
+        _param(params, "T_samples"),
+        _param(params, "delta_samples"),
+        _param(params, "delta_inf", None),
     )
 
 
@@ -381,7 +415,7 @@ register_delay_kind(
 )
 register_delay_kind(
     "constant",
-    lambda p: ConstantDelay(float(p["delay"])),
+    lambda p: ConstantDelay(_param(p, "delay")),
     delay_class=ConstantDelay,
     extractor=lambda fn: {"delay": fn.delay},
 )
@@ -399,8 +433,8 @@ register_delay_kind(
     "shifted",
     lambda p: ShiftedDelay(
         DelaySpec.from_dict(p["base"]).build(),
-        float(p.get("shift_T", 0.0)),
-        float(p.get("shift_delta", 0.0)),
+        _param(p, "shift_T", 0.0),
+        _param(p, "shift_delta", 0.0),
     ),
     delay_class=ShiftedDelay,
     extractor=lambda fn: {
@@ -411,7 +445,7 @@ register_delay_kind(
 )
 register_delay_kind(
     "scaled",
-    lambda p: ScaledDelay(DelaySpec.from_dict(p["base"]).build(), float(p["scale"])),
+    lambda p: ScaledDelay(DelaySpec.from_dict(p["base"]).build(), _param(p, "scale")),
     delay_class=ScaledDelay,
     extractor=lambda fn: {
         "base": DelaySpec.from_delay(fn.base).to_dict(),
@@ -458,7 +492,7 @@ def pair_from_dict(data: Mapping[str, Any]) -> InvolutionPair:
     kind = data.get("kind")
     if kind == "exp":
         return InvolutionPair.exp_channel(
-            float(data["tau"]), float(data["t_p"]), float(data.get("v_th", 0.5))
+            _param(data, "tau"), _param(data, "t_p"), _param(data, "v_th", 0.5)
         )
     if kind == "pair":
         return InvolutionPair(
@@ -476,7 +510,7 @@ def eta_to_dict(eta: EtaBound) -> Dict[str, float]:
 
 def eta_from_dict(data: Mapping[str, Any]) -> EtaBound:
     """Rebuild an eta bound from :func:`eta_to_dict` output."""
-    return EtaBound(float(data["eta_plus"]), float(data["eta_minus"]))
+    return EtaBound(_param(data, "eta_plus"), _param(data, "eta_minus"))
 
 
 # --------------------------------------------------------------------------- #
@@ -573,8 +607,8 @@ register_adversary_kind(
     "random",
     lambda p: RandomAdversary(
         seed=_seed_from_json(p.get("seed")),
-        distribution=str(p.get("distribution", "uniform")),
-        sigma_fraction=float(p.get("sigma_fraction", 0.5)),
+        distribution=p.get("distribution", "uniform"),
+        sigma_fraction=_param(p, "sigma_fraction", 0.5),
     ),
     adversary_class=RandomAdversary,
     extractor=lambda a: {
@@ -586,9 +620,9 @@ register_adversary_kind(
 register_adversary_kind(
     "sine",
     lambda p: SineAdversary(
-        float(p["period"]),
-        float(p.get("phase", 0.0)),
-        float(p.get("amplitude_fraction", 1.0)),
+        _param(p, "period"),
+        _param(p, "phase", 0.0),
+        _param(p, "amplitude_fraction", 1.0),
     ),
     adversary_class=SineAdversary,
     extractor=lambda a: {
@@ -600,9 +634,7 @@ register_adversary_kind(
 register_adversary_kind(
     "sequence",
     lambda p: SequenceAdversary(
-        [float(s) for s in p["shifts"]],
-        fill=float(p.get("fill", 0.0)),
-        clip=bool(p.get("clip", False)),
+        _param(p, "shifts"), fill=_param(p, "fill", 0.0), clip=_param(p, "clip", False)
     ),
     adversary_class=SequenceAdversary,
     extractor=lambda a: {"shifts": a.shifts, "fill": a.fill, "clip": a.clip_values},
@@ -713,7 +745,7 @@ class ChannelSpec(Spec):
 
 
 def _common(params: Mapping[str, Any]) -> Dict[str, Any]:
-    return {"inverting": bool(params.get("inverting", False)), "name": params.get("name")}
+    return {"inverting": _param(params, "inverting", False), "name": params.get("name")}
 
 
 register_channel_kind(
@@ -725,9 +757,7 @@ register_channel_kind(
 register_channel_kind(
     "pure",
     lambda p: PureDelayChannel(
-        float(p["delay"]),
-        None if p.get("falling_delay") is None else float(p["falling_delay"]),
-        **_common(p),
+        _param(p, "delay"), _param(p, "falling_delay", None), **_common(p)
     ),
     channel_class=PureDelayChannel,
     extractor=lambda c: {
@@ -738,17 +768,14 @@ register_channel_kind(
 )
 register_channel_kind(
     "inertial",
-    lambda p: InertialDelayChannel(float(p["delay"]), float(p["window"]), **_common(p)),
+    lambda p: InertialDelayChannel(_param(p, "delay"), _param(p, "window"), **_common(p)),
     channel_class=InertialDelayChannel,
     extractor=lambda c: {"delay": c.delay, "window": c.window, "inverting": c.inverting},
 )
 register_channel_kind(
     "ddm",
     lambda p: DegradationDelayChannel(
-        float(p["delta_nominal"]),
-        float(p["tau_deg"]),
-        float(p.get("T0", 0.0)),
-        **_common(p),
+        _param(p, "delta_nominal"), _param(p, "tau_deg"), _param(p, "T0", 0.0), **_common(p)
     ),
     channel_class=DegradationDelayChannel,
     extractor=lambda c: {
@@ -762,7 +789,7 @@ register_channel_kind(
     "involution",
     lambda p: InvolutionChannel(
         pair_from_dict(p["pair"]),
-        guard_domain=bool(p.get("guard_domain", True)),
+        guard_domain=_param(p, "guard_domain", True),
         **_common(p),
     ),
     channel_class=InvolutionChannel,
@@ -822,17 +849,25 @@ def _gate_type_to_spec(gate_type) -> Any:
 
 
 def _gate_type_from_spec(data: Any):
+    """Decode a gate type: a library name, or a ``{name, arity, table}``
+    object whose table rows list the inputs and then the output.  Each
+    error is a ``CircuitError`` naming the node's ``type`` field."""
+    from .circuits.circuit import CircuitError
     from .circuits.gates import GATE_LIBRARY, GateType
 
-    if isinstance(data, str):
-        try:
-            return GATE_LIBRARY[data]
-        except KeyError:
-            raise SpecError(
-                f"unknown library gate {data!r}; known: {sorted(GATE_LIBRARY)}"
-            ) from None
-    table = {tuple(row[:-1]): row[-1] for row in data["table"]}
-    return GateType.from_truth_table(data["name"], int(data["arity"]), table)
+    if isinstance(data, str) and data in GATE_LIBRARY:
+        return GATE_LIBRARY[data]
+    if not isinstance(data, Mapping):
+        raise CircuitError(
+            f"gate type {data!r} is neither a library gate {sorted(GATE_LIBRARY)} "
+            "nor a truth-table object",
+            "type",
+        )
+    try:
+        table = {tuple(row[:-1]): row[-1] for row in data["table"]}
+        return GateType.from_truth_table(data["name"], data["arity"], table)
+    except BUILD_ERRORS as exc:
+        raise CircuitError(f"custom gate type: {_describe(exc)}", "type") from exc
 
 
 # --------------------------------------------------------------------------- #
@@ -858,7 +893,9 @@ class CircuitSpec:
         nodes: Sequence[Mapping[str, Any]],
         edges: Sequence[Mapping[str, Any]],
     ) -> None:
-        object.__setattr__(self, "name", str(name))
+        if not isinstance(name, str):
+            raise SpecError(f"circuit name must be a string, got {name!r} (at /name)")
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "nodes", _jsonify(list(nodes)))
         object.__setattr__(self, "edges", _jsonify(list(edges)))
         object.__setattr__(self, "_key", _canonical_key(self.to_dict()))
@@ -910,42 +947,79 @@ class CircuitSpec:
         return cls(circuit.name, nodes, edges)
 
     def build(self):
-        """Instantiate the circuit (``Circuit.from_spec`` delegate)."""
-        from .circuits.circuit import Circuit
+        """Instantiate the circuit (``Circuit.from_spec`` delegate).
+
+        The document's values go to :class:`~repro.circuits.circuit.Circuit`
+        and :class:`~repro.circuits.gates.GateType` unconverted, so they
+        decide what is well-formed, and the build goes on past a node or
+        edge that does not build.  A node that does not build still
+        reserves its name: edges that name it are not wired, and not
+        reported.  An edge whose channel does not build is wired through
+        a zero-delay channel, so its structure is still checked.  Once
+        every node and edge is wired, :meth:`Circuit.validate` runs too.
+
+        Raises one :class:`SpecError` for all defects: the first one,
+        located at its node or edge (``(at /edges/3)``), whose ``defects``
+        lists every one in document order, ``validate``'s last.
+        """
+        from .circuits.circuit import Circuit, CircuitError, IncompleteCircuitError
 
         circuit = Circuit(self.name)
+        defects: List[SpecError] = []
+        index: Dict[str, int] = {}  # node name -> position, for validate's errors
+        reserved: List[str] = []  # the names of nodes that did not build
         for i, node in enumerate(self.nodes):
             try:
                 if not isinstance(node, Mapping):
                     raise SpecError(f"node is not an object: {node!r}")
-                kind = node.get("kind")
+                kind, name = node.get("kind"), node.get("name")
                 if kind == "input":
-                    circuit.add_input(node["name"], int(node.get("initial_value", 0)))
+                    circuit.add_input(name, node.get("initial_value", 0))
                 elif kind == "output":
-                    circuit.add_output(node["name"])
+                    circuit.add_output(name)
                 elif kind == "gate":
-                    circuit.add_gate(
-                        node["name"],
-                        _gate_type_from_spec(node["type"]),
-                        int(node.get("initial_value", 0)),
-                    )
+                    gate_type = _gate_type_from_spec(node["type"])
+                    circuit.add_gate(name, gate_type, node.get("initial_value", 0))
                 else:
-                    raise SpecError(f"unknown node kind {kind!r} in circuit spec")
+                    raise CircuitError(f"unknown node kind {kind!r} in circuit spec", "kind")
+                index[name] = i
             except BUILD_ERRORS as exc:
-                raise located(exc, f"/nodes/{i}") from exc
+                defects.append(located(exc, f"/nodes/{i}"))
+                name = node.get("name") if isinstance(node, Mapping) else None
+                if isinstance(name, str) and name not in index:
+                    reserved.append(name)
+        wired = not defects
         for i, edge in enumerate(self.edges):
+            where = f"/edges/{i}"
+            if not isinstance(edge, Mapping):
+                defects.append(located(CircuitError(f"edge is not an object: {edge!r}"), where))
+                wired = False
+                continue
+            channel = None
             try:
-                if not isinstance(edge, Mapping):
-                    raise SpecError(f"edge is not an object: {edge!r}")
-                circuit.connect(
-                    edge["source"],
-                    edge["target"],
-                    ChannelSpec.from_dict(edge["channel"]).build(),
-                    pin=int(edge.get("pin", 0)),
-                    name=edge.get("name"),
-                )
+                channel = ChannelSpec.from_dict(edge["channel"]).build()
             except BUILD_ERRORS as exc:
-                raise located(exc, f"/edges/{i}") from exc
+                defects.append(located(exc, where))
+            source, target = edge.get("source"), edge.get("target")
+            if source in reserved or target in reserved:
+                continue
+            try:
+                pin, name = edge.get("pin", 0), edge.get("name")
+                circuit.connect(source, target, channel, pin=pin, name=name)
+            except CircuitError as exc:
+                defects.append(located(exc, where))
+                wired = False
+        if wired:
+            try:
+                circuit.validate()
+            except IncompleteCircuitError as exc:
+                defects += [
+                    located(d, "/nodes" if d.node is None else f"/nodes/{index[d.node]}")
+                    for d in exc.defects
+                ]
+        if defects:
+            defects[0].defects = tuple(defects)
+            raise defects[0]
         return circuit
 
     # -- serialisation ------------------------------------------------------ #
@@ -1049,12 +1123,25 @@ def as_channel_factory(obj) -> Callable[[], Channel]:
     raise SpecError(f"cannot interpret {type(obj).__name__} as a channel factory")
 
 
+def _decoded(build: Callable[[Any], Any], data: Any, noun: str) -> Any:
+    """``build(data)``, a spec given outside a circuit (an experiment
+    parameter, say), with a malformed one raised as a :class:`SpecError`
+    naming *noun* and the field; a constructor's ``DomainError`` and other
+    ``SpecError``s pass unchanged."""
+    try:
+        return build(data)
+    except (SpecError, DomainError):
+        raise
+    except BUILD_ERRORS as exc:
+        raise SpecError(f"{noun} spec: {_describe(exc)}") from exc
+
+
 def as_pair(obj) -> InvolutionPair:
     """Coerce an InvolutionPair or pair-spec dict to an InvolutionPair."""
     if isinstance(obj, InvolutionPair):
         return obj
     if isinstance(obj, Mapping):
-        return pair_from_dict(obj)
+        return _decoded(pair_from_dict, obj, "involution pair")
     raise SpecError(f"cannot interpret {type(obj).__name__} as an involution pair")
 
 
@@ -1063,7 +1150,7 @@ def as_eta(obj) -> EtaBound:
     if isinstance(obj, EtaBound):
         return obj
     if isinstance(obj, Mapping):
-        return eta_from_dict(obj)
+        return _decoded(eta_from_dict, obj, "eta bound")
     if isinstance(obj, (tuple, list)) and len(obj) == 2:
         return EtaBound(float(obj[0]), float(obj[1]))
     raise SpecError(f"cannot interpret {type(obj).__name__} as an eta bound")
@@ -1073,19 +1160,23 @@ def as_adversary(obj) -> Adversary:
     """Coerce an Adversary, AdversarySpec, or adversary-spec dict."""
     if isinstance(obj, Adversary):
         return obj
-    if isinstance(obj, AdversarySpec):
-        return obj.build()
     if isinstance(obj, Mapping):
-        return AdversarySpec.from_dict(obj).build()
+        obj = AdversarySpec.from_dict(obj)
+    if isinstance(obj, AdversarySpec):
+        return _decoded(AdversarySpec.build, obj, "adversary")
     raise SpecError(f"cannot interpret {type(obj).__name__} as an adversary")
 
 
 def as_adversary_factory(obj) -> Callable[[], Adversary]:
-    """Coerce a factory callable, AdversarySpec, or spec dict to a factory."""
-    if isinstance(obj, AdversarySpec):
-        return obj.build
+    """Coerce a factory callable, AdversarySpec, or spec dict to a factory.
+
+    A spec is built once here, so a malformed one fails at the call, not at
+    the factory's first use."""
     if isinstance(obj, Mapping):
-        return AdversarySpec.from_dict(obj).build
+        obj = AdversarySpec.from_dict(obj)
+    if isinstance(obj, AdversarySpec):
+        _decoded(AdversarySpec.build, obj, "adversary")
+        return obj.build
     if callable(obj):
         return obj
     raise SpecError(f"cannot interpret {type(obj).__name__} as an adversary factory")

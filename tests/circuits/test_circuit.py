@@ -1,5 +1,7 @@
 """Unit tests for circuit construction and validation."""
 
+import pickle
+
 import pytest
 
 from repro.circuits import (
@@ -9,12 +11,14 @@ from repro.circuits import (
     OR2,
     Circuit,
     CircuitError,
+    GateType,
     buffer_chain,
     fed_back_or,
     glitch_generator,
     inverter_chain,
     sr_latch_nor,
 )
+from repro.circuits.circuit import IncompleteCircuitError
 from repro.core import PureDelayChannel, ZeroDelayChannel
 
 
@@ -234,3 +238,70 @@ class TestValidationAndQueries:
         assert circuit.edge(edge_name).name == edge_name
         with pytest.raises(CircuitError):
             circuit.edge("nope")
+
+
+#: What a JSON document may hold where an int belongs: bools, floats, strings.
+NOT_INTS = [True, False, 1.0, 0.5, "1"]
+
+
+class TestValuesAreNotCoerced:
+    """``Circuit`` and ``GateType`` decide what is well-formed: a value
+    ``int()`` would convert is an error, and the error names its field."""
+
+    @pytest.mark.parametrize("value", NOT_INTS)
+    def test_initial_value(self, value):
+        circuit = Circuit()
+        with pytest.raises(CircuitError, match="input initial value must be 0 or 1") as info:
+            circuit.add_input("a", initial_value=value)
+        assert info.value.field == "initial_value"
+        with pytest.raises(CircuitError, match="gate initial value must be 0 or 1"):
+            circuit.add_gate("g", BUF, initial_value=value)
+
+    @pytest.mark.parametrize("value", NOT_INTS)
+    def test_pin(self, value):
+        circuit = Circuit()
+        circuit.add_input("a")
+        circuit.add_gate("g", OR2)
+        with pytest.raises(CircuitError, match="pin must be an integer") as info:
+            circuit.connect("a", "g", pin=value)
+        assert info.value.field == "pin"
+        assert pickle.loads(pickle.dumps(info.value)).field == "pin"
+
+    @pytest.mark.parametrize("value", NOT_INTS)
+    def test_arity(self, value):
+        with pytest.raises(ValueError, match="arity must be an integer"):
+            GateType("g", value, lambda v: 0)
+        with pytest.raises(ValueError, match="arity must be an integer"):
+            GateType.from_truth_table("g", value, {(0,): 1})
+
+    @pytest.mark.parametrize(
+        "table",
+        [{(0, 0): 1}, {(): 1}, {(0,): 2}, {(0,): -1}, {(0,): True}, {(0,): "1"}, {("0",): 1}],
+        ids=["long-row", "short-row", "output-2", "output-minus-1", "output-bool",
+             "output-str", "input-str"],
+    )
+    def test_truth_table_row(self, table):
+        with pytest.raises(ValueError, match="truth-table row"):
+            GateType.from_truth_table("g", 1, table)
+
+    @pytest.mark.parametrize("name", [5, True, ["a"]])
+    def test_names_are_strings(self, name):
+        circuit = Circuit()
+        with pytest.raises(CircuitError, match="node name must be a string"):
+            circuit.add_input(name)
+        circuit.add_input("a")
+        circuit.add_output("y")
+        with pytest.raises(CircuitError, match="edge name must be a string"):
+            circuit.connect("a", "y", name=name)
+
+    def test_validate_names_every_defect(self):
+        circuit = Circuit()
+        circuit.add_gate("g", OR2)
+        circuit.add_output("y")
+        circuit.add_output("z")
+        with pytest.raises(IncompleteCircuitError) as info:
+            circuit.validate()
+        assert [d.node for d in info.value.defects] == ["g", "y", "z", None]
+        assert str(info.value) == "; ".join(str(d) for d in info.value.defects)
+        assert str(info.value).startswith("gate 'g' has undriven input pins [0, 1]; ")
+        assert str(info.value).endswith("; circuit has no input ports")

@@ -88,11 +88,24 @@ class TestNetlistRoundTrip:
         "field, value, where",
         [
             ("version", "x", "/version"),
+            ("version", "1", "/version"),
+            ("version", 1.9, "/version"),
+            ("version", True, "/version"),
             ("end_time", [], "/end_time"),
+            ("end_time", True, "/end_time"),
+            ("end_time", "60", "/end_time"),
             ("inputs", 1, "/inputs"),
+            ("inputs", 0, "/inputs"),
+            ("inputs", [], "/inputs"),
+            ("inputs", False, "/inputs"),
+            ("inputs", "", "/inputs"),
             ("inputs", {"in": {"transitions": [[1.0]]}}, "/inputs/in"),
             ("inputs", {"in": {"initial_value": -1}}, "/inputs/in"),
             ("metadata", "x", "/metadata"),
+            ("metadata", 0, "/metadata"),
+            ("metadata", [], "/metadata"),
+            ("metadata", False, "/metadata"),
+            ("metadata", "", "/metadata"),
         ],
     )
     def test_envelope_field_that_does_not_decode_is_named(self, field, value, where):

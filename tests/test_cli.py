@@ -316,6 +316,43 @@ class TestChannelParamDomains:
         assert message.startswith("error: ") and message.endswith(" (at /edges/0)")
         assert "\n" not in message
 
+    #: The first channel replaced by one with a flag or a number of the
+    #: wrong JSON type (a builder converting it would build another
+    #: channel), and the pointer of the spec that does not build.
+    TYPE_CASES = {
+        "inverting-string": (dict(_eta_channel(), inverting="no"), ""),
+        "guard_domain-string": (
+            {"kind": "involution", "pair": EXP, "guard_domain": "false"}, ""
+        ),
+        "pure-delay-true": ({"kind": "pure", "delay": True}, ""),
+        "exp-v_th-true": (_eta_channel(pair={"v_th": True}), "/pair"),
+        "eta_plus-string": (_eta_channel(eta={"eta_plus": "0.05"}), "/eta"),
+        "sequence-clip-number": (
+            _eta_channel(adversary={"kind": "sequence", "shifts": [0.0], "clip": 1}),
+            "/adversary",
+        ),
+        "table-sample-true": (
+            _pair_channel({"kind": "table", "T_samples": [True, 2.0], "delta_samples": [1.0, 1.0]}),
+            "/pair/up",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TYPE_CASES))
+    def test_value_of_the_wrong_type_is_one_finding_and_one_error_line(
+        self, tmp_path, capsys, case
+    ):
+        spec, pointer = self.TYPE_CASES[case]
+        path = self._netlist(tmp_path, lambda first: (first.clear(), first.update(spec)))
+        assert main(["lint", path]) == 1
+        findings = capsys.readouterr().out.splitlines()[:-1]
+        assert len(findings) == 1, findings
+        assert f":/circuit/edges/0/channel{pointer} REP105 error: " in findings[0]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", path])
+        message = str(exit_info.value)
+        assert message.startswith("error: ") and message.endswith(" (at /edges/0)")
+        assert "\n" not in message
+
     def test_in_domain_cases_are_lint_clean(self, tmp_path, capsys):
         """The channels above, with an in-domain value, lint clean: the one
         finding each case gets is the out-of-domain parameter's."""
@@ -334,6 +371,88 @@ class TestChannelParamDomains:
             path = self._netlist(tmp_path, lambda first: (first.clear(), first.update(spec)))
             assert main(["lint", path]) == 0, (case, capsys.readouterr().out)
             capsys.readouterr()
+
+
+#: A custom gate type equal to INV, for the cases that break one of its fields.
+CUSTOM_INV = {"name": "INVX", "arity": 1, "table": [[0, 1], [1, 0]]}
+
+
+def _set(part, index, key, value):
+    """A mutation of the circuit: ``circuit[part][index][key] = value``."""
+
+    def mutate(circuit):
+        circuit[part][index][key] = value
+
+    return mutate
+
+
+def _gate_type(**change):
+    """A mutation giving the first gate CUSTOM_INV with *change* applied."""
+    return _set("nodes", 1, "type", dict(CUSTOM_INV, **change))
+
+
+def _drop_output_port(circuit):
+    del circuit["nodes"][-1], circuit["edges"][-1]
+
+
+def _list_name(circuit):
+    circuit["name"] = [1]
+
+
+class TestStructuralDefects:
+    """lint and simulate agree on which circuits are well-formed: each case
+    changes one field of the example inverter chain, and a value ``int()``
+    would convert (1.7 to 1, a string pin to 0) is a defect, not a value."""
+
+    #: name -> (mutation of the circuit, the rule that reports it).
+    CASES = {
+        "output-pin-1": (_set("edges", 7, "pin", 1), "REP006"),
+        "output-pin-minus-1": (_set("edges", 7, "pin", -1), "REP006"),
+        "no-output-port": (_drop_output_port, "REP004"),
+        "gate-initial-1.7": (_set("nodes", 1, "initial_value", 1.7), "REP008"),
+        "gate-initial-true": (_set("nodes", 1, "initial_value", True), "REP008"),
+        "gate-initial-string": (_set("nodes", 1, "initial_value", "1"), "REP008"),
+        "input-initial-1.5": (_set("nodes", 0, "initial_value", 1.5), "REP008"),
+        "pin-0.5": (_set("edges", 1, "pin", 0.5), "REP006"),
+        "pin-string": (_set("edges", 1, "pin", "0"), "REP006"),
+        "edge-name-5": (_set("edges", 1, "name", 5), "REP005"),
+        "table-string": (_gate_type(table="01"), "REP102"),
+        "table-row-length": (_gate_type(table=[[0, 0, 1], [1, 0]]), "REP102"),
+        "table-output-2": (_gate_type(table=[[0, 2], [1, 0]]), "REP102"),
+        "arity-string": (_gate_type(arity="1"), "REP102"),
+        "arity-1.9": (_gate_type(arity=1.9), "REP102"),
+        "arity-0": (_gate_type(arity=0), "REP102"),
+        "circuit-name-list": (_list_name, "REP009"),
+    }
+
+    @staticmethod
+    def _netlist(tmp_path, mutate):
+        data = json.loads((EXAMPLES / "inverter_chain.json").read_text())
+        mutate(data["circuit"])
+        path = tmp_path / "netlist.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_defect_is_one_lint_error_and_one_error_line(self, tmp_path, capsys, case):
+        mutate, code = self.CASES[case]
+        path = self._netlist(tmp_path, mutate)
+        assert main(["lint", path]) == 1
+        errors = [line for line in capsys.readouterr().out.splitlines() if " error: " in line]
+        assert len(errors) == 1 and f" {code} error: " in errors[0], errors
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", path])
+        message = str(exit_info.value)
+        assert message.startswith("error: ") and "\n" not in message
+
+    def test_a_well_formed_custom_gate_simulates_like_the_library_one(self, tmp_path, capsys):
+        assert main(["simulate", str(EXAMPLES / "inverter_chain.json")]) == 0
+        library = capsys.readouterr().out
+        path = self._netlist(tmp_path, _gate_type())
+        assert main(["lint", path]) == 0
+        capsys.readouterr()
+        assert main(["simulate", path]) == 0
+        assert capsys.readouterr().out == library
 
 
 class TestSweep:
@@ -544,6 +663,27 @@ class TestExperimentCLI:
     def test_bad_param_spec_exits(self):
         with pytest.raises(SystemExit, match="NAME=VALUE"):
             main(["experiment", "run", "lemma5", "--param", "oops"])
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"pair": {"kind": "exp", "t_p": 0.5}},
+            {"eta": {"eta_minus": 0.1}},
+            {"adversaries": {"s": {"kind": "sequence"}}},
+            {"adversaries": {"s": {"kind": "sine", "period": "x"}}},
+            {"pair": {"kind": "pair", "up": {"kind": "exp"}}},
+        ],
+        ids=["exp-pair-no-tau", "eta-no-eta_plus", "sequence-no-shifts", "sine-period-string",
+             "explicit-pair-up-no-tau"],
+    )
+    def test_malformed_spec_param_is_one_error_line(self, params):
+        """A spec-valued parameter is decoded when the run starts, and a
+        missing field or a value of the wrong type ends it in one line
+        naming the field, never in a traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "run", "theorem9", "--params-json", json.dumps(params)])
+        message = str(exit_info.value)
+        assert message.startswith("error: ") and " spec: " in message and "\n" not in message
 
     @pytest.mark.parametrize(
         "params, message",

@@ -12,6 +12,10 @@ of the first edge (its channel included), and of the first transition of
   exit, never in another exception.
 * A document ``lint()`` passes also loads, builds and validates: lint
   reads the envelope and the circuit skeleton the way the loader does.
+* Lint and the builder agree both ways: a document has an error from the
+  decode and build rules (REP001--REP006, REP008, REP009, REP101--REP106)
+  exactly when it does not load, build or validate, because those rules
+  report the loader's and the builder's own errors.
 * One defect is one finding: no document gets both REP105 and REP106.
 
 The ``ci`` hypothesis profile (the ``differential`` CI job) runs all 480
@@ -128,6 +132,27 @@ def test_lint_clean_documents_load_and_build():
             except Exception as exc:
                 failures.append((path, value, repr(exc)))
     assert failures == []
+
+
+#: The rules that report what the loader and the builder raise.
+BUILD_RULES = {f"REP00{n}" for n in (1, 2, 3, 4, 5, 6, 8, 9)} | {
+    f"REP10{n}" for n in range(1, 7)
+}
+
+
+@pytest.mark.differential
+def test_lint_errors_exactly_when_the_document_does_not_build():
+    disagreements = []
+    for path, value, doc, report in _lint_reports():
+        try:
+            netlist_from_dict(doc).build().validate()
+            builds = True
+        except SpecError:
+            builds = False
+        errors = {d.code for d in report.errors} & BUILD_RULES
+        if builds == bool(errors):
+            disagreements.append((path, value, sorted(errors)))
+    assert disagreements == []
 
 
 @pytest.mark.differential

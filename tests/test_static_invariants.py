@@ -51,6 +51,14 @@ and ``lint/rules.py`` does not import ``math``.  Lint reports the
 constructors' ``DomainError`` at the parameter's pointer instead of
 keeping a copy of their checks, and a copy of a domain check is what
 would need ``math.isfinite`` there.
+
+An eighth keeps each structural check in one home: ``lint/rules.py``
+does not import the gate library (``repro.circuits.gates``,
+``GATE_LIBRARY`` or ``GateType``), and ``CircuitSpec.build`` and
+``_gate_type_from_spec`` in ``specs.py`` call no ``int``, ``float``,
+``str`` or ``bool``.  ``Circuit`` and ``GateType`` decide what is
+well-formed on the document's values as given, and lint reports their
+errors; a conversion in the decode would let ``1.7`` build as 1.
 """
 
 import ast
@@ -86,6 +94,12 @@ DOMAIN_HOMES = [
 ]
 #: The lint rules, which report those constructors' errors.
 LINT_RULES = SRC / "lint" / "rules.py"
+#: The circuit-spec decode, and the functions of it that hand the document's
+#: values to ``Circuit`` and ``GateType`` unconverted.
+SPECS = SRC / "specs.py"
+STRUCTURE_DECODERS = {"CircuitSpec.build", "_gate_type_from_spec"}
+#: The builtins that would convert a document value.
+COERCIONS = {"int", "float", "str", "bool"}
 
 
 def _checked_files():
@@ -537,3 +551,95 @@ def test_domain_gate_detects_copies(tmp_path):
         assert _math_imports(probe) == [1], source
     probe.write_text("from .math import x\nimport mathx\n")
     assert _math_imports(probe) == []
+
+
+def _gate_library_imports(path):
+    """Lines importing ``repro.circuits.gates`` (by any relative or absolute
+    spelling) or the names ``GATE_LIBRARY`` and ``GateType``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+            names = []
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(m.endswith("circuits.gates") for m in modules) or {
+            "GATE_LIBRARY", "GateType"
+        } & set(names):
+            found.append(node.lineno)
+    return found
+
+
+def _coercions(path, functions):
+    """``(line, builtin)`` for each ``int``/``float``/``str``/``bool`` call
+    inside the named functions (qualified names, nested code included),
+    and the set of those names the module defines."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found, defined = [], set()
+
+    def visit(node, qualname):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = f"{qualname}.{node.name}" if qualname else node.name
+            defined.add(qualname)
+        inside = any(qualname == f or qualname.startswith(f + ".") for f in functions)
+        if (
+            inside
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in COERCIONS
+        ):
+            found.append((node.lineno, node.func.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, qualname)
+
+    visit(tree, "")
+    return found, defined & set(functions)
+
+
+def test_lint_rules_do_not_import_the_gate_library():
+    assert _gate_library_imports(LINT_RULES) == []
+
+
+def test_circuit_spec_decode_converts_no_document_value():
+    coercions, defined = _coercions(SPECS, STRUCTURE_DECODERS)
+    assert defined == STRUCTURE_DECODERS
+    assert coercions == [], "\n".join(f"{SPECS}:{line}: {name}()" for line, name in coercions)
+
+
+def test_structure_gate_detects_copies(tmp_path):
+    """The detector itself is tested: seed each forbidden construct."""
+    probe = tmp_path / "probe.py"
+    for source in (
+        "from ..circuits.gates import GATE_LIBRARY\n",
+        "from repro.circuits.gates import INV\n",
+        "from ..circuits import gates\n",
+        "import repro.circuits.gates as g\n",
+        "from ..circuits import GATE_LIBRARY\n",
+        "from repro.circuits import GateType\n",
+    ):
+        probe.write_text(source)
+        assert _gate_library_imports(probe) == [1], source
+    probe.write_text("from ..circuits.circuit import CircuitError\nfrom ..specs import SpecError\n")
+    assert _gate_library_imports(probe) == []
+
+    probe.write_text(
+        "class CircuitSpec:\n"
+        "    def build(self):\n"
+        "        pin = int(edge.get('pin', 0))\n"
+        "        f = lambda v: bool(v)\n"
+        "        return [str(n) for n in names]\n"
+        "    def to_dict(self):\n"
+        "        return float(x)\n"
+        "def _gate_type_from_spec(data):\n"
+        "    def arity():\n"
+        "        return int(data['arity'])\n"
+        "def other():\n"
+        "    return int(x)\n"
+    )
+    found, defined = _coercions(probe, STRUCTURE_DECODERS)
+    assert found == [(3, "int"), (4, "bool"), (5, "str"), (10, "int")]
+    assert defined == STRUCTURE_DECODERS
