@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.channel import Channel, ZeroDelayChannel
+from ..core.composition import SerialChannel
 from .gates import GateType
 
 if TYPE_CHECKING:
@@ -47,8 +48,8 @@ class CircuitError(ValueError):
     """Raised for malformed circuits (dangling pins, duplicate drivers...).
 
     ``field`` names the node or edge field at fault (``"name"``,
-    ``"initial_value"``, ``"source"``, ``"target"``, ``"pin"``, ``"type"``),
-    which is also its key in a circuit spec, or is None.
+    ``"initial_value"``, ``"source"``, ``"target"``, ``"pin"``, ``"type"``,
+    ``"channel"``), which is also its key in a circuit spec, or is None.
     """
 
     def __init__(self, message: str, field: Optional[str] = None) -> None:
@@ -190,7 +191,10 @@ class Circuit:
 
         If no channel is given, a zero-delay channel is used (the paper's
         convention for port connections).  A pin is an ``int`` (a ``bool`` is
-        not one) and a name a string.
+        not one) and a name a string.  The channel must have a
+        single-history delay function, which the engine runs on every
+        transition: a :class:`~repro.core.composition.SerialChannel` has
+        none (it applies its stages to a whole signal offline).
         """
         for field, endpoint in (("source", source), ("target", target)):
             if not isinstance(endpoint, str) or endpoint not in self._nodes:
@@ -217,6 +221,12 @@ class Circuit:
                 )
         if channel is None:
             channel = ZeroDelayChannel()
+        if isinstance(channel, SerialChannel):
+            raise CircuitError(
+                f"{type(channel).__name__} has no single-history delay function, "
+                "so no circuit edge can carry it",
+                "channel",
+            )
         if name is None:
             name = f"{source}->{target}.{pin}#{self._edge_counter}"
         elif not isinstance(name, str):

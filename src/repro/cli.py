@@ -85,14 +85,28 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse ``type=``: a float > 0 (NaN is not)."""
+def _float(text: str) -> float:
+    """*text* as a float; argparse exits 2 naming the flag otherwise."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type=``: a float > 0 (NaN is not)."""
+    value = _float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _end_time(text: str) -> float:
+    """argparse ``type=``: a horizon >= 0, the rule of a netlist's
+    ``end_time`` (NaN is not one; ``inf`` runs to quiescence)."""
+    value = _float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -126,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run one event-driven execution")
     simulate.add_argument("netlist", help="netlist JSON file")
     simulate.add_argument(
-        "--end-time", type=float, default=None,
+        "--end-time", type=_end_time, default=None,
         help="simulation horizon (default: the netlist's end_time)",
     )
     simulate.add_argument(
@@ -168,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_int_at_least(1), default=None,
         help="run chunks on N worker processes (default: inline)",
     )
-    sweep.add_argument("--end-time", type=float, default=None, help="simulation horizon")
+    sweep.add_argument("--end-time", type=_end_time, default=None, help="simulation horizon")
     sweep.add_argument(
         "--max-events", type=int, default=1_000_000,
         help="safety bound on processed events per run (default: 1000000)",
@@ -271,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     erun.add_argument(
         "--checkpoint", metavar="DIR",
         help="chunk-checkpoint store for the experiment's internal sweeps "
-        "(kinds that support it): a killed run resumes mid-sweep",
+        "(theorem9, comparison and eta_coverage): a killed run resumes "
+        "mid-sweep",
     )
     erun.add_argument(
         "--force", action="store_true",

@@ -25,6 +25,7 @@ import math
 from typing import Optional
 
 from .adversary import EtaBound
+from .domain import DomainError
 from .involution import InvolutionPair
 from .rootfind import brentq
 
@@ -60,16 +61,18 @@ def max_eta_minus(pair: InvolutionPair, eta_plus: float) -> float:
     This is the dimensioning rule used for the paper's experiments
     (Section V): ``eta_minus = delta_down(-eta_plus) - delta_min -
     eta_plus``.  The returned value is the supremum; to satisfy the strict
-    inequality an actual bound must stay below it.  Raises ``ValueError``
-    if even ``eta_minus = 0`` is inadmissible for this ``eta_plus``.
+    inequality an actual bound must stay below it.  Raises
+    :class:`~repro.core.domain.DomainError` naming ``eta_plus`` if even
+    ``eta_minus = 0`` is inadmissible for this ``eta_plus``.
     """
     if eta_plus < 0:
-        raise ValueError("eta_plus must be non-negative")
+        raise DomainError("eta_plus", f"eta_plus must be non-negative, got {eta_plus}")
     supremum = pair.delta_down(-eta_plus) - pair.delta_min - eta_plus
     if not math.isfinite(supremum) or supremum <= 0:
-        raise ValueError(
+        raise DomainError(
+            "eta_plus",
             f"eta_plus={eta_plus} admits no eta_minus >= 0 under constraint (C); "
-            f"the supremum evaluates to {supremum}"
+            f"the supremum evaluates to {supremum}",
         )
     return supremum
 
@@ -141,15 +144,17 @@ def admissible_eta_bound(
     If ``eta_minus`` is not given, it is set to the paper's dimensioning
     value ``delta_down(-eta_plus) - delta_min - eta_plus`` reduced by the
     relative ``back_off`` so that the strict inequality of (C) holds.
-    Raises ``ValueError`` if the requested bound cannot satisfy (C).
+    Raises :class:`~repro.core.domain.DomainError` if the requested bound
+    cannot satisfy (C).
     """
     if eta_minus is None:
         supremum = max_eta_minus(pair, eta_plus)
         eta_minus = supremum * (1.0 - back_off)
     bound = EtaBound(eta_plus, eta_minus)
     if not satisfies_constraint_C(pair, bound):
-        raise ValueError(
+        raise DomainError(
+            "eta_minus",
             f"requested bound {bound!r} violates constraint (C) "
-            f"(margin {constraint_C_margin(pair, bound):g})"
+            f"(margin {constraint_C_margin(pair, bound):g})",
         )
     return bound

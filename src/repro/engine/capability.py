@@ -18,7 +18,9 @@ This module is the single home of that decision.  Two consumers share it:
 * the static diagnostics engine (:mod:`repro.lint`) calls the same
   function on circuits built from declarative specs to *predict*, before
   anything runs, exactly which scenarios of a sweep would fall back to
-  the scalar path and why (rule ``REP401``).
+  the scalar path and why (rule ``REP401``).  Its loop rules (``REP201``,
+  ``REP202``) find cycles with :func:`cyclic_components`, the helper
+  :func:`analyze_sweep` reports zero-delay cycles with.
 
 Factoring the detection out of the compiler is what keeps the linter's
 prediction and the runtime's fallback behaviour from drifting apart: the
@@ -42,6 +44,7 @@ __all__ = [
     "SweepAnalysis",
     "adversary_obstacle",
     "analyze_sweep",
+    "cyclic_components",
     "strongly_connected_components",
     "supported_channel_classes",
     "topological_order",
@@ -87,8 +90,7 @@ def topological_order(
     ``out_edges[nid]`` lists the outgoing edge ids of node ``nid`` and
     ``edge_target[eid]`` the target node id of edge ``eid`` -- the dense
     integer form :class:`~repro.engine.scheduler.CircuitTopology`
-    precomputes, which spec-level callers (:mod:`repro.lint`) rebuild
-    from netlist dicts.  The traversal order (LIFO ready stack, edges in
+    precomputes.  The traversal order (LIFO ready stack, edges in
     declaration order) is part of the contract: the vector backend
     evaluates nodes in exactly this order.
     """
@@ -174,6 +176,22 @@ def strongly_connected_components(
     # Tarjan emits sinks first; reverse for condensation topo order.
     components.reverse()
     return components
+
+
+def cyclic_components(
+    n_nodes: int,
+    out_edges: Sequence[Sequence[int]],
+    edge_target: Sequence[int],
+) -> List[List[int]]:
+    """The strongly connected components that hold a cycle: more than one
+    node, or one node with an edge to itself.  Same graph form and order
+    as :func:`strongly_connected_components`."""
+    return [
+        component
+        for component in strongly_connected_components(n_nodes, out_edges, edge_target)
+        if len(component) > 1
+        or any(edge_target[eid] == component[0] for eid in out_edges[component[0]])
+    ]
 
 
 def supported_channel_classes() -> frozenset:
@@ -525,21 +543,15 @@ def analyze_sweep(
             zero_out_edges[fact.source_id].append(eid)
     for edge_ids in zero_out_edges:
         edge_ids.sort()
-    zero_components = strongly_connected_components(
+    for component in cyclic_components(
         len(topo.node_names), zero_out_edges, topo.edge_target_id
-    )
-    for component in zero_components:
-        is_cycle = len(component) > 1 or any(
-            topo.edge_target_id[eid] == component[0]
-            for eid in zero_out_edges[component[0]]
+    ):
+        names = sorted(topo.node_names[nid] for nid in component)
+        reasons.append(
+            f"zero-delay cycle through nodes {names} (a combinational "
+            "loop makes no time progress for the fixpoint schedule; "
+            "the event-driven engine detects it at run time)"
         )
-        if is_cycle:
-            names = sorted(topo.node_names[nid] for nid in component)
-            reasons.append(
-                f"zero-delay cycle through nodes {names} (a combinational "
-                "loop makes no time progress for the fixpoint schedule; "
-                "the event-driven engine detects it at run time)"
-            )
 
     for eid, fact in edge_facts.items():
         if not fact.zero_delay or not fact.target_is_gate:

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from ..engine.sweep import check_backend
+from ..engine.sweep import SweepResult, check_backend
 from ..specs import (
     ExperimentSpec,
     SpecError,
@@ -75,20 +75,31 @@ class ExperimentContext:
     so cached artifacts never claim an execution strategy that never
     happened.  Kinds whose sweeps are checkpointed additionally record
     ``"chunks_computed"``/``"chunks_resumed"`` from the sweep's
-    :class:`~repro.engine.shard.ShardReport`.
+    :class:`~repro.engine.shard.ShardReport`.  :meth:`record` writes
+    both from a sweep's result.
 
     ``checkpoint`` (an :class:`~repro.store.ArtifactStore` or directory
-    path, or ``None``) asks sweep-driven kinds to checkpoint their
-    internal sweeps chunk-by-chunk via
-    :func:`repro.engine.shard.run_many_sharded` -- result-neutral like
-    the other knobs (resume is bit-identical), hence excluded from the
-    artifact key.
+    path, or ``None``) asks the sweep-driven kinds (``theorem9``,
+    ``comparison``, ``eta_coverage``) to checkpoint their internal sweeps
+    chunk-by-chunk via :func:`repro.engine.shard.run_many_sharded` --
+    result-neutral like the other knobs (resume is bit-identical), hence
+    excluded from the artifact key.  ``scaling`` measures wall-clock
+    throughput, so it never resumes a sweep.
     """
 
     backend: str = "sequential"
     max_workers: Optional[int] = None
     observed: Dict[str, Any] = field(default_factory=dict, compare=False)
     checkpoint: Optional[object] = field(default=None, compare=False)
+
+    def record(self, sweep: SweepResult) -> None:
+        """Record in ``observed`` what a sweep run with this context's
+        knobs did: the backend that executed and, when it was
+        checkpointed, how many chunks were computed and resumed."""
+        self.observed["backend_executed"] = sweep.backend or self.backend
+        if self.checkpoint is not None:
+            self.observed["chunks_computed"] = sweep.shard_report.computed
+            self.observed["chunks_resumed"] = sweep.shard_report.resumed
 
 
 @dataclass
@@ -330,7 +341,7 @@ def run_experiment(
     resolved spec is returned directly with ``from_cache=True`` (unless
     ``force``), and fresh results are stored on the way out.
     ``checkpoint`` plumbs a chunk-checkpoint store into the experiment's
-    internal sweeps (kinds that support it; see
+    internal sweeps (the kinds that run one; see
     :class:`ExperimentContext`) -- finer-grained than ``cache``: the
     cache resumes whole experiments, the checkpoint resumes *mid-sweep*.
     """

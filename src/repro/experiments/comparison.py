@@ -28,7 +28,7 @@ from ..core.involution import InvolutionPair
 from ..core.transitions import Signal
 from ..engine.sweep import Scenario, channel_overrides, run_many
 from ..specs import AdversarySpec, ChannelSpec, register_experiment_kind
-from .base import ExperimentOutcome
+from .base import ExperimentContext, ExperimentOutcome
 
 __all__ = ["ModelComparisonResult", "default_model_factories"]
 
@@ -101,7 +101,7 @@ def _run_model_comparison(
     backend: str = "sequential",
     max_workers: Optional[int] = None,
     record_traces: bool = False,
-    observed: Optional[Dict[str, object]] = None,
+    context: Optional[ExperimentContext] = None,
 ) -> Tuple[ModelComparisonResult, Optional[Dict[str, dict]]]:
     """The model-comparison implementation behind the ``comparison`` kind.
 
@@ -109,7 +109,9 @@ def _run_model_comparison(
     number of surviving pulses at each stage output (either polarity, since
     stages invert), plus the raw transition count at the final output.
     ``factories`` values may be :class:`~repro.specs.ChannelSpec` objects,
-    spec dicts, or factory callables (a test's fakes).
+    spec dicts, or factory callables (a test's fakes).  ``context`` (the
+    registered kind's) supplies the checkpoint store and receives the
+    sweep's provenance.
     """
     from ..specs import as_channel_factory
 
@@ -140,11 +142,12 @@ def _run_model_comparison(
         max_events=2_000_000,
         backend=backend,
         max_workers=max_workers,
+        checkpoint=None if context is None else context.checkpoint,
     )
-    if observed is not None:
+    if context is not None:
         # Provenance records the strategy that actually ran (a vector
         # request may have fallen back for unvectorizable channels).
-        observed["backend_executed"] = sweep.backend or backend
+        context.record(sweep)
 
     stage_survivors: Dict[str, List[int]] = {}
     output_transitions: Dict[str, int] = {}
@@ -189,7 +192,7 @@ def _comparison_experiment(params: dict, context) -> ExperimentOutcome:
         backend=context.backend,
         max_workers=context.max_workers,
         record_traces=bool(params["record_traces"]),
-        observed=context.observed,
+        context=context,
     )
     return ExperimentOutcome(
         rows=result.rows(),

@@ -31,7 +31,7 @@ from ..core.transitions import Signal
 from ..engine.sweep import Scenario, run_many
 from ..specs import AdversarySpec, register_experiment_kind
 from ..spf.analysis import SPFAnalysis, SPFRegime
-from .base import ExperimentOutcome
+from .base import ExperimentContext, ExperimentOutcome
 
 __all__ = ["RegimeObservation", "Theorem9Result", "default_adversaries"]
 
@@ -129,7 +129,7 @@ def _run_theorem9(
     backend: str = "sequential",
     max_workers: Optional[int] = None,
     record_traces: bool = False,
-    observed: Optional[Dict[str, object]] = None,
+    context: Optional[ExperimentContext] = None,
 ) -> Tuple[Theorem9Result, Optional[Dict[str, dict]]]:
     """The Theorem 9 sweep implementation behind the ``theorem9`` kind.
 
@@ -138,6 +138,8 @@ def _run_theorem9(
     ``pair``/``eta`` may be given as live objects or as their declarative
     spec dicts (:mod:`repro.specs`); adversary factories may be
     :class:`~repro.specs.AdversarySpec` objects, spec dicts, or callables.
+    ``context`` (the registered kind's) supplies the checkpoint store and
+    receives the sweep's provenance.
     """
     from ..specs import as_adversary_factory, as_eta, as_pair
 
@@ -184,13 +186,14 @@ def _run_theorem9(
         max_events=max_events,
         backend=backend,
         max_workers=max_workers,
+        checkpoint=None if context is None else context.checkpoint,
     )
-    if observed is not None:
+    if context is not None:
         # Provenance must record the strategy that actually ran: the
         # loop compiles for the vector engine, but "auto" runs it scalar
         # (its fixpoint needs ~400 passes for a handful of events), and
         # a dynamic hazard can drop an explicit "vector" run to scalar.
-        observed["backend_executed"] = sweep.backend or backend
+        context.record(sweep)
 
     observations: List[RegimeObservation] = []
     traces: Optional[Dict[str, dict]] = {} if record_traces else None
@@ -266,7 +269,7 @@ def _theorem9_experiment(params: dict, context) -> ExperimentOutcome:
         backend=context.backend,
         max_workers=context.max_workers,
         record_traces=bool(params["record_traces"]),
-        observed=context.observed,
+        context=context,
     )
     return ExperimentOutcome(
         rows=result.rows(),

@@ -181,8 +181,7 @@ def _simulated_eta_coverage(
     max_workers: Optional[int] = None,
     backend: str = "sequential",
     label: str = "eta-monte-carlo",
-    observed: Optional[Dict[str, object]] = None,
-    checkpoint=None,
+    context=None,
 ) -> DeviationAnalysis:
     """Monte Carlo coverage check on the event-driven engine.
 
@@ -206,7 +205,9 @@ def _simulated_eta_coverage(
     Transitions are matched with their generating inputs by index per
     channel; channels whose run produced cancellations (input/output counts
     differ, possible for shifts near the cancellation boundary) are skipped
-    for that run.
+    for that run.  ``context`` (the registered kind's
+    :class:`~repro.experiments.base.ExperimentContext`) supplies the
+    checkpoint store and receives the sweep's provenance.
     """
     from typing import Mapping
 
@@ -243,17 +244,12 @@ def _simulated_eta_coverage(
         scenarios,
         max_workers=max_workers,
         backend=backend,
-        checkpoint=checkpoint,
+        checkpoint=None if context is None else context.checkpoint,
     )
-    if observed is not None:
+    if context is not None:
         # Provenance records the strategy that actually ran (a vector
         # request may have fallen back for unvectorizable channels).
-        observed["backend_executed"] = sweep.backend or backend
-        if checkpoint is not None:
-            # Checkpointed sweeps also report how much of the work was
-            # resumed from the store.
-            observed["chunks_computed"] = sweep.shard_report.computed
-            observed["chunks_resumed"] = sweep.shard_report.resumed
+        context.record(sweep)
 
     samples: List[DeviationSample] = []
     eta_edges = [
@@ -302,8 +298,7 @@ def _eta_coverage_experiment(params: dict, context):
         backend=context.backend,
         max_workers=context.max_workers,
         label=params["label"],
-        observed=context.observed,
-        checkpoint=getattr(context, "checkpoint", None),
+        context=context,
     )
     return ExperimentOutcome(
         rows=[analysis.summary()],

@@ -61,26 +61,49 @@ def signal_to_dict(signal: Signal) -> Dict[str, Any]:
 
 
 def signal_from_dict(data: Mapping[str, Any]) -> Signal:
-    """Rebuild a signal from its dict form (transition list, pulse, or train)."""
+    """Rebuild a signal from its dict form (transition list, pulse, or train).
+
+    Nothing is converted: times, ``start``, ``length``, ``widths`` and
+    ``gaps`` must be JSON numbers, and values, ``initial_value`` and
+    ``polarity`` the int 0 or 1 (a JSON boolean is neither), else
+    ``TypeError``.
+    """
     if "pulse" in data:
         pulse = data["pulse"]
         return Signal.pulse(
-            float(pulse["start"]),
-            float(pulse["length"]),
-            int(pulse.get("polarity", 1)),
+            _number(pulse["start"], "start"),
+            _number(pulse["length"], "length"),
+            _bit(pulse.get("polarity", 1), "polarity"),
         )
     if "pulse_train" in data:
         train = data["pulse_train"]
         return Signal.pulse_train(
-            float(train.get("start", 0.0)),
-            [float(w) for w in train["widths"]],
-            [float(g) for g in train["gaps"]],
-            int(train.get("initial_value", 0)),
+            _number(train.get("start", 0.0), "start"),
+            [_number(width, "widths") for width in train["widths"]],
+            [_number(gap, "gaps") for gap in train["gaps"]],
+            _bit(train.get("initial_value", 0), "initial_value"),
         )
     transitions = [
-        Transition(float(t), int(v)) for t, v in data.get("transitions", [])
+        Transition(_number(time, "time"), _bit(value, "value"))
+        for time, value in data.get("transitions", [])
     ]
-    return Signal(int(data.get("initial_value", 0)), transitions)
+    return Signal(_bit(data.get("initial_value", 0), "initial_value"), transitions)
+
+
+def _number(value: Any, key: str) -> float:
+    """*value* as a float when it is a JSON number (a ``bool`` is not one,
+    as for a spec parameter), else ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key}={value!r} must be a number")
+    return float(value)
+
+
+def _bit(value: Any, key: str) -> int:
+    """*value* when it is the int 0 or 1 (a ``bool`` is not one, as for a
+    circuit node's initial value), else ``TypeError``."""
+    if type(value) is not int or value not in (0, 1):
+        raise TypeError(f"{key}={value!r} must be 0 or 1")
+    return value
 
 
 # --------------------------------------------------------------------------- #
@@ -168,6 +191,8 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
     if end_time is not None:
         if isinstance(end_time, bool) or not isinstance(end_time, (int, float)):
             raise located(SpecError(f"end_time {end_time!r} is not a number"), "/end_time")
+        if not end_time >= 0:  # NaN fails too; +inf runs to quiescence
+            raise located(SpecError(f"end_time {end_time!r} must be at least 0"), "/end_time")
         end_time = float(end_time)
     metadata = _field(data, "metadata", {})
     if not isinstance(metadata, Mapping):

@@ -9,13 +9,16 @@ Rules are pure and defensive: they must never raise on malformed input
 access tolerates missing or mistyped fields and leaves reporting those
 to the rule that owns them.
 
-Lint keeps no copy of a builder's check.  REP009 runs the netlist
-loader's own decode step; REP001--REP006, REP008 and REP102 report the
-errors of ``CircuitSpec.build`` (:class:`CircuitBuild`, once per
-document), and REP101 and REP103--REP106 the exceptions the registered
-spec builders raise: one walker (:class:`SpecBuild`, once per document)
-builds every channel spec and, where one fails, its sub-specs at their
-own JSON pointers.
+Lint keeps no copy of a builder's check and no graph of its own.  Each
+document is decoded once by the netlist loader (REP009 reports its error)
+and built once by ``CircuitSpec.build`` (:class:`CircuitBuild`):
+REP001--REP006, REP008 and REP102 report the builder's errors, and
+REP101 and REP103--REP106 the exceptions of the registered spec builders,
+where one walker (:class:`SpecBuild`) builds the sub-specs of each
+channel that did not build at their own JSON pointers.  The graph rules
+(REP007, REP201, REP202, REP401) read the circuit the builder returns
+through the engine's ``CircuitTopology`` and SCC pass, so a document
+that does not build gets none of their findings.
 
 Code blocks
 -----------
@@ -34,6 +37,7 @@ The rendered catalogue with examples lives in ``docs/linting.md``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
@@ -44,7 +48,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -74,8 +77,9 @@ class CircuitContext:
 
     ``doc`` is the document as given; ``base`` is the JSON-path prefix of
     the circuit spec inside it (``""`` for a bare circuit-spec dict,
-    ``"/circuit"`` for a netlist envelope).  The derived node/edge tables
-    are built defensively once and shared by every rule.
+    ``"/circuit"`` for a netlist envelope).  The document is decoded
+    (:attr:`netlist`) and built (:attr:`build`) once, and every rule
+    shares those views.
     """
 
     def __init__(
@@ -89,31 +93,13 @@ class CircuitContext:
         self.base = base
         self.circuit = circuit
         self.metadata = dict(metadata or {})
-        raw_nodes = circuit.get("nodes")
         raw_edges = circuit.get("edges")
-        #: ``(index, node-dict)`` for every well-typed node entry.
-        self.nodes: List[Tuple[int, Mapping[str, Any]]] = [
-            (i, n)
-            for i, n in enumerate(raw_nodes if isinstance(raw_nodes, list) else [])
-            if isinstance(n, Mapping)
-        ]
         #: ``(index, edge-dict)`` for every well-typed edge entry.
         self.edges: List[Tuple[int, Mapping[str, Any]]] = [
             (i, e)
             for i, e in enumerate(raw_edges if isinstance(raw_edges, list) else [])
             if isinstance(e, Mapping)
         ]
-        #: First declaration index of each node name.
-        self.node_index: Dict[str, int] = {}
-        for i, node in self.nodes:
-            name = node.get("name")
-            if isinstance(name, str) and name not in self.node_index:
-                self.node_index[name] = i
-        self.out_edges: Dict[str, List[Tuple[int, Mapping[str, Any]]]] = {}
-        for i, edge in self.edges:
-            source = edge.get("source")
-            if isinstance(source, str):
-                self.out_edges.setdefault(source, []).append((i, edge))
 
     def path(self, suffix: str) -> str:
         """Join ``suffix`` (circuit-relative) onto the circuit's base path."""
@@ -127,14 +113,36 @@ class CircuitContext:
         return f"#{index}"
 
     @cached_property
+    def netlist(self) -> Any:
+        """The document decoded once by the netlist loader
+        (``repro.io.netlist.netlist_from_dict``), or the ``SpecError`` it
+        raised, which REP009 reports."""
+        from ..io.netlist import netlist_from_dict
+        from ..specs import SpecError
+
+        try:
+            return netlist_from_dict(self.doc)
+        except SpecError as exc:
+            return exc
+
+    @cached_property
     def specs(self) -> "SpecBuild":
-        """Every channel spec of the document, built once (see :class:`SpecBuild`)."""
+        """The sub-specs of every channel that did not build (see :class:`SpecBuild`)."""
         return SpecBuild(self)
 
     @cached_property
     def build(self) -> "CircuitBuild":
         """The document's circuit, built once (see :class:`CircuitBuild`)."""
         return CircuitBuild(self)
+
+    @cached_property
+    def topology(self) -> Any:
+        """The engine's ``CircuitTopology`` of the built circuit, or None
+        when the document does not build."""
+        from ..engine.scheduler import CircuitTopology
+
+        circuit = self.build.circuit
+        return None if circuit is None else CircuitTopology(circuit)
 
 
 @dataclass
@@ -204,15 +212,6 @@ def get_rule(code: str) -> Rule:
     return RULES[code]
 
 
-def _num(value: Any) -> Optional[float]:
-    """A JSON number as a float, or ``None``.  A JSON boolean is not a
-    number: the spec builders reject one in a numeric field with a
-    ``TypeError``, which REP105 reports."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    return None
-
-
 # --------------------------------------------------------------------------- #
 # REP0xx -- netlist structure
 # --------------------------------------------------------------------------- #
@@ -223,37 +222,51 @@ class CircuitBuild:
 
     ``circuit`` is the circuit, or None when it does not build (or its
     skeleton does not decode, which is REP009's).  ``findings`` maps
-    REP001--REP006, REP008 and REP102 to the builder's errors in document
-    order, each at the field it names: the builder goes on past a node or
-    edge that does not build and raises one error listing them all.  The
-    error's type decides the rule, or else where it is located and the
-    ``field`` it names (see :meth:`rule`).
+    REP001--REP006, REP008, REP102 and REP105 to the builder's errors in
+    document order, each at the field it names: the builder goes on past
+    a node or edge that does not build and raises one error listing them
+    all.  The error's type decides the rule, or else where it is located
+    and the ``field`` it names (see :meth:`rule`).  ``channel_errors``
+    maps the circuit-relative pointer of each edge whose channel spec
+    does not build (``/edges/3``) to the spec builder's error; it is None
+    when the skeleton does not decode, so no channel was built.
     """
 
-    #: The rules these findings belong to.
-    CODES = ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP008", "REP102")
     #: The rule of an edge's ``CircuitError``, by the field it names.
-    EDGE_FIELDS = {"source": "REP003", "target": "REP003", "name": "REP005", "pin": "REP006"}
+    EDGE_FIELDS = {
+        "source": "REP003", "target": "REP003", "name": "REP005", "pin": "REP006", "channel": "REP105"
+    }
 
     def __init__(self, ctx: CircuitContext) -> None:
         from ..specs import CircuitSpec, SpecError
 
         self.circuit: Any = None
-        self.findings: Dict[str, List[Finding]] = {code: [] for code in self.CODES}
+        self.findings: Dict[str, List[Finding]] = defaultdict(list)
+        self.channel_errors: Optional[Dict[str, BaseException]] = None
+        if isinstance(ctx.netlist, SpecError):  # the envelope failed before the skeleton
+            try:
+                spec = CircuitSpec.from_dict(ctx.circuit)
+            except SpecError:
+                return
+        else:
+            spec = ctx.netlist.circuit
+        self.channel_errors = {}
         try:
-            self.circuit = CircuitSpec.from_dict(ctx.circuit).build()
+            self.circuit = spec.build()
         except SpecError as exc:
             for defect in exc.defects:
                 code = self.rule(defect)
-                if code is not None:
-                    field = getattr(defect.__cause__, "field", None)
-                    where = defect.path if field is None else f"{defect.path}/{field}"
-                    self.findings[code].append((ctx.path(where), str(defect)))
+                if code is None:
+                    self.channel_errors[defect.path] = defect.__cause__
+                    continue
+                field = getattr(defect.__cause__, "field", None)
+                where = defect.path if field is None else f"{defect.path}/{field}"
+                self.findings[code].append((ctx.path(where), str(defect)))
 
     @classmethod
     def rule(cls, defect: Any) -> Optional[str]:
-        """The rule of one builder error, None for a channel's (REP101,
-        REP103--REP106 report those through :class:`SpecBuild`)."""
+        """The rule of one builder error, None for a channel spec's
+        (REP101, REP103--REP106 report those through :class:`SpecBuild`)."""
         from ..circuits.circuit import (
             CircuitError,
             DuplicateNameError,
@@ -377,18 +390,16 @@ def _check_conflicting_drivers(ctx: CircuitContext) -> Iterator[Finding]:
 )
 def _check_dangling_node(ctx: CircuitContext) -> Iterator[Finding]:
     """A node whose output fans out to nothing still simulates but is
-    dead weight -- usually a typo in some edge's ``source``."""
-    for i, node in ctx.nodes:
-        name = node.get("name")
-        if not isinstance(name, str) or ctx.node_index.get(name) != i:
-            continue
-        kind = node.get("kind")
-        if kind in ("input", "gate") and not ctx.out_edges.get(name):
-            noun = "input port" if kind == "input" else "gate"
-            yield (
-                ctx.path(f"/nodes/{i}"),
-                f"{noun} {name!r} drives nothing",
-            )
+    dead weight -- usually a typo in some edge's ``source``.  The rule
+    reads the fan-out of the built circuit's topology, whose nodes are in
+    document order."""
+    topo = ctx.topology
+    if topo is None:
+        return
+    for i, name in enumerate(topo.node_names):
+        if name not in topo.is_output and not topo.edges_from[name]:
+            noun = "gate" if name in topo.is_gate else "input port"
+            yield (ctx.path(f"/nodes/{i}"), f"{noun} {name!r} drives nothing")
 
 
 @_rule(
@@ -422,13 +433,11 @@ def _check_invalid_netlist(ctx: CircuitContext) -> Iterator[Finding]:
     ``nodes`` and ``edges`` before it builds anything.  This rule runs
     that same step (``repro.io.netlist.netlist_from_dict``) and reports
     its error at the field it names, or at the circuit."""
-    from ..io.netlist import netlist_from_dict
     from ..specs import SpecError
 
-    try:
-        netlist_from_dict(ctx.doc)
-    except SpecError as exc:
-        yield (ctx.base if exc.path is None else exc.path, str(exc))
+    error = ctx.netlist
+    if isinstance(error, SpecError):
+        yield (ctx.base if error.path is None else error.path, str(error))
 
 
 # --------------------------------------------------------------------------- #
@@ -437,15 +446,18 @@ def _check_invalid_netlist(ctx: CircuitContext) -> Iterator[Finding]:
 
 
 class SpecBuild:
-    """Every spec dict of every channel, built through the registered builders.
+    """Every spec dict of every channel, placed by what its builder raises.
 
-    A channel that builds is sound, and so are its sub-specs.  One that
-    does not has each of its sub-specs -- ``pair`` with its ``up`` and
-    ``down`` (and a shifted or scaled delay's ``base``), ``eta``,
-    ``adversary`` and serial ``stages`` -- built at its own JSON pointer,
-    recursively, and its own error counts only when they all built.  So
-    one defect is one finding, and independent defects are all found.
-    What a builder raises decides the rule:
+    ``CircuitSpec.build`` builds each channel once (:class:`CircuitBuild`
+    records the errors).  A channel that builds is sound, and so are its
+    sub-specs.  One that does not has each of its sub-specs -- ``pair``
+    with its ``up`` and ``down`` (and a shifted or scaled delay's
+    ``base``), ``eta``, ``adversary`` and serial ``stages`` -- built here
+    at its own JSON pointer, recursively, and its own error counts only
+    when they all built.  So one defect is one finding, and independent
+    defects are all found.  When the circuit's skeleton does not decode,
+    no channel was built, and each is built here.  What a builder raises
+    decides the rule:
 
     * ``UnknownKindError`` -- REP101 (channel), REP103 (adversary) or
       REP104 (involution pair, delay), at ``.../kind``;
@@ -496,14 +508,20 @@ class SpecBuild:
             "involution-pair": pair_from_dict,
             "eta": eta_from_dict,
         }
-        self.findings: Dict[str, List[Finding]] = {
-            code: [] for code in ("REP101", "REP103", "REP104", "REP105", "REP106")
-        }
+        self.findings: Dict[str, List[Finding]] = defaultdict(list)
         self.ok: List[Tuple[str, str, Any]] = []
+        errors = ctx.build.channel_errors
         for i, edge in ctx.edges:
             channel = edge.get("channel")
-            if isinstance(channel, Mapping):
-                self._build(ctx.path(f"/edges/{i}/channel"), "channel", channel)
+            if not isinstance(channel, Mapping):
+                continue
+            path = ctx.path(f"/edges/{i}/channel")
+            if errors is None:
+                self._build(path, "channel", channel)
+            elif f"/edges/{i}" in errors:
+                self._failed(path, "channel", channel, errors[f"/edges/{i}"])
+            else:
+                self._built(path, "channel", channel)
 
     def _parts(self, path: str, registry: str, data: Any) -> List[Tuple[str, str, Any]]:
         """``(path, registry, spec)`` of each sub-spec *data* holds."""
@@ -521,16 +539,21 @@ class SpecBuild:
     def _build(self, path: str, registry: str, data: Any) -> bool:
         """Build *data*, placing its error as the class docstring says;
         True when it built."""
-        from ..core.domain import DomainError
-        from ..specs import BUILD_ERRORS, UnknownKindError
+        from ..specs import BUILD_ERRORS
 
         try:
             self.builders[registry](data)
         except BUILD_ERRORS as exc:
-            error = exc
-        else:
-            self._built(path, registry, data)
-            return True
+            return self._failed(path, registry, data, exc)
+        self._built(path, registry, data)
+        return True
+
+    def _failed(self, path: str, registry: str, data: Any, error: BaseException) -> bool:
+        """Place the *error* building *data* raised, unless a sub-spec's
+        finding explains it; False."""
+        from ..core.domain import DomainError
+        from ..specs import UnknownKindError
+
         if not all([self._build(*part) for part in self._parts(path, registry, data)]):
             return False  # the sub-specs' findings explain this spec's error
         if isinstance(error, UnknownKindError):
@@ -631,7 +654,11 @@ def _check_invalid_channel_params(ctx: CircuitContext) -> Iterator[Finding]:
     itself: every build error that is neither an unknown kind
     (REP101/REP103/REP104) nor an out-of-domain parameter (REP106) --
     a missing parameter, a value of the wrong type, a pair that is no
-    involution -- is reported at the spec that does not build."""
+    involution -- is reported at the spec that does not build.  A channel
+    that builds but has no single-history delay function (a ``serial``
+    one) cannot sit on a circuit edge: ``Circuit.connect`` rejects it at
+    the edge's ``channel``."""
+    yield from ctx.build.findings["REP105"]
     yield from ctx.specs.findings["REP105"]
 
 
@@ -724,65 +751,18 @@ def _check_experiment_causality_mode(ctx: ExperimentContext) -> Iterator[Finding
 # --------------------------------------------------------------------------- #
 
 
-def _is_zero_delay(channel: Mapping[str, Any]) -> bool:
-    """True when a channel spec statically delivers with zero delay."""
-    kind = channel.get("kind")
-    if kind == "zero":
-        return True
-    if kind == "pure":
-        delay = _num(channel.get("delay"))
-        falling = _num(channel.get("falling_delay"))
-        return delay == 0.0 and (falling is None or falling == 0.0)
-    if kind == "inertial":
-        return _num(channel.get("delay")) == 0.0
-    if kind == "serial":
-        stages = channel.get("stages")
-        if isinstance(stages, list) and stages:
-            return all(
-                _is_zero_delay(s) for s in stages if isinstance(s, Mapping)
-            )
-    return False
+def _cycles(ctx: CircuitContext, keep: Callable[[Any], bool]) -> Iterator[List[str]]:
+    """The sorted node names of each cyclic component of the built
+    circuit's graph through the edges whose channel *keep* accepts, by
+    the engine's SCC pass (none when the document does not build)."""
+    from ..engine.capability import cyclic_components
 
-
-def _find_cycle(
-    ctx: CircuitContext, edges: Sequence[Tuple[int, Mapping[str, Any]]]
-) -> Optional[List[str]]:
-    """One cycle (as a node-name path) in the given edge subset, or None."""
-    adjacency: Dict[str, List[str]] = {}
-    for _, edge in edges:
-        source = edge.get("source")
-        target = edge.get("target")
-        if (
-            isinstance(source, str)
-            and isinstance(target, str)
-            and source in ctx.node_index
-            and target in ctx.node_index
-        ):
-            adjacency.setdefault(source, []).append(target)
-    state: Dict[str, int] = {}  # 1 = on stack, 2 = done
-    stack: List[str] = []
-
-    def visit(name: str) -> Optional[List[str]]:
-        state[name] = 1
-        stack.append(name)
-        for nxt in adjacency.get(name, []):
-            mark = state.get(nxt)
-            if mark == 1:
-                return stack[stack.index(nxt):] + [nxt]
-            if mark is None:
-                found = visit(nxt)
-                if found is not None:
-                    return found
-        stack.pop()
-        state[name] = 2
-        return None
-
-    for name in adjacency:
-        if name not in state:
-            found = visit(name)
-            if found is not None:
-                return found
-    return None
+    topo = ctx.topology
+    if topo is None:
+        return
+    out_edges = [[e for e in ids if keep(topo.edge_list[e].channel)] for ids in topo.out_edge_ids]
+    for component in cyclic_components(len(topo.node_names), out_edges, topo.edge_target_id):
+        yield sorted(topo.node_names[nid] for nid in component)
 
 
 @_rule(
@@ -793,22 +773,28 @@ def _find_cycle(
     "A cycle consists entirely of zero-delay edges.",
 )
 def _check_zero_delay_cycle(ctx: CircuitContext) -> Iterator[Finding]:
-    """An instantaneous loop schedules delta cycles forever at one
-    timestamp: the simulation can never settle.  (The paper's model
-    requires strictly positive loop delays for exactly this reason.)"""
-    zero_edges = [
-        (i, edge)
-        for i, edge in ctx.edges
-        if isinstance(edge.get("channel"), Mapping)
-        and _is_zero_delay(edge["channel"])
-    ]
-    cycle = _find_cycle(ctx, zero_edges)
-    if cycle is not None:
+    """The paper's channels are strictly causal, so a loop of zero-delay
+    channels (``zero``, ``pure`` with both delays 0, ``inertial`` with
+    delay 0) lies outside the model.  The event-driven engine still runs
+    one: a loop that settles finishes, and one that oscillates at a
+    single timestamp is stopped with ``combinational (zero-delay) loop
+    detected``."""
+    from ..core.baselines import InertialDelayChannel, PureDelayChannel
+    from ..core.channel import ZeroDelayChannel
+
+    def zero_delay(channel: Any) -> bool:
+        if isinstance(channel, PureDelayChannel):
+            return channel.rising_delay == 0.0 == channel.falling_delay
+        if isinstance(channel, InertialDelayChannel):
+            return channel.delay == 0.0
+        return isinstance(channel, ZeroDelayChannel)
+
+    for names in _cycles(ctx, zero_delay):
         yield (
             ctx.path("/edges"),
-            "zero-delay cycle through nodes "
-            + " -> ".join(repr(n) for n in cycle)
-            + " (an instantaneous loop can never settle)",
+            f"zero-delay cycle through nodes {names} (outside the model, whose "
+            "channels are strictly causal; the engine runs a loop that settles "
+            "and stops one that oscillates)",
         )
 
 
@@ -825,14 +811,11 @@ def _check_feedback_loop(ctx: CircuitContext) -> Iterator[Finding]:
     engine natively, the vector backend via its fixpoint lockstep
     schedule -- but the loop is worth surfacing: convergence cost grows
     with the number of feedback round-trips inside the time horizon."""
-    cycle = _find_cycle(ctx, ctx.edges)
-    if cycle is not None:
+    for names in _cycles(ctx, lambda channel: True):
         yield (
             ctx.path("/edges"),
-            "feedback loop through nodes "
-            + " -> ".join(repr(n) for n in cycle)
-            + " (runs on the event-driven engine or the vector"
-            " backend's fixpoint schedule)",
+            f"feedback loop through nodes {names} (runs on the event-driven "
+            "engine or the vector backend's fixpoint schedule)",
         )
 
 
@@ -919,17 +902,11 @@ def _check_vector_fallback(ctx: CircuitContext) -> Iterator[Finding]:
     from ..core.transitions import Signal
     from ..engine.sweep import Scenario
     from ..engine.vector import vector_capability
-    from ..io.netlist import netlist_from_dict
     from ..specs import SpecError
 
-    circuit = ctx.build.circuit
-    if circuit is None:
+    circuit, netlist = ctx.build.circuit, ctx.netlist
+    if circuit is None or isinstance(netlist, SpecError):
         return
-    try:
-        netlist = netlist_from_dict(ctx.doc)
-    except SpecError:
-        return
-
     inputs = {
         port.name: netlist.inputs.get(port.name, Signal(port.initial_value, []))
         for port in circuit.input_ports()
@@ -940,7 +917,7 @@ def _check_vector_fallback(ctx: CircuitContext) -> Iterator[Finding]:
             [10.0] + [s.stabilization_time() + 1.0 for s in inputs.values() if len(s)]
         )
     report = vector_capability(
-        circuit, [Scenario(name="lint", inputs=inputs, end_time=end_time)]
+        ctx.topology, [Scenario(name="lint", inputs=inputs, end_time=end_time)]
     )
     for reason in report.reasons:
         yield (

@@ -1152,7 +1152,7 @@ def as_eta(obj) -> EtaBound:
     if isinstance(obj, Mapping):
         return _decoded(eta_from_dict, obj, "eta bound")
     if isinstance(obj, (tuple, list)) and len(obj) == 2:
-        return EtaBound(float(obj[0]), float(obj[1]))
+        return _decoded(eta_from_dict, {"eta_plus": obj[0], "eta_minus": obj[1]}, "eta bound")
     raise SpecError(f"cannot interpret {type(obj).__name__} as an eta bound")
 
 

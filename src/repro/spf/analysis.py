@@ -33,6 +33,7 @@ from typing import List, Optional, Tuple
 
 from ..core.adversary import EtaBound
 from ..core.constraint import constraint_C_margin, satisfies_constraint_C
+from ..core.domain import DomainError
 from ..core.involution import InvolutionPair
 from ..core.rootfind import brentq
 
@@ -97,7 +98,8 @@ class SPFAnalysis:
     eta:
         Noise bound; must satisfy constraint (C) for the fixed-point
         quantities to exist (checked on construction unless
-        ``require_constraint=False``).
+        ``require_constraint=False``; a ``DomainError`` naming ``eta``
+        otherwise).
     """
 
     def __init__(
@@ -110,9 +112,10 @@ class SPFAnalysis:
         self.pair = pair
         self.eta = eta
         if require_constraint and not satisfies_constraint_C(pair, eta):
-            raise ValueError(
+            raise DomainError(
+                "eta",
                 "noise bound violates constraint (C): margin "
-                f"{constraint_C_margin(pair, eta):g}"
+                f"{constraint_C_margin(pair, eta):g}",
             )
         self._tau: Optional[float] = None
         self._delta_tilde_0: Optional[float] = None

@@ -101,6 +101,19 @@ class TestNetlistRoundTrip:
             ("inputs", "", "/inputs"),
             ("inputs", {"in": {"transitions": [[1.0]]}}, "/inputs/in"),
             ("inputs", {"in": {"initial_value": -1}}, "/inputs/in"),
+            ("end_time", float("nan"), "/end_time"),
+            ("end_time", -5, "/end_time"),
+            ("inputs", {"in": {"pulse": {"start": "1", "length": 3.0}}}, "/inputs/in"),
+            ("inputs", {"in": {"pulse": {"start": 1.0, "length": True}}}, "/inputs/in"),
+            ("inputs", {"in": {"pulse": {"start": 1.0, "length": 3.0, "polarity": "1"}}},
+             "/inputs/in"),
+            ("inputs", {"in": {"pulse_train": {"widths": ["1"], "gaps": []}}}, "/inputs/in"),
+            ("inputs", {"in": {"pulse_train": {"widths": [1.0], "gaps": [],
+                                               "initial_value": 0.0}}}, "/inputs/in"),
+            ("inputs", {"in": {"transitions": [[True, 1]]}}, "/inputs/in"),
+            ("inputs", {"in": {"transitions": [[1.0, 1.0]]}}, "/inputs/in"),
+            ("inputs", {"in": {"initial_value": "0"}}, "/inputs/in"),
+            ("inputs", {"in": {"initial_value": True}}, "/inputs/in"),
             ("metadata", "x", "/metadata"),
             ("metadata", 0, "/metadata"),
             ("metadata", [], "/metadata"),

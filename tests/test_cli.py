@@ -375,6 +375,8 @@ class TestChannelParamDomains:
 
 #: A custom gate type equal to INV, for the cases that break one of its fields.
 CUSTOM_INV = {"name": "INVX", "arity": 1, "table": [[0, 1], [1, 0]]}
+#: A channel that builds but has no single-history delay function.
+SERIAL = {"kind": "serial", "stages": [{"kind": "pure", "delay": 1.0}]}
 
 
 def _set(part, index, key, value):
@@ -423,6 +425,7 @@ class TestStructuralDefects:
         "arity-1.9": (_gate_type(arity=1.9), "REP102"),
         "arity-0": (_gate_type(arity=0), "REP102"),
         "circuit-name-list": (_list_name, "REP009"),
+        "serial-channel": (_set("edges", 1, "channel", SERIAL), "REP105"),
     }
 
     @staticmethod
@@ -444,6 +447,17 @@ class TestStructuralDefects:
             main(["simulate", path])
         message = str(exit_info.value)
         assert message.startswith("error: ") and "\n" not in message
+
+    @pytest.mark.parametrize("argv", [["info"], ["sweep", "--runs", "2"]], ids=["info", "sweep"])
+    def test_a_serial_channel_edge_is_one_error_line(self, tmp_path, argv):
+        """``Circuit.connect`` rejects the channel, so the sweep is never
+        started (it retried the run's failure, then quarantined it)."""
+        path = self._netlist(tmp_path, _set("edges", 1, "channel", SERIAL))
+        with pytest.raises(SystemExit) as exit_info:
+            main([argv[0], path, *argv[1:]])
+        message = str(exit_info.value)
+        assert message.startswith("error: ") and "\n" not in message
+        assert "no single-history delay function" in message
 
     def test_a_well_formed_custom_gate_simulates_like_the_library_one(self, tmp_path, capsys):
         assert main(["simulate", str(EXAMPLES / "inverter_chain.json")]) == 0
@@ -514,9 +528,11 @@ class TestFlagRanges:
             ["sweep", "n.json", "--chunk-timeout", "-1"],
             ["experiment", "run", "theorem9", "--workers", "-1"],
             ["export", "inverter_chain", "-o", "n.json", "--stages", "0"],
+            ["simulate", "n.json", "--end-time", "nan"],
+            ["sweep", "n.json", "--end-time", "-1"],
         ],
         ids=["runs", "retries", "chunk-size", "sweep-workers", "chunk-timeout",
-             "experiment-workers", "stages"],
+             "experiment-workers", "stages", "simulate-end-time-nan", "sweep-end-time-minus-1"],
     )
     def test_out_of_range_flag_exits_2(self, argv, monkeypatch, tmp_path, capsys):
         monkeypatch.chdir(tmp_path)
@@ -672,9 +688,10 @@ class TestExperimentCLI:
             {"adversaries": {"s": {"kind": "sequence"}}},
             {"adversaries": {"s": {"kind": "sine", "period": "x"}}},
             {"pair": {"kind": "pair", "up": {"kind": "exp"}}},
+            {"eta": ["0.05", "0.1"]},
         ],
         ids=["exp-pair-no-tau", "eta-no-eta_plus", "sequence-no-shifts", "sine-period-string",
-             "explicit-pair-up-no-tau"],
+             "explicit-pair-up-no-tau", "eta-list-of-strings"],
     )
     def test_malformed_spec_param_is_one_error_line(self, params):
         """A spec-valued parameter is decoded when the run starts, and a
@@ -714,6 +731,69 @@ class TestExperimentCLI:
         with pytest.raises(SystemExit) as exit_info:
             main(["experiment", "run", "theorem9", "--params-json", json.dumps(params)])
         assert str(exit_info.value) == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["experiment", "run", "theorem9",
+                 "--params-json", '{"eta": {"eta_plus": 0.5, "eta_minus": 0.5}}'],
+                "noise bound violates constraint (C): margin -1",
+            ),
+            (
+                ["experiment", "run", "theorem9", "--param", "eta_plus=5"],
+                "eta_plus=5.0 admits no eta_minus >= 0 under constraint (C)",
+            ),
+            (
+                ["experiment", "run", "theorem9", "--param", "eta_plus=-1"],
+                "eta_plus must be non-negative",
+            ),
+            (
+                ["experiment", "run", "lemma5", "--params-json", '{"eta_plus_values": [5]}'],
+                "eta_plus=5.0 admits no eta_minus >= 0 under constraint (C)",
+            ),
+            (
+                ["export", "inverter_chain", "--eta-plus", "5", "-o", "x.json"],
+                "eta_plus=5.0 admits no eta_minus >= 0 under constraint (C)",
+            ),
+            (
+                ["export", "inverter_chain", "--eta-plus", "-1", "-o", "x.json"],
+                "eta_plus must be non-negative",
+            ),
+        ],
+        ids=["theorem9-eta", "theorem9-eta_plus-5", "theorem9-eta_plus-minus-1",
+             "lemma5-eta_plus-5", "export-eta-plus-5", "export-eta-plus-minus-1"],
+    )
+    def test_noise_bound_outside_constraint_c_is_one_error_line(
+        self, argv, message, monkeypatch, tmp_path
+    ):
+        """Constraint (C) is checked on the noise bound an experiment or an
+        export builds from its parameters; a bound outside it is a
+        ``DomainError`` and ends the command in one line."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        text = str(exit_info.value)
+        assert text.startswith(f"error: {message}") and "\n" not in text
+        assert not (tmp_path / "x.json").exists()
+
+    def test_checkpointed_theorem9_resumes_every_chunk(self, tmp_path, capsys):
+        """``--checkpoint`` reaches theorem9's sweep: a rerun resumes each of
+        its chunks (five at the defaults: 72 runs, 16 to a chunk), and its
+        rows equal a run without the store."""
+        argv = ["experiment", "run", "theorem9", "--json"]
+        assert main(argv) == 0
+        plain = json.loads(capsys.readouterr().out)["result"]
+        store = ["--checkpoint", str(tmp_path / "ckpt")]
+        provenance = []
+        for _ in range(2):
+            assert main(argv + store) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert result["rows"] == plain["rows"]
+            provenance.append(result["provenance"])
+        assert [(p["chunks_computed"], p["chunks_resumed"]) for p in provenance] == [
+            (5, 0), (0, 5)
+        ]
 
 
 class TestPackagedEntryPoints:

@@ -16,7 +16,10 @@ of the first edge (its channel included), and of the first transition of
   decode and build rules (REP001--REP006, REP008, REP009, REP101--REP106)
   exactly when it does not load, build or validate, because those rules
   report the loader's and the builder's own errors.
-* One defect is one finding: no document gets both REP105 and REP106.
+* One defect is one finding: no document gets both REP105 and REP106,
+  and the graph rules (REP007, REP201, REP202, REP401), which read the
+  built circuit, report nothing on a document that does not load, build
+  or validate.
 
 The ``ci`` hypothesis profile (the ``differential`` CI job) runs all 480
 documents, the default ``dev`` profile a fixed sample of 120.
@@ -163,6 +166,27 @@ def test_no_document_gets_both_rep105_and_rep106():
         if {"REP105", "REP106"} <= {d.code for d in report}
     ]
     assert both == []
+
+
+#: The rules that read the built circuit's graph.
+GRAPH_RULES = {"REP007", "REP201", "REP202", "REP401"}
+
+
+@pytest.mark.differential
+def test_graph_rules_report_nothing_on_a_document_that_does_not_build():
+    """Each probe document changes one field, so one that does not build
+    has one defect, which the loader's or the builder's error explains: a
+    dangling node or a loop through an edge the builder rejects is not a
+    second one."""
+    collateral = []
+    for path, value, doc, report in _lint_reports():
+        try:
+            netlist_from_dict(doc).build().validate()
+        except SpecError:
+            codes = {d.code for d in report} & GRAPH_RULES
+            if codes:
+                collateral.append((path, value, sorted(codes)))
+    assert collateral == []
 
 
 CHANNEL = ("circuit", "edges", 0, "channel")

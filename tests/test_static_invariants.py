@@ -46,8 +46,8 @@ mapped by NumPy's own formula a block gives the same floats.
 
 A seventh keeps each parameter check in one home: every ``raise`` inside
 an ``__init__`` of ``core/baselines.py``, ``core/delay_functions.py``,
-``core/adversary.py`` and ``core/composition.py`` raises ``DomainError``,
-and ``lint/rules.py`` does not import ``math``.  Lint reports the
+``core/adversary.py``, ``core/composition.py`` and ``spf/analysis.py``
+raises ``DomainError``, and ``lint/rules.py`` does not import ``math``.  Lint reports the
 constructors' ``DomainError`` at the parameter's pointer instead of
 keeping a copy of their checks, and a copy of a domain check is what
 would need ``math.isfinite`` there.
@@ -59,6 +59,13 @@ does not import the gate library (``repro.circuits.gates``,
 ``str`` or ``bool``.  ``Circuit`` and ``GateType`` decide what is
 well-formed on the document's values as given, and lint reports their
 errors; a conversion in the decode would let ``1.7`` build as 1.
+
+A ninth keeps one graph: ``lint/rules.py`` reads no ``source`` or
+``target`` key of a document (no ``.get("source")`` call, no
+``["target"]`` subscript).  Its graph rules read the circuit
+``CircuitSpec.build`` returns through the engine's ``CircuitTopology``
+and SCC pass; a second graph built from the dicts would report loops
+and dead ends through edges the builder rejects.
 """
 
 import ast
@@ -91,7 +98,7 @@ DRAW_METHODS = {"uniform", "normal", "random", "standard_normal", "integers"}
 DOMAIN_HOMES = [
     SRC / "core" / name
     for name in ("baselines.py", "delay_functions.py", "adversary.py", "composition.py")
-]
+] + [SRC / "spf" / "analysis.py"]
 #: The lint rules, which report those constructors' errors.
 LINT_RULES = SRC / "lint" / "rules.py"
 #: The circuit-spec decode, and the functions of it that hand the document's
@@ -100,6 +107,8 @@ SPECS = SRC / "specs.py"
 STRUCTURE_DECODERS = {"CircuitSpec.build", "_gate_type_from_spec"}
 #: The builtins that would convert a document value.
 COERCIONS = {"int", "float", "str", "bool"}
+#: The keys of an edge's endpoints, which only the circuit builder reads.
+ENDPOINT_KEYS = {"source", "target"}
 
 
 def _checked_files():
@@ -643,3 +652,46 @@ def test_structure_gate_detects_copies(tmp_path):
     found, defined = _coercions(probe, STRUCTURE_DECODERS)
     assert found == [(3, "int"), (4, "bool"), (5, "str"), (10, "int")]
     assert defined == STRUCTURE_DECODERS
+
+
+def _endpoint_reads(path):
+    """Lines that read a ``source`` or ``target`` key: a ``.get`` call or a
+    subscript with that string constant."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and node.args
+        ):
+            key = node.args[0]
+        elif isinstance(node, ast.Subscript):
+            key = node.slice
+        else:
+            continue
+        if isinstance(key, ast.Constant) and key.value in ENDPOINT_KEYS:
+            found.append(node.lineno)
+    return found
+
+
+def test_lint_rules_keep_no_graph_of_their_own():
+    reads = _endpoint_reads(LINT_RULES)
+    assert reads == [], "\n".join(f"{LINT_RULES}:{line}: reads an edge endpoint" for line in reads)
+
+
+def test_graph_gate_detects_reads(tmp_path):
+    """The detector itself is tested: seed each forbidden construct."""
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "a = edge.get('source')\n"
+        "b = edge['target']\n"
+        "c = edge.get('target', None)\n"
+        "d = {'source': 'REP003', 'target': 'REP003'}\n"
+        "e = edge.get('name')\n"
+        "f = edge['pin']\n"
+        "g = edge.get(key)\n"
+        "h = fields['source']\n"
+    )
+    assert _endpoint_reads(probe) == [1, 2, 3, 8]
