@@ -173,9 +173,10 @@ def sweep(
     deterministic cost model.
 
     ``checkpoint=`` (artifact store or directory) adds spec-keyed chunk
-    checkpointing with crash-safe resume; ``retry=``,
-    ``chunk_timeout=`` and ``on_chunk_failure=`` govern failing chunks
-    (see :func:`repro.engine.sweep.run_many`).
+    checkpointing with crash-safe resume; ``retry=`` (total attempts per
+    chunk whose pool worker crashed or timed out), ``chunk_timeout=``
+    and ``on_chunk_failure=`` govern failing chunks (see
+    :func:`repro.engine.sweep.run_many`).
 
     ``validate=True`` lints the circuit first (see :func:`lint`; prebuilt
     :class:`CircuitTopology` instances are exempt -- they were built from

@@ -25,8 +25,9 @@ Installed as the ``repro`` console script and reachable as
     (:mod:`repro.engine.shard`).  ``--checkpoint DIR`` persists finished
     chunks as content-keyed artifacts, so a killed sweep resumes
     bit-identically (``--resume`` asserts that it did);
-    ``--retries``/``--chunk-timeout`` bound how stubbornly failing chunks
-    are retried before quarantine.
+    ``--chunk-timeout`` bounds a chunk's wall-clock time on the pool and
+    ``--retries`` the attempts of a chunk whose worker crashed or timed
+    out; a chunk that raised is quarantined after one attempt.
 ``export LIBRARY -o FILE``
     Write a library circuit (``inverter_chain``, ``buffer_chain``,
     ``spf``) as a netlist file, with eta-involution exp-channels and a
@@ -201,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--retries", type=_int_at_least(1), default=3, metavar="N",
-        help="total attempts per chunk before quarantine (default: 3, with "
-        "exponential backoff)",
+        help="total attempts per chunk whose worker crashed or timed out "
+        "(default: 3; needs --workers 2 or more)",
     )
     sweep.add_argument(
         "--chunk-timeout", type=_positive_float, default=None, metavar="S",

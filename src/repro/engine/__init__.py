@@ -29,9 +29,10 @@ Three layers, each usable on its own:
   inputs, each run on the scalar or vector engine, inline or on a
   respawning process pool (workers receive the circuit as declarative
   :class:`repro.specs.CircuitSpec` JSON, never as a pickle), with
-  optional spec-keyed chunk checkpointing and crash-safe resume, retry
-  with exponential backoff, per-chunk wall-clock timeouts and
-  poison-chunk quarantine.
+  optional spec-keyed chunk checkpointing and crash-safe resume,
+  per-chunk wall-clock timeouts on the pool, a retry with exponential
+  backoff for chunks whose worker crashed or timed out (a chunk that
+  raised gets one attempt), and poison-chunk quarantine.
 
 The scheduler and sweep layers are imported lazily (PEP 562) because
 :mod:`repro.core.channel` imports the kernel at module load time; eager
@@ -84,14 +85,11 @@ __all__ = [
     "compile_sweep",
     "predraw_random_adversaries",
     # shard (lazy)
-    "RetryPolicy",
     "ChunkFailure",
     "SweepFailureReport",
     "SweepFailedError",
     "ChunkRecord",
     "ShardReport",
-    "FaultInjector",
-    "InlineChunkExecutor",
     "run_many_sharded",
 ]
 
@@ -121,14 +119,11 @@ _VECTOR_EXPORTS = {
     "predraw_random_adversaries",
 }
 _SHARD_EXPORTS = {
-    "RetryPolicy",
     "ChunkFailure",
     "SweepFailureReport",
     "SweepFailedError",
     "ChunkRecord",
     "ShardReport",
-    "FaultInjector",
-    "InlineChunkExecutor",
     "run_many_sharded",
 }
 

@@ -25,19 +25,21 @@ Checkpointing (an optional store)
     run: the packed signal encoding round-trips float64 times exactly.
 
 Retry, timeout, and failing chunks
-    Each chunk executes under a :class:`RetryPolicy` (one attempt unless
-    ``retry=`` asks for more, with exponential backoff).  On the process
-    pool a per-chunk wall-clock timeout is enforced by killing and
-    respawning the pool, and a ``BrokenProcessPool`` (worker OOM-killed
-    or segfaulted) is likewise recovered by respawning.  What happens to
-    a chunk that still fails after its last attempt is the same for every
-    engine and executor: with ``on_chunk_failure`` unset its own
-    exception propagates unchanged.  ``"raise"`` *quarantines* it -- the
-    exception is captured in a structured :class:`ChunkFailure`, sibling
-    chunks complete normally, and the sweep raises a
-    :class:`SweepFailedError` at the end -- and ``"keep"`` returns the
-    surviving runs with the :class:`SweepFailureReport` attached to
-    ``SweepResult.failure_report``.
+    A chunk's run is fixed by its scenarios, so a chunk that raised
+    would raise again: it gets one attempt.  Only the process pool
+    retries, and only the two failures a retry can fix -- a worker that
+    died (:class:`WorkerCrashError`: OOM-killed, segfaulted) and a chunk
+    that overran its wall-clock ``chunk_timeout``
+    (:class:`ChunkTimeoutError`).  Both are recovered by killing and
+    respawning the pool; the chunk then waits an exponential backoff and
+    runs again, up to ``retry=`` attempts in all.  What happens to a
+    chunk whose last attempt failed is the same for every engine and
+    executor: with ``on_chunk_failure`` unset its own exception
+    propagates unchanged.  ``"raise"`` *quarantines* it -- the exception
+    is captured in a structured :class:`ChunkFailure`, sibling chunks
+    complete normally, and the sweep raises a :class:`SweepFailedError`
+    at the end -- and ``"keep"`` returns the surviving runs with the
+    :class:`SweepFailureReport` attached to ``SweepResult.failure_report``.
 
 Per-chunk engine dispatch
     With ``backend="auto"`` every chunk picks its engine from a
@@ -52,11 +54,11 @@ Per-chunk engine dispatch
     obstacle, and the sweep's ``vector_report`` collects them per chunk.
 
 Fault injection
-    :class:`FaultInjector` wraps a chunk executor and raises chosen
-    faults on chosen ``(chunk, attempt)`` pairs -- the deterministic
-    harness the test-suite uses to prove resume equivalence and retry
-    semantics.  The process pool accepts an equivalent ``chaos`` table
-    that kills, hangs, or raises inside real workers.
+    The private ``_chaos`` table of :func:`run_many_sharded` raises
+    chosen faults on chosen ``(chunk, attempt)`` pairs, inline and in
+    pool workers alike -- the deterministic harness the test-suite uses
+    to prove resume equivalence, retry and quarantine (see
+    :func:`_apply_chaos`).
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.transitions import Signal, _decode_signals, _signal_times
 from .errors import SimulationError
@@ -82,8 +84,6 @@ from .scheduler import CircuitTopology, Engine, Execution
 __all__ = [
     "CHUNK_FORMAT",
     "DEFAULT_CHUNK_SIZE",
-    "RetryPolicy",
-    "as_retry_policy",
     "ChunkError",
     "ChunkTimeoutError",
     "WorkerCrashError",
@@ -93,8 +93,6 @@ __all__ = [
     "SweepFailureReport",
     "ChunkRecord",
     "ShardReport",
-    "InlineChunkExecutor",
-    "FaultInjector",
     "make_chunks",
     "chunk_spec",
     "scenario_fingerprint",
@@ -110,51 +108,17 @@ CHUNK_FORMAT = "repro-sweep-chunk"
 #: different core count must still hit the stored chunks.
 DEFAULT_CHUNK_SIZE = 16
 
-
-# --------------------------------------------------------------------------- #
-# Retry policy
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How often, and how patiently, a failing chunk is re-attempted.
-
-    ``attempts`` is the *total* number of tries (1 = no retries).  Before
-    retry ``n`` (the second try being ``n = 2``) the runner sleeps
-    ``backoff_s * multiplier**(n - 2)`` seconds, capped at
-    ``max_backoff_s`` -- classic exponential backoff, which matters when
-    the failure is a transient resource squeeze (OOM-killed worker, a
-    saturated machine) rather than a deterministic bug.
-    """
-
-    attempts: int = 3
-    backoff_s: float = 0.1
-    multiplier: float = 2.0
-    max_backoff_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("RetryPolicy.attempts must be >= 1")
-        if self.backoff_s < 0 or self.max_backoff_s < 0 or self.multiplier < 1.0:
-            raise ValueError("RetryPolicy backoff parameters must be non-negative")
-
-    def delay_before(self, attempt: int) -> float:
-        """Seconds to sleep before the given attempt (1-based; 0 for the first)."""
-        if attempt <= 1:
-            return 0.0
-        return min(self.backoff_s * self.multiplier ** (attempt - 2), self.max_backoff_s)
+#: Backoff before a pool retry: the second attempt waits _BACKOFF_S, each
+#: later one twice as long as the one before, at most _BACKOFF_MAX_S -- a
+#: crashed worker is usually a transient resource squeeze (an OOM-killed
+#: worker, a saturated machine), which waiting relieves.
+_BACKOFF_S = 0.1
+_BACKOFF_MAX_S = 30.0
 
 
-def as_retry_policy(retry) -> RetryPolicy:
-    """Coerce ``None`` (a single attempt), an int (total attempts), or a policy."""
-    if retry is None:
-        return RetryPolicy(attempts=1)
-    if isinstance(retry, RetryPolicy):
-        return retry
-    if isinstance(retry, int):
-        return RetryPolicy(attempts=retry)
-    raise TypeError(f"cannot interpret {type(retry).__name__} as a retry policy")
+def _backoff(attempt: int) -> float:
+    """Seconds to wait before the given attempt (1-based; 0 for the first)."""
+    return 0.0 if attempt <= 1 else min(_BACKOFF_S * 2.0 ** (attempt - 2), _BACKOFF_MAX_S)
 
 
 # --------------------------------------------------------------------------- #
@@ -218,7 +182,7 @@ class SweepFailureReport:
 
 
 class SweepFailedError(SimulationError):
-    """Raised at sweep end when chunks were quarantined (default policy).
+    """Raised at sweep end when chunks were quarantined (``on_chunk_failure="raise"``).
 
     Carries the :class:`SweepFailureReport` as ``report`` and the partial
     :class:`~repro.engine.sweep.SweepResult` (surviving runs, shard
@@ -670,55 +634,6 @@ def _execute_chunk(
     )
 
 
-class InlineChunkExecutor:
-    """Executes chunks in-process, one at a time.
-
-    The executor of every sweep with ``max_workers`` unset or 1; also the
-    natural base for a :class:`FaultInjector`.  ``dispatch`` selects the
-    engine per chunk: ``"auto"`` (default) by the cost model,
-    ``"vector"`` whenever the chunk compiles, ``None`` pins every chunk
-    to the scalar engine.
-
-    Note: an inline executor cannot preempt a hung chunk -- wall-clock
-    ``chunk_timeout`` enforcement needs ``max_workers > 1``, where a
-    stuck worker is killed and respawned.
-    """
-
-    def __init__(
-        self,
-        topology,
-        *,
-        dispatch: Optional[str] = "auto",
-        on_causality: str = "error",
-        max_events: int = 1_000_000,
-    ) -> None:
-        if dispatch not in ("auto", "vector", None):
-            raise ValueError("dispatch must be 'auto', 'vector' or None")
-        self.topology = (
-            topology
-            if isinstance(topology, CircuitTopology)
-            else CircuitTopology(topology)
-        )
-        self.dispatch = dispatch
-        self.on_causality = on_causality
-        self.max_events = max_events
-        self._engine = Engine(
-            self.topology, on_causality=on_causality, max_events=max_events
-        )
-
-    def run_chunk(self, chunk: SweepChunk, attempt: int) -> _ChunkOutcome:
-        """Execute one chunk (``attempt`` is 1-based, for harness wrappers)."""
-        return _execute_chunk(
-            self.topology,
-            self._engine,
-            chunk.scenarios,
-            dispatch=self.dispatch,
-            on_causality=self.on_causality,
-            max_events=self.max_events,
-            on_fallback=_warn_fallback,
-        )
-
-
 def _warn_fallback(reasons: Sequence[str]) -> None:
     """The fallback warning: a chunk the vector engine refused runs scalar."""
     warnings.warn(
@@ -727,47 +642,6 @@ def _warn_fallback(reasons: Sequence[str]) -> None:
         RuntimeWarning,
         stacklevel=2,
     )
-
-
-class FaultInjector:
-    """Deterministic fault-injection wrapper around a chunk executor.
-
-    ``faults`` maps ``(chunk_index, attempt)`` to a fault: an exception
-    *instance* to raise, or one of the strings ``"crash"``
-    (:class:`WorkerCrashError`), ``"timeout"``
-    (:class:`ChunkTimeoutError`), ``"error"`` (a plain
-    :class:`RuntimeError`), or ``"abort"`` (:class:`KeyboardInterrupt` --
-    simulates the whole sweep process dying mid-flight, which the serial
-    orchestrator deliberately does not catch).  Unlisted ``(chunk,
-    attempt)`` pairs execute normally, so "fails twice then succeeds" is
-    expressed by listing exactly two attempts.
-
-    This is the harness the fault-tolerance test-suite drives; it lives
-    in the library so downstream users can prove their own sweeps'
-    resilience the same way.
-    """
-
-    _BUILTIN = {
-        "crash": lambda: WorkerCrashError("injected worker crash"),
-        "timeout": lambda: ChunkTimeoutError("injected chunk timeout"),
-        "error": lambda: RuntimeError("injected chunk failure"),
-        "abort": lambda: KeyboardInterrupt(),
-    }
-
-    def __init__(self, inner, faults: Dict[Tuple[int, int], object]) -> None:
-        self.inner = inner
-        self.faults = dict(faults)
-        self.calls: List[Tuple[int, int]] = []
-
-    def run_chunk(self, chunk: SweepChunk, attempt: int):
-        """Raise the configured fault for this (chunk, attempt), or delegate."""
-        self.calls.append((chunk.index, attempt))
-        fault = self.faults.get((chunk.index, attempt))
-        if fault is not None:
-            if isinstance(fault, str):
-                raise self._BUILTIN[fault]()
-            raise fault
-        return self.inner.run_chunk(chunk, attempt)
 
 
 # --------------------------------------------------------------------------- #
@@ -788,7 +662,7 @@ def _shard_worker_init(
     on_causality: str,
     max_events: int,
     dispatch: Optional[str],
-    chaos: Optional[Dict[str, List[List[int]]]],
+    chaos: Dict[str, Set[Tuple[int, int]]],
 ) -> None:
     global _SHARD_WORKER
     from ..specs import CircuitSpec
@@ -801,15 +675,19 @@ def _shard_worker_init(
         "on_causality": on_causality,
         "max_events": max_events,
         "dispatch": dispatch,
-        "chaos": {
-            kind: {tuple(pair) for pair in pairs}
-            for kind, pairs in (chaos or {}).items()
-        },
+        "chaos": chaos,
     }
 
 
-def _apply_chaos(chaos: Dict[str, set], chunk_index: int, attempt: int) -> None:
-    """Test-only fault hooks, keyed on (chunk, attempt) like FaultInjector."""
+def _apply_chaos(chaos: Dict[str, Set[Tuple[int, int]]], chunk_index: int, attempt: int) -> None:
+    """Test-only fault hooks: the fault listed for this ``(chunk, attempt)``.
+
+    ``"kill"`` ends the worker process, ``"hang"`` blocks it until the
+    parent's ``chunk_timeout`` kills it (both pool-only), ``"raise"``
+    raises a :class:`RuntimeError` and ``"abort"`` a
+    :class:`KeyboardInterrupt`, which stands for the whole sweep process
+    dying mid-flight.  Unlisted pairs execute normally.
+    """
     pair = (chunk_index, attempt)
     if pair in chaos.get("kill", ()):
         os._exit(1)  # simulates an OOM-kill / segfault: no cleanup, no excuse
@@ -817,6 +695,8 @@ def _apply_chaos(chaos: Dict[str, set], chunk_index: int, attempt: int) -> None:
         _time.sleep(3600.0)  # parent's chunk_timeout must kill us
     if pair in chaos.get("raise", ()):
         raise RuntimeError(f"chaos: injected failure in chunk {chunk_index}")
+    if pair in chaos.get("abort", ()):
+        raise KeyboardInterrupt
 
 
 def _shard_worker_run(chunk_index: int, attempt: int, scenarios: bytes) -> Dict[str, Any]:
@@ -845,7 +725,7 @@ class _ProcessChunkRunner:
         dispatch: Optional[str],
         max_workers: int,
         chunk_timeout: Optional[float],
-        chaos: Optional[Dict[str, List[List[int]]]],
+        chaos: Dict[str, Set[Tuple[int, int]]],
     ) -> None:
         self.spec_json = spec_json
         self.on_causality = on_causality
@@ -899,13 +779,15 @@ class _ProcessChunkRunner:
     def run(
         self,
         chunks: Sequence[SweepChunk],
-        policy: RetryPolicy,
+        attempts: int,
         on_success: Callable[[SweepChunk, Dict[str, Any], int], None],
         on_failure: Callable[[SweepChunk, int, BaseException], None],
     ) -> None:
         """Drive all chunks to success or failure; callbacks per chunk.
 
-        ``on_failure`` gets each chunk whose last attempt failed; an
+        A chunk whose worker died or overran ``chunk_timeout`` runs again
+        after a backoff, up to ``attempts`` in all; one that raised does
+        not.  ``on_failure`` gets each chunk whose last attempt failed; an
         exception it raises ends the run, and the pool with it.
         """
         # Scenarios are pickled once, before any worker starts, so an
@@ -927,9 +809,9 @@ class _ProcessChunkRunner:
         )
         in_flight: Dict[object, Tuple[SweepChunk, int, float]] = {}
 
-        def fail_or_retry(chunk, attempt, error) -> None:
-            if attempt < policy.attempts:
-                ready = _time.monotonic() + policy.delay_before(attempt + 1)
+        def retry_or_fail(chunk, attempt, error) -> None:
+            if attempt < attempts:
+                ready = _time.monotonic() + _backoff(attempt + 1)
                 waiting.append((chunk, attempt + 1, ready))
             else:
                 on_failure(chunk, attempt, error)
@@ -980,7 +862,7 @@ class _ProcessChunkRunner:
                         # treat the rest as collateral (no attempt spent).
                         if not broken:
                             broken = True
-                            fail_or_retry(
+                            retry_or_fail(
                                 chunk,
                                 attempt,
                                 WorkerCrashError(
@@ -992,7 +874,7 @@ class _ProcessChunkRunner:
                             waiting.append((chunk, attempt, 0.0))
                         continue
                     except Exception as exc:
-                        fail_or_retry(chunk, attempt, exc)
+                        on_failure(chunk, attempt, exc)
                         continue
                     on_success(chunk, payload, attempt)
                 if broken:
@@ -1010,7 +892,7 @@ class _ProcessChunkRunner:
                 if expired:
                     for future in sorted(expired, key=lambda f: in_flight[f][0].index):
                         chunk, attempt, _ = in_flight.pop(future)
-                        fail_or_retry(
+                        retry_or_fail(
                             chunk,
                             attempt,
                             ChunkTimeoutError(
@@ -1080,7 +962,7 @@ class ShardReport:
     """Per-chunk accounting of a sweep (``SweepResult.shard_report``)."""
 
     chunk_size: int
-    executor: str  # "inline" | "process" | "custom"
+    executor: str  # "inline" | "process"
     records: Tuple[ChunkRecord, ...]
     failed: int = 0
 
@@ -1236,15 +1118,15 @@ def run_many_sharded(
     on_chunk_failure: Optional[str] = None,
     on_causality: str = "error",
     max_events: int = 1_000_000,
-    executor=None,
-    _sleep: Callable[[float], None] = _time.sleep,
     _chaos: Optional[Dict[str, List[List[int]]]] = None,
 ) -> "object":
     """Execute a sweep in chunks: plan, run each chunk, collect.
 
     The implementation of :func:`repro.engine.sweep.run_many`, which
-    passes every argument through; this entry additionally takes the
-    ``executor`` hook and defaults to ``backend="auto"``.
+    passes every argument through; this entry defaults to
+    ``backend="auto"`` and takes the test-only ``_chaos`` table, which
+    maps a fault (see :func:`_apply_chaos`) to the ``[chunk, attempt]``
+    pairs it strikes.
 
     Parameters
     ----------
@@ -1268,8 +1150,9 @@ def run_many_sharded(
         Part of the checkpoint identity: resume with the size you ran
         with.
     retry:
-        :class:`RetryPolicy`, total-attempt count, or ``None`` for a
-        single attempt.
+        Total attempts per chunk whose pool worker crashed or timed out
+        (an int >= 1; ``None`` is one).  A chunk that raised is not
+        retried: its run is fixed by its scenarios.
     chunk_timeout:
         Per-attempt wall-clock budget in seconds.  Enforced by killing
         and respawning the pool; inline execution cannot preempt a
@@ -1281,10 +1164,6 @@ def run_many_sharded(
         then raise :class:`SweepFailedError` carrying the report and the
         partial result.  ``"keep"``: return the surviving runs with
         ``failure_report`` attached.
-    executor:
-        Override the chunk executor (an object with ``run_chunk(chunk,
-        attempt)``) -- the :class:`FaultInjector` hook.  Forces inline
-        execution.
 
     Returns a :class:`~repro.engine.sweep.SweepResult` whose
     ``shard_report`` records the executor and, per chunk, the engine
@@ -1299,10 +1178,18 @@ def run_many_sharded(
     topology = (
         circuit if isinstance(circuit, CircuitTopology) else CircuitTopology(circuit)
     )
+    if retry is None:
+        retry = 1
+    elif not isinstance(retry, int):
+        raise TypeError(f"retry must be None or an int, not {type(retry).__name__}")
+    elif retry < 1:
+        raise ValueError("retry must be >= 1 (total attempts per chunk)")
     scenarios = list(scenarios)
-    policy = as_retry_policy(retry)
     dispatch = None if backend == "sequential" else backend
-    use_process = executor is None and max_workers is not None and max_workers > 1
+    use_process = max_workers is not None and max_workers > 1
+    chaos = {kind: {tuple(pair) for pair in pairs} for kind, pairs in (_chaos or {}).items()}
+    if not use_process and chaos.keys() & {"kill", "hang"}:
+        raise ValueError("the kill and hang faults strike pool workers: use max_workers > 1")
     if chunk_timeout is not None and not use_process:
         warnings.warn(
             "chunk_timeout cannot preempt in-process chunk execution; use "
@@ -1408,7 +1295,7 @@ def run_many_sharded(
                 dispatch=dispatch,
                 max_workers=min(max_workers, len(pending)),
                 chunk_timeout=chunk_timeout,
-                chaos=_chaos,
+                chaos=chaos,
             )
 
             def on_success(
@@ -1426,36 +1313,27 @@ def run_many_sharded(
                     _warn_fallback(outcome.vector_reasons)
                 record_success(chunk, outcome, attempts)
 
-            runner.run(pending, policy, on_success, record_failure)
+            runner.run(pending, retry, on_success, record_failure)
         elif pending:
-            chunk_executor = executor
-            if chunk_executor is None:
-                chunk_executor = InlineChunkExecutor(
-                    topology,
-                    dispatch=dispatch,
-                    on_causality=on_causality,
-                    max_events=max_events,
-                )
+            engine = Engine(topology, on_causality=on_causality, max_events=max_events)
             for chunk in pending:
-                attempt = 0
-                outcome = None
-                last_exc: Optional[BaseException] = None
-                while attempt < policy.attempts:
-                    attempt += 1
-                    delay = policy.delay_before(attempt)
-                    if delay > 0:
-                        _sleep(delay)
-                    try:
-                        outcome = chunk_executor.run_chunk(chunk, attempt)
-                        break
-                    except Exception as exc:  # noqa: BLE001 - failure protocol
-                        # KeyboardInterrupt/SystemExit propagate: a dying sweep
-                        # keeps its checkpointed chunks and resumes later.
-                        last_exc = exc
-                if outcome is None:
-                    record_failure(chunk, attempt, last_exc)
-                else:
-                    record_success(chunk, outcome, attempt)
+                try:
+                    _apply_chaos(chaos, chunk.index, 1)
+                    outcome = _execute_chunk(
+                        topology,
+                        engine,
+                        chunk.scenarios,
+                        dispatch=dispatch,
+                        on_causality=on_causality,
+                        max_events=max_events,
+                        on_fallback=_warn_fallback,
+                    )
+                except Exception as exc:  # noqa: BLE001 - failure protocol
+                    # KeyboardInterrupt/SystemExit propagate: a dying sweep
+                    # keeps its checkpointed chunks and resumes later.
+                    record_failure(chunk, 1, exc)
+                    continue
+                record_success(chunk, outcome, 1)
     finally:
         if writer is not None:
             writer.close()
@@ -1466,9 +1344,7 @@ def run_many_sharded(
     ordered_records = tuple(records[i] for i in sorted(records))
     shard_report = ShardReport(
         chunk_size=size,
-        executor="process"
-        if use_process
-        else ("custom" if executor is not None else "inline"),
+        executor="process" if use_process else "inline",
         records=ordered_records,
         failed=len(failures),
     )
@@ -1489,7 +1365,11 @@ def run_many_sharded(
         )
 
     runs = [run for index in sorted(outcomes) for run in outcomes[index].runs]
-    failure_report = SweepFailureReport(tuple(failures)) if failures else None
+    failure_report = (
+        SweepFailureReport(tuple(sorted(failures, key=lambda f: f.index)))
+        if failures
+        else None
+    )
     result = SweepResult(
         topology=topology,
         runs=runs,

@@ -236,12 +236,13 @@ def run_many(
     Fault tolerance: ``checkpoint=`` (an
     :class:`~repro.store.ArtifactStore` or directory path) stores every
     finished chunk under a content key, so a rerun resumes
-    bit-identically.  ``retry=`` (attempts per chunk, default 1) and
-    ``chunk_timeout=`` (enforced on the pool only) govern failing
-    chunks.  With ``on_chunk_failure`` unset, a chunk's own exception
-    propagates unchanged; ``"raise"`` quarantines failing chunks and
-    raises :class:`~repro.engine.shard.SweepFailedError` once their
-    siblings finish, ``"keep"`` returns the surviving runs with a
+    bit-identically.  ``retry=`` (total attempts, default 1) is for a
+    chunk whose pool worker crashed or overran ``chunk_timeout=``; a
+    chunk that raised would raise again and gets one attempt.  With
+    ``on_chunk_failure`` unset, a chunk's own exception propagates
+    unchanged; ``"raise"`` quarantines failing chunks and raises
+    :class:`~repro.engine.shard.SweepFailedError` once their siblings
+    finish, ``"keep"`` returns the surviving runs with a
     ``failure_report``.  See ``docs/resilience.md``.
     """
     # Imported per call, not with this module: a cached experiment imports

@@ -465,7 +465,11 @@ class SpecBuild:
     * any other build error -- REP105, at the spec.
 
     ``findings`` maps those codes to their findings in document order;
-    ``ok`` lists ``(path, registry, spec dict)`` for every spec that builds.
+    ``pairs`` lists ``(path, pair)`` for every explicit
+    ``{"kind": "pair"}`` involution pair that built, read from the object
+    its builder returned: the built circuit's channel, or what this
+    walker built.  A pair whose channel built inside a circuit that did
+    not is gone with that circuit and is not listed.
     """
 
     #: The rule that reports an unknown kind, by the registry that names it.
@@ -509,8 +513,10 @@ class SpecBuild:
             "eta": eta_from_dict,
         }
         self.findings: Dict[str, List[Finding]] = defaultdict(list)
-        self.ok: List[Tuple[str, str, Any]] = []
+        self.pairs: List[Tuple[str, Any]] = []
         errors = ctx.build.channel_errors
+        # A circuit that built wired every edge, in document order.
+        wired = [] if ctx.build.circuit is None else list(ctx.build.circuit.edges.values())
         for i, edge in ctx.edges:
             channel = edge.get("channel")
             if not isinstance(channel, Mapping):
@@ -521,7 +527,7 @@ class SpecBuild:
             elif f"/edges/{i}" in errors:
                 self._failed(path, "channel", channel, errors[f"/edges/{i}"])
             else:
-                self._built(path, "channel", channel)
+                self._built(path, "channel", channel, wired[i].channel if wired else None)
 
     def _parts(self, path: str, registry: str, data: Any) -> List[Tuple[str, str, Any]]:
         """``(path, registry, spec)`` of each sub-spec *data* holds."""
@@ -542,10 +548,10 @@ class SpecBuild:
         from ..specs import BUILD_ERRORS
 
         try:
-            self.builders[registry](data)
+            built = self.builders[registry](data)
         except BUILD_ERRORS as exc:
             return self._failed(path, registry, data, exc)
-        self._built(path, registry, data)
+        self._built(path, registry, data, built)
         return True
 
     def _failed(self, path: str, registry: str, data: Any, error: BaseException) -> bool:
@@ -569,11 +575,21 @@ class SpecBuild:
             self.findings["REP105"].append((path, message))
         return False
 
-    def _built(self, path: str, registry: str, data: Any) -> None:
-        """Record *data* and the sub-specs that built with it."""
-        self.ok.append((path, registry, data))
-        for part in self._parts(path, registry, data):
-            self._built(*part)
+    def _built(self, path: str, registry: str, data: Any, built: Any) -> None:
+        """Record the explicit pairs of *data*, read from *built*, the
+        object its builder returned (None when it is gone)."""
+        if built is None or not isinstance(data, Mapping):
+            return
+        kind = data.get("kind")
+        if (registry, kind) == ("involution-pair", "pair"):
+            self.pairs.append((path, built))
+        for key, part in self.PARTS.get((registry, kind), ()) if isinstance(kind, str) else ():
+            value = data.get(key)
+            if key == "pair":
+                self._built(f"{path}/pair", part, value, getattr(built, "pair", None))
+            elif key == "stages" and isinstance(value, list):
+                for j, (stage, channel) in enumerate(zip(value, getattr(built, "stages", ()))):
+                    self._built(f"{path}/stages/{j}", part, stage, channel)
 
 
 @_rule(
@@ -690,17 +706,13 @@ def _check_non_involution_pair(ctx: CircuitContext) -> Iterator[Finding]:
     """The paper's results (Theorem 9 in particular) require
     ``-delta_up(-delta_down(T)) == T``; an explicit up/down pair that
     breaks it still simulates, but the model guarantees no longer
-    apply.  Pairs that do not build belong to REP104-REP106."""
-    from ..specs import BUILD_ERRORS, pair_from_dict
-
-    for path, registry, data in ctx.specs.ok:
-        if registry != "involution-pair" or data.get("kind") != "pair":
-            continue
-        try:
-            consistent = pair_from_dict(data).satisfies_involution()
-        except BUILD_ERRORS:
-            continue
-        if not consistent:
+    apply.  The rule checks the pair ``CircuitSpec.build`` built into
+    the circuit (or lint's walker built, for a channel that did not
+    build) and builds none of its own; a pair whose channel built in a
+    circuit that did not is checked once the circuit builds.  Pairs that
+    do not build belong to REP104-REP106."""
+    for path, pair in ctx.specs.pairs:
+        if not pair.satisfies_involution():
             yield (
                 path,
                 "explicit delay pair does not satisfy the involution "

@@ -1,9 +1,14 @@
 """Fault-tolerance tests for the sharded sweep runner.
 
-Inline fault injection (deterministic, fast) lives here unmarked; the
-tests that kill, hang, or crash *real* process-pool workers are marked
-``chaos`` and run as a separate CI job (they respawn pools and wait out
-timeouts, which is slow and noisy next to tier-1).
+Faults are injected through the private ``_chaos`` table of
+``run_many_sharded``.  Inline faults (raise, abort) are deterministic and
+fast and live here unmarked; the tests that kill or hang *real*
+process-pool workers are marked ``chaos`` and run as a separate CI job
+(they respawn pools and wait out timeouts, which is slow and noisy next
+to tier-1).  Only a crashed or timed-out worker is retried, so every
+retry test kills or hangs a pool worker.  When a worker dies, the
+lowest-index chunk in flight is charged the attempt, so the retry tests
+kill chunk 0.
 """
 
 import base64
@@ -28,16 +33,13 @@ from repro.engine.scheduler import CircuitTopology
 from repro.engine.shard import (
     DEFAULT_CHUNK_SIZE,
     ChunkTimeoutError,
-    FaultInjector,
-    InlineChunkExecutor,
-    RetryPolicy,
     SweepChunk,
     SweepFailedError,
     WorkerCrashError,
+    _backoff,
     _ChunkOutcome,
     _decode_chunk_payload,
     _encode_chunk_payload,
-    as_retry_policy,
     make_chunks,
     run_many_sharded,
 )
@@ -88,29 +90,35 @@ def assert_sweeps_identical(a, b):
 
 
 class TestRetryPolicy:
+    """``retry=`` is ``None`` or an int of total attempts; retries back off."""
+
     def test_delay_schedule_is_exponential_and_capped(self):
-        policy = RetryPolicy(attempts=6, backoff_s=0.1, multiplier=2.0, max_backoff_s=0.3)
-        assert policy.delay_before(1) == 0.0
-        assert policy.delay_before(2) == pytest.approx(0.1)
-        assert policy.delay_before(3) == pytest.approx(0.2)
-        assert policy.delay_before(4) == pytest.approx(0.3)
-        assert policy.delay_before(5) == pytest.approx(0.3)  # capped
+        assert _backoff(1) == 0.0
+        assert _backoff(2) == pytest.approx(0.1)
+        assert _backoff(3) == pytest.approx(0.2)
+        assert _backoff(4) == pytest.approx(0.4)
+        assert _backoff(10) == pytest.approx(25.6)
+        assert _backoff(11) == pytest.approx(30.0)  # capped
+        assert _backoff(40) == pytest.approx(30.0)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_s=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
+    def test_validation(self, eta_chain, mc_scenarios):
+        for retry in (0, -1):
+            with pytest.raises(ValueError, match="retry"):
+                run_many_sharded(eta_chain, mc_scenarios, retry=retry)
 
-    def test_coercion(self):
-        assert as_retry_policy(None) == RetryPolicy(attempts=1)
-        assert as_retry_policy(5).attempts == 5
-        policy = RetryPolicy(attempts=2)
-        assert as_retry_policy(policy) is policy
-        with pytest.raises(TypeError):
-            as_retry_policy("twice")
+    @pytest.mark.chaos
+    def test_coercion(self, eta_chain, mc_scenarios):
+        # None is a single attempt: a killed worker's chunk is not retried.
+        sweep = run_many_sharded(
+            eta_chain, mc_scenarios, backend="sequential", chunk_size=4,
+            max_workers=2, retry=None, on_chunk_failure="keep",
+            _chaos={"kill": [[0, 1]]},
+        )
+        (failure,) = sweep.failure_report
+        assert (failure.index, failure.kind, failure.attempts) == (0, "crash", 1)
+        for retry in ("twice", 2.0):
+            with pytest.raises(TypeError, match="retry"):
+                run_many_sharded(eta_chain, mc_scenarios, retry=retry)
 
 
 class TestChunking:
@@ -290,13 +298,10 @@ class TestCheckpointResume:
         self, eta_chain, mc_scenarios, baseline, tmp_path
     ):
         store = ArtifactStore(tmp_path / "ckpt")
-        injector = FaultInjector(
-            InlineChunkExecutor(eta_chain), {(2, 1): "abort"}
-        )
         with pytest.raises(KeyboardInterrupt):
             run_many_sharded(
                 eta_chain, mc_scenarios, checkpoint=store, chunk_size=3,
-                executor=injector,
+                _chaos={"abort": [[2, 1]]},
             )
         # Chunks 0 and 1 finished before the "kill" and are on disk.
         resumed = run_many_sharded(
@@ -325,13 +330,10 @@ class TestCheckpointResume:
         ]
         baseline = run_many(loop, scenarios, backend="sequential")
         store = ArtifactStore(tmp_path / "ckpt")
-        injector = FaultInjector(
-            InlineChunkExecutor(loop, dispatch="vector"), {(2, 1): "abort"}
-        )
         with pytest.raises(KeyboardInterrupt):
             run_many_sharded(
                 loop, scenarios, backend="vector", checkpoint=store,
-                chunk_size=3, executor=injector,
+                chunk_size=3, _chaos={"abort": [[2, 1]]},
             )
         resumed = run_many_sharded(
             loop, scenarios, backend="vector", checkpoint=store, chunk_size=3
@@ -353,13 +355,10 @@ class TestCheckpointResume:
         """resume(interrupted_at=k) == uninterrupted sweep, for every k."""
         with tempfile.TemporaryDirectory() as tmp:
             store = ArtifactStore(tmp)
-            injector = FaultInjector(
-                InlineChunkExecutor(eta_chain), {(interrupted_at, 1): "abort"}
-            )
             with pytest.raises(KeyboardInterrupt):
                 run_many_sharded(
                     eta_chain, mc_scenarios, checkpoint=store, chunk_size=2,
-                    executor=injector,
+                    _chaos={"abort": [[interrupted_at, 1]]},
                 )
             resumed = run_many_sharded(
                 eta_chain, mc_scenarios, checkpoint=store, chunk_size=2
@@ -475,91 +474,101 @@ class TestCheckpointResume:
 
 
 class TestRetrySemantics:
+    @pytest.mark.chaos
     def test_transient_failure_retries_with_backoff_then_succeeds(
-        self, eta_chain, mc_scenarios, baseline
+        self, eta_chain, mc_scenarios, baseline, monkeypatch
     ):
-        sleeps = []
-        injector = FaultInjector(
-            InlineChunkExecutor(eta_chain),
-            {(1, 1): "crash", (1, 2): "error"},
-        )
+        import repro.engine.shard as shard_module
+
+        delays = []
+
+        def recording_backoff(attempt):
+            delays.append(_backoff(attempt))
+            return delays[-1]
+
+        monkeypatch.setattr(shard_module, "_backoff", recording_backoff)
         sweep = run_many_sharded(
-            eta_chain, mc_scenarios, chunk_size=3, executor=injector,
-            retry=RetryPolicy(attempts=3, backoff_s=0.01, multiplier=2.0),
-            _sleep=sleeps.append,
+            eta_chain, mc_scenarios, chunk_size=3, max_workers=2, retry=3,
+            _chaos={"kill": [[0, 1], [0, 2]]},
         )
         assert_sweeps_identical(baseline, sweep)
         records = {r.index: r for r in sweep.shard_report.records}
-        assert records[1].attempts == 3
-        assert records[0].attempts == 1 and records[2].attempts == 1
-        assert sleeps == [pytest.approx(0.01), pytest.approx(0.02)]
-        # The injector saw exactly the attempts the policy allows.
-        assert injector.calls.count((1, 1)) == 1
-        assert injector.calls.count((1, 3)) == 1
+        assert records[0].attempts == 3
+        assert records[1].attempts == 1 and records[2].attempts == 1
+        assert delays == [pytest.approx(0.1), pytest.approx(0.2)]
 
+    @pytest.mark.chaos
     def test_integer_retry_means_total_attempts(self, eta_chain, mc_scenarios):
-        injector = FaultInjector(
-            InlineChunkExecutor(eta_chain), {(0, a): "error" for a in range(1, 9)}
-        )
         with pytest.raises(SweepFailedError) as excinfo:
             run_many_sharded(
-                eta_chain, mc_scenarios, chunk_size=4, executor=injector,
-                retry=2, on_chunk_failure="raise", _sleep=lambda s: None,
+                eta_chain, mc_scenarios, chunk_size=4, max_workers=2,
+                retry=2, on_chunk_failure="raise",
+                _chaos={"kill": [[0, a] for a in range(1, 9)]},
             )
-        assert excinfo.value.report.failures[0].attempts == 2
+        failure = excinfo.value.report.failures[0]
+        assert (failure.index, failure.kind, failure.attempts) == (0, "crash", 2)
 
+    @pytest.mark.chaos
     def test_failure_kinds_are_classified(self, eta_chain, mc_scenarios):
-        for fault, kind in [
-            (WorkerCrashError("boom"), "crash"),
-            (ChunkTimeoutError("slow"), "timeout"),
-            (ValueError("bad"), "exception"),
+        for chaos, timeout, kind, error_type in [
+            ({"kill": [[0, 1]]}, None, "crash", WorkerCrashError),
+            ({"hang": [[0, 1]]}, 1.0, "timeout", ChunkTimeoutError),
+            ({"raise": [[0, 1]]}, None, "exception", RuntimeError),
         ]:
-            injector = FaultInjector(
-                InlineChunkExecutor(eta_chain), {(0, 1): fault}
-            )
             with pytest.raises(SweepFailedError) as excinfo:
                 run_many_sharded(
-                    eta_chain, mc_scenarios, chunk_size=8, executor=injector,
-                    retry=1, on_chunk_failure="raise",
+                    eta_chain, mc_scenarios, backend="sequential", chunk_size=8,
+                    max_workers=2, retry=1, chunk_timeout=timeout,
+                    on_chunk_failure="raise", _chaos=chaos,
                 )
             failure = excinfo.value.report.failures[0]
             assert failure.kind == kind
-            assert failure.error_type == type(fault).__name__
+            assert failure.error_type == error_type.__name__
+
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    def test_raising_chunk_is_attempted_once(
+        self, eta_chain, mc_scenarios, max_workers
+    ):
+        """A chunk's run is fixed by its scenarios: one that raised would
+        raise again, so ``retry=`` does not apply to it."""
+        sweep = run_many_sharded(
+            eta_chain, mc_scenarios, chunk_size=4, max_workers=max_workers,
+            retry=3, on_chunk_failure="keep", _chaos={"raise": [[0, 1]]},
+        )
+        (failure,) = sweep.failure_report
+        assert (failure.index, failure.kind, failure.attempts) == (0, "exception", 1)
+        assert [r.index for r in sweep.shard_report.records] == [1]
 
     def test_unset_policy_is_one_attempt_then_the_chunk_exception(
         self, eta_chain, mc_scenarios, tmp_path
     ):
         store = ArtifactStore(tmp_path / "ckpt")
-        fault = ValueError("bad chunk")
-        injector = FaultInjector(InlineChunkExecutor(eta_chain), {(1, 1): fault})
-        with pytest.raises(ValueError, match="bad chunk") as excinfo:
+        with pytest.raises(
+            RuntimeError, match="^chaos: injected failure in chunk 1$"
+        ) as excinfo:
             run_many_sharded(
-                eta_chain, mc_scenarios, chunk_size=3, executor=injector,
-                checkpoint=store,
+                eta_chain, mc_scenarios, chunk_size=3, checkpoint=store,
+                _chaos={"raise": [[1, 1]]},
             )
-        assert excinfo.value is fault  # unchanged: same object, type and text
-        assert injector.calls == [(0, 1), (1, 1)]
-        assert len(store) == 1  # chunk 0 was written before the raise
+        assert type(excinfo.value) is RuntimeError  # unchanged, not wrapped
+        assert len(store) == 1  # chunk 0 was written; chunk 2 never ran
 
 
 class TestPoisonChunks:
     def test_poison_chunk_quarantines_without_losing_siblings(
         self, eta_chain, mc_scenarios
     ):
-        injector = FaultInjector(
-            InlineChunkExecutor(eta_chain),
-            {(1, a): "error" for a in range(1, 4)},
-        )
         with pytest.raises(SweepFailedError) as excinfo:
             run_many_sharded(
-                eta_chain, mc_scenarios, chunk_size=3, executor=injector,
-                retry=3, on_chunk_failure="raise", _sleep=lambda s: None,
+                eta_chain, mc_scenarios, chunk_size=3, retry=3,
+                on_chunk_failure="raise",
+                _chaos={"raise": [[1, a] for a in range(1, 4)]},
             )
         error = excinfo.value
         assert len(error.report) == 1
         failure = error.report.failures[0]
         assert failure.index == 1
-        assert failure.attempts == 3
+        assert failure.attempts == 1  # a raising chunk is not retried
         assert failure.scenario_names == ("mc[3]", "mc[4]", "mc[5]")
         # The partial result still carries the sibling chunks' runs.
         partial = error.result
@@ -569,12 +578,9 @@ class TestPoisonChunks:
         assert partial.shard_report.failed == 1
 
     def test_keep_mode_degrades_gracefully(self, eta_chain, mc_scenarios):
-        injector = FaultInjector(
-            InlineChunkExecutor(eta_chain), {(0, 1): "error"}
-        )
         sweep = run_many_sharded(
-            eta_chain, mc_scenarios, chunk_size=3, executor=injector,
-            retry=1, on_chunk_failure="keep",
+            eta_chain, mc_scenarios, chunk_size=3, retry=1,
+            on_chunk_failure="keep", _chaos={"raise": [[0, 1]]},
         )
         assert len(sweep.runs) == 5
         assert sweep.failure_report is not None
@@ -584,12 +590,10 @@ class TestPoisonChunks:
         self, eta_chain, mc_scenarios, tmp_path
     ):
         store = ArtifactStore(tmp_path / "ckpt")
-        injector = FaultInjector(
-            InlineChunkExecutor(eta_chain), {(0, 1): "error"}
-        )
         sweep = run_many_sharded(
-            eta_chain, mc_scenarios, chunk_size=3, executor=injector,
-            retry=1, on_chunk_failure="keep", checkpoint=store,
+            eta_chain, mc_scenarios, chunk_size=3, retry=1,
+            on_chunk_failure="keep", checkpoint=store,
+            _chaos={"raise": [[0, 1]]},
         )
         assert sweep.shard_report.failed == 1
         assert len(store) == 2  # only the two successful chunks
@@ -820,6 +824,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_chunks(pulse_scenarios(3), 0)
 
+    @pytest.mark.parametrize("fault", ["kill", "hang"])
+    def test_pool_only_faults_rejected_inline(self, eta_chain, mc_scenarios, fault):
+        with pytest.raises(ValueError, match="max_workers > 1"):
+            run_many_sharded(eta_chain, mc_scenarios, _chaos={fault: [[0, 1]]})
+
 
 class TestApiPlumbing:
     def test_api_sweep_passes_sharding_knobs(self, eta_chain, mc_scenarios, tmp_path):
@@ -893,8 +902,7 @@ class TestProcessChaos:
     ):
         sweep = run_many_sharded(
             eta_chain, mc_scenarios, backend="auto", chunk_size=3,
-            max_workers=2, retry=RetryPolicy(attempts=3, backoff_s=0.01),
-            _chaos={"kill": [[0, 1]]},
+            max_workers=2, retry=3, _chaos={"kill": [[0, 1]]},
         )
         assert_sweeps_identical(baseline, sweep)
         records = {r.index: r for r in sweep.shard_report.records}
@@ -906,8 +914,7 @@ class TestProcessChaos:
             run_many_sharded(
                 eta_chain, mc_scenarios, backend="auto", chunk_size=3,
                 max_workers=2, chunk_timeout=1.0, on_chunk_failure="raise",
-                retry=RetryPolicy(attempts=2, backoff_s=0.01),
-                _chaos={"hang": [[1, 1], [1, 2]]},
+                retry=2, _chaos={"hang": [[1, 1], [1, 2]]},
             )
         failure = excinfo.value.report.failures[0]
         assert failure.kind == "timeout"
@@ -929,15 +936,26 @@ class TestProcessChaos:
         assert failure.kind == "exception"
         assert "chaos" in failure.error
 
+    def test_failure_report_lists_chunks_in_order(self, eta_chain, mc_scenarios):
+        # Chunk 1 fails at once, chunk 0 only when its timeout runs out:
+        # the report still lists them by chunk index.
+        sweep = run_many_sharded(
+            eta_chain, mc_scenarios, backend="sequential", chunk_size=4,
+            max_workers=2, retry=1, chunk_timeout=1.0, on_chunk_failure="keep",
+            _chaos={"hang": [[0, 1]], "raise": [[1, 1]]},
+        )
+        report = sweep.failure_report
+        assert [f.index for f in report] == [0, 1]
+        assert [f.kind for f in report] == ["timeout", "exception"]
+
     def test_process_checkpoint_resumes_after_crashy_run(
         self, eta_chain, mc_scenarios, baseline, tmp_path
     ):
         store = ArtifactStore(tmp_path / "ckpt")
         first = run_many_sharded(
             eta_chain, mc_scenarios, backend="auto", chunk_size=3,
-            max_workers=2, checkpoint=store,
-            retry=RetryPolicy(attempts=3, backoff_s=0.01),
-            _chaos={"kill": [[2, 1]]},
+            max_workers=2, checkpoint=store, retry=3,
+            _chaos={"kill": [[0, 1]]},
         )
         assert_sweeps_identical(baseline, first)
         # The resumed run needs no pool at all: every chunk is on disk.

@@ -3,9 +3,10 @@
 The netlist loader decodes the document once (REP009 and REP401 share
 it), ``CircuitSpec.build`` builds every channel once (``SpecBuild``
 walks only the sub-specs of a channel that did not build), and the
-graph rules share one ``CircuitTopology`` of the built circuit.  When
-the circuit's skeleton does not decode nothing is built, and the walker
-builds each channel itself.
+graph rules share one ``CircuitTopology`` of the built circuit.  REP107
+reads each explicit delay pair from the channel that build returned, so
+a pair is constructed once.  When the circuit's skeleton does not decode
+nothing is built, and the walker builds each channel itself.
 """
 
 import json
@@ -21,11 +22,12 @@ from repro.lint import lint
 from repro.specs import ChannelSpec, CircuitSpec
 
 EXAMPLES = Path(__file__).parents[2] / "examples" / "netlists"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.mark.parametrize(
     "name, edges, pairs",
-    [("inverter_chain.json", 8, 7), ("spf.json", 4, 2)],
+    [("inverter_chain.json", 8, 7), ("spf.json", 4, 2), ("REP107_pass.json", 2, 1)],
 )
 def test_lint_builds_each_document_once(monkeypatch, name, edges, pairs):
     calls = Counter()
@@ -39,7 +41,7 @@ def test_lint_builds_each_document_once(monkeypatch, name, edges, pairs):
 
     monkeypatch.setattr(ChannelSpec, "build", counting("ChannelSpec.build", ChannelSpec.build))
     monkeypatch.setattr(
-        InvolutionPair, "_validate", counting("InvolutionPair._validate", InvolutionPair._validate)
+        InvolutionPair, "__init__", counting("InvolutionPair", InvolutionPair.__init__)
     )
     monkeypatch.setattr(
         CircuitSpec,
@@ -54,11 +56,12 @@ def test_lint_builds_each_document_once(monkeypatch, name, edges, pairs):
     monkeypatch.setattr(
         CircuitTopology, "__init__", counting("CircuitTopology", CircuitTopology.__init__)
     )
-    report = lint(json.loads((EXAMPLES / name).read_text()))
+    path = EXAMPLES / name if (EXAMPLES / name).exists() else FIXTURES / name
+    report = lint(json.loads(path.read_text()))
     assert report.ok, report.render()
     assert calls == {
         "ChannelSpec.build": edges,
-        "InvolutionPair._validate": pairs,
+        "InvolutionPair": pairs,
         "netlist_from_dict": 1,
         "CircuitSpec.from_dict": 1,
         "CircuitTopology": 1,

@@ -514,6 +514,39 @@ class TestSweep:
             assert seq["outputs"] == proc["outputs"]
             assert seq["events"] == proc["events"]
 
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["inline", "pool"])
+    def test_a_raising_chunk_is_quarantined_after_one_attempt(self, tmp_path, capsys, workers):
+        """A NAND2 fed back to itself through a ``zero`` channel raises the
+        same zero-delay-loop error on every run, so ``--retries`` (3 by
+        default) does not apply to it."""
+        netlist = {
+            "format": "repro-netlist",
+            "version": 1,
+            "end_time": 10.0,
+            "inputs": {"a": {"initial_value": 0, "transitions": [[1.0, 1]]}},
+            "circuit": {
+                "name": "nand_loop",
+                "nodes": [
+                    {"kind": "input", "name": "a", "initial_value": 0},
+                    {"kind": "gate", "name": "g", "type": "NAND2", "initial_value": 1},
+                    {"kind": "output", "name": "o"},
+                ],
+                "edges": [
+                    {"source": "a", "target": "g", "pin": 0,
+                     "channel": {"kind": "pure", "delay": 1.0}},
+                    {"source": "g", "target": "g", "pin": 1, "channel": {"kind": "zero"}},
+                    {"source": "g", "target": "o", "channel": {"kind": "pure", "delay": 1.0}},
+                ],
+            },
+        }
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(netlist))
+        assert main(["sweep", str(path), "--runs", "2", *workers]) == 1
+        err = capsys.readouterr().err
+        assert "zero-delay) loop detected" in err
+        assert "failed after 1 attempt(s)" in err
+        assert "failed after 2" not in err and "failed after 3" not in err
+
 
 class TestFlagRanges:
     """Out-of-range integer flags exit 2 naming the flag, before any work."""

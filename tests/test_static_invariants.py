@@ -66,6 +66,14 @@ A ninth keeps one graph: ``lint/rules.py`` reads no ``source`` or
 ``CircuitSpec.build`` returns through the engine's ``CircuitTopology``
 and SCC pass; a second graph built from the dicts would report loops
 and dead ends through edges the builder rejects.
+
+A tenth keeps one wait in the sweep pipeline: ``time.sleep`` (by any
+alias of the module, or imported by name) appears under ``src/repro``
+only in ``_ProcessChunkRunner.run`` of ``engine/shard.py``, the pool's
+backoff before retrying a crashed or timed-out chunk, and in
+``_apply_chaos``, the test-only hang of a pool worker.  A chunk's run is
+fixed by its scenarios, so inline execution has nothing to retry and
+never backs off.
 """
 
 import ast
@@ -109,6 +117,11 @@ STRUCTURE_DECODERS = {"CircuitSpec.build", "_gate_type_from_spec"}
 COERCIONS = {"int", "float", "str", "bool"}
 #: The keys of an edge's endpoints, which only the circuit builder reads.
 ENDPOINT_KEYS = {"source", "target"}
+#: The only places that wait: (module, enclosing function).
+SLEEP_HOMES = {
+    ("engine/shard.py", "_ProcessChunkRunner.run"),
+    ("engine/shard.py", "_apply_chaos"),
+}
 
 
 def _checked_files():
@@ -695,3 +708,78 @@ def test_graph_gate_detects_reads(tmp_path):
         "h = fields['source']\n"
     )
     assert _endpoint_reads(probe) == [1, 2, 3, 8]
+
+
+def _sleeps(path):
+    """``(line, function)`` for each ``time.sleep`` reference: an attribute
+    ``sleep`` of a name bound to the ``time`` module, or a ``sleep``
+    imported from it.  ``function`` is the qualified name of the
+    innermost enclosing function (or class), None at module level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "time"
+    }
+    found = []
+
+    def visit(node, qualname):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = f"{qualname}.{node.name}" if qualname else node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "sleep"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module == "time"
+            and any(alias.name == "sleep" for alias in node.names)
+        ):
+            found.append((node.lineno, qualname or None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, qualname)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_pool_waits():
+    found = {
+        (str(path.relative_to(SRC)), function)
+        for path in sorted(SRC.rglob("*.py"))
+        for _, function in _sleeps(path)
+    }
+    assert found == SLEEP_HOMES
+
+
+def test_sleep_gate_detects_waits(tmp_path):
+    """The detector itself is tested: seed each spelling at each scope."""
+    cases = {
+        "import time\ntime.sleep(1)\n": [(2, None)],
+        "import time as _time\nclass R:\n    def run(self):\n        _time.sleep(0)\n": [
+            (4, "R.run")
+        ],
+        "from time import sleep\n": [(1, None)],
+        "def f():\n    from time import perf_counter, sleep as nap\n    nap(1)\n": [(2, "f")],
+        "import os, time\ndef f(wait=time.sleep):\n    pass\n": [(2, "f")],
+        "import time\ndef f():\n    def g():\n        pause = time.sleep\n": [(4, "f.g")],
+    }
+    for source, expected in cases.items():
+        probe = tmp_path / "probe.py"
+        probe.write_text(source)
+        assert _sleeps(probe) == expected, source
+
+    clean = tmp_path / "clean.py"
+    clean.write_text(
+        "import time\n"
+        "t = time.perf_counter()\n"
+        "self.sleep(1)\n"
+        "asyncio_sleep = loop.sleep\n"
+        "sleep = 3\n"
+        "from .time import sleep\n"
+    )
+    assert _sleeps(clean) == []
