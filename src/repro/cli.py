@@ -456,6 +456,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from . import api
+    from .engine.shard import SweepFailedError
     from .io.netlist import load_netlist
 
     netlist = load_netlist(args.netlist)
@@ -486,17 +487,14 @@ def _cmd_sweep(args) -> int:
             chunk_size=args.chunk_size,
             on_chunk_failure="keep" if args.keep_failures else "raise",
         )
-    except Exception as exc:
-        from .engine.shard import SweepFailedError
-
-        if not isinstance(exc, SweepFailedError):
-            raise
+    except SweepFailedError as exc:
         # Quarantined chunks: report what failed (the surviving chunks are
         # already checkpointed when --checkpoint is on) and exit non-zero.
-        print(f"error: {exc.report.summary()}", file=sys.stderr)
+        # Only a crashed or timed-out chunk can succeed on a rerun.
+        print(f"error: {len(exc.report)} chunk(s) quarantined:", file=sys.stderr)
         for failure in exc.report:
             print(f"  {failure.summary()}", file=sys.stderr)
-        if args.checkpoint:
+        if args.checkpoint and any(f.kind in ("crash", "timeout") for f in exc.report):
             print(
                 f"completed chunks are checkpointed in {args.checkpoint}; "
                 "rerun to retry only the failed ones",

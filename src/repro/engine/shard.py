@@ -16,13 +16,15 @@ Chunk size
 
 Checkpointing (an optional store)
     With ``checkpoint=`` (an :class:`~repro.store.ArtifactStore` or
-    directory path) every finished chunk is written to the store under a
-    content key -- the SHA-256 of the circuit's declarative spec plus the
-    chunk's computation-relevant scenario JSON (inputs, channel
-    overrides, horizons, engine policies; see :func:`chunk_spec`).  A
-    killed or crashed sweep *resumes* by loading finished chunks and
-    recomputing only the remainder, bit-identical to an uninterrupted
-    run: the packed signal encoding round-trips float64 times exactly.
+    directory path) every finished chunk is written to the store at
+    once, on the sweep's own thread, under a content key -- the
+    SHA-256 of the circuit's declarative spec plus the chunk's
+    computation-relevant scenario JSON (inputs, channel overrides,
+    horizons, engine policies; see :func:`chunk_spec`).  A write that
+    fails ends the sweep with its exception at that chunk.  A killed or
+    crashed sweep *resumes* by loading finished chunks and recomputing
+    only the remainder, bit-identical to an uninterrupted run: the
+    packed signal encoding round-trips float64 times exactly.
 
 Retry, timeout, and failing chunks
     A chunk's run is fixed by its scenarios, so a chunk that raised
@@ -32,14 +34,17 @@ Retry, timeout, and failing chunks
     that overran its wall-clock ``chunk_timeout``
     (:class:`ChunkTimeoutError`).  Both are recovered by killing and
     respawning the pool; the chunk then waits an exponential backoff and
-    runs again, up to ``retry=`` attempts in all.  What happens to a
-    chunk whose last attempt failed is the same for every engine and
-    executor: with ``on_chunk_failure`` unset its own exception
-    propagates unchanged.  ``"raise"`` *quarantines* it -- the exception
-    is captured in a structured :class:`ChunkFailure`, sibling chunks
-    complete normally, and the sweep raises a :class:`SweepFailedError`
-    at the end -- and ``"keep"`` returns the surviving runs with the
-    :class:`SweepFailureReport` attached to ``SweepResult.failure_report``.
+    runs again, up to ``retry=`` attempts in all.  A dead worker fails
+    every chunk in flight, so only a chunk that ran alone is charged the
+    crash; chunks that ran together rerun one at a time first.  What
+    happens to a chunk whose last attempt failed is the same for every
+    engine and executor: with ``on_chunk_failure`` unset its own
+    exception propagates unchanged.  ``"raise"`` *quarantines* it -- the
+    exception is captured in a structured :class:`ChunkFailure`, sibling
+    chunks complete normally, and the sweep raises a
+    :class:`SweepFailedError` at the end -- and ``"keep"`` returns the
+    surviving runs with the :class:`SweepFailureReport` attached to
+    ``SweepResult.failure_report``.
 
 Per-chunk engine dispatch
     With ``backend="auto"`` every chunk picks its engine from a
@@ -67,8 +72,6 @@ import base64
 import math
 import os
 import pickle
-import queue as _queue
-import threading
 import time as _time
 import warnings
 from collections import deque
@@ -787,8 +790,10 @@ class _ProcessChunkRunner:
 
         A chunk whose worker died or overran ``chunk_timeout`` runs again
         after a backoff, up to ``attempts`` in all; one that raised does
-        not.  ``on_failure`` gets each chunk whose last attempt failed; an
-        exception it raises ends the run, and the pool with it.
+        not.  A worker's death is charged to the chunk only when it ran
+        alone.  ``on_failure`` gets each chunk whose last attempt failed;
+        an exception it raises, like one of ``on_success``, ends the run,
+        and the pool with it.
         """
         # Scenarios are pickled once, before any worker starts, so an
         # unpicklable sweep fails up front and a retry re-sends bytes.
@@ -804,10 +809,22 @@ class _ProcessChunkRunner:
         # waiting: (chunk, attempt, ready_at); in_flight: future -> (chunk,
         # attempt, deadline).  At most max_workers chunks are in flight, so
         # a submission's timeout clock starts when a worker actually can.
+        # suspects: (chunk, attempt) of the chunks in flight together when a
+        # worker died; they run one at a time, before any other chunk.
         waiting = deque(
             (chunk, 1, 0.0) for chunk in sorted(chunks, key=lambda c: c.index)
         )
         in_flight: Dict[object, Tuple[SweepChunk, int, float]] = {}
+        suspects: deque[Tuple[SweepChunk, int]] = deque()
+
+        def submit(chunk, attempt) -> None:
+            deadline = (
+                math.inf
+                if self.chunk_timeout is None
+                else _time.monotonic() + self.chunk_timeout
+            )
+            future = self._submit(chunk, attempt, scenarios[chunk.index])
+            in_flight[future] = (chunk, attempt, deadline)
 
         def retry_or_fail(chunk, attempt, error) -> None:
             if attempt < attempts:
@@ -817,24 +834,21 @@ class _ProcessChunkRunner:
                 on_failure(chunk, attempt, error)
 
         try:
-            while waiting or in_flight:
+            while waiting or in_flight or suspects:
                 now = _time.monotonic()
-                ready = sorted(
-                    (item for item in waiting if item[2] <= now),
-                    key=lambda item: item[0].index,
-                )
-                for item in ready:
-                    if len(in_flight) >= self.max_workers:
-                        break
-                    waiting.remove(item)
-                    chunk, attempt, _ = item
-                    deadline = (
-                        math.inf
-                        if self.chunk_timeout is None
-                        else _time.monotonic() + self.chunk_timeout
+                if suspects:
+                    if not in_flight:
+                        submit(*suspects.popleft())
+                else:
+                    ready = sorted(
+                        (item for item in waiting if item[2] <= now),
+                        key=lambda item: item[0].index,
                     )
-                    future = self._submit(chunk, attempt, scenarios[chunk.index])
-                    in_flight[future] = (chunk, attempt, deadline)
+                    for item in ready:
+                        if len(in_flight) >= self.max_workers:
+                            break
+                        waiting.remove(item)
+                        submit(*item[:2])
                 if not in_flight:
                     # Everything is backing off: sleep until the first retry.
                     _time.sleep(max(0.0, min(item[2] for item in waiting) - now))
@@ -851,37 +865,37 @@ class _ProcessChunkRunner:
                     timeout=None if wake == math.inf else max(0.0, wake - now),
                     return_when=FIRST_COMPLETED,
                 )
-                broken = False
+                broken: List[Tuple[SweepChunk, int]] = []
                 for future in sorted(done, key=lambda f: in_flight[f][0].index):
                     chunk, attempt, _ = in_flight.pop(future)
                     try:
                         payload = future.result()
-                    except BrokenProcessPool as exc:
-                        # Every outstanding future fails when the pool
-                        # breaks; blame the first (lowest-index) chunk and
-                        # treat the rest as collateral (no attempt spent).
-                        if not broken:
-                            broken = True
-                            retry_or_fail(
-                                chunk,
-                                attempt,
-                                WorkerCrashError(
-                                    f"process worker died while running chunk "
-                                    f"{chunk.index} ({exc})"
-                                ),
-                            )
-                        else:
-                            waiting.append((chunk, attempt, 0.0))
+                    except BrokenProcessPool:
+                        broken.append((chunk, attempt))
                         continue
                     except Exception as exc:
                         on_failure(chunk, attempt, exc)
                         continue
                     on_success(chunk, payload, attempt)
                 if broken:
+                    # A dead worker fails every future in flight, so the pool
+                    # cannot tell which chunk killed it.  A chunk that ran
+                    # alone is charged the attempt; several rerun alone, at
+                    # the same attempt, until each finishes or breaks alone.
                     self._kill_pool()
-                    for chunk, attempt, _ in in_flight.values():
-                        waiting.append((chunk, attempt, 0.0))  # collateral
+                    broken += [item[:2] for item in in_flight.values()]
                     in_flight.clear()
+                    if len(broken) > 1:
+                        suspects.extend(sorted(broken, key=lambda item: item[0].index))
+                        continue
+                    ((chunk, attempt),) = broken
+                    retry_or_fail(
+                        chunk,
+                        attempt,
+                        WorkerCrashError(
+                            f"process worker died while running chunk {chunk.index}"
+                        ),
+                    )
                     continue
                 now = _time.monotonic()
                 expired = [
@@ -1012,74 +1026,6 @@ class ShardReport:
 
 
 # --------------------------------------------------------------------------- #
-# Asynchronous checkpoint persistence
-# --------------------------------------------------------------------------- #
-
-
-class _CheckpointWriter:
-    """Persists chunk checkpoints on a background thread.
-
-    Encoding a chunk's runs into the packed payload and writing the JSON
-    artifact costs real time (tens of milliseconds per 16-scenario chunk
-    on the benchmark workload); doing it inline serializes checkpoint
-    I/O with chunk compute.  A single writer thread overlaps the two --
-    vector chunks spend long stretches in numpy with the GIL released,
-    and file writes release it too -- which is what keeps the measured
-    checkpoint overhead inside the <= 10% acceptance budget.
-
-    Semantics match synchronous writes: one consumer persists
-    submissions in order, and :meth:`close` drains the queue and joins
-    the thread before the sweep returns -- so a completed ``run_many``
-    call's checkpoints are always durable, and an interrupted sweep
-    still keeps every chunk submitted before the interrupt.  Write
-    errors never race the sweep: they are collected and re-raised on
-    the normal path via :meth:`raise_first`.
-    """
-
-    _DONE = object()
-
-    def __init__(self, store) -> None:
-        # Bounded queue: at most a few encoded-pending chunks in flight,
-        # so a slow disk applies backpressure instead of ballooning RSS.
-        self._store = store
-        self._queue: "_queue.Queue" = _queue.Queue(maxsize=4)
-        self.errors: List[BaseException] = []
-        self._thread = threading.Thread(
-            target=self._drain, name="repro-checkpoint-writer", daemon=True
-        )
-        self._thread.start()
-
-    def _drain(self) -> None:
-        """Consumer loop: encode (if needed) and persist until the sentinel."""
-        while True:
-            item = self._queue.get()
-            if item is self._DONE:
-                return
-            chunk, outcome = item
-            try:
-                payload = outcome.payload or _encode_chunk_payload(outcome)
-                self._store.put_payload(
-                    chunk.spec, payload, fmt=CHUNK_FORMAT, key=chunk.key
-                )
-            except BaseException as exc:  # noqa: BLE001 - reported at close
-                self.errors.append(exc)
-
-    def submit(self, chunk: SweepChunk, outcome: "_ChunkOutcome") -> None:
-        """Queue a finished chunk for persistence (blocks when the queue is full)."""
-        self._queue.put((chunk, outcome))
-
-    def close(self) -> None:
-        """Drain queued writes and join the thread; never raises."""
-        self._queue.put(self._DONE)
-        self._thread.join()
-
-    def raise_first(self) -> None:
-        """Re-raise the first write error, if any (call after :meth:`close`)."""
-        if self.errors:
-            raise self.errors[0]
-
-
-# --------------------------------------------------------------------------- #
 # The runner
 # --------------------------------------------------------------------------- #
 
@@ -1159,7 +1105,7 @@ def run_many_sharded(
         running chunk (a warning says so).
     on_chunk_failure:
         ``None`` (default): the exception of a chunk's last attempt
-        propagates unchanged, after the checkpoint writer has drained.
+        propagates unchanged.
         ``"raise"``: quarantine failing chunks, finish their siblings,
         then raise :class:`SweepFailedError` carrying the report and the
         partial result.  ``"keep"``: return the surviving runs with
@@ -1243,7 +1189,6 @@ def run_many_sharded(
     outcomes: Dict[int, _ChunkOutcome] = {}
     records: Dict[int, ChunkRecord] = {}
     failures: List[ChunkFailure] = []
-    writer = _CheckpointWriter(store) if store is not None else None
 
     # -- resume: satisfy chunks from the checkpoint store ------------------- #
     pending: List[SweepChunk] = []
@@ -1264,8 +1209,15 @@ def run_many_sharded(
         records[chunk.index] = ChunkRecord._of(
             chunk, outcome, resumed=False, attempts=attempts
         )
-        if writer is not None:
-            writer.submit(chunk, outcome)
+        if store is not None:
+            # Written before the sweep moves on: every chunk that finished
+            # before an interrupt or a failing chunk is on disk.
+            store.put_payload(
+                chunk.spec,
+                outcome.payload or _encode_chunk_payload(outcome),
+                fmt=CHUNK_FORMAT,
+                key=chunk.key,
+            )
 
     def record_failure(chunk: SweepChunk, attempts: int, exc: BaseException) -> None:
         if on_chunk_failure is None:
@@ -1283,62 +1235,53 @@ def run_many_sharded(
         )
 
     # -- compute the remainder ---------------------------------------------- #
-    # The checkpoint writer thread must be drained and joined even when
-    # the compute phase dies (Ctrl-C, a chunk's exception propagating):
-    # chunks that finished before the interrupt stay durable.
-    try:
-        if pending and use_process:
-            runner = _ProcessChunkRunner(
-                circuit_spec_json,
-                on_causality=on_causality,
-                max_events=max_events,
-                dispatch=dispatch,
-                max_workers=min(max_workers, len(pending)),
-                chunk_timeout=chunk_timeout,
-                chaos=chaos,
-            )
+    if pending and use_process:
+        runner = _ProcessChunkRunner(
+            circuit_spec_json,
+            on_causality=on_causality,
+            max_events=max_events,
+            dispatch=dispatch,
+            max_workers=min(max_workers, len(pending)),
+            chunk_timeout=chunk_timeout,
+            chaos=chaos,
+        )
 
-            def on_success(
-                chunk: SweepChunk, payload: Dict[str, Any], attempts: int
-            ) -> None:
-                outcome = _decode_chunk_payload(topology, chunk, payload)
-                if outcome is None:  # a worker returned garbage: treat as failure
-                    record_failure(
-                        chunk,
-                        attempts,
-                        ValueError("worker returned an undecodable chunk payload"),
-                    )
-                    return
-                if outcome.vector_reasons:
-                    _warn_fallback(outcome.vector_reasons)
-                record_success(chunk, outcome, attempts)
+        def on_success(
+            chunk: SweepChunk, payload: Dict[str, Any], attempts: int
+        ) -> None:
+            outcome = _decode_chunk_payload(topology, chunk, payload)
+            if outcome is None:  # a worker returned garbage: treat as failure
+                record_failure(
+                    chunk,
+                    attempts,
+                    ValueError("worker returned an undecodable chunk payload"),
+                )
+                return
+            if outcome.vector_reasons:
+                _warn_fallback(outcome.vector_reasons)
+            record_success(chunk, outcome, attempts)
 
-            runner.run(pending, retry, on_success, record_failure)
-        elif pending:
-            engine = Engine(topology, on_causality=on_causality, max_events=max_events)
-            for chunk in pending:
-                try:
-                    _apply_chaos(chaos, chunk.index, 1)
-                    outcome = _execute_chunk(
-                        topology,
-                        engine,
-                        chunk.scenarios,
-                        dispatch=dispatch,
-                        on_causality=on_causality,
-                        max_events=max_events,
-                        on_fallback=_warn_fallback,
-                    )
-                except Exception as exc:  # noqa: BLE001 - failure protocol
-                    # KeyboardInterrupt/SystemExit propagate: a dying sweep
-                    # keeps its checkpointed chunks and resumes later.
-                    record_failure(chunk, 1, exc)
-                    continue
-                record_success(chunk, outcome, 1)
-    finally:
-        if writer is not None:
-            writer.close()
-    if writer is not None:
-        writer.raise_first()
+        runner.run(pending, retry, on_success, record_failure)
+    elif pending:
+        engine = Engine(topology, on_causality=on_causality, max_events=max_events)
+        for chunk in pending:
+            try:
+                _apply_chaos(chaos, chunk.index, 1)
+                outcome = _execute_chunk(
+                    topology,
+                    engine,
+                    chunk.scenarios,
+                    dispatch=dispatch,
+                    on_causality=on_causality,
+                    max_events=max_events,
+                    on_fallback=_warn_fallback,
+                )
+            except Exception as exc:  # noqa: BLE001 - failure protocol
+                # KeyboardInterrupt/SystemExit propagate: a dying sweep
+                # keeps its checkpointed chunks and resumes later.
+                record_failure(chunk, 1, exc)
+                continue
+            record_success(chunk, outcome, 1)
 
     # -- collect ------------------------------------------------------------- #
     ordered_records = tuple(records[i] for i in sorted(records))

@@ -6,9 +6,10 @@ fast and live here unmarked; the tests that kill or hang *real*
 process-pool workers are marked ``chaos`` and run as a separate CI job
 (they respawn pools and wait out timeouts, which is slow and noisy next
 to tier-1).  Only a crashed or timed-out worker is retried, so every
-retry test kills or hangs a pool worker.  When a worker dies, the
-lowest-index chunk in flight is charged the attempt, so the retry tests
-kill chunk 0.
+retry test kills or hangs a pool worker.  A dead worker is charged to
+the chunk that killed it, whichever chunks ran beside it: those that
+were in flight together rerun one at a time, at the same attempt, so a
+test may kill any chunk.
 """
 
 import base64
@@ -309,6 +310,29 @@ class TestCheckpointResume:
         )
         assert resumed.shard_report.resumed == 2
         assert resumed.shard_report.computed == 1
+        assert_sweeps_identical(baseline, resumed)
+
+    def test_failed_checkpoint_write_ends_the_sweep_at_its_chunk(
+        self, eta_chain, mc_scenarios, baseline, tmp_path
+    ):
+        class FailingStore(ArtifactStore):
+            puts = 0
+
+            def put_payload(self, *args, **kwargs):
+                self.puts += 1
+                if self.puts == 2:
+                    raise OSError("disk full")
+                return super().put_payload(*args, **kwargs)
+
+        store = FailingStore(tmp_path / "ckpt")
+        with pytest.raises(OSError, match="^disk full$"):
+            run_many_sharded(eta_chain, mc_scenarios, checkpoint=store, chunk_size=2)
+        assert store.puts == 2  # chunks 2 and 3 never ran
+        resumed = run_many_sharded(
+            eta_chain, mc_scenarios, checkpoint=tmp_path / "ckpt", chunk_size=2
+        )
+        assert resumed.shard_report.resumed == 1
+        assert resumed.shard_report.computed == 3
         assert_sweeps_identical(baseline, resumed)
 
     def test_cyclic_sweep_resumes_onto_vector_chunks(self, tmp_path):
@@ -908,6 +932,24 @@ class TestProcessChaos:
         records = {r.index: r for r in sweep.shard_report.records}
         assert records[0].attempts == 2  # died once, succeeded on retry
         assert records[1].attempts == 1
+
+    def test_dead_worker_is_charged_to_the_chunk_that_killed_it(
+        self, exp_pair, eta_small
+    ):
+        # Chunk 1 kills its worker while chunk 0 (or 2) may be in flight
+        # beside it: only chunk 1 is charged, whatever ran next to it.
+        chain = inverter_chain(
+            4, lambda: EtaInvolutionChannel(exp_pair, eta_small, ZeroAdversary())
+        )
+        scenarios = eta_monte_carlo(chain, {"in": Signal.pulse(1.0, 2.0)}, 40.0, 6, seed=5)
+        survivors = run_many(chain, scenarios[:2] + scenarios[4:], backend="sequential")
+        for _ in range(3):
+            sweep = run_many_sharded(
+                chain, scenarios, chunk_size=2, max_workers=2, retry=1,
+                on_chunk_failure="keep", _chaos={"kill": [[1, 1]]},
+            )
+            assert [(f.index, f.kind) for f in sweep.failure_report] == [(1, "crash")]
+            assert_sweeps_identical(survivors, sweep)  # chunks 0 and 2
 
     def test_hung_worker_times_out_and_quarantines(self, eta_chain, mc_scenarios):
         with pytest.raises(SweepFailedError) as excinfo:

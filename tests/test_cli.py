@@ -514,11 +514,10 @@ class TestSweep:
             assert seq["outputs"] == proc["outputs"]
             assert seq["events"] == proc["events"]
 
-    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["inline", "pool"])
-    def test_a_raising_chunk_is_quarantined_after_one_attempt(self, tmp_path, capsys, workers):
-        """A NAND2 fed back to itself through a ``zero`` channel raises the
-        same zero-delay-loop error on every run, so ``--retries`` (3 by
-        default) does not apply to it."""
+    @pytest.fixture
+    def nand_loop(self, tmp_path):
+        """A NAND2 fed back to itself through a ``zero`` channel: every run
+        raises the same zero-delay-loop error."""
         netlist = {
             "format": "repro-netlist",
             "version": 1,
@@ -541,11 +540,44 @@ class TestSweep:
         }
         path = tmp_path / "loop.json"
         path.write_text(json.dumps(netlist))
-        assert main(["sweep", str(path), "--runs", "2", *workers]) == 1
+        return str(path)
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["inline", "pool"])
+    def test_a_raising_chunk_is_quarantined_after_one_attempt(self, nand_loop, capsys, workers):
+        """The loop raises on every run, so ``--retries`` (3 by default)
+        does not apply to it."""
+        assert main(["sweep", nand_loop, "--runs", "2", *workers]) == 1
         err = capsys.readouterr().err
         assert "zero-delay) loop detected" in err
         assert "failed after 1 attempt(s)" in err
         assert "failed after 2" not in err and "failed after 3" not in err
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["inline", "pool"])
+    def test_each_quarantined_chunk_is_reported_once(self, nand_loop, tmp_path, capsys, workers):
+        """A chunk that raised fails the same way on a rerun, so a
+        checkpointed sweep offers no rerun for it."""
+        argv = ["sweep", nand_loop, "--runs", "2", "--checkpoint", str(tmp_path / "ck")]
+        assert main(argv + workers) == 1
+        err = capsys.readouterr().err
+        assert "error: 1 chunk(s) quarantined:\n  chunk 0 [" in err
+        assert err.count("chunk 0 [") == 1
+        assert "rerun" not in err
+
+    def test_a_crashed_chunk_is_offered_a_rerun(self, chain_netlist, tmp_path, capsys, monkeypatch):
+        from repro import api
+        from repro.engine.shard import ChunkFailure, SweepFailedError, SweepFailureReport
+
+        crash = ChunkFailure(0, ("mc[0]",), 3, "crash", "worker died", "WorkerCrashError")
+
+        def crashing_sweep(*args, **kwargs):
+            raise SweepFailedError(SweepFailureReport((crash,)), None)
+
+        monkeypatch.setattr(api, "sweep", crashing_sweep)
+        ck = str(tmp_path / "ck")
+        assert main(["sweep", str(chain_netlist), "--runs", "2", "--checkpoint", ck]) == 1
+        err = capsys.readouterr().err
+        assert "chunk 0 [mc[0]] failed after 3 attempt(s): crash: worker died" in err
+        assert f"checkpointed in {ck}; rerun to retry only the failed ones" in err
 
 
 class TestFlagRanges:

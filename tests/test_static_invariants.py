@@ -74,6 +74,14 @@ backoff before retrying a crashed or timed-out chunk, and in
 ``_apply_chaos``, the test-only hang of a pool worker.  A chunk's run is
 fixed by its scenarios, so inline execution has nothing to retry and
 never backs off.
+
+An eleventh keeps a sweep's parent process on one thread of its own: no
+module under ``src/repro`` imports ``threading``, ``_thread`` or
+``queue`` in any form (``import``, ``from ... import``, ``__import__``,
+``importlib.import_module``).  A finished chunk is written to its
+checkpoint store where it finished: a background writer thread bought
+no measurable overlap with chunk compute, and its GIL handoffs made the
+timing of a checkpointed sweep vary.
 """
 
 import ast
@@ -93,6 +101,8 @@ SIGNAL_HOME = SRC / "core" / "transitions.py"
 SIGNAL_FIELDS = {"_times", "_initial_value"}
 #: The one module that owns a process pool.
 POOL_HOME = SRC / "engine" / "shard.py"
+#: Thread modules no module may import.
+THREAD_MODULES = {"threading", "_thread", "queue"}
 #: Packages no module may import at load time.
 HEAVY_PACKAGES = ("scipy", "networkx")
 #: The only runtime imports of those: (package, module, importing function).
@@ -340,6 +350,55 @@ def test_pool_gate_detects_uses(tmp_path):
         clean = tmp_path / "clean.py"
         clean.write_text(f"from concurrent.futures import {other}\n")
         assert not _pool_uses(clean, executor)
+
+
+def _thread_imports(path):
+    """``(line, module)`` for each import of a thread module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (node.lineno, package)
+        for node in ast.walk(tree)
+        for package in _imported_packages(node)
+        if package in THREAD_MODULES
+    ]
+
+
+def test_no_module_imports_a_thread_module():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}: {module}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, module in _thread_imports(path)
+    ]
+    assert offenders == []
+
+
+def test_thread_gate_detects_imports(tmp_path):
+    """The detector itself is tested: seed each spelling of each module."""
+    cases = {
+        "import threading\n": [(1, "threading")],
+        "import queue as _queue\n": [(1, "queue")],
+        "import os, _thread\n": [(1, "_thread")],
+        "from threading import Thread\n": [(1, "threading")],
+        "from queue import Queue, SimpleQueue\n": [(1, "queue")],
+        "class A:\n    def m(self):\n        import threading\n": [(3, "threading")],
+        "q = __import__('queue')\n": [(1, "queue")],
+        "import importlib\nt = importlib.import_module('_thread')\n": [(2, "_thread")],
+    }
+    for source, expected in cases.items():
+        probe = tmp_path / "probe.py"
+        probe.write_text(source)
+        assert _thread_imports(probe) == expected, source
+
+    clean = tmp_path / "clean.py"
+    clean.write_text(
+        "from concurrent.futures import ProcessPoolExecutor, wait\n"
+        "from collections import deque\n"
+        "from .queue import Queue\n"
+        "import multiprocessing.queues\n"
+        "import queues\n"
+        "queue = deque()\n"
+    )
+    assert _thread_imports(clean) == []
 
 
 def test_no_deprecated_directives():
