@@ -30,6 +30,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..core.domain import DomainError
 from .technology import Technology
 from .variations import ConstantSupply, SupplyProfile
 from .waveform import Waveform
@@ -97,7 +98,7 @@ class AnalogInverterChain:
         load_factors: Optional[Sequence[float]] = None,
     ) -> None:
         if stages < 1:
-            raise ValueError("the chain needs at least one stage")
+            raise DomainError("stages", f"the chain needs at least one stage, got stages={stages}")
         if width_factor <= 0:
             raise ValueError("width factor must be positive")
         if load_factors is None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, Union
 
 from ..core.channel import Channel
+from ..core.domain import DomainError
 from .circuit import Circuit
 from .gates import BUF, INV, NOR2, OR2
 
@@ -75,7 +76,7 @@ def inverter_chain(
     or a factory callable.
     """
     if stages < 1:
-        raise ValueError("an inverter chain needs at least one stage")
+        raise DomainError("stages", f"an inverter chain needs at least one stage, got stages={stages}")
     factory = _factory(channel_factory)
     circuit = Circuit(name)
     circuit.add_input("in", initial_value=0)
@@ -104,7 +105,7 @@ def buffer_chain(
 ) -> Circuit:
     """A chain of ``stages`` buffers (non-inverting), each with its channel."""
     if stages < 1:
-        raise ValueError("a buffer chain needs at least one stage")
+        raise DomainError("stages", f"a buffer chain needs at least one stage, got stages={stages}")
     factory = _factory(channel_factory)
     circuit = Circuit(name)
     circuit.add_input("in", initial_value=0)

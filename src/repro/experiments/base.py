@@ -15,9 +15,11 @@ resolved parameter dict to an :class:`ExperimentOutcome`;
   recomputation, which is what makes large parameter sweeps resumable.
 
 This is the one way an experiment runs: registered kind ->
-:func:`run_experiment` -> the kind's ``_run_*`` implementation.  Callers
-that need the kind's typed result (numpy curves, dataclasses) read
-:attr:`ExperimentResult.raw`.
+:func:`run_experiment` -> the kind's registered ``(params, context)``
+runner, which is its implementation: it reads every parameter from the
+resolved ``params`` and the execution knobs from its
+:class:`ExperimentContext`.  Callers that need the kind's typed result
+(numpy curves, dataclasses) read :attr:`ExperimentResult.raw`.
 """
 
 from __future__ import annotations

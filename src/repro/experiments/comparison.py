@@ -20,10 +20,11 @@ registered ``comparison`` experiment kind
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..circuits.library import inverter_chain
 from ..core.constraint import admissible_eta_bound
+from ..core.domain import DomainError
 from ..core.involution import InvolutionPair
 from ..core.transitions import Signal
 from ..engine.sweep import Scenario, channel_overrides, run_many
@@ -46,9 +47,8 @@ def default_model_factories(
     ``t_p + tau*ln(2)``; the pure/inertial/DDM channels are parametrised to
     the same nominal delay so the comparison isolates the glitch handling.
     ``api.experiment("comparison", {"factories": ...})`` takes the specs'
-    dict form (``spec.to_dict()``); a direct ``_run_model_comparison``
-    call also accepts factory callables
-    (:func:`repro.specs.as_channel_factory`).
+    dict form (``spec.to_dict()``); a direct call of the registered runner
+    also accepts factory callables (:func:`repro.specs.as_channel_factory`).
     """
     pair = InvolutionPair.exp_channel(tau, t_p)
     nominal_delay = pair.delta_up_inf
@@ -88,40 +88,29 @@ class ModelComparisonResult:
         return rows
 
 
-def _run_model_comparison(
-    *,
-    stages: int = 5,
-    pulse_width: float = 0.4,
-    gap: float = 0.6,
-    pulse_count: int = 8,
-    tau: float = 1.0,
-    t_p: float = 0.5,
-    factories: Optional[Dict[str, object]] = None,
-    end_time: float = 200.0,
-    backend: str = "sequential",
-    max_workers: Optional[int] = None,
-    record_traces: bool = False,
-    context: Optional[ExperimentContext] = None,
-) -> Tuple[ModelComparisonResult, Optional[Dict[str, dict]]]:
-    """The model-comparison implementation behind the ``comparison`` kind.
+def _comparison(params: dict, context: ExperimentContext) -> ExperimentOutcome:
+    """The ``comparison`` kind: one glitch train through every model's chain.
 
     Every model uses the same chain topology; the recorded metric is the
     number of surviving pulses at each stage output (either polarity, since
     stages invert), plus the raw transition count at the final output.
     ``factories`` values may be :class:`~repro.specs.ChannelSpec` objects,
-    spec dicts, or factory callables (a test's fakes).  ``context`` (the
-    registered kind's) supplies the checkpoint store and receives the
-    sweep's provenance.
+    spec dicts, or factory callables (a test's fakes).
     """
     from ..specs import as_channel_factory
 
+    stages, pulse_count = params["stages"], params["pulse_count"]
+    for name in ("pulse_width", "gap"):
+        if not params[name] > 0:
+            raise DomainError(name, f"{name}={params[name]} must be positive")
+    factories = params["factories"]
     if factories is None:
-        factories = default_model_factories(tau, t_p)
+        factories = default_model_factories(params["tau"], params["t_p"])
     factories = {
         model: as_channel_factory(channel) for model, channel in factories.items()
     }
     stimulus = Signal.pulse_train(
-        1.0, [pulse_width] * pulse_count, [gap] * (pulse_count - 1)
+        1.0, [params["pulse_width"]] * pulse_count, [params["gap"]] * (pulse_count - 1)
     )
     # Every model shares the same chain topology; scenarios only swap the
     # per-stage channels, so the circuit is validated/precomputed once.
@@ -131,7 +120,7 @@ def _run_model_comparison(
         Scenario(
             name=model,
             inputs={"in": stimulus},
-            end_time=end_time,
+            end_time=params["end_time"],
             channels=channel_overrides(circuit, lambda edge: factory()),
         )
         for model, factory in factories.items()
@@ -140,18 +129,17 @@ def _run_model_comparison(
         circuit,
         scenarios,
         max_events=2_000_000,
-        backend=backend,
-        max_workers=max_workers,
-        checkpoint=None if context is None else context.checkpoint,
+        backend=context.backend,
+        max_workers=context.max_workers,
+        checkpoint=context.checkpoint,
     )
-    if context is not None:
-        # Provenance records the strategy that actually ran (a vector
-        # request may have fallen back for unvectorizable channels).
-        context.record(sweep)
+    # Provenance records the strategy that actually ran (a vector request
+    # may have fallen back for unvectorizable channels).
+    context.record(sweep)
 
     stage_survivors: Dict[str, List[int]] = {}
     output_transitions: Dict[str, int] = {}
-    traces: Optional[Dict[str, dict]] = {} if record_traces else None
+    traces: Optional[Dict[str, dict]] = {} if params["record_traces"] else None
     for run in sweep:
         model = run.scenario.name
         execution = run.execution
@@ -168,31 +156,11 @@ def _run_model_comparison(
             traces[f"{model}.out"] = signal_to_dict(
                 execution.output_signals["out"]
             )
-    return (
-        ModelComparisonResult(
-            pulse_width=pulse_width,
-            pulse_count=pulse_count,
-            stage_survivors=stage_survivors,
-            output_transitions=output_transitions,
-        ),
-        traces,
-    )
-
-
-def _comparison_experiment(params: dict, context) -> ExperimentOutcome:
-    result, traces = _run_model_comparison(
-        stages=params["stages"],
+    result = ModelComparisonResult(
         pulse_width=params["pulse_width"],
-        gap=params["gap"],
-        pulse_count=params["pulse_count"],
-        tau=params["tau"],
-        t_p=params["t_p"],
-        factories=params["factories"],
-        end_time=params["end_time"],
-        backend=context.backend,
-        max_workers=context.max_workers,
-        record_traces=bool(params["record_traces"]),
-        context=context,
+        pulse_count=pulse_count,
+        stage_survivors=stage_survivors,
+        output_transitions=output_transitions,
     )
     return ExperimentOutcome(
         rows=result.rows(),
@@ -208,7 +176,7 @@ def _comparison_experiment(params: dict, context) -> ExperimentOutcome:
 
 register_experiment_kind(
     "comparison",
-    _comparison_experiment,
+    _comparison,
     description=(
         "Delay-model comparison: propagate a narrow glitch train through an "
         "inverter chain under pure/inertial/DDM/involution/eta-involution "

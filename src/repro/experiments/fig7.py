@@ -18,16 +18,16 @@ declarative parameter set (``repro.api.experiment("fig7", {...})``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List
 
 import numpy as np
 
 from ..analog.chain import AnalogInverterChain
-from ..analog.technology import Technology, UMC90, as_technology
+from ..analog.technology import as_technology
 from ..analog.variations import ConstantSupply
 from ..fitting.characterize import CharacterizationDriver, DelayMeasurement
 from ..specs import register_experiment_kind
-from .base import ExperimentOutcome
+from .base import ExperimentContext, ExperimentOutcome
 
 __all__ = ["Fig7Curve", "Fig7Result", "DEFAULT_VDD_LEVELS"]
 
@@ -90,25 +90,19 @@ class Fig7Result:
         return rows
 
 
-def _run_fig7(
-    technology: Union[Technology, str, dict] = UMC90,
-    vdd_levels: Sequence[float] = DEFAULT_VDD_LEVELS,
-    *,
-    stages: int = 3,
-    stage_index: int = 1,
-    n_widths: int = 24,
-    rising_output: bool = False,
-) -> Fig7Result:
-    """Characterise ``delta(T)`` of one inverter stage for several supplies.
+def _fig7(params: dict, context: ExperimentContext) -> ExperimentOutcome:
+    """The ``fig7`` kind: characterise ``delta(T)`` of one inverter stage
+    for several supply voltages.
 
     ``rising_output=False`` reproduces the paper's ``delta_down`` curves.
     The pulse-width sweep is scaled with the per-stage delay at each supply
     voltage so every curve covers a comparable ``T`` range.
     """
-    technology = as_technology(technology)
+    technology = as_technology(params["technology"])
+    n_widths, rising_output = params["n_widths"], params["rising_output"]
 
     def characterise(vdd: float) -> Fig7Curve:
-        chain = AnalogInverterChain(technology, stages=stages)
+        chain = AnalogInverterChain(technology, stages=params["stages"])
         # Scale stimulus widths with the slower stage delay at this supply.
         tau_ref = max(
             technology.tau_pull_up(vdd),
@@ -123,7 +117,7 @@ def _run_fig7(
         )
         driver = CharacterizationDriver(
             chain,
-            stage_index=stage_index,
+            stage_index=params["stage_index"],
             supply=ConstantSupply(vdd),
             settle=12.0 * unit,
             tail=30.0 * unit,
@@ -132,19 +126,10 @@ def _run_fig7(
         T, delta = measurement.polarity(rising_output)
         return Fig7Curve(vdd=float(vdd), T=T, delta=delta, measurement=measurement)
 
-    results = [characterise(float(v)) for v in vdd_levels]
-    curves = {curve.vdd: curve for curve in results}
-    return Fig7Result(curves=curves, polarity="delta_up" if rising_output else "delta_down")
-
-
-def _fig7_experiment(params: dict, context) -> ExperimentOutcome:
-    result = _run_fig7(
-        params["technology"],
-        params["vdd_levels"],
-        stages=params["stages"],
-        stage_index=params["stage_index"],
-        n_widths=params["n_widths"],
-        rising_output=params["rising_output"],
+    curves = [characterise(float(vdd)) for vdd in params["vdd_levels"]]
+    result = Fig7Result(
+        curves={curve.vdd: curve for curve in curves},
+        polarity="delta_up" if rising_output else "delta_down",
     )
     return ExperimentOutcome(
         rows=result.rows(),
@@ -162,7 +147,7 @@ def _fig7_experiment(params: dict, context) -> ExperimentOutcome:
 
 register_experiment_kind(
     "fig7",
-    _fig7_experiment,
+    _fig7,
     description=(
         "Delay characterisation across supply voltages (Fig. 7): measure "
         "delta(T) of one analog inverter stage per V_DD level"

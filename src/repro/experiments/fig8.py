@@ -24,18 +24,18 @@ The registered ``fig8`` experiment kind runs this analysis declaratively
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List
 
 import numpy as np
 
 from ..analog.chain import AnalogInverterChain
-from ..analog.technology import Technology, UMC90, as_technology
+from ..analog.technology import Technology, as_technology
 from ..analog.variations import VariationScenario, standard_variations
 from ..core.involution import InvolutionPair
 from ..fitting.characterize import CharacterizationDriver
 from ..fitting.eta_coverage import DeviationAnalysis, compute_deviations, eta_band
 from ..specs import SpecError, register_experiment_kind
-from .base import ExperimentOutcome
+from .base import ExperimentContext, ExperimentOutcome
 
 __all__ = ["Fig8Scenario", "Fig8Result", "DEFAULT_SCENARIOS"]
 
@@ -87,18 +87,9 @@ def _default_widths(technology: Technology, n_widths: int) -> np.ndarray:
     return np.concatenate([narrow, wide])
 
 
-def _run_fig8(
-    technology: Union[Technology, str, dict] = UMC90,
-    scenarios: Sequence[str] = DEFAULT_SCENARIOS,
-    *,
-    stages: int = 3,
-    stage_index: int = 1,
-    n_widths: int = 20,
-    eta_plus: Optional[float] = None,
-    supply_amplitude: float = 0.01,
-    seed: int = 2018,
-) -> Fig8Result:
-    """The Fig. 8 deviation/coverage implementation.
+def _fig8(params: dict, context: ExperimentContext) -> ExperimentOutcome:
+    """The ``fig8`` kind: deviations of each variation from the nominal
+    reference, against the admissible eta band.
 
     The reference delay pair is characterised under nominal conditions;
     each scenario re-characterises the same stage under its variation
@@ -109,11 +100,14 @@ def _run_fig8(
     names raise :class:`~repro.specs.SpecError` before any
     characterisation runs.
     """
-    technology = as_technology(technology)
+    from ..specs import pair_to_dict
+
+    technology = as_technology(params["technology"])
+    stages, stage_index, scenarios = params["stages"], params["stage_index"], params["scenarios"]
     available = {
         variation.name: variation
         for variation in standard_variations(
-            technology, supply_amplitude=supply_amplitude, seed=seed
+            technology, supply_amplitude=params["supply_amplitude"], seed=params["seed"]
         )
     }
     unknown = [name for name in scenarios if name not in available]
@@ -121,11 +115,12 @@ def _run_fig8(
         raise SpecError(
             f"unknown fig8 scenario {unknown[0]!r}; known: {sorted(available)}"
         )
-    widths = _default_widths(technology, n_widths)
+    widths = _default_widths(technology, params["n_widths"])
     nominal_chain = AnalogInverterChain(technology, stages=stages)
     nominal_driver = CharacterizationDriver(nominal_chain, stage_index=stage_index)
     reference_measurement = nominal_driver.measure(widths, label="nominal")
     reference = reference_measurement.to_involution_pair()
+    eta_plus = params["eta_plus"]
     if eta_plus is None:
         eta_plus = 0.2 * reference.delta_min
     band = eta_band(reference, eta_plus)
@@ -144,22 +139,10 @@ def _run_fig8(
         )
 
     characterised = [characterise(available[name]) for name in scenarios]
-    results = {scenario.name: scenario for scenario in characterised}
-    return Fig8Result(scenarios=results, reference=reference, eta_plus=float(eta_plus))
-
-
-def _fig8_experiment(params: dict, context) -> ExperimentOutcome:
-    from ..specs import pair_to_dict
-
-    result = _run_fig8(
-        params["technology"],
-        params["scenarios"],
-        stages=params["stages"],
-        stage_index=params["stage_index"],
-        n_widths=params["n_widths"],
-        eta_plus=params["eta_plus"],
-        supply_amplitude=params["supply_amplitude"],
-        seed=params["seed"],
+    result = Fig8Result(
+        scenarios={scenario.name: scenario for scenario in characterised},
+        reference=reference,
+        eta_plus=float(eta_plus),
     )
     return ExperimentOutcome(
         rows=result.rows(),
@@ -173,7 +156,7 @@ def _fig8_experiment(params: dict, context) -> ExperimentOutcome:
 
 register_experiment_kind(
     "fig8",
-    _fig8_experiment,
+    _fig8,
     description=(
         "Eta-band coverage under variations (Fig. 8): deviations of "
         "supply-ripple and width-variation characterisations from the "

@@ -18,15 +18,15 @@ registered ``fig9`` experiment kind
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict
 
 from ..analog.chain import AnalogInverterChain
-from ..analog.technology import Technology, UMC90, as_technology
+from ..analog.technology import as_technology
 from ..fitting.characterize import CharacterizationDriver, DelayMeasurement
 from ..fitting.eta_coverage import DeviationAnalysis, compute_deviations, eta_band
 from ..fitting.exp_fit import ExpFitResult, fit_exp_channel
 from ..specs import register_experiment_kind
-from .base import ExperimentOutcome
+from .base import ExperimentContext, ExperimentOutcome
 from .fig8 import _default_widths
 
 __all__ = ["Fig9Result"]
@@ -54,51 +54,34 @@ class Fig9Result:
         return [row]
 
 
-def _run_fig9(
-    technology: Union[Technology, str, dict] = UMC90,
-    *,
-    stages: int = 3,
-    stage_index: int = 1,
-    n_widths: int = 24,
-    eta_plus: Optional[float] = None,
-    fit_threshold: bool = True,
-) -> Fig9Result:
-    """Characterise a stage, fit an exp-channel and analyse its deviations."""
-    technology = as_technology(technology)
-    widths = _default_widths(technology, n_widths)
-    chain = AnalogInverterChain(technology, stages=stages)
-    driver = CharacterizationDriver(chain, stage_index=stage_index)
+def _fig9(params: dict, context: ExperimentContext) -> ExperimentOutcome:
+    """The ``fig9`` kind: characterise a stage, fit an exp-channel and
+    analyse its deviations."""
+    technology = as_technology(params["technology"])
+    widths = _default_widths(technology, params["n_widths"])
+    chain = AnalogInverterChain(technology, stages=params["stages"])
+    driver = CharacterizationDriver(chain, stage_index=params["stage_index"])
     measurement = driver.measure(widths, label="nominal")
-    fit = fit_exp_channel(measurement, fit_threshold=fit_threshold)
+    fit = fit_exp_channel(measurement, fit_threshold=params["fit_threshold"])
     fitted_pair = fit.pair()
+    eta_plus = params["eta_plus"]
     if eta_plus is None:
         eta_plus = 0.2 * fitted_pair.delta_min
     band = eta_band(fitted_pair, eta_plus)
     analysis = compute_deviations(measurement, fitted_pair, eta=band, label="exp fit")
-    return Fig9Result(
+    result = Fig9Result(
         fit=fit,
         measurement=measurement,
         analysis=analysis,
         summary=analysis.summary(),
     )
-
-
-def _fig9_experiment(params: dict, context) -> ExperimentOutcome:
-    result = _run_fig9(
-        params["technology"],
-        stages=params["stages"],
-        stage_index=params["stage_index"],
-        n_widths=params["n_widths"],
-        eta_plus=params["eta_plus"],
-        fit_threshold=params["fit_threshold"],
-    )
     return ExperimentOutcome(
         rows=result.rows(),
         summary={
-            "tau": result.fit.tau,
-            "t_p": result.fit.t_p,
-            "v_th": result.fit.v_th,
-            "n_fit_samples": result.fit.n_samples,
+            "tau": fit.tau,
+            "t_p": fit.t_p,
+            "v_th": fit.v_th,
+            "n_fit_samples": fit.n_samples,
         },
         raw=result,
     )
@@ -106,7 +89,7 @@ def _fig9_experiment(params: dict, context) -> ExperimentOutcome:
 
 register_experiment_kind(
     "fig9",
-    _fig9_experiment,
+    _fig9,
     description=(
         "Exp-channel fit (Fig. 9): fit tau/t_p/v_th to the measured delay "
         "samples and analyse the fitted model's deviations against its "

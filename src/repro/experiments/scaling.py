@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -30,9 +30,10 @@ from ..core.constraint import admissible_eta_bound
 from ..core.eta_channel import EtaInvolutionChannel
 from ..core.involution import InvolutionPair
 from ..core.transitions import Signal
-from ..engine.scheduler import CircuitTopology, Engine
+from ..engine.scheduler import CircuitTopology
+from ..engine.sweep import Scenario, run_many
 from ..specs import register_experiment_kind
-from .base import ExperimentOutcome
+from .base import ExperimentContext, ExperimentOutcome
 
 __all__ = ["ScalingSample"]
 
@@ -61,39 +62,28 @@ class ScalingSample:
         return self.events / self.seconds
 
 
-def _run_scaling(
-    stage_counts: Sequence[int] = (4, 8, 16, 32),
-    *,
-    input_transitions: int = 200,
-    tau: float = 1.0,
-    t_p: float = 0.5,
-    eta_plus: float = 0.05,
-    seed: int = 3,
-    use_eta: bool = True,
-    channel=None,
-    backend: str = "sequential",
-    max_workers: Optional[int] = None,
-    observed: Optional[dict] = None,
-) -> List[ScalingSample]:
-    """Measure simulator throughput for chains of increasing depth.
+def _scaling(params: dict, context: ExperimentContext) -> ExperimentOutcome:
+    """The ``scaling`` kind: simulator throughput for chains of increasing depth.
 
     ``channel`` optionally overrides the per-stage channel: a
     :class:`~repro.specs.ChannelSpec` (or spec dict, or factory callable)
     replaces the default eta/involution exp-channel built from
-    ``tau``/``t_p``/``eta_plus``.  ``backend`` selects the
+    ``tau``/``t_p``/``eta_plus``.  The context's ``backend`` selects the
     :func:`~repro.engine.sweep.run_many` execution strategy whose
     throughput is measured -- ``"vector"`` opts the sweep into the
     NumPy-vectorized batch engine (falling back, with a warning, for
     channels it cannot express); event counts are backend-independent.
     """
+    tau, t_p, seed = params["tau"], params["t_p"], params["seed"]
+    stage_counts, input_transitions = params["stage_counts"], params["input_transitions"]
     pair = InvolutionPair.exp_channel(tau, t_p)
-    eta = admissible_eta_bound(pair, eta_plus)
+    eta = admissible_eta_bound(pair, params["eta_plus"])
 
-    if channel is not None:
+    if params["channel"] is not None:
         from ..specs import as_channel_factory
 
-        factory = as_channel_factory(channel)
-    elif use_eta:
+        factory = as_channel_factory(params["channel"])
+    elif params["use_eta"]:
         def factory():
             return EtaInvolutionChannel(
                 InvolutionPair.exp_channel(tau, t_p), eta, RandomAdversary(seed=seed)
@@ -118,77 +108,41 @@ def _run_scaling(
         # Validation/topology precomputation happens outside the timed
         # region, so the sample measures pure execution throughput.
         topology = CircuitTopology(circuit)
-        if backend == "sequential":
-            engine = Engine(topology, max_events=10_000_000)
-            start = time.perf_counter()
-            execution = engine.run({"in": stimulus}, end_time)
-            elapsed = time.perf_counter() - start
-            ran_backend = "sequential"
-        else:
-            from ..engine.sweep import Scenario, run_many
+        scenario = Scenario(
+            name=f"scaling[{int(stages)}]", inputs={"in": stimulus}, end_time=end_time
+        )
 
-            scenario = Scenario(
-                name=f"scaling[{int(stages)}]",
-                inputs={"in": stimulus},
-                end_time=end_time,
-            )
+        backend = context.backend
+        while True:
             start = time.perf_counter()
             sweep = run_many(
                 topology,
                 [scenario],
                 max_events=10_000_000,
                 backend=backend,
-                max_workers=max_workers,
+                max_workers=context.max_workers,
             )
             elapsed = time.perf_counter() - start
             # The one chunk's record names the engine that actually ran:
-            # auto picks scalar for a single scenario, vector may fall
-            # back -- the published row must say so.
+            # auto picks scalar for a single scenario, vector may fall back
+            # -- the published row must say so.  When it names another
+            # engine, the timed window included the cost-model decision or
+            # the discarded vector attempt: re-measure on the engine that
+            # actually ran, so the row's throughput is a genuine measurement.
             (record,) = sweep.shard_report.records
-            ran_backend = record.backend
-            if ran_backend != backend:
-                # The timed window above included the cost-model decision
-                # or the discarded vector attempt; re-measure on the
-                # engine that actually ran so the row's throughput is a
-                # genuine measurement.
-                start = time.perf_counter()
-                sweep = run_many(
-                    topology,
-                    [scenario],
-                    max_events=10_000_000,
-                    backend=ran_backend,
-                    max_workers=max_workers,
-                )
-                elapsed = time.perf_counter() - start
-            execution = sweep.runs[0].execution
+            if record.backend == backend:
+                break
+            backend = record.backend
         samples.append(
             ScalingSample(
                 stages=int(stages),
                 input_transitions=input_transitions,
-                events=execution.event_count,
+                events=sweep.runs[0].execution.event_count,
                 seconds=elapsed,
-                backend=ran_backend,
+                backend=backend,
             )
         )
-        if observed is not None:
-            observed["backend_executed"] = ran_backend
-    return samples
-
-
-def _scaling_experiment(params: dict, context) -> ExperimentOutcome:
-    samples = _run_scaling(
-        params["stage_counts"],
-        input_transitions=params["input_transitions"],
-        tau=params["tau"],
-        t_p=params["t_p"],
-        eta_plus=params["eta_plus"],
-        seed=params["seed"],
-        use_eta=params["use_eta"],
-        channel=params["channel"],
-        backend=context.backend,
-        max_workers=context.max_workers,
-        observed=context.observed,
-    )
+        context.observed["backend_executed"] = backend
     rows = [
         {
             "stages": sample.stages,
@@ -209,7 +163,7 @@ def _scaling_experiment(params: dict, context) -> ExperimentOutcome:
 
 register_experiment_kind(
     "scaling",
-    _scaling_experiment,
+    _scaling,
     description=(
         "Simulator throughput scaling: events per second of the event loop "
         "over inverter-chain depth (event counts deterministic, timings "

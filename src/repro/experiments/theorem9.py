@@ -18,15 +18,14 @@ with ``repro.api.experiment("theorem9", {...})``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..circuits.library import fed_back_or
-from ..core.adversary import EtaBound, ZeroAdversary
+from ..core.adversary import ZeroAdversary
 from ..core.constraint import admissible_eta_bound
 from ..core.eta_channel import EtaInvolutionChannel
-from ..core.involution import InvolutionPair
 from ..core.transitions import Signal
 from ..engine.sweep import Scenario, run_many
 from ..specs import AdversarySpec, register_experiment_kind
@@ -42,10 +41,11 @@ _DEFAULT_PAIR = {"kind": "exp", "tau": 1.0, "t_p": 0.5, "v_th": 0.5}
 def default_adversaries(seed: int = 7) -> Dict[str, AdversarySpec]:
     """The adversary set used by the Theorem 9 sweep (as declarative specs).
 
-    ``_run_theorem9`` coerces each entry through
-    :func:`repro.specs.as_adversary_factory`, so a direct call may also
-    pass factory callables; ``api.experiment("theorem9", ...)`` takes the
-    specs' dict form (``{"kind": "random", "seed": 7}``).
+    The ``theorem9`` runner coerces each entry through
+    :func:`repro.specs.as_adversary_factory`, so a direct call of the
+    registered runner may also pass factory callables;
+    ``api.experiment("theorem9", ...)`` takes the specs' dict form
+    (``{"kind": "random", "seed": 7}``).
     """
     return {
         "zero": AdversarySpec("zero"),
@@ -117,38 +117,24 @@ def _check_consistency(
     return True
 
 
-def _run_theorem9(
-    pair: Union[InvolutionPair, dict],
-    eta: Optional[Union[EtaBound, dict]] = None,
-    *,
-    eta_plus: float = 0.05,
-    pulse_lengths: Optional[Sequence[float]] = None,
-    adversaries: Optional[Dict[str, object]] = None,
-    end_time: float = 400.0,
-    max_events: int = 2_000_000,
-    backend: str = "sequential",
-    max_workers: Optional[int] = None,
-    record_traces: bool = False,
-    context: Optional[ExperimentContext] = None,
-) -> Tuple[Theorem9Result, Optional[Dict[str, dict]]]:
-    """The Theorem 9 sweep implementation behind the ``theorem9`` kind.
+def _theorem9(params: dict, context: ExperimentContext) -> ExperimentOutcome:
+    """The ``theorem9`` kind: sweep the storage loop's input pulse length.
 
     For each (pulse length, adversary) pair the fed-back OR is simulated and
     the observed output is checked against the analytical predictions.
     ``pair``/``eta`` may be given as live objects or as their declarative
     spec dicts (:mod:`repro.specs`); adversary factories may be
     :class:`~repro.specs.AdversarySpec` objects, spec dicts, or callables.
-    ``context`` (the registered kind's) supplies the checkpoint store and
-    receives the sweep's provenance.
     """
     from ..specs import as_adversary_factory, as_eta, as_pair
 
-    pair = as_pair(pair)
-    if eta is None:
-        eta = admissible_eta_bound(pair, eta_plus)
+    pair = as_pair(params["pair"])
+    if params["eta"] is None:
+        eta = admissible_eta_bound(pair, params["eta_plus"])
     else:
-        eta = as_eta(eta)
+        eta = as_eta(params["eta"])
     analysis = SPFAnalysis(pair, eta)
+    pulse_lengths = params["pulse_lengths"]
     if pulse_lengths is None:
         low = max(analysis.cancel_threshold, 0.05 * analysis.delta_min)
         high = analysis.latch_threshold
@@ -159,6 +145,7 @@ def _run_theorem9(
                 np.linspace(1.01 * high, 1.6 * high, 4),
             ]
         )
+    adversaries = params["adversaries"]
     if adversaries is None:
         adversaries = default_adversaries()
     adversaries = {
@@ -173,7 +160,7 @@ def _run_theorem9(
         Scenario(
             name=f"{name}@{float(delta_0):g}",
             inputs={"i": Signal.pulse(0.0, float(delta_0))},
-            end_time=end_time,
+            end_time=params["end_time"],
             channels={"feedback": EtaInvolutionChannel(pair, eta, factory())},
             metadata={"adversary": name, "delta_0": float(delta_0)},
         )
@@ -183,20 +170,19 @@ def _run_theorem9(
     sweep = run_many(
         circuit,
         scenarios,
-        max_events=max_events,
-        backend=backend,
-        max_workers=max_workers,
-        checkpoint=None if context is None else context.checkpoint,
+        max_events=params["max_events"],
+        backend=context.backend,
+        max_workers=context.max_workers,
+        checkpoint=context.checkpoint,
     )
-    if context is not None:
-        # Provenance must record the strategy that actually ran: the
-        # loop compiles for the vector engine, but "auto" runs it scalar
-        # (its fixpoint needs ~400 passes for a handful of events), and
-        # a dynamic hazard can drop an explicit "vector" run to scalar.
-        context.record(sweep)
+    # Provenance must record the strategy that actually ran: the loop
+    # compiles for the vector engine, but "auto" runs it scalar (its
+    # fixpoint needs ~400 passes for a handful of events), and a dynamic
+    # hazard can drop an explicit "vector" run to scalar.
+    context.record(sweep)
 
     observations: List[RegimeObservation] = []
-    traces: Optional[Dict[str, dict]] = {} if record_traces else None
+    traces: Optional[Dict[str, dict]] = {} if params["record_traces"] else None
     for run in sweep:
         delta_0 = run.scenario.metadata["delta_0"]
         name = run.scenario.metadata["adversary"]
@@ -222,55 +208,7 @@ def _run_theorem9(
             from ..io.netlist import signal_to_dict
 
             traces[f"{run.scenario.name}.or_out"] = signal_to_dict(output)
-    return (
-        Theorem9Result(analysis_summary=analysis.summary(), observations=observations),
-        traces,
-    )
-
-
-def _run_lemma5(
-    pair: Union[InvolutionPair, dict],
-    eta_plus_values: Sequence[float],
-    *,
-    back_off: float = 1e-3,
-) -> List[Dict[str, float]]:
-    """Tabulate the Lemma 5/6/8 quantities over a sweep of ``eta_plus``.
-
-    For each ``eta_plus`` the maximal admissible ``eta_minus`` (backed off
-    to keep constraint (C) strict) is used; the row records ``tau``,
-    ``Delta``, ``gamma``, ``Delta_0_tilde`` and the regime boundaries.
-    """
-    from ..specs import as_pair
-
-    pair = as_pair(pair)
-    rows: List[Dict[str, float]] = []
-    for eta_plus in eta_plus_values:
-        eta = admissible_eta_bound(pair, float(eta_plus), back_off=back_off)
-        analysis = SPFAnalysis(pair, eta)
-        row = analysis.summary()
-        rows.append({k: float(v) for k, v in row.items()})
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Registered experiment kinds
-# --------------------------------------------------------------------------- #
-
-
-def _theorem9_experiment(params: dict, context) -> ExperimentOutcome:
-    result, traces = _run_theorem9(
-        params["pair"],
-        params["eta"],
-        eta_plus=params["eta_plus"],
-        pulse_lengths=params["pulse_lengths"],
-        adversaries=params["adversaries"],
-        end_time=params["end_time"],
-        max_events=params["max_events"],
-        backend=context.backend,
-        max_workers=context.max_workers,
-        record_traces=bool(params["record_traces"]),
-        context=context,
-    )
+    result = Theorem9Result(analysis_summary=analysis.summary(), observations=observations)
     return ExperimentOutcome(
         rows=result.rows(),
         summary=dict(result.analysis_summary),
@@ -279,16 +217,32 @@ def _theorem9_experiment(params: dict, context) -> ExperimentOutcome:
     )
 
 
-def _lemma5_experiment(params: dict, context) -> ExperimentOutcome:
-    rows = _run_lemma5(
-        params["pair"], params["eta_plus_values"], back_off=params["back_off"]
-    )
+def _lemma5(params: dict, context: ExperimentContext) -> ExperimentOutcome:
+    """The ``lemma5`` kind: the Lemma 5/6/8 quantities over an ``eta_plus`` sweep.
+
+    For each ``eta_plus`` the maximal admissible ``eta_minus`` (backed off
+    by ``back_off`` to keep constraint (C) strict) is used; the row records
+    ``tau``, ``Delta``, ``gamma``, ``Delta_0_tilde`` and the regime
+    boundaries.
+    """
+    from ..specs import as_pair
+
+    pair = as_pair(params["pair"])
+    rows: List[Dict[str, float]] = []
+    for eta_plus in params["eta_plus_values"]:
+        eta = admissible_eta_bound(pair, float(eta_plus), back_off=params["back_off"])
+        rows.append({k: float(v) for k, v in SPFAnalysis(pair, eta).summary().items()})
     return ExperimentOutcome(rows=rows, raw=rows)
+
+
+# --------------------------------------------------------------------------- #
+# Registered experiment kinds
+# --------------------------------------------------------------------------- #
 
 
 register_experiment_kind(
     "theorem9",
-    _theorem9_experiment,
+    _theorem9,
     description=(
         "Storage-loop regime sweep (Theorem 9): simulate the fed-back OR "
         "across pulse lengths and adversaries, checking each run against "
@@ -308,7 +262,7 @@ register_experiment_kind(
 
 register_experiment_kind(
     "lemma5",
-    _lemma5_experiment,
+    _lemma5,
     description=(
         "Fixed-point quantities (Lemma 5/6/8): tabulate tau, Delta, gamma "
         "and the regime boundaries over an eta_plus sweep"

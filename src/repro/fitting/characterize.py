@@ -32,6 +32,7 @@ import numpy as np
 from ..analog.chain import AnalogInverterChain, pulse_stimulus
 from ..analog.variations import ConstantSupply, SupplyProfile
 from ..core.delay_functions import TableDelay
+from ..core.domain import DomainError
 from ..core.involution import InvolutionPair
 from ..core.transitions import Signal
 
@@ -155,7 +156,10 @@ class CharacterizationDriver:
         slew: float = 2.0,
     ) -> None:
         if not (0 <= stage_index < chain.stages):
-            raise ValueError("stage_index out of range")
+            raise DomainError(
+                "stage_index",
+                f"stage_index={stage_index} is out of range for a {chain.stages}-stage chain",
+            )
         self.chain = chain
         self.stage_index = stage_index
         self.supply = supply

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from ..core.adversary import EtaBound
 from ..core.constraint import max_eta_minus
 from ..core.involution import InvolutionPair
 from .characterize import DelayMeasurement
+
+if TYPE_CHECKING:
+    from ..experiments.base import ExperimentContext, ExperimentOutcome
 
 __all__ = [
     "DeviationSample",
@@ -169,21 +172,9 @@ def compute_deviations(
     return DeviationAnalysis(samples=deviations, eta=eta, label=label)
 
 
-def _simulated_eta_coverage(
-    pair: InvolutionPair,
-    eta: EtaBound,
-    *,
-    stages: int = 3,
-    n_runs: int = 50,
-    seed: int = 2018,
-    stimulus=None,
-    end_time: Optional[float] = None,
-    max_workers: Optional[int] = None,
-    backend: str = "sequential",
-    label: str = "eta-monte-carlo",
-    context=None,
-) -> DeviationAnalysis:
-    """Monte Carlo coverage check on the event-driven engine.
+def _eta_coverage(params: dict, context: ExperimentContext) -> ExperimentOutcome:
+    """The ``eta_coverage`` kind: Monte Carlo coverage check on the
+    event-driven engine.
 
     The digital-side counterpart of :func:`compute_deviations`: an inverter
     chain of eta-involution channels is executed for ``n_runs`` sampled
@@ -205,21 +196,19 @@ def _simulated_eta_coverage(
     Transitions are matched with their generating inputs by index per
     channel; channels whose run produced cancellations (input/output counts
     differ, possible for shifts near the cancellation boundary) are skipped
-    for that run.  ``context`` (the registered kind's
-    :class:`~repro.experiments.base.ExperimentContext`) supplies the
-    checkpoint store and receives the sweep's provenance.
+    for that run.
     """
-    from typing import Mapping
-
     from ..circuits.library import inverter_chain
     from ..core.adversary import ZeroAdversary
     from ..core.eta_channel import EtaInvolutionChannel
     from ..core.transitions import Signal
     from ..engine.scheduler import CircuitTopology
     from ..engine.sweep import eta_monte_carlo, run_many
+    from ..experiments.base import ExperimentOutcome
     from ..specs import as_eta, as_pair
 
-    pair, eta = as_pair(pair), as_eta(eta)
+    pair, eta = as_pair(params["pair"]), as_eta(params["eta"])
+    stages, stimulus, end_time = params["stages"], params["stimulus"], params["end_time"]
     if isinstance(stimulus, Mapping):
         from ..io.netlist import signal_from_dict
 
@@ -238,18 +227,19 @@ def _simulated_eta_coverage(
         end_time = last + 10.0 * (stages + 1) * pair.delta_up_inf
 
     topology = CircuitTopology(circuit)
-    scenarios = eta_monte_carlo(circuit, inputs, end_time, n_runs, seed=seed)
+    scenarios = eta_monte_carlo(
+        circuit, inputs, end_time, params["n_runs"], seed=params["seed"]
+    )
     sweep = run_many(
         topology,
         scenarios,
-        max_workers=max_workers,
-        backend=backend,
-        checkpoint=None if context is None else context.checkpoint,
+        max_workers=context.max_workers,
+        backend=context.backend,
+        checkpoint=context.checkpoint,
     )
-    if context is not None:
-        # Provenance records the strategy that actually ran (a vector
-        # request may have fallen back for unvectorizable channels).
-        context.record(sweep)
+    # Provenance records the strategy that actually ran (a vector request
+    # may have fallen back for unvectorizable channels).
+    context.record(sweep)
 
     samples: List[DeviationSample] = []
     eta_edges = [
@@ -280,26 +270,7 @@ def _simulated_eta_coverage(
                         predicted_delta=float(predicted),
                     )
                 )
-    return DeviationAnalysis(samples=samples, eta=eta, label=label)
-
-
-def _eta_coverage_experiment(params: dict, context):
-    """Registered runner for the ``eta_coverage`` experiment kind."""
-    from ..experiments.base import ExperimentOutcome
-
-    analysis = _simulated_eta_coverage(
-        params["pair"],
-        params["eta"],
-        stages=params["stages"],
-        n_runs=params["n_runs"],
-        seed=params["seed"],
-        stimulus=params["stimulus"],
-        end_time=params["end_time"],
-        backend=context.backend,
-        max_workers=context.max_workers,
-        label=params["label"],
-        context=context,
-    )
+    analysis = DeviationAnalysis(samples=samples, eta=eta, label=params["label"])
     return ExperimentOutcome(
         rows=[analysis.summary()],
         summary={"label": analysis.label},
@@ -312,7 +283,7 @@ def _register() -> None:
 
     register_experiment_kind(
         "eta_coverage",
-        _eta_coverage_experiment,
+        _eta_coverage,
         description=(
             "Monte Carlo eta-coverage self-check: sampled admissible "
             "adversaries on an eta-involution inverter chain must deviate "

@@ -965,26 +965,22 @@ def _check_unknown_experiment_kind(ctx: ExperimentContext) -> Iterator[Finding]:
 
 @_rule(
     "REP502",
-    "unknown-experiment-param",
+    "invalid-experiment-param",
     Severity.ERROR,
     "experiment",
-    "An experiment spec passes a parameter its kind does not define.",
+    "An experiment spec passes a parameter its kind does not define, or a value of the wrong type.",
 )
-def _check_unknown_experiment_param(ctx: ExperimentContext) -> Iterator[Finding]:
-    """Experiment kinds have a closed parameter schema (their defaults
-    dict); an unknown name is a typo that ``ExperimentSpec.resolved``
-    would reject."""
-    from ..specs import SpecError, get_experiment_kind
+def _check_invalid_experiment_param(ctx: ExperimentContext) -> Iterator[Finding]:
+    """An experiment kind's defaults are its closed parameter schema, and
+    fix the JSON type of each boolean, integer, number and list
+    parameter; each parameter ``ExperimentSpec.resolved`` rejects is one
+    finding, so lint flags exactly what ``run_experiment`` would."""
+    from ..specs import ExperimentSpec, SpecError, UnknownKindError
 
-    if not isinstance(ctx.kind, str):
-        return
     try:
-        info = get_experiment_kind(ctx.kind)
-    except SpecError:
+        ExperimentSpec(ctx.kind, ctx.params).resolved()
+    except UnknownKindError:
         return  # REP501 owns unknown kinds
-    for key in sorted(set(ctx.params) - set(info.defaults)):
-        yield (
-            f"/{key}",
-            f"unknown parameter {key!r} for experiment kind {ctx.kind!r} "
-            f"(known: {sorted(info.defaults)})",
-        )
+    except SpecError as exc:
+        for defect in exc.defects or (exc,):
+            yield (defect.path or "/", str(defect))

@@ -1241,9 +1241,10 @@ def register_experiment_kind(
     parameter schema*: every parameter the runner accepts must appear in
     it (use ``None`` as the default of required/optional-without-value
     parameters), and :meth:`ExperimentSpec.resolved` rejects params
-    outside it.  Defaults are merged under the spec's explicit params, so
-    two specs differing only in spelled-out defaults hash -- and therefore
-    cache -- identically.
+    outside it, and values whose JSON type differs from a boolean,
+    integer, number or list default's.  Defaults are merged under the
+    spec's explicit params, so two specs differing only in spelled-out
+    defaults hash -- and therefore cache -- identically.
     """
     if kind in _EXPERIMENT_KINDS and not replace:
         raise SpecError(f"experiment kind {kind!r} is already registered")
@@ -1297,6 +1298,12 @@ def get_experiment_kind(kind: str) -> ExperimentKind:
         raise UnknownKindError("experiment", kind, _EXPERIMENT_KINDS) from None
 
 
+#: The JSON types an experiment default fixes for its parameter.  Spec
+#: params are plain JSON values, so their exact Python type is their JSON
+#: type (a bool is never an int).
+_PARAM_TYPES = {bool: "true or false", int: "an integer", float: "a number", list: "a list"}
+
+
 class ExperimentSpec(Spec):
     """Declarative description of one experiment run.
 
@@ -1320,34 +1327,49 @@ class ExperimentSpec(Spec):
     def resolved(self) -> "ExperimentSpec":
         """This spec with the kind's defaults merged under its params.
 
-        Unknown parameter names raise :class:`SpecError` (misspelled
-        params silently falling back to defaults would defeat the point of
-        a declarative experiment definition); the kind's ``defaults`` are
-        the closed parameter schema.  Integer spellings of float-typed
+        The kind's ``defaults`` are the closed parameter schema: unknown
+        parameter names are rejected (misspelled params silently falling
+        back to defaults would defeat the point of a declarative
+        experiment definition).  A boolean, integer, number or list
+        default also fixes its parameter's JSON type: a bool is never a
+        number, a float never an integer, and integer spellings of number
         parameters are promoted (``end_time=200`` and ``end_time=200.0``
-        resolve -- and therefore hash and cache -- identically).
+        resolve -- and therefore hash and cache -- identically).  Null,
+        string and object defaults leave the value to the kind's decoders.
+
+        Raises one :class:`SpecError` for all defects: the first one,
+        located at its parameter (``(at /end_time)``), whose ``defects``
+        lists them all.
         """
         info = self.kind_info()
-        unknown = sorted(set(self.params) - set(info.defaults))
-        if unknown:
-            raise SpecError(
-                f"unknown parameter(s) {unknown} for experiment kind "
-                f"{self.kind!r}; known: {sorted(info.defaults)}"
-            )
         merged = dict(info.defaults)
-        for name, value in self.params.items():
-            default = info.defaults.get(name)
-            if (
-                isinstance(default, float)
-                and isinstance(value, int)
-                and not isinstance(value, bool)
-            ):
-                value = float(value)
-            merged[name] = value
+        defects: List[SpecError] = []
+        for name, value in sorted(self.params.items()):
+            try:
+                merged[name] = self._typed(name, value, info.defaults)
+            except SpecError as exc:
+                defects.append(located(exc, f"/{name}"))
+        if defects:
+            defects[0].defects = tuple(defects)
+            raise defects[0]
         resolved = ExperimentSpec(self.kind, merged)
         # Plain dict equality would call 200 == 200.0 equal; the canonical
         # JSON key is what hashing/caching use, so compare that instead.
         return self if resolved._canonical() == self._canonical() else resolved
+
+    def _typed(self, name: str, value: Any, defaults: Mapping[str, Any]) -> Any:
+        """*value* for the parameter *name*, checked against its default."""
+        if name not in defaults:
+            raise SpecError(
+                f"unknown parameter {name!r} for experiment kind {self.kind!r}; "
+                f"known: {sorted(defaults)}"
+            )
+        expected = type(defaults[name])
+        if expected is float and type(value) is int:
+            return float(value)
+        if expected in _PARAM_TYPES and type(value) is not expected:
+            raise SpecError(f"{name}={json.dumps(value)} must be {_PARAM_TYPES[expected]}")
+        return value
 
     def run(self, **kwargs):
         """Run this experiment (delegate to :func:`repro.experiments.run_experiment`)."""

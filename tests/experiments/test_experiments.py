@@ -12,13 +12,26 @@ import pytest
 
 from repro import api
 from repro.core import InvolutionPair
-from repro.experiments import default_adversaries, format_table, format_value
+from repro.experiments import (
+    ExperimentContext,
+    default_adversaries,
+    format_table,
+    format_value,
+    get_experiment_kind,
+)
 from repro.specs import pair_to_dict
 
 
 def run(kind, **params):
     """The kind's in-process result object, via the one experiment path."""
     return api.experiment(kind, params).raw
+
+
+def call_runner(kind, **live):
+    """The typed result of *kind*'s registered runner, called directly with
+    *live* (objects, callables) over its defaults."""
+    info = get_experiment_kind(kind)
+    return info.runner({**info.defaults, **live}, ExperimentContext()).raw
 
 
 @pytest.fixture(scope="module")
@@ -167,12 +180,11 @@ class TestTheorem9:
         assert all(row["Delta"] < row["delta_min"] for row in rows)
 
     def test_accepts_pair_and_adversary_specs(self, pair):
-        """Spec dicts through the kind match live objects through the driver."""
-        from repro.experiments.theorem9 import _run_lemma5, _run_theorem9
-
+        """Spec dicts through the kind match live objects through its runner."""
         lengths = np.linspace(0.3, 1.3, 3)
-        from_objects, _ = _run_theorem9(
-            pair,
+        from_objects = call_runner(
+            "theorem9",
+            pair=pair,
             pulse_lengths=lengths,
             adversaries={"zero": default_adversaries()["zero"]},
             end_time=150.0,
@@ -190,7 +202,7 @@ class TestTheorem9:
             pair={"kind": "exp", "tau": 1.0, "t_p": 0.5},
             eta_plus_values=[0.02, 0.05],
         )
-        assert spec_rows == _run_lemma5(pair, [0.02, 0.05])
+        assert spec_rows == call_runner("lemma5", pair=pair, eta_plus_values=[0.02, 0.05])
 
 
 class TestModelComparison:
@@ -240,10 +252,10 @@ class TestScaling:
 class TestModelComparisonSpecs:
     def test_spec_factories_match_callable_factories(self):
         from repro.core import PureDelayChannel
-        from repro.experiments.comparison import _run_model_comparison
         from repro.specs import ChannelSpec
 
-        with_callables, _ = _run_model_comparison(
+        with_callables = call_runner(
+            "comparison",
             stages=2,
             pulse_count=3,
             factories={"pure": lambda: PureDelayChannel(1.19)},

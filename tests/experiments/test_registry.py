@@ -1,19 +1,22 @@
 """The declarative experiment surface: registry, results, equivalence.
 
-Pins the ISSUE-4 acceptance criteria:
+Pinned here:
 
 * every experiment kind runs via ``repro.api.experiment`` and produces
-  numbers bit-identical to a direct call of its private ``_run_*``
-  implementation,
+  numbers bit-identical to a direct call of its registered
+  ``(params, context)`` runner with live objects in ``params``,
 * :class:`ExperimentResult` round-trips through JSON,
 * identical re-runs hit the artifact store.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from repro import api
 from repro.experiments import (
+    ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
     experiment_kinds,
@@ -30,6 +33,26 @@ THEOREM9_PARAMS = {
     "end_time": 150.0,
 }
 COMPARISON_PARAMS = {"stages": 2, "pulse_count": 3}
+
+
+#: Each built-in parameter whose default fixes a JSON type (boolean,
+#: integer, number or list), with each value of another type (an integer
+#: is a number).
+WRONG_TYPED_PARAMS = [
+    (kind, name, value)
+    for kind in experiment_kinds()
+    for name, default in sorted(get_experiment_kind(kind).defaults.items())
+    if type(default) in (bool, int, float, list)
+    for value in (None, "x", -1, 1.5, [], {}, True)
+    if type(value) is not type(default) and (type(default), type(value)) != (float, int)
+]
+
+
+def call_runner(kind, **live):
+    """The typed result of *kind*'s registered runner, called directly with
+    *live* (objects, callables) over its defaults."""
+    info = get_experiment_kind(kind)
+    return info.runner({**info.defaults, **live}, ExperimentContext()).raw
 
 
 class TestRegistry:
@@ -83,6 +106,17 @@ class TestRegistry:
         assert ExperimentSpec("comparison", {"record_traces": True}).resolved().params[
             "record_traces"
         ] is True
+
+    @pytest.mark.parametrize(
+        "kind, name, value",
+        WRONG_TYPED_PARAMS,
+        ids=[f"{kind}.{name}={json.dumps(value)}" for kind, name, value in WRONG_TYPED_PARAMS],
+    )
+    def test_resolved_rejects_a_wrong_typed_param(self, kind, name, value):
+        with pytest.raises(SpecError) as info:
+            ExperimentSpec(kind, {name: value}).resolved()
+        assert info.value.path == f"/{name}"
+        assert [defect.path for defect in info.value.defects] == [f"/{name}"]
 
     def test_resolved_merges_defaults(self):
         spec = ExperimentSpec("lemma5", {"eta_plus_values": [0.1]})
@@ -202,15 +236,15 @@ class TestCaching:
 
 
 class TestEquivalence:
-    """Direct ``_run_*`` implementation calls vs. the registered-kind path."""
+    """Direct runner calls with live objects vs. the registered-kind path."""
 
     def test_theorem9(self):
-        from repro.experiments.theorem9 import _run_theorem9
         from repro.core import InvolutionPair, ZeroAdversary, RandomAdversary
 
         pair = InvolutionPair.exp_channel(1.0, 0.5)
-        direct, _ = _run_theorem9(
-            pair,
+        direct = call_runner(
+            "theorem9",
+            pair=pair,
             pulse_lengths=np.asarray(THEOREM9_PARAMS["pulse_lengths"]),
             adversaries={
                 "zero": ZeroAdversary,
@@ -223,25 +257,20 @@ class TestEquivalence:
         assert via_api.raw.analysis_summary == direct.analysis_summary
 
     def test_lemma5(self):
-        from repro.experiments.theorem9 import _run_lemma5
         from repro.core import InvolutionPair
 
         pair = InvolutionPair.exp_channel(1.0, 0.5)
-        direct = _run_lemma5(pair, [0.02, 0.05])
+        direct = call_runner("lemma5", pair=pair, eta_plus_values=[0.02, 0.05])
         assert api.experiment("lemma5", {"eta_plus_values": [0.02, 0.05]}).rows == direct
 
     def test_comparison(self):
-        from repro.experiments.comparison import _run_model_comparison
-
-        direct, _ = _run_model_comparison(**COMPARISON_PARAMS)
+        direct = call_runner("comparison", **COMPARISON_PARAMS)
         via_api = api.experiment("comparison", COMPARISON_PARAMS)
         assert via_api.rows == direct.rows()
 
     def test_scaling_deterministic_columns(self):
-        from repro.experiments.scaling import _run_scaling
-
         config = dict(stage_counts=(2, 3), input_transitions=30)
-        direct = _run_scaling(**config)
+        direct = call_runner("scaling", **config)
         via_api = api.experiment(
             "scaling", {"stage_counts": [2, 3], "input_transitions": 30}
         )
@@ -250,12 +279,11 @@ class TestEquivalence:
 
     def test_eta_coverage(self):
         from repro.core import EtaBound, InvolutionPair
-        from repro.fitting.eta_coverage import _simulated_eta_coverage
 
         pair = InvolutionPair.exp_channel(1.0, 0.5)
         eta = EtaBound(0.05, 0.05)
         config = dict(stages=2, n_runs=4, seed=9)
-        direct = _simulated_eta_coverage(pair, eta, **config)
+        direct = call_runner("eta_coverage", pair=pair, eta=eta, **config)
         via_api = api.experiment(
             "eta_coverage",
             {"eta": {"eta_plus": 0.05, "eta_minus": 0.05}, **config},
@@ -264,10 +292,8 @@ class TestEquivalence:
         assert via_api.raw.samples == direct.samples
 
     def test_fig9(self):
-        from repro.experiments.fig9 import _run_fig9
-
         config = dict(stages=2, stage_index=1, n_widths=10)
-        direct = _run_fig9(**config)
+        direct = call_runner("fig9", **config)
         via_api = api.experiment(
             "fig9", {"stages": 2, "stage_index": 1, "n_widths": 10}
         )
@@ -275,10 +301,8 @@ class TestEquivalence:
         assert via_api.raw.fit.tau == direct.fit.tau
 
     def test_fig7(self):
-        from repro.experiments.fig7 import _run_fig7
-
         config = dict(vdd_levels=(1.0,), stages=2, stage_index=1, n_widths=8)
-        direct = _run_fig7(**config)
+        direct = call_runner("fig7", **config)
         via_api = api.experiment(
             "fig7",
             {"vdd_levels": [1.0], "stages": 2, "stage_index": 1, "n_widths": 8},
@@ -289,12 +313,10 @@ class TestEquivalence:
         )
 
     def test_fig8(self):
-        from repro.experiments.fig8 import _run_fig8
-
         config = dict(
             scenarios=("width_plus10",), stages=2, stage_index=1, n_widths=8, seed=1
         )
-        direct = _run_fig8(**config)
+        direct = call_runner("fig8", **config)
         via_api = api.experiment(
             "fig8",
             {

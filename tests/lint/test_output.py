@@ -172,6 +172,9 @@ def test_experiment_validate_hook():
     with pytest.raises(LintError) as excinfo:
         api.experiment("theorem9", {"not_a_param": 1}, validate=True)
     assert any(d.code == "REP502" for d in excinfo.value.report.errors)
+    # A value of the wrong type for its default is the same rule's finding.
+    report = api.lint({"kind": "theorem9", "end_time": "x"})
+    assert [(d.code, d.path) for d in report.errors] == [("REP502", "/end_time")]
 
 
 def test_warnings_do_not_fail_validation():

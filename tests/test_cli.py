@@ -768,6 +768,31 @@ class TestExperimentCLI:
         assert message.startswith("error: ") and " spec: " in message and "\n" not in message
 
     @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["theorem9", "--param", 'end_time="x"'], 'end_time="x" must be a number (at /end_time)'),
+            (["comparison", "--param", "stages=1.5"], "stages=1.5 must be an integer (at /stages)"),
+            (["lemma5", "--param", "eta_plus_values=5"], "eta_plus_values=5 must be a list"),
+            (["theorem9", "--param", "record_traces=5"], "record_traces=5 must be true or false"),
+            (["comparison", "--param", "stages=0"], "got stages=0"),
+            (["fig9", "--param", "stages=0"], "got stages=0"),
+            (["fig9", "--param", "stage_index=-1"], "stage_index=-1 is out of range"),
+            (["comparison", "--param", "pulse_width=0"], "pulse_width=0.0 must be positive"),
+        ],
+        ids=["theorem9-end_time-string", "comparison-stages-float", "lemma5-eta_plus_values-int",
+             "theorem9-record_traces-int", "inverter-chain-stages-0", "analog-chain-stages-0",
+             "characterization-stage_index", "comparison-pulse_width-0"],
+    )
+    def test_malformed_param_is_one_error_line(self, argv, fragment):
+        """A parameter of the wrong JSON type for its kind's default, or
+        out of its domain where the run first uses it, ends the run in
+        one line naming it."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "run", *argv])
+        message = str(exit_info.value)
+        assert message.startswith("error: ") and fragment in message and "\n" not in message
+
+    @pytest.mark.parametrize(
         "params, message",
         [
             (

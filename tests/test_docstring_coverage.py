@@ -1,12 +1,12 @@
 """Docstring coverage enforcement for the documented public surface.
 
 The MkDocs API reference (mkdocstrings) renders ``repro.api``,
-``repro.specs``, ``repro.store`` and the engine's sweep/vector modules;
-an undocumented public object there is a hole in the site.  This test
-walks those modules with ``ast`` (no extra dependency needed locally)
-and requires a docstring on **every** public module, class, method and
-function -- the same 100% threshold the ``interrogate`` CI step
-enforces.
+``repro.specs``, ``repro.store``, ``repro.experiments.base`` and the
+engine's sweep/vector modules; an undocumented public object there is a
+hole in the site.  This test walks those modules with ``ast`` (no extra
+dependency needed locally) and requires a docstring on **every** public
+module, class, method and function -- the same 100% threshold the
+``interrogate`` CI step enforces.
 
 Private names (leading underscore) are exempt, as are nested function
 definitions (implementation details) and ``__dunder__`` methods --
@@ -28,6 +28,7 @@ ENFORCED = [
     SRC / "api.py",
     SRC / "specs.py",
     SRC / "store.py",
+    SRC / "experiments" / "base.py",
     SRC / "engine" / "sweep.py",
     SRC / "engine" / "vector.py",
     SRC / "engine" / "shard.py",
