@@ -302,7 +302,7 @@ class Circuit:
 
     def has_feedback(self) -> bool:
         """True if the circuit graph contains a cycle (a storage loop)."""
-        from ..engine.capability import topological_order
+        from ..engine.capability import cyclic_components
 
         node_id = {name: nid for nid, name in enumerate(self._nodes)}
         out_edges: List[List[int]] = [[] for _ in node_id]
@@ -310,7 +310,7 @@ class Circuit:
         for eid, edge in enumerate(self._edges.values()):
             out_edges[node_id[edge.source]].append(eid)
             edge_target.append(node_id[edge.target])
-        return topological_order(len(node_id), out_edges, edge_target) is None
+        return bool(cyclic_components(len(node_id), out_edges, edge_target))
 
     # ------------------------------------------------------------------ #
     # Declarative specs

@@ -93,10 +93,14 @@ class PureDelayChannel(Channel):
 class InertialDelayChannel(Channel):
     """Constant delay plus suppression of pulses shorter than ``window``.
 
-    An input transition only propagates if no opposite transition follows
-    within ``window``; equivalently, input pulses shorter than ``window``
-    are removed before applying the transport delay.  This is the model
-    used (with per-gate windows) by VITAL/Verilog inertial delays.
+    The window may not exceed the delay (``window <= delay``).  Under that
+    bound every input pulse narrower than ``window`` is removed, both its
+    transitions, before the constant delay applies: the output is
+    :func:`remove_short_pulses` of the input shifted by ``delay``.  The
+    channel's kernel rejects a pulse only while its first output is still
+    pending, so a wider window would not be an inertial delay (VHDL's
+    ``reject`` may not exceed ``after`` for the same reason).  This is the
+    model used (with per-gate windows) by VITAL/Verilog inertial delays.
 
     The channel trivially "solves" bounded-time Short-Pulse Filtration,
     which no physical circuit can -- the root of its non-faithfulness.
@@ -114,6 +118,8 @@ class InertialDelayChannel(Channel):
         for param, value in (("delay", delay), ("window", window)):
             if not 0 <= value < math.inf:
                 raise DomainError(param, f"{param}={value} must be finite and non-negative")
+        if window > delay:
+            raise DomainError("window", f"window={window} must not exceed delay={delay}")
         self.delay = float(delay)
         self.window = float(window)
 
@@ -122,15 +128,6 @@ class InertialDelayChannel(Channel):
 
     def rejection_window(self) -> float:
         return self.window
-
-    def apply(self, signal: Signal, *, mode: str = "transport") -> Signal:
-        filtered = remove_short_pulses(signal, self.window)
-        transitions = []
-        for tr in filtered.transitions:
-            value = (1 - tr.value) if self.inverting else tr.value
-            transitions.append(Transition(tr.time + self.delay, value))
-        initial = self.output_initial_value(filtered.initial_value)
-        return Signal(initial, transitions, allow_negative_times=True)
 
     def __repr__(self) -> str:
         return (

@@ -21,18 +21,22 @@ same two-phase algorithm described in Section II of the paper:
    analysis -- and transport cancellation additionally guarantees a
    well-formed (alternating) output signal for arbitrary overlap patterns.
 
-The algorithm itself lives in :class:`~repro.engine.kernel.ChannelKernel`
-(the *same* kernel the event-driven simulator executes incrementally);
-this module defines the :class:`Channel` interface on top of it and
-re-exports the three cancellation resolvers:
+The algorithm itself lives in :class:`~repro.engine.kernel.ChannelKernel`:
+:meth:`Channel.apply` (transport mode, the default) runs the channel's own
+kernel over the whole input signal -- the *same* kernel, inertial
+rejection window included, that the event-driven simulator executes
+incrementally.  This module defines the :class:`Channel` interface on top
+of it and re-exports the three cancellation resolvers:
 
 * :func:`transport_resolve` -- the default transport semantics,
 * :func:`cancel_non_fifo_reference` -- the literal O(n^2) pairwise marking,
 * :func:`cancel_non_fifo` -- an O(n) sweep equivalent to the pairwise
   marking (two-sided records).
 
-Property-based tests check that all three agree on the pairwise-consecutive
-cases used by the theory.
+The ``record`` and ``pairwise`` modes of :meth:`Channel.apply` resolve the
+tentative phase with the literal pairwise rule; they know no rejection
+window, for any channel.  Property-based tests check that all three
+resolvers agree on the pairwise-consecutive cases used by the theory.
 """
 
 from __future__ import annotations
@@ -137,10 +141,21 @@ class Channel:
         return self.apply(signal, **kwargs)
 
     def apply(self, signal: Signal, *, mode: str = "transport") -> Signal:
-        """Apply the channel function to ``signal`` and return the output."""
-        pending = self.pending_transitions(signal)
+        """Apply the channel function to ``signal`` and return the output.
+
+        ``mode="transport"`` runs the channel's own
+        :class:`~repro.engine.kernel.ChannelKernel` over ``signal``, the
+        algorithm the event-driven engine runs.  ``"record"`` and
+        ``"pairwise"`` resolve the tentative phase with the literal
+        pairwise rule (:func:`cancel_non_fifo` and
+        :func:`cancel_non_fifo_reference`), which has no rejection window.
+        """
+        if mode == "transport":
+            return ChannelKernel(self, input_initial_value=signal.initial_value).process(signal)
         return pending_to_signal(
-            self.output_initial_value(signal.initial_value), pending, mode=mode
+            self.output_initial_value(signal.initial_value),
+            self.pending_transitions(signal),
+            mode=mode,
         )
 
     def __repr__(self) -> str:

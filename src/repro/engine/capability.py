@@ -47,7 +47,6 @@ __all__ = [
     "cyclic_components",
     "strongly_connected_components",
     "supported_channel_classes",
-    "topological_order",
 ]
 
 _INF = math.inf
@@ -80,38 +79,6 @@ class VectorCapability:
         return "vector backend unsupported: " + "; ".join(self.reasons)
 
 
-def topological_order(
-    n_nodes: int,
-    out_edges: Sequence[Sequence[int]],
-    edge_target: Sequence[int],
-) -> Optional[List[int]]:
-    """Kahn order over node ids, or ``None`` when the graph has a cycle.
-
-    ``out_edges[nid]`` lists the outgoing edge ids of node ``nid`` and
-    ``edge_target[eid]`` the target node id of edge ``eid`` -- the dense
-    integer form :class:`~repro.engine.scheduler.CircuitTopology`
-    precomputes.  The traversal order (LIFO ready stack, edges in
-    declaration order) is part of the contract: the vector backend
-    evaluates nodes in exactly this order.
-    """
-    indegree = [0] * n_nodes
-    for tid in edge_target:
-        indegree[tid] += 1
-    ready = [nid for nid in range(n_nodes) if indegree[nid] == 0]
-    order: List[int] = []
-    while ready:
-        nid = ready.pop()
-        order.append(nid)
-        for eid in out_edges[nid]:
-            tid = edge_target[eid]
-            indegree[tid] -= 1
-            if indegree[tid] == 0:
-                ready.append(tid)
-    if len(order) != n_nodes:
-        return None
-    return order
-
-
 def strongly_connected_components(
     n_nodes: int,
     out_edges: Sequence[Sequence[int]],
@@ -119,14 +86,16 @@ def strongly_connected_components(
 ) -> List[List[int]]:
     """Tarjan SCCs over node ids, in condensation topological order.
 
-    Same dense-integer graph form as :func:`topological_order`.  The
-    result lists every node exactly once; components appear sources
-    first (every edge leaving a component lands in a *later* one), and
-    the traversal is fully deterministic (roots in increasing node id,
-    edges in declaration order), so the vector backend's fixpoint
-    schedule is reproducible.  Members within a component keep their
-    DFS discovery order; callers that need a canonical member order
-    sort by node id.
+    ``out_edges[nid]`` lists the outgoing edge ids of node ``nid`` and
+    ``edge_target[eid]`` the target node id of edge ``eid`` -- the dense
+    integer form :class:`~repro.engine.scheduler.CircuitTopology`
+    precomputes.  The result lists every node exactly once (a node on no
+    cycle is a component of its own); components appear sources first
+    (every edge leaving a component lands in a *later* one), and the
+    traversal is fully deterministic (roots in increasing node id, edges
+    in declaration order), so the vector backend's evaluation order is
+    reproducible.  Members within a component keep their DFS discovery
+    order; callers that need a canonical member order sort by node id.
     """
     index_of = [-1] * n_nodes
     low = [0] * n_nodes
@@ -282,16 +251,14 @@ class SweepAnalysis:
 
     ``reasons`` is empty iff the sweep is vector-supported; the remaining
     fields carry what the vector compiler needs to build its per-edge
-    programs without re-deriving anything (topological ``order`` for
-    acyclic circuits, SCC ``components`` in condensation order for
-    cyclic ones, scenario-uniform ``port_initials``, per-edge facts, the
-    set of gates that flip in the time-0 settle pass, and the earliest
-    stimulus time).
+    programs without re-deriving anything (SCC ``components`` in
+    condensation order, scenario-uniform ``port_initials``, per-edge
+    facts, the set of gates that flip in the time-0 settle pass, and the
+    earliest stimulus time).
     """
 
     reasons: List[str] = field(default_factory=list)
-    order: Optional[List[int]] = None
-    components: Optional[List[List[int]]] = None
+    components: List[List[int]] = field(default_factory=list)
     port_initials: Dict[str, int] = field(default_factory=dict)
     edge_facts: Dict[int, EdgeFact] = field(default_factory=dict)
     settle_inconsistent: Set[int] = field(default_factory=set)
@@ -437,16 +404,12 @@ def analyze_sweep(
             port_initials[pname] = initials.pop()
 
     # --- structure ---------------------------------------------------------- #
-    # Acyclic circuits keep the exact Kahn order (part of the vector
-    # backend's evaluation contract); cyclic ones additionally get the
-    # SCC decomposition the fixpoint scheduler iterates over.
-    analysis.order = topological_order(
+    # The SCC condensation is the vector backend's evaluation order: a
+    # node on no cycle is a component of its own, evaluated once; a
+    # feedback component is iterated to its fixpoint.
+    analysis.components = strongly_connected_components(
         len(topo.node_names), topo.out_edge_ids, topo.edge_target_id
     )
-    if analysis.order is None:
-        analysis.components = strongly_connected_components(
-            len(topo.node_names), topo.out_edge_ids, topo.edge_target_id
-        )
 
     # --- per-edge channel facts --------------------------------------------- #
     # One *seeded* RandomAdversary instance shared by several edges of

@@ -1,22 +1,26 @@
 """The shared single-history channel kernel.
 
-This module is the single home of the channel semantics that used to be
-implemented twice -- once offline in :mod:`repro.core.channel` and once
-re-inlined in the event-driven simulator.  Both now build on
-:class:`ChannelKernel`, which evaluates one channel *incrementally*:
+:class:`ChannelKernel` is the one implementation of a single-history
+channel's output function: the event-driven engine keeps one kernel per
+circuit edge and drives it incrementally, and the offline channel
+function (:meth:`repro.core.channel.Channel.apply`) runs a kernel over
+the whole input signal.  The paper's two-phase algorithm maps onto it as
+follows:
 
 * **tentative phase** -- :meth:`ChannelKernel.tentative` assigns every
   input transition at time ``t_n`` a tentative output transition at
   ``t_n + delta_n``, where ``delta_n`` depends on the
   previous-output-to-input delay ``T_n = t_n - (t_{n-1} + delta_{n-1})``
   (using the *tentative* previous output transition, regardless of later
-  cancellation),
-* **transport cancellation** -- :meth:`ChannelKernel.commit` removes
-  still-pending (unmatured) outputs at later-or-equal times, suppresses
-  out-of-domain (``-inf``) delays, and applies the channel's inertial
-  pulse-rejection window,
+  cancellation); :meth:`ChannelKernel.feed` runs the same phase inline,
+* **cancellation phase** -- one method, reached from both
+  :meth:`ChannelKernel.commit` and :meth:`ChannelKernel.feed`, removes
+  still-pending (unmatured) outputs at later-or-equal times, applies the
+  channel's inertial pulse-rejection window, suppresses out-of-domain
+  (``-inf``) delays and schedules the survivor,
 * **delivery** -- :meth:`ChannelKernel.deliver` (online, driven by an
-  event queue) or :meth:`ChannelKernel.mature`/:meth:`ChannelKernel.flush`
+  event queue: deliveries arrive at the head of the time-sorted pending
+  frontier) or :meth:`ChannelKernel.mature`/:meth:`ChannelKernel.flush`
   (offline, driven by input order) turn surviving pending transitions into
   delivered output transitions, suppressing no-change deliveries.
 
@@ -33,7 +37,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.transitions import Signal, Transition, _signal_times
 from .errors import CAUSALITY_MODES, CausalityError, SimulationError
@@ -168,7 +172,6 @@ class ChannelKernel:
         "delivered_value",
         "last_delivered_time",
         "pending",
-        "_pending_index",
         "delivered",
         "cancelled_ids",
         "dropped",
@@ -211,13 +214,11 @@ class ChannelKernel:
             else self.input_initial_value
         )
         self.last_delivered_time = -math.inf
-        #: Scheduled-but-undelivered outputs as a time-sorted maturity
-        #: frontier (a deque: cancellation pops from the right, delivery
-        #: from the left, both O(1)):
+        #: Scheduled-but-undelivered outputs as a strictly time-sorted
+        #: maturity frontier (a deque: cancellation pops from the right,
+        #: delivery from the left, both O(1)):
         #: ``(time, value, event_id, generating PendingTransition or None)``.
         self.pending: Deque[Tuple[float, int, int, Optional[PendingTransition]]] = deque()
-        #: ``event_id -> pending entry`` index (O(1) delivery lookup).
-        self._pending_index: Dict[int, Tuple[float, int, int, Optional[PendingTransition]]] = {}
         #: Delivered output transition times, in delivery order (values
         #: alternate, starting from the output's initial value).
         self.delivered: List[float] = []
@@ -252,7 +253,6 @@ class ChannelKernel:
         assembled execution.
         """
         self.pending.clear()
-        self._pending_index.clear()
         self.cancelled_ids.clear()
 
     # -- tentative phase -------------------------------------------------- #
@@ -278,13 +278,53 @@ class ChannelKernel:
     # -- cancellation phase ----------------------------------------------- #
 
     def commit(self, p: PendingTransition) -> Optional[KernelEvent]:
-        """Apply transport cancellation and schedule ``p`` if it survives.
+        """Apply the cancellation phase to ``p`` and schedule it if it survives.
 
         Returns the delivery event for the scheduler, or ``None`` when the
         transition was suppressed (out-of-domain delay, inertial rejection,
-        no-change after cancellation, or the ``"drop"`` causality policy).
+        no-change after cancellation, or the ``"drop"`` causality policy);
+        a suppressed ``p`` is marked cancelled.
         """
-        out_time = p.output_time
+        event = self._schedule(p.output_time, p.value, p)
+        if event is None:
+            p.cancelled = True
+        return event
+
+    def feed(self, time: float, value: int) -> Optional[KernelEvent]:
+        """Feed one input transition (online mode): tentative + cancellation.
+
+        Same-value inputs (no transition at the channel's input) are
+        ignored, mirroring the event-driven simulator's behaviour for gate
+        outputs that glitch back within a delta cycle.
+
+        This is the engine's per-transition hot path: the tentative phase
+        runs inline, without allocating the :class:`PendingTransition`
+        bookkeeping object the offline two-phase API exposes, and the
+        cancellation phase is the one :meth:`commit` runs.
+        """
+        if value == self.last_input_value:
+            return None
+        if self.last_input_time == -math.inf:
+            T = math.inf
+        else:
+            T = time - self.last_input_time - self.last_delay
+        out_value = (1 - value) if self._inverting else value
+        delay = self._delay_for(T, out_value == 1, self.transition_count, time)
+        self.last_input_time = time
+        self.last_delay = delay
+        self.last_input_value = value
+        self.transition_count += 1
+        return self._schedule(time + delay, out_value, None)
+
+    def _schedule(
+        self, out_time: float, value: int, p: Optional[PendingTransition]
+    ) -> Optional[KernelEvent]:
+        """The cancellation phase of one tentative output transition.
+
+        ``p`` is the transition's bookkeeping object (``None`` on
+        :meth:`feed`'s path); it rides along in the pending entry so that
+        a later cancellation or delivery marks it.
+        """
         # Transport cancellation: remove still-pending outputs at >= out_time
         # (matured outputs have been delivered and are no longer pending).
         # The frontier is time-sorted, so the cancelled entries are exactly
@@ -296,27 +336,27 @@ class ChannelKernel:
 
         # Inertial pulse rejection: an output pulse narrower than the
         # channel's rejection window is removed entirely (both its
-        # transitions), matching the offline remove_short_pulses filter.
+        # transitions); with window <= delay this is the idealised
+        # remove_short_pulses filter followed by the constant delay.
         window = self._rejection_window
         if window > 0.0 and pending and out_time - pending[-1][0] < window:
             self._cancel(pending.pop())
-            p.cancelled = True
             return None
 
         if not math.isfinite(out_time):
             # Domain-guard case (delta = -inf): the transition cancels
             # everything pending (done above) and is itself dropped.
-            p.cancelled = True
             return None
         if out_time <= self.last_delivered_time:
-            p.cancelled = True
-            if p.value == self.delivered_value:
+            if value == self.delivered_value:
                 # All pending transitions at later-or-equal times were just
                 # cancelled and the remaining scheduled value already equals
                 # this transition's value, so it is a no-change transition;
                 # suppressing it matches the offline transport resolution.
                 return None
             if self.on_causality == "error":
+                if p is not None:
+                    p.cancelled = True
                 raise CausalityError(
                     f"channel {self.name!r} scheduled an output at {out_time:g} "
                     f"but already delivered one at {self.last_delivered_time:g}"
@@ -324,68 +364,11 @@ class ChannelKernel:
             self.dropped += 1
             return None
         event_id = self._next_id()
-        entry = (out_time, p.value, event_id, p)
-        pending.append(entry)
-        self._pending_index[event_id] = entry
-        return KernelEvent(out_time, p.value, event_id)
-
-    def feed(self, time: float, value: int) -> Optional[KernelEvent]:
-        """Feed one input transition (online mode): tentative + commit.
-
-        Same-value inputs (no transition at the channel's input) are
-        ignored, mirroring the event-driven simulator's behaviour for gate
-        outputs that glitch back within a delta cycle.
-
-        This is the engine's per-transition hot path: it runs the fused
-        tentative+commit logic inline, without allocating the
-        :class:`PendingTransition` bookkeeping object the offline two-phase
-        API exposes.  It must mirror :meth:`tentative` followed by
-        :meth:`commit` exactly -- the online/offline equivalence tests pin
-        that property.
-        """
-        if value == self.last_input_value:
-            return None
-        # -- fused tentative phase -- #
-        if self.last_input_time == -math.inf:
-            T = math.inf
-        else:
-            T = time - self.last_input_time - self.last_delay
-        out_value = (1 - value) if self._inverting else value
-        delay = self._delay_for(T, out_value == 1, self.transition_count, time)
-        self.last_input_time = time
-        self.last_delay = delay
-        self.last_input_value = value
-        self.transition_count += 1
-        out_time = time + delay
-        # -- fused cancellation phase -- #
-        pending = self.pending
-        while pending and pending[-1][0] >= out_time:
-            self._cancel(pending.pop())
-        window = self._rejection_window
-        if window > 0.0 and pending and out_time - pending[-1][0] < window:
-            self._cancel(pending.pop())
-            return None
-        if not math.isfinite(out_time):
-            return None
-        if out_time <= self.last_delivered_time:
-            if out_value == self.delivered_value:
-                return None
-            if self.on_causality == "error":
-                raise CausalityError(
-                    f"channel {self.name!r} scheduled an output at {out_time:g} "
-                    f"but already delivered one at {self.last_delivered_time:g}"
-                )
-            self.dropped += 1
-            return None
-        event_id = self._next_id()
-        entry = (out_time, out_value, event_id, None)
-        pending.append(entry)
-        self._pending_index[event_id] = entry
-        return KernelEvent(out_time, out_value, event_id)
+        pending.append((out_time, value, event_id, p))
+        return KernelEvent(out_time, value, event_id)
 
     def _cancel(self, entry: Tuple[float, int, int, Optional[PendingTransition]]) -> None:
         time, _value, event_id, p = entry
-        self._pending_index.pop(event_id, None)
         if time <= self.queue_horizon:
             # Only events actually sitting in the external queue need a
             # tombstone; ids of never-enqueued (past-horizon) events would
@@ -400,41 +383,24 @@ class ChannelKernel:
         """Deliver a scheduled output transition (online mode).
 
         Returns True if the channel output actually changed (the engine
-        then propagates the transition to the target node).  An
-        ``event_id`` that is neither pending nor tombstoned can only mean
-        scheduler/kernel state divergence and raises
+        then propagates the transition to the target node).  A kernel's
+        pending times strictly increase and the scheduler pops events in
+        time order, so every delivery arrives at the head of the pending
+        frontier; an ``event_id`` that is neither the head nor tombstoned
+        can only mean scheduler/kernel state divergence and raises
         :class:`~repro.engine.errors.SimulationError`.
         """
         if event_id in self.cancelled_ids:
             self.cancelled_ids.discard(event_id)
             return False
-        entry = self._pending_index.pop(event_id, None)
-        if entry is None:
+        pending = self.pending
+        if not pending or pending[0][2] != event_id:
             raise SimulationError(
                 f"channel {self.name!r} asked to deliver event {event_id} which is "
-                "neither pending nor cancelled -- scheduler and kernel state have "
-                "diverged"
+                "neither the next pending output nor cancelled -- scheduler and "
+                "kernel state have diverged"
             )
-        pending = self.pending
-        if pending and pending[0] is entry:
-            # Deliveries arrive in time order, so the entry is the frontier
-            # head in every engine-driven run; the O(n) removal below only
-            # serves out-of-order standalone use.
-            pending.popleft()
-        else:
-            pending.remove(entry)
-        # Inlined _deliver_value (per-delivery hot path).
-        p = entry[3]
-        if value == self.delivered_value:
-            if p is not None:
-                p.cancelled = True
-            return False
-        self.delivered_value = value
-        self.last_delivered_time = time
-        self.delivered.append(time)
-        if p is not None:
-            p.cancelled = False
-        return True
+        return self._deliver_value(time, value, pending.popleft()[3])
 
     def deliver_immediate(self, time: float, value: int) -> bool:
         """Zero-delay delivery used for :class:`ZeroDelayChannel` edges.
@@ -478,10 +444,8 @@ class ChannelKernel:
         delivered it), so it can no longer be transport-cancelled.
         """
         pending = self.pending
-        index = self._pending_index
         while pending and pending[0][0] <= up_to_time:
-            time, value, event_id, p = pending.popleft()
-            index.pop(event_id, None)
+            time, value, _event_id, p = pending.popleft()
             self._deliver_value(time, value, p)
 
     def flush(self) -> None:

@@ -41,15 +41,16 @@ a different one.  Two design rules make the bit identity possible:
 
 Capability model
 ----------------
-The compiler handles cyclic circuits as well as acyclic ones: the
-acyclic region is evaluated level by level in one pass, while each
-strongly-connected component (storage loops, latches -- the theorem9
-experiment's shape) is iterated to a fixpoint in lockstep: loop channels
+The compiler handles cyclic circuits as well as acyclic ones.  Nodes
+run in the order of the topology's strongly-connected-component
+condensation: a node on no cycle is evaluated once, while each feedback
+component (storage loops, latches -- the theorem9 experiment's shape)
+is iterated to a fixpoint in lockstep: loop channels
 are re-evaluated from the previous iterate until every member gate's
 signal matrix stops changing, which happens once the correct prefix has
 grown past the horizon (each pass extends it by the loop's minimum
 delay).  A final strict pass then replays the loop channels once more to
-count events and surface errors exactly as the acyclic path would.
+count events and surface errors exactly as a node on no cycle would.
 Unseeded ``RandomAdversary`` channels are materialised at compile time
 with per-(scenario, edge) pre-drawn seeds -- the same
 fresh-entropy-per-run semantics the scalar engine gives them
@@ -999,11 +1000,8 @@ class VectorProgram:
     on_causality: str
     max_events: int
     report: VectorCapability = field(default_factory=lambda: VectorCapability(True))
-    #: Kahn order for acyclic circuits; ``None`` when the circuit has
-    #: feedback, in which case ``components`` drives the evaluation.
-    order: Optional[List[int]] = field(repr=False, default=None)
-    #: SCCs in condensation topological order (cyclic circuits only).
-    components: Optional[List[List[int]]] = field(repr=False, default=None)
+    #: SCCs in condensation topological order: the evaluation order.
+    components: List[List[int]] = field(repr=False, default_factory=list)
     edge_programs: Dict[int, _EdgeProgram] = field(repr=False, default_factory=dict)
     port_initials: Dict[str, int] = field(repr=False, default_factory=dict)
     #: Cost of the last :meth:`run` in scalar events, from its lockstep
@@ -1301,19 +1299,14 @@ class VectorProgram:
                     eval_edge(eid, strict=True, scc_internal=True)
                 check_same_instant(name, incoming)
 
-        if self.order is not None:
-            for nid in self.order:
+        for component in self.components:
+            nid = component[0]
+            if len(component) == 1 and not any(
+                topo.edge_target_id[eid] == nid for eid in topo.out_edge_ids[nid]
+            ):
                 eval_node(nid)
-        else:
-            for component in self.components:
-                nid = component[0]
-                if len(component) == 1 and not any(
-                    topo.edge_target_id[eid] == nid
-                    for eid in topo.out_edge_ids[nid]
-                ):
-                    eval_node(nid)
-                else:
-                    run_component(component)
+            else:
+                run_component(component)
 
         self.lockstep_cost = _lockstep_cost(steps, S, pass_steps)
         over = event_counts > self.max_events
@@ -1553,7 +1546,6 @@ def _compile(
         scenarios=scenarios,
         on_causality=on_causality,
         max_events=max_events,
-        order=analysis.order,
         components=analysis.components,
         edge_programs=edge_programs,
         port_initials=analysis.port_initials,

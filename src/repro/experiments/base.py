@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from ..core.domain import DomainError
 from ..engine.sweep import SweepResult, check_backend
 from ..specs import (
     ExperimentSpec,
@@ -264,6 +265,13 @@ class ExperimentResult:
         if not self.traces:
             return {}
         return {name: signal_from_dict(data) for name, data in self.traces.items()}
+
+
+def _check_param(ok: bool, name: str, value: Any, rule: str) -> None:
+    """Raise a :class:`~repro.core.domain.DomainError` naming the
+    experiment parameter ``name`` unless ``ok``: ``"<name>=<value> <rule>"``."""
+    if not ok:
+        raise DomainError(name, f"{name}={value} {rule}")
 
 
 def as_experiment_spec(

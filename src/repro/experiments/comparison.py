@@ -24,12 +24,11 @@ from typing import Dict, List, Optional
 
 from ..circuits.library import inverter_chain
 from ..core.constraint import admissible_eta_bound
-from ..core.domain import DomainError
 from ..core.involution import InvolutionPair
 from ..core.transitions import Signal
 from ..engine.sweep import Scenario, channel_overrides, run_many
 from ..specs import AdversarySpec, ChannelSpec, register_experiment_kind
-from .base import ExperimentContext, ExperimentOutcome
+from .base import ExperimentContext, ExperimentOutcome, _check_param
 
 __all__ = ["ModelComparisonResult", "default_model_factories"]
 
@@ -101,8 +100,9 @@ def _comparison(params: dict, context: ExperimentContext) -> ExperimentOutcome:
 
     stages, pulse_count = params["stages"], params["pulse_count"]
     for name in ("pulse_width", "gap"):
-        if not params[name] > 0:
-            raise DomainError(name, f"{name}={params[name]} must be positive")
+        _check_param(params[name] > 0, name, params[name], "must be positive")
+    _check_param(pulse_count >= 1, "pulse_count", pulse_count, "must be at least 1")
+    _check_param(params["end_time"] >= 0, "end_time", params["end_time"], "must be at least 0")
     factories = params["factories"]
     if factories is None:
         factories = default_model_factories(params["tau"], params["t_p"])

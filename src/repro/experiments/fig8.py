@@ -35,7 +35,7 @@ from ..core.involution import InvolutionPair
 from ..fitting.characterize import CharacterizationDriver
 from ..fitting.eta_coverage import DeviationAnalysis, compute_deviations, eta_band
 from ..specs import SpecError, register_experiment_kind
-from .base import ExperimentContext, ExperimentOutcome
+from .base import ExperimentContext, ExperimentOutcome, _check_param
 
 __all__ = ["Fig8Scenario", "Fig8Result", "DEFAULT_SCENARIOS"]
 
@@ -104,6 +104,7 @@ def _fig8(params: dict, context: ExperimentContext) -> ExperimentOutcome:
 
     technology = as_technology(params["technology"])
     stages, stage_index, scenarios = params["stages"], params["stage_index"], params["scenarios"]
+    _check_param(params["seed"] >= 0, "seed", params["seed"], "must be at least 0")
     available = {
         variation.name: variation
         for variation in standard_variations(

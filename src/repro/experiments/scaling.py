@@ -33,7 +33,7 @@ from ..core.transitions import Signal
 from ..engine.scheduler import CircuitTopology
 from ..engine.sweep import Scenario, run_many
 from ..specs import register_experiment_kind
-from .base import ExperimentContext, ExperimentOutcome
+from .base import ExperimentContext, ExperimentOutcome, _check_param
 
 __all__ = ["ScalingSample"]
 
@@ -76,6 +76,9 @@ def _scaling(params: dict, context: ExperimentContext) -> ExperimentOutcome:
     """
     tau, t_p, seed = params["tau"], params["t_p"], params["seed"]
     stage_counts, input_transitions = params["stage_counts"], params["input_transitions"]
+    _check_param(len(stage_counts) > 0, "stage_counts", stage_counts, "must not be empty")
+    _check_param(input_transitions >= 1, "input_transitions", input_transitions, "must be at least 1")
+    _check_param(seed >= 0, "seed", seed, "must be at least 0")
     pair = InvolutionPair.exp_channel(tau, t_p)
     eta = admissible_eta_bound(pair, params["eta_plus"])
 

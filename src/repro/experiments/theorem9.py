@@ -30,7 +30,7 @@ from ..core.transitions import Signal
 from ..engine.sweep import Scenario, run_many
 from ..specs import AdversarySpec, register_experiment_kind
 from ..spf.analysis import SPFAnalysis, SPFRegime
-from .base import ExperimentContext, ExperimentOutcome
+from .base import ExperimentContext, ExperimentOutcome, _check_param
 
 __all__ = ["RegimeObservation", "Theorem9Result", "default_adversaries"]
 
@@ -128,6 +128,7 @@ def _theorem9(params: dict, context: ExperimentContext) -> ExperimentOutcome:
     """
     from ..specs import as_adversary_factory, as_eta, as_pair
 
+    _check_param(params["end_time"] >= 0, "end_time", params["end_time"], "must be at least 0")
     pair = as_pair(params["pair"])
     if params["eta"] is None:
         eta = admissible_eta_bound(pair, params["eta_plus"])
@@ -144,6 +145,11 @@ def _theorem9(params: dict, context: ExperimentContext) -> ExperimentOutcome:
                 np.linspace(1.01 * low, 0.99 * high, 10),
                 np.linspace(1.01 * high, 1.6 * high, 4),
             ]
+        )
+    else:
+        _check_param(
+            len(pulse_lengths) > 0 and all(length > 0 for length in pulse_lengths),
+            "pulse_lengths", pulse_lengths, "must be a non-empty list of positive lengths",
         )
     adversaries = params["adversaries"]
     if adversaries is None:
@@ -228,8 +234,10 @@ def _lemma5(params: dict, context: ExperimentContext) -> ExperimentOutcome:
     from ..specs import as_pair
 
     pair = as_pair(params["pair"])
+    values = params["eta_plus_values"]
+    _check_param(len(values) > 0, "eta_plus_values", values, "must not be empty")
     rows: List[Dict[str, float]] = []
-    for eta_plus in params["eta_plus_values"]:
+    for eta_plus in values:
         eta = admissible_eta_bound(pair, float(eta_plus), back_off=params["back_off"])
         rows.append({k: float(v) for k, v in SPFAnalysis(pair, eta).summary().items()})
     return ExperimentOutcome(rows=rows, raw=rows)

@@ -204,11 +204,14 @@ def _eta_coverage(params: dict, context: ExperimentContext) -> ExperimentOutcome
     from ..core.transitions import Signal
     from ..engine.scheduler import CircuitTopology
     from ..engine.sweep import eta_monte_carlo, run_many
-    from ..experiments.base import ExperimentOutcome
+    from ..experiments.base import ExperimentOutcome, _check_param
     from ..specs import as_eta, as_pair
 
     pair, eta = as_pair(params["pair"]), as_eta(params["eta"])
     stages, stimulus, end_time = params["stages"], params["stimulus"], params["end_time"]
+    _check_param(end_time is None or end_time >= 0, "end_time", end_time, "must be at least 0")
+    _check_param(params["n_runs"] >= 1, "n_runs", params["n_runs"], "must be at least 1")
+    _check_param(params["seed"] >= 0, "seed", params["seed"], "must be at least 0")
     if isinstance(stimulus, Mapping):
         from ..io.netlist import signal_from_dict
 

@@ -37,6 +37,7 @@ CASES = {
     "pure-falling_delay": (lambda v: PureDelayChannel(1.0, v), "falling_delay", -0.5),
     "inertial-delay": (lambda v: InertialDelayChannel(v, 1.0), "delay", -1.0),
     "inertial-window": (lambda v: InertialDelayChannel(1.0, v), "window", -1.0),
+    "inertial-window-above-delay": (lambda v: InertialDelayChannel(0.5, v), "window", 1.0),
     "ddm-delta_nominal": (lambda v: DegradationDelayChannel(v, 1.0), "delta_nominal", 0.0),
     "ddm-tau_deg": (lambda v: DegradationDelayChannel(1.0, v), "tau_deg", 0.0),
     "ddm-T0": (lambda v: DegradationDelayChannel(1.0, 1.0, v), "T0", -INF),
@@ -91,6 +92,7 @@ def test_non_finite_shift_is_rejected():
 
 def test_in_domain_values_still_construct():
     PureDelayChannel(0.0, 0.0)
+    InertialDelayChannel(0.5, 0.5)
     DegradationDelayChannel(1.0, 1.0, -2.0)
     ShiftedDelay(BASE, -3.0, -0.5)
     SineAdversary(1.0, -1.0, 0.0)

@@ -9,6 +9,7 @@ pin the equivalence down over random stimuli, channel parameters and
 admissible adversarial shift sequences.
 """
 
+import itertools
 import math
 
 from hypothesis import given, settings
@@ -18,12 +19,14 @@ from repro.circuits import BUF, Circuit, simulate
 from repro.core import (
     DegradationDelayChannel,
     EtaInvolutionChannel,
+    InertialDelayChannel,
     InvolutionChannel,
     InvolutionPair,
     PureDelayChannel,
     SequenceAdversary,
     Signal,
     admissible_eta_bound,
+    remove_short_pulses,
 )
 
 END_TIME = 1e6
@@ -124,6 +127,41 @@ def test_ddm_online_matches_offline(stimulus, pair):
     offline = DegradationDelayChannel(**channel_args).apply(stimulus)
     online = online_edge_signal(DegradationDelayChannel(**channel_args), stimulus)
     assert online.transition_times() == offline.transition_times()
+
+
+@st.composite
+def inertial_cases(draw):
+    """``(gaps, delay, window)`` on a 1/4 grid with ``window <= delay``.
+
+    Sums and differences of grid values are exact, so the filter (pulse
+    widths measured on input times) and the kernel (measured on delayed
+    output times) round identically, and pulse widths equal to the window
+    or to the delay come up often.
+    """
+    quarters = st.integers(min_value=1, max_value=8)
+    gaps = draw(st.lists(quarters, min_size=1, max_size=25))
+    delay = draw(quarters)
+    window = draw(st.integers(min_value=0, max_value=delay))
+    return [gap / 4 for gap in gaps], delay / 4, window / 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(inertial_cases(), st.booleans())
+def test_inertial_online_matches_offline_and_the_filter(case, inverting):
+    """For window <= delay the engine's edge signal, the offline channel
+    function and the idealised filter -- remove_short_pulses, then the
+    constant delay (and the inversion) -- are one signal."""
+    gaps, delay, window = case
+    stimulus = Signal.from_times(list(itertools.accumulate(gaps)))
+    offline = InertialDelayChannel(delay, window, inverting=inverting)(stimulus)
+    online = online_edge_signal(
+        InertialDelayChannel(delay, window, inverting=inverting), stimulus
+    )
+    filtered = remove_short_pulses(stimulus, window)
+    expected = Signal.from_times(
+        [t + delay for t in filtered.transition_times()], int(inverting)
+    )
+    assert online == offline == expected
 
 
 def test_inverting_channel_online_matches_offline(exp_pair):

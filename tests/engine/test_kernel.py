@@ -117,6 +117,17 @@ class TestDeliverStateDivergence:
         with pytest.raises(SimulationError, match="diverged"):
             kernel.deliver(event.event_id, event.value, event.time)
 
+    def test_out_of_order_delivery_raises(self):
+        # A kernel's pending times strictly increase and the scheduler pops
+        # events in time order, so a delivery that skips the frontier head
+        # means the two have diverged.
+        kernel = ChannelKernel(PureDelayChannel(1.0), input_initial_value=0)
+        first = kernel.feed(1.0, 1)
+        second = kernel.feed(1.5, 0)
+        assert first is not None and second is not None
+        with pytest.raises(SimulationError, match="diverged"):
+            kernel.deliver(second.event_id, second.value, second.time)
+
 
 class TestCausalityPolicy:
     def test_error_policy_raises(self):

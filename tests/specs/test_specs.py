@@ -432,7 +432,9 @@ _channel_specs = st.one_of(
         st.floats(0.1, 5.0, allow_nan=False),
     ),
     st.builds(
-        lambda d, w: ChannelSpec("inertial", delay=d, window=w),
+        # The window is a fraction of the delay: an inertial channel needs
+        # window <= delay.
+        lambda d, f: ChannelSpec("inertial", delay=d, window=f * d),
         st.floats(0.1, 5.0),
         st.floats(0.0, 1.0),
     ),

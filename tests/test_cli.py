@@ -235,6 +235,9 @@ class TestChannelParamDomains:
         "inertial-window": (
             lambda v: {"kind": "inertial", "delay": 1.0, "window": v}, "window", -1.0
         ),
+        "inertial-window-above-delay": (
+            lambda v: {"kind": "inertial", "delay": 0.5, "window": v}, "window", 1.0
+        ),
         "ddm-delta_nominal": (
             lambda v: {"kind": "ddm", "delta_nominal": v, "tau_deg": 1.0}, "delta_nominal", 0.0
         ),
@@ -358,7 +361,8 @@ class TestChannelParamDomains:
         finding each case gets is the out-of-domain parameter's."""
         in_domain = {
             "pure-delay": 0.5, "pure-falling_delay": 0.5, "inertial-delay": 1.0,
-            "inertial-window": 0.1, "ddm-delta_nominal": 1.0, "ddm-tau_deg": 1.0,
+            "inertial-window": 0.1, "inertial-window-above-delay": 0.5,
+            "ddm-delta_nominal": 1.0, "ddm-tau_deg": 1.0,
             "ddm-T0": 0.0, "exp-tau": 1.0, "exp-t_p": 0.5, "exp-v_th": 0.5,
             "constant-delay": 0.5, "shifted-shift_T": 0.0, "scaled-scale": 1.0,
             "eta-eta_plus": 0.05, "eta-eta_minus": 0.05, "random-sigma_fraction": 0.5,
@@ -778,10 +782,37 @@ class TestExperimentCLI:
             (["fig9", "--param", "stages=0"], "got stages=0"),
             (["fig9", "--param", "stage_index=-1"], "stage_index=-1 is out of range"),
             (["comparison", "--param", "pulse_width=0"], "pulse_width=0.0 must be positive"),
+            (["theorem9", "--param", "end_time=-1"], "end_time=-1.0 must be at least 0"),
+            (["theorem9", "--param", "end_time=NaN"], "end_time=nan must be at least 0"),
+            (["comparison", "--param", "end_time=-1"], "end_time=-1.0 must be at least 0"),
+            (["eta_coverage", "--param", "end_time=-1"], "end_time=-1 must be at least 0"),
+            (["comparison", "--param", "stages=2", "--param", "pulse_count=0"],
+             "pulse_count=0 must be at least 1"),
+            (["eta_coverage", "--param", "stages=2", "--param", "n_runs=-1"],
+             "n_runs=-1 must be at least 1"),
+            (["eta_coverage", "--param", "stages=2", "--param", "n_runs=3", "--param", "seed=-1"],
+             "seed=-1 must be at least 0"),
+            (["fig8", "--param", "seed=-1"], "seed=-1 must be at least 0"),
+            (["scaling", "--param", "stage_counts=[]", "--param", "input_transitions=10"],
+             "stage_counts=[] must not be empty"),
+            (["scaling", "--param", "stage_counts=[2]", "--param", "input_transitions=0"],
+             "input_transitions=0 must be at least 1"),
+            (["scaling", "--param", "seed=-1"], "seed=-1 must be at least 0"),
+            (["theorem9", "--params-json", '{"pulse_lengths": [-0.3]}'],
+             "pulse_lengths=[-0.3] must be a non-empty list of positive lengths"),
+            (["theorem9", "--params-json", '{"pulse_lengths": []}'],
+             "pulse_lengths=[] must be a non-empty list of positive lengths"),
+            (["lemma5", "--param", "eta_plus_values=[]"], "eta_plus_values=[] must not be empty"),
         ],
         ids=["theorem9-end_time-string", "comparison-stages-float", "lemma5-eta_plus_values-int",
              "theorem9-record_traces-int", "inverter-chain-stages-0", "analog-chain-stages-0",
-             "characterization-stage_index", "comparison-pulse_width-0"],
+             "characterization-stage_index", "comparison-pulse_width-0",
+             "theorem9-end_time-negative", "theorem9-end_time-NaN", "comparison-end_time-negative",
+             "eta_coverage-end_time-negative", "comparison-pulse_count-0",
+             "eta_coverage-n_runs-negative", "eta_coverage-seed-negative", "fig8-seed-negative",
+             "scaling-stage_counts-empty", "scaling-input_transitions-0",
+             "scaling-seed-negative", "theorem9-pulse_lengths-negative",
+             "theorem9-pulse_lengths-empty", "lemma5-eta_plus_values-empty"],
     )
     def test_malformed_param_is_one_error_line(self, argv, fragment):
         """A parameter of the wrong JSON type for its kind's default, or

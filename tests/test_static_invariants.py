@@ -82,6 +82,15 @@ module under ``src/repro`` imports ``threading``, ``_thread`` or
 checkpoint store where it finished: a background writer thread bought
 no measurable overlap with chunk compute, and its GIL handoffs made the
 timing of a checkpointed sweep vary.
+
+A twelfth keeps one copy of the channel algorithm: exactly one function
+of ``engine/kernel.py`` pops the pending frontier from the right
+(``pending.pop()``) -- the cancellation phase, where transport
+cancellation and inertial rejection drop scheduled outputs -- and both
+``ChannelKernel.commit`` (the offline path) and ``ChannelKernel.feed``
+(the engine's hot path) call it.  A second function that pops the
+frontier would be a second copy of that phase, free to drift from the
+first.
 """
 
 import ast
@@ -132,6 +141,9 @@ SLEEP_HOMES = {
     ("engine/shard.py", "_ProcessChunkRunner.run"),
     ("engine/shard.py", "_apply_chaos"),
 }
+#: The channel kernel, and the two entries into its cancellation phase.
+KERNEL = SRC / "engine" / "kernel.py"
+CANCELLATION_CALLERS = {"ChannelKernel.commit", "ChannelKernel.feed"}
 
 
 def _checked_files():
@@ -842,3 +854,85 @@ def test_sleep_gate_detects_waits(tmp_path):
         "from .time import sleep\n"
     )
     assert _sleeps(clean) == []
+
+
+def _calls(path):
+    """``(line, function, call)`` for each call: ``function`` is the
+    qualified name of the innermost enclosing function (or class), None
+    at module level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, qualname):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = f"{qualname}.{node.name}" if qualname else node.name
+        if isinstance(node, ast.Call):
+            found.append((node.lineno, qualname or None, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, qualname)
+
+    visit(tree, "")
+    return found
+
+
+def _frontier_pops(path):
+    """``(line, function)`` for each pop from the right of a pending
+    frontier: ``pop()`` or ``pop(-1)`` on a name ``pending`` or an
+    attribute ``.pending``."""
+    found = []
+    for line, function, call in _calls(path):
+        func = call.func
+        if not (isinstance(func, ast.Attribute) and func.attr == "pop"):
+            continue
+        target = func.value
+        if (
+            (isinstance(target, ast.Name) and target.id == "pending")
+            or (isinstance(target, ast.Attribute) and target.attr == "pending")
+        ) and [ast.unparse(arg) for arg in call.args] in ([], ["-1"]):
+            found.append((line, function))
+    return found
+
+
+def test_one_function_pops_the_pending_frontier():
+    functions = {function for _, function in _frontier_pops(KERNEL)}
+    assert len(functions) == 1, functions
+    (home,) = functions
+    method = home.rsplit(".", 1)[-1]
+    callers = {
+        function
+        for _, function, call in _calls(KERNEL)
+        if isinstance(call.func, ast.Attribute)
+        and call.func.attr == method
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == "self"
+    }
+    assert CANCELLATION_CALLERS <= callers, callers
+
+
+def test_frontier_gate_detects_pops(tmp_path):
+    """The detector itself is tested: two functions that each pop the
+    frontier (the fused copy the gate forbids) are both found."""
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class K:\n"
+        "    def commit(self, p):\n"
+        "        pending = self.pending\n"
+        "        while pending and pending[-1][0] >= p:\n"
+        "            pending.pop()\n"
+        "    def feed(self, t):\n"
+        "        self.pending.pop(-1)\n"
+    )
+    found = _frontier_pops(probe)
+    assert found == [(5, "K.commit"), (7, "K.feed")]
+    assert len({function for _, function in found}) == 2
+
+    clean = tmp_path / "clean.py"
+    clean.write_text(
+        "pending.popleft()\n"
+        "pending.pop(0)\n"
+        "self.delivered.pop()\n"
+        "stack.pop()\n"
+        "index.pop(event_id, None)\n"
+        "pending_ids.pop()\n"
+    )
+    assert _frontier_pops(clean) == []
