@@ -30,7 +30,6 @@ verdict-for-verdict across generated sweeps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -48,8 +47,6 @@ __all__ = [
     "strongly_connected_components",
     "supported_channel_classes",
 ]
-
-_INF = math.inf
 
 #: Reason recorded when a sweep has no scenarios at all.
 NO_SCENARIOS_REASON = "no scenarios to compile"
@@ -242,7 +239,6 @@ class EdgeFact:
     zero_delay: bool
     inverting: bool
     target_is_gate: bool
-    target_multi_input: bool
 
 
 @dataclass
@@ -252,17 +248,14 @@ class SweepAnalysis:
     ``reasons`` is empty iff the sweep is vector-supported; the remaining
     fields carry what the vector compiler needs to build its per-edge
     programs without re-deriving anything (SCC ``components`` in
-    condensation order, scenario-uniform ``port_initials``, per-edge
-    facts, the set of gates that flip in the time-0 settle pass, and the
-    earliest stimulus time).
+    condensation order, scenario-uniform ``port_initials`` and per-edge
+    facts).
     """
 
     reasons: List[str] = field(default_factory=list)
     components: List[List[int]] = field(default_factory=list)
     port_initials: Dict[str, int] = field(default_factory=dict)
     edge_facts: Dict[int, EdgeFact] = field(default_factory=dict)
-    settle_inconsistent: Set[int] = field(default_factory=set)
-    min_input_time: float = _INF
 
     @property
     def supported(self) -> bool:
@@ -335,17 +328,12 @@ def _edge_fact(
                     reasons.append(f"edge {ename!r}: {obstacle}")
                     return None
 
-    target_id = topo.edge_target_id[eid]
-    target_is_gate = topo.node_kind[target_id] == _NODE_GATE
     return EdgeFact(
         eid=eid,
         source_id=topo.edge_source_id[eid],
         zero_delay=zero_delay,
         inverting=inverting_flags.pop(),
-        target_is_gate=target_is_gate,
-        target_multi_input=(
-            target_is_gate and len(topo.gate_input_edge_ids[target_id]) > 1
-        ),
+        target_is_gate=topo.node_kind[topo.edge_target_id[eid]] == _NODE_GATE,
     )
 
 
@@ -454,15 +442,14 @@ def analyze_sweep(
     # The engine's time-0 settle pass evaluates every gate against the
     # channel-output initial values derived from *declared* node initial
     # values; gates whose declared initial disagrees flip at time 0.
-    # Those flips mark edges as settle-sensitive (a delivery at or before
-    # time 0 would interleave with them) and, through zero-delay edges,
-    # can glitch downstream gates within the settle instant.
+    # Through zero-delay edges, those flips can glitch downstream gates
+    # within the settle instant.
     def _declared_initial(nid: int) -> Optional[int]:
         if topo.node_kind[nid] == _NODE_GATE:
             return topo.gate_initial_by_node[nid]
         return port_initials.get(topo.node_names[nid])
 
-    settle_inconsistent = analysis.settle_inconsistent
+    settle_inconsistent: Set[int] = set()
     for gid in topo.gate_ids:
         out_inits = []
         for in_eid in topo.gate_input_edge_ids[gid]:
@@ -493,13 +480,6 @@ def analyze_sweep(
     # targets, deliveries at t <= 0) is now checked dynamically by the
     # vector backend's wave-class coincidence pass, which falls back
     # only for the scenarios where classes actually collide.
-    min_input_time = _INF
-    for scenario in scenarios:
-        for signal in scenario.inputs.values():
-            if len(signal):
-                min_input_time = min(min_input_time, signal[0].time)
-    analysis.min_input_time = min_input_time
-
     zero_out_edges: List[List[int]] = [[] for _ in topo.node_names]
     for eid, fact in edge_facts.items():
         if fact.zero_delay:

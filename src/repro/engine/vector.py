@@ -11,10 +11,18 @@ once into dense arrays and evaluates **all scenarios simultaneously**:
   (constant delays, rejection windows, adversarial eta shifts),
 * per-gate *dispatch codes*: gate truth tables flattened into dense
   lookup arrays indexed by packed input-value bits,
-* the tentative/transport-cancellation/maturity semantics of the shared
-  :class:`~repro.engine.kernel.ChannelKernel` re-expressed as masked
-  array operations over a per-scenario pending frontier, processed in
-  lockstep over the transition index.
+* the two phases of the shared :class:`~repro.engine.kernel.ChannelKernel`
+  re-expressed as array operations, in lockstep over the transition
+  index.  The tentative phase fills one matrix of tentative output times
+  for every scenario lane of an edge.  The cancellation phase (transport
+  cancellation, inertial rejection, causality, maturity) runs as masked
+  operations over a per-scenario pending frontier, and only for the
+  lanes that need it.  A lane is *regular* when its channel has no
+  rejection window and its tentative outputs are finite, each strictly
+  after its own input and strictly increasing; nothing in the frontier
+  can fire on it, so its delivered signal is its tentative row cut at
+  the horizon.  Monte Carlo lanes of well-separated pulses are regular;
+  the glitch trains the involution model is about are not.
 
 Bit-identity contract
 ---------------------
@@ -118,8 +126,11 @@ _NEG_INF = -math.inf
 # assembly: the edge kernel alone takes ~0.6 us per lane, so a fixpoint
 # pass, whose iterate is discarded, pays _STEP_COST only.  Both constants
 # were measured while assembly still built one Transition object per
-# transition; row-slice assembly has made lanes cheaper since, and the
-# constants are kept as measured until they are measured again.
+# transition and every lane ran the pending frontier; row-slice assembly
+# and the closed form for regular lanes have made a step of the chain
+# ~9 us plus ~0.45 us per lane since.  The constants are kept as
+# measured until a re-fit, which moves ``auto``'s routing, lands on its
+# own.
 
 #: Fixed cost of one lockstep step, in scalar events.
 _STEP_COST = 4.5
@@ -412,14 +423,10 @@ class _EdgeProgram:
     zero_delay: bool
     inverting: bool
     #: Same-instant hazard classification of the target (see
-    #: ``_eval_timed_edge``): gates can be double-evaluated within one
-    #: engine batch time, output ports cannot.
+    #: ``_run_frontier``): a delivery at or before its feeding instant
+    #: interleaves with engine batches a gate feeds on, an output port
+    #: feeds nothing.
     target_is_gate: bool = False
-    target_multi_input: bool = False
-    #: True when some gate's settle evaluation changes its value at time
-    #: 0 -- a delivery at or before 0 would then interleave with the
-    #: settle transition in an engine-batch-order-specific way.
-    settle_sensitive: bool = False
     #: Constant-delay fast path: per-scenario (rising, falling) delays.
     const_up: Optional[np.ndarray] = None
     const_down: Optional[np.ndarray] = None
@@ -479,7 +486,6 @@ def _compile_edge(
             zero_delay=True,
             inverting=fact.inverting,
             target_is_gate=fact.target_is_gate,
-            target_multi_input=fact.target_multi_input,
         )
 
     program = _EdgeProgram(
@@ -489,7 +495,6 @@ def _compile_edge(
         zero_delay=False,
         inverting=fact.inverting,
         target_is_gate=fact.target_is_gate,
-        target_multi_input=fact.target_multi_input,
         windows=np.zeros(S),
     )
     all_const = all(
@@ -581,6 +586,250 @@ def _empty_matrix(S: int, initial: int) -> _SignalMatrix:
 # --------------------------------------------------------------------------- #
 
 
+def _tentative_outputs(
+    program: _EdgeProgram,
+    times: np.ndarray,
+    counts: np.ndarray,
+    rising: np.ndarray,
+    eta_mat: Optional[np.ndarray],
+    eta_rows: Optional[np.ndarray],
+) -> np.ndarray:
+    """The tentative phase of every lane (vector mirror of
+    ``ChannelKernel.tentative``): an ``[S, N]`` matrix of output times
+    ``t + delay``, ``+inf`` past each lane's transition count.
+
+    ``last_in`` and ``last_delay`` advance on every fed transition,
+    cancelled or not, so the phase needs nothing from the frontier.
+    """
+    S, N = times.shape
+    out_times = np.full((S, N), _INF)
+    lanes = np.arange(S)
+    last_in = np.full(S, _NEG_INF)
+    last_delay = np.zeros(S)
+    const_mode = program.const_up is not None
+    # Uniform sweeps (every scenario sees the same transition count, the
+    # Monte Carlo steady state) take an all-lanes-active fast path that
+    # skips the per-step masking entirely.
+    counts_min = int(counts.min()) if S else 0
+    all_rows_list = list(range(S))
+    # One shared evaluator per polarity (the memoized-closure common case
+    # -- every Monte Carlo override reuses the same delay pair) unlocks a
+    # straight map over the row.
+    uniform_up = uniform_down = None
+    if not const_mode:
+        if all(fn is program.fns_up[0] for fn in program.fns_up):
+            uniform_up = program.fns_up[0]
+        if all(fn is program.fns_down[0] for fn in program.fns_down):
+            uniform_down = program.fns_down[0]
+
+    for n in range(N):
+        full = n < counts_min
+        if not full:
+            active = n < counts
+            active_rows = lanes[active]
+            if active_rows.size == 0:
+                break
+        t = times[:, n]
+        T = t - last_in - last_delay
+        if full and n > 0:
+            pass  # every lane fed at step 0: last_in is finite everywhere
+        elif full:
+            T[last_in == _NEG_INF] = _INF
+        else:
+            T[active & (last_in == _NEG_INF)] = _INF
+        if const_mode:
+            delay = (program.const_up if rising[n] else program.const_down).copy()
+        else:
+            # Inactive lanes keep a harmless 0.0 (never read): garbage or
+            # NaN here would raise invalid-value warnings downstream.
+            # The evaluators run on plain Python floats (tolist), not
+            # NumPy scalars -- same 64-bit values, several times cheaper
+            # through ``math``.
+            T_list = T.tolist()
+            shared = uniform_up if rising[n] else uniform_down
+            if full and shared is not None:
+                delay = np.fromiter(map(shared, T_list), dtype=float, count=S)
+            elif full:
+                fns = program.fns_up if rising[n] else program.fns_down
+                delay = np.array([fns[s](T_list[s]) for s in all_rows_list])
+            else:
+                fns = program.fns_up if rising[n] else program.fns_down
+                delay = np.zeros(S)
+                delay[active_rows] = [
+                    fns[s](T_list[s]) for s in active_rows.tolist()
+                ]
+        if eta_mat is not None:
+            add = eta_rows & np.isfinite(delay)
+            if not full:
+                add &= active
+            if add.any():
+                delay[add] = delay[add] + eta_mat[add, n]
+        if full:
+            np.copyto(last_in, t)
+            np.copyto(last_delay, delay)
+        else:
+            last_in[active_rows] = t[active_rows]
+            last_delay[active_rows] = delay[active_rows]
+        np.add(t, delay, out=out_times[:, n])
+    return out_times
+
+
+def _run_frontier(
+    program: _EdgeProgram,
+    times: np.ndarray,
+    counts: np.ndarray,
+    out_times: np.ndarray,
+    windows: np.ndarray,
+    end_times: np.ndarray,
+    out_values: np.ndarray,
+    out_initial: int,
+    on_causality: str,
+    strict: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cancellation phase of the lanes given (vector mirror of
+    ``ChannelKernel.commit`` and ``deliver``): the pending frontier, run
+    over the transition index in lockstep, each step a handful of masked
+    array operations across lanes.  Each step's output time is read from
+    the tentative matrix ``out_times``.
+
+    Returns the delivered times (``[S, N]``, ``+inf`` padded), delivered
+    counts, DELIVER events and dropped transitions of each lane.
+    """
+    S, N = times.shape
+    events = np.zeros(S, dtype=np.int64)
+    dropped = np.zeros(S, dtype=np.int64)
+    pending_times = np.empty((S, N))
+    pending_values = np.empty((S, N), dtype=np.int8)
+    pending_risky = np.zeros((S, N), dtype=bool)
+    head = np.zeros(S, dtype=np.int64)
+    top = np.zeros(S, dtype=np.int64)
+    delivered_times = np.full((S, N), _INF)
+    delivered_counts = np.zeros(S, dtype=np.int64)
+    delivered_value = np.full(S, out_initial, dtype=np.int8)
+    last_delivered = np.full(S, _NEG_INF)
+    lanes = np.arange(S)
+    any_window = bool(np.any(windows > 0.0))
+
+    def deliver_upto(limit: np.ndarray, mask: np.ndarray) -> None:
+        # The offline counterpart of the event queue: pop the pending
+        # frontier head while it has matured (time <= limit), suppressing
+        # no-change deliveries -- one masked gather/scatter per frontier
+        # depth, which stays tiny for FIFO-ish workloads.
+        while True:
+            rows = lanes[mask & (head < top)]
+            if rows.size == 0:
+                return
+            ready_times = pending_times[rows, head[rows]]
+            ready = ready_times <= limit[rows]
+            rows = rows[ready]
+            if rows.size == 0:
+                return
+            ready_times = ready_times[ready]
+            values = pending_values[rows, head[rows]]
+            risky = pending_risky[rows, head[rows]]
+            head[rows] += 1
+            events[rows] += 1
+            changed = values != delivered_value[rows]
+            # A same-instant (or time-reversed) delivery is benign while
+            # it changes nothing: the engine suppresses it without ever
+            # evaluating the gate.  Only a *value-changing* one opens an
+            # interleaved batch the levelized evaluation cannot replay.
+            if strict and bool(np.any(changed & risky)):
+                reason = (
+                    f"edge {program.name!r}: a channel scheduled a "
+                    "same-instant (or earlier) delivery, which the "
+                    "engine resolves with batch ordering the vector "
+                    "backend cannot replay"
+                )
+                raise VectorUnsupportedError(
+                    VectorCapability(False, (reason,))
+                )
+            rows = rows[changed]
+            if rows.size:
+                stamped = ready_times[changed]
+                delivered_times[rows, delivered_counts[rows]] = stamped
+                delivered_counts[rows] += 1
+                delivered_value[rows] = values[changed]
+                last_delivered[rows] = stamped
+
+    counts_min = int(counts.min())
+    all_lanes = np.ones(S, dtype=bool)
+    for n in range(N):
+        full = n < counts_min
+        if full:
+            active = all_lanes
+        else:
+            active = n < counts
+            if not active.any():
+                break
+        t = times[:, n]
+        deliver_upto(t, active)
+        out_time = out_times[:, n]
+
+        # Transport cancellation: the cancelled entries are exactly a
+        # suffix of the time-sorted frontier; pop while the top is at or
+        # after the new output time.
+        while True:
+            rows = lanes[(top > head) if full else (active & (top > head))]
+            if rows.size == 0:
+                break
+            pop = pending_times[rows, top[rows] - 1] >= out_time[rows]
+            rows = rows[pop]
+            if rows.size == 0:
+                break
+            top[rows] -= 1
+        # The inertial-window pop fires only on non-empty frontiers, so
+        # applying the isfinite cut first cannot change which tops are
+        # popped (a -inf output time just emptied the frontier above).
+        if full:
+            pushable = np.isfinite(out_time)
+        else:
+            pushable = active & np.isfinite(out_time)
+        if any_window:
+            rows = lanes[active & (windows > 0.0) & (top > head)]
+            if rows.size:
+                reject = (
+                    out_time[rows] - pending_times[rows, top[rows] - 1]
+                    < windows[rows]
+                )
+                rows = rows[reject]
+                top[rows] -= 1
+                pushable[rows] = False
+        causal = pushable & (out_time <= last_delivered)
+        if causal.any():
+            violation = causal & (out_values[n] != delivered_value)
+            if violation.any():
+                if strict and on_causality == "error":
+                    s = int(lanes[violation][0])
+                    raise CausalityError(
+                        f"channel {program.name!r} scheduled an output at "
+                        f"{out_time[s]:g} but already delivered one at "
+                        f"{last_delivered[s]:g}"
+                    )
+                dropped[violation] += 1
+            pushable &= ~causal
+        # Same-instant / time-reversed deliveries into a gate: an output
+        # scheduled at (or before) its feeding instant t opens an engine
+        # batch at an already-processed timestamp, after the engine has
+        # run everything up to t -- other inputs of the gate, a time-0
+        # settle transition, and deliveries of the gate's fan-out
+        # channels past the reversed instant.  The levelized replay
+        # cannot interleave those, so the entry is *flagged* here and
+        # refused in ``deliver_upto`` if it matures as a value change.
+        # A suppressed delivery (glitch cancellation delivers no value
+        # change, so the engine never evaluates the gate) is harmless, and
+        # so is any delivery into an output port, which feeds nothing.
+        rows = lanes[pushable]
+        pending_times[rows, top[rows]] = out_time[rows]
+        pending_values[rows, top[rows]] = out_values[n]
+        if program.target_is_gate:
+            pending_risky[rows, top[rows]] = out_time[rows] <= t[rows]
+        top[rows] += 1
+
+    deliver_upto(end_times, all_lanes)
+    return delivered_times, delivered_counts, events, dropped
+
+
 def _eval_timed_edge(
     program: _EdgeProgram,
     source: _SignalMatrix,
@@ -588,14 +837,24 @@ def _eval_timed_edge(
     on_causality: str,
     *,
     strict: bool = True,
-    scc_internal: bool = False,
 ) -> Tuple[_SignalMatrix, np.ndarray, np.ndarray]:
-    """Run one edge's channel kernel over all scenarios in lockstep.
+    """Run one edge's channel kernel over all scenarios.
 
-    Mirrors ``ChannelKernel.feed``/``mature``/``flush`` (which the
-    equivalence suite pins bit-identical to the event-driven engine):
-    the loop runs over the transition *index*, each step a handful of
-    masked array operations across scenarios.  Returns the delivered
+    Mirrors ``ChannelKernel.tentative``/``commit``/``deliver`` (which the
+    equivalence suite pins bit-identical to the event-driven engine) in
+    the paper's two phases.  :func:`_tentative_outputs` gives every lane
+    its tentative output times; it needs no frontier state, because T is
+    measured from the previous *tentative* output.  A lane is *regular*
+    when its channel has no rejection window and, over its transitions,
+    every tentative output is finite, strictly after its own input time
+    and strictly increasing.  Then nothing in the frontier can fire: a
+    suffix pop needs an output at or before a pending one, a causality
+    check ``out <= last_delivered <= t`` and a same-instant hazard
+    ``out <= t``, and every delivery changes the value.  So a regular
+    lane delivers its tentative row up to ``end_time``, its events are
+    that count and it drops nothing.  The other lanes are gathered into
+    one compact batch for :func:`_run_frontier`, the pending frontier;
+    when every lane is regular it does not run.  Returns the delivered
     signal matrix plus per-scenario DELIVER-event and dropped counts.
 
     ``strict=False`` is the fixpoint scheduler's *deferred* mode: the
@@ -604,19 +863,18 @@ def _eval_timed_edge(
     inadmissible adversary shifts, same-instant hazards) are silently
     degraded -- violations drop, shifts clip -- and the caller discards
     the event/drop counts.  Once the iterate converges, a final
-    ``strict=True, scc_internal=True`` pass replays the edge exactly;
-    ``scc_internal`` additionally refuses any delivery scheduled at or
-    before its feeding instant, because a non-positive realised delay
-    inside a feedback loop breaks the contraction the fixpoint relies
-    on (the scalar engine resolves those with batch ordering).
+    ``strict=True`` pass replays the edge exactly.  It refuses a value
+    change delivered at or before its feeding instant, as every edge into
+    a gate does; inside a feedback loop such a non-positive realised delay
+    also breaks the contraction the fixpoint relies on (the scalar engine
+    resolves those with batch ordering).
     """
     times, counts = source.times, source.counts
     S, N = times.shape
     out_initial = (1 - source.initial) if program.inverting else source.initial
-    events = np.zeros(S, dtype=np.int64)
-    dropped = np.zeros(S, dtype=np.int64)
     if N == 0:
-        return _empty_matrix(S, out_initial), events, dropped
+        zeros = np.zeros(S, dtype=np.int64)
+        return _empty_matrix(S, out_initial), zeros, zeros.copy()
 
     # Output values/polarity by transition index (scenario-uniform).
     in_values = ((np.arange(N) + 1) & 1) ^ source.initial
@@ -665,219 +923,33 @@ def _eval_timed_edge(
                 shifts = np.minimum(np.maximum(shifts, lo), hi)
             eta_mat[s, :n] = shifts
 
-    # Kernel state, one lane per scenario.
-    last_in = np.full(S, _NEG_INF)
-    last_delay = np.zeros(S)
-    pending_times = np.empty((S, N))
-    pending_values = np.empty((S, N), dtype=np.int8)
-    pending_risky = np.zeros((S, N), dtype=bool)
-    head = np.zeros(S, dtype=np.int64)
-    top = np.zeros(S, dtype=np.int64)
-    delivered_times = np.full((S, N), _INF)
-    delivered_counts = np.zeros(S, dtype=np.int64)
-    delivered_value = np.full(S, out_initial, dtype=np.int8)
-    last_delivered = np.full(S, _NEG_INF)
-    lanes = np.arange(S)
-    windows = program.windows
-    any_window = bool(np.any(windows > 0.0))
-    const_mode = program.const_up is not None
+    out_times = _tentative_outputs(program, times, counts, rising, eta_mat, eta_rows)
 
-    def deliver_upto(limit: np.ndarray, mask: np.ndarray) -> None:
-        # The offline counterpart of the event queue: pop the pending
-        # frontier head while it has matured (time <= limit), suppressing
-        # no-change deliveries -- one masked gather/scatter per frontier
-        # depth, which stays tiny for FIFO-ish workloads.
-        while True:
-            rows = lanes[mask & (head < top)]
-            if rows.size == 0:
-                return
-            ready_times = pending_times[rows, head[rows]]
-            ready = ready_times <= limit[rows]
-            rows = rows[ready]
-            if rows.size == 0:
-                return
-            ready_times = ready_times[ready]
-            values = pending_values[rows, head[rows]]
-            risky = pending_risky[rows, head[rows]]
-            head[rows] += 1
-            events[rows] += 1
-            changed = values != delivered_value[rows]
-            # A same-instant (or time-reversed) delivery is benign while
-            # it changes nothing: the engine suppresses it without ever
-            # evaluating the gate.  Only a *value-changing* one opens an
-            # interleaved batch the levelized evaluation cannot replay.
-            if strict and bool(np.any(changed & risky)):
-                if scc_internal:
-                    reason = (
-                        f"edge {program.name!r}: a feedback-loop channel "
-                        "delivered a same-instant (or earlier) value "
-                        "change, which the event-driven engine resolves "
-                        "with batch ordering the fixpoint schedule "
-                        "cannot replay"
-                    )
-                else:
-                    reason = (
-                        f"edge {program.name!r}: a channel scheduled a "
-                        "same-instant (or earlier) delivery, which the "
-                        "engine resolves with batch ordering the vector "
-                        "backend cannot replay"
-                    )
-                raise VectorUnsupportedError(
-                    VectorCapability(False, (reason,))
-                )
-            rows = rows[changed]
-            if rows.size:
-                stamped = ready_times[changed]
-                delivered_times[rows, delivered_counts[rows]] = stamped
-                delivered_counts[rows] += 1
-                delivered_value[rows] = values[changed]
-                last_delivered[rows] = stamped
+    valid = np.arange(N) < counts[:, None]
+    irregular = valid & ~(np.isfinite(out_times) & (out_times > times))
+    irregular[:, 1:] |= valid[:, 1:] & ~(out_times[:, 1:] > out_times[:, :-1])
+    regular = (program.windows == 0.0) & ~irregular.any(axis=1)
 
-    # Uniform sweeps (every scenario sees the same transition count, the
-    # Monte Carlo steady state) take an all-lanes-active fast path that
-    # skips the per-step masking entirely.
-    counts_min = int(counts.min()) if S else 0
-    all_lanes = np.ones(S, dtype=bool)
-    all_rows_list = list(range(S))
-    # One shared evaluator per polarity (the memoized-closure common case
-    # -- every Monte Carlo override reuses the same delay pair) unlocks a
-    # straight map over the row.
-    uniform_up = uniform_down = None
-    if not const_mode:
-        if all(fn is program.fns_up[0] for fn in program.fns_up):
-            uniform_up = program.fns_up[0]
-        if all(fn is program.fns_down[0] for fn in program.fns_down):
-            uniform_down = program.fns_down[0]
-
-    for n in range(N):
-        full = n < counts_min
-        if full:
-            active = all_lanes
-            active_rows = lanes
-        else:
-            active = n < counts
-            active_rows = lanes[active]
-            if active_rows.size == 0:
-                break
-        t = times[:, n]
-        deliver_upto(t, active)
-
-        # -- fused tentative phase (vector mirror of ChannelKernel.feed) --
-        T = t - last_in - last_delay
-        if full and n > 0:
-            pass  # every lane fed at step 0: last_in is finite everywhere
-        elif full:
-            T[last_in == _NEG_INF] = _INF
-        else:
-            T[active & (last_in == _NEG_INF)] = _INF
-        if const_mode:
-            delay = (program.const_up if rising[n] else program.const_down).copy()
-        else:
-            # Inactive lanes keep a harmless 0.0 (never read): garbage or
-            # NaN here would raise invalid-value warnings downstream.
-            # The evaluators run on plain Python floats (tolist), not
-            # NumPy scalars -- same 64-bit values, several times cheaper
-            # through ``math``.
-            T_list = T.tolist()
-            shared = uniform_up if rising[n] else uniform_down
-            if full and shared is not None:
-                delay = np.fromiter(map(shared, T_list), dtype=float, count=S)
-            elif full:
-                fns = program.fns_up if rising[n] else program.fns_down
-                delay = np.array([fns[s](T_list[s]) for s in all_rows_list])
-            else:
-                fns = program.fns_up if rising[n] else program.fns_down
-                delay = np.zeros(S)
-                delay[active_rows] = [
-                    fns[s](T_list[s]) for s in active_rows.tolist()
-                ]
-        if eta_mat is not None:
-            add = eta_rows & np.isfinite(delay)
-            if not full:
-                add &= active
-            if add.any():
-                delay[add] = delay[add] + eta_mat[add, n]
-        if full:
-            np.copyto(last_in, t)
-            np.copyto(last_delay, delay)
-        else:
-            last_in[active_rows] = t[active_rows]
-            last_delay[active_rows] = delay[active_rows]
-        out_time = t + delay
-
-        # -- fused cancellation phase --
-        # Transport cancellation: the cancelled entries are exactly a
-        # suffix of the time-sorted frontier; pop while the top is at or
-        # after the new output time.
-        while True:
-            rows = lanes[(top > head) if full else (active & (top > head))]
-            if rows.size == 0:
-                break
-            pop = pending_times[rows, top[rows] - 1] >= out_time[rows]
-            rows = rows[pop]
-            if rows.size == 0:
-                break
-            top[rows] -= 1
-        # The inertial-window pop fires only on non-empty frontiers, so
-        # applying the isfinite cut first cannot change which tops are
-        # popped (a -inf output time just emptied the frontier above).
-        if full:
-            pushable = np.isfinite(out_time)
-        else:
-            pushable = active & np.isfinite(out_time)
-        if any_window:
-            rows = lanes[active & (windows > 0.0) & (top > head)]
-            if rows.size:
-                reject = (
-                    out_time[rows] - pending_times[rows, top[rows] - 1]
-                    < windows[rows]
-                )
-                rows = rows[reject]
-                top[rows] -= 1
-                pushable[rows] = False
-        causal = pushable & (out_time <= last_delivered)
-        if causal.any():
-            violation = causal & (out_values[n] != delivered_value)
-            if violation.any():
-                if strict and on_causality == "error":
-                    s = int(lanes[violation][0])
-                    raise CausalityError(
-                        f"channel {program.name!r} scheduled an output at "
-                        f"{out_time[s]:g} but already delivered one at "
-                        f"{last_delivered[s]:g}"
-                    )
-                dropped[violation] += 1
-            pushable &= ~causal
-        # Same-instant / time-reversed deliveries: scheduling an output at
-        # (or before) the feeding instant opens additional engine batches
-        # at already-processed timestamps.  That is harmless for a strict
-        # time reversal (out < t) into a single-input gate or an output
-        # port after the settle instant, and for any delivery that ends
-        # up suppressed (glitch cancellation delivers no value change, so
-        # the engine never evaluates the gate).  Everything else -- exact
-        # same-instant gate deliveries, reversals interleaving with other
-        # inputs of a multi-input gate or with a time-0 settle transition,
-        # any reversal inside a feedback loop -- is
-        # engine-batch-order-specific, so the entry is *flagged* here and
-        # refused in ``deliver_upto`` if it matures as a value change.
-        flagged = None
-        if program.target_is_gate or scc_internal:
-            risky = pushable & (out_time <= t)
-            if risky.any():
-                if scc_internal or program.target_multi_input:
-                    flagged = risky
-                else:
-                    floor = 0.0 if program.settle_sensitive else _NEG_INF
-                    flagged = risky & ~((out_time < t) & (out_time > floor))
-        rows = lanes[pushable]
-        pending_times[rows, top[rows]] = out_time[rows]
-        pending_values[rows, top[rows]] = out_values[n]
-        pending_risky[rows, top[rows]] = (
-            False if flagged is None else flagged[rows]
+    # Regular lanes: the tentative row, cut at the horizon.  Every input
+    # time is at or before it (ports are truncated there and edges deliver
+    # no later), so no earlier step delivered past it.
+    kept = valid & (out_times <= end_times[:, None]) & regular[:, None]
+    delivered_times = np.where(kept, out_times, _INF)
+    delivered_counts = kept.sum(axis=1, dtype=np.int64)
+    events = delivered_counts.copy()
+    dropped = np.zeros(S, dtype=np.int64)
+    rows = np.flatnonzero(~regular)
+    if rows.size:
+        # The other lanes, gathered into one compact batch.
+        lane_times, lane_counts, lane_events, lane_dropped = _run_frontier(
+            program, times[rows], counts[rows], out_times[rows],
+            program.windows[rows], end_times[rows], out_values, out_initial,
+            on_causality, strict,
         )
-        top[rows] += 1
-
-    deliver_upto(end_times, np.ones(S, dtype=bool))
+        delivered_times[rows] = lane_times
+        delivered_counts[rows] = lane_counts
+        events[rows] = lane_events
+        dropped[rows] = lane_dropped
     width = int(delivered_counts.max())
     return (
         _SignalMatrix(delivered_times[:, :width], delivered_counts, out_initial),
@@ -1083,9 +1155,7 @@ class VectorProgram:
             )
             return kind, name, incoming
 
-        def eval_edge(
-            eid: int, *, strict: bool = True, scc_internal: bool = False
-        ) -> int:
+        def eval_edge(eid: int, *, strict: bool = True) -> int:
             # Returns the DELIVER events of the evaluation, summed over lanes.
             nonlocal event_counts, dropped_counts, steps, pass_steps
             program = self.edge_programs[eid]
@@ -1103,8 +1173,7 @@ class VectorProgram:
                 )
                 return 0
             delivered, events, dropped = _eval_timed_edge(
-                program, source, end_times, self.on_causality,
-                strict=strict, scc_internal=scc_internal,
+                program, source, end_times, self.on_causality, strict=strict
             )
             edge_matrices[eid] = delivered
             if strict:
@@ -1296,7 +1365,7 @@ class VectorProgram:
             # and same-instant errors exactly as the acyclic path would.
             for gid, name, incoming, internal, external, table in gates:
                 for eid in internal:
-                    eval_edge(eid, strict=True, scc_internal=True)
+                    eval_edge(eid, strict=True)
                 check_same_instant(name, incoming)
 
         for component in self.components:
@@ -1532,14 +1601,9 @@ def _compile(
             or (scenario.channels or {}).get(ename, edge.channel)
             for s, scenario in enumerate(scenarios)
         ]
-        program = _compile_edge(
+        edge_programs[eid] = _compile_edge(
             analysis.edge_facts[eid], ename, run_channels, fn_cache
         )
-        program.settle_sensitive = (
-            program.target_is_gate
-            and topo.edge_target_id[eid] in analysis.settle_inconsistent
-        )
-        edge_programs[eid] = program
 
     program = VectorProgram(
         topology=topo,

@@ -38,6 +38,7 @@ from ..specs import (
     SpecError,
     _canonical_key,
     _jsonify,
+    _param,
     get_experiment_kind,
 )
 
@@ -272,6 +273,16 @@ def _check_param(ok: bool, name: str, value: Any, rule: str) -> None:
     experiment parameter ``name`` unless ``ok``: ``"<name>=<value> <rule>"``."""
     if not ok:
         raise DomainError(name, f"{name}={value} {rule}")
+
+
+def _number_or_null(params: Mapping[str, Any], name: str) -> Optional[float]:
+    """The null-default parameter ``name`` as :func:`repro.specs._param`
+    decodes it (null, or a number as a float; a bool is not a number),
+    its type error raised as a :class:`~repro.core.domain.DomainError`."""
+    try:
+        return _param(params, name, None)
+    except TypeError as exc:
+        raise DomainError(name, str(exc)) from None
 
 
 def as_experiment_spec(

@@ -27,7 +27,7 @@ from ..analog.technology import as_technology
 from ..analog.variations import ConstantSupply
 from ..fitting.characterize import CharacterizationDriver, DelayMeasurement
 from ..specs import register_experiment_kind
-from .base import ExperimentContext, ExperimentOutcome
+from .base import ExperimentContext, ExperimentOutcome, _check_param
 
 __all__ = ["Fig7Curve", "Fig7Result", "DEFAULT_VDD_LEVELS"]
 
@@ -100,6 +100,9 @@ def _fig7(params: dict, context: ExperimentContext) -> ExperimentOutcome:
     """
     technology = as_technology(params["technology"])
     n_widths, rising_output = params["n_widths"], params["rising_output"]
+    _check_param(n_widths >= 1, "n_widths", n_widths, "must be at least 1")
+    vdd_levels = params["vdd_levels"]
+    _check_param(len(vdd_levels) > 0, "vdd_levels", vdd_levels, "must not be empty")
 
     def characterise(vdd: float) -> Fig7Curve:
         chain = AnalogInverterChain(technology, stages=params["stages"])
@@ -126,7 +129,7 @@ def _fig7(params: dict, context: ExperimentContext) -> ExperimentOutcome:
         T, delta = measurement.polarity(rising_output)
         return Fig7Curve(vdd=float(vdd), T=T, delta=delta, measurement=measurement)
 
-    curves = [characterise(float(vdd)) for vdd in params["vdd_levels"]]
+    curves = [characterise(float(vdd)) for vdd in vdd_levels]
     result = Fig7Result(
         curves={curve.vdd: curve for curve in curves},
         polarity="delta_up" if rising_output else "delta_down",

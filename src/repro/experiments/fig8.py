@@ -35,7 +35,7 @@ from ..core.involution import InvolutionPair
 from ..fitting.characterize import CharacterizationDriver
 from ..fitting.eta_coverage import DeviationAnalysis, compute_deviations, eta_band
 from ..specs import SpecError, register_experiment_kind
-from .base import ExperimentContext, ExperimentOutcome, _check_param
+from .base import ExperimentContext, ExperimentOutcome, _check_param, _number_or_null
 
 __all__ = ["Fig8Scenario", "Fig8Result", "DEFAULT_SCENARIOS"]
 
@@ -76,8 +76,11 @@ def _default_widths(technology: Technology, n_widths: int) -> np.ndarray:
     Narrow pulses probe the small-``T`` (pulse-attenuation) region of the
     delay function, which dominates both the ``delta_min`` estimate of the
     reference pair and the faithfulness-relevant part of the eta band, so
-    well over half of the sweep is spent there.
+    well over half of the sweep is spent there.  Fewer than three widths
+    leave a polarity with a single sample, which neither a delay table
+    (fig8) nor an exp fit (fig9) can be built from.
     """
+    _check_param(n_widths >= 3, "n_widths", n_widths, "must be at least 3")
     unit = technology.intrinsic_delay + max(
         technology.tau_pull_up(technology.vdd_nominal),
         technology.tau_pull_down(technology.vdd_nominal),
@@ -105,6 +108,8 @@ def _fig8(params: dict, context: ExperimentContext) -> ExperimentOutcome:
     technology = as_technology(params["technology"])
     stages, stage_index, scenarios = params["stages"], params["stage_index"], params["scenarios"]
     _check_param(params["seed"] >= 0, "seed", params["seed"], "must be at least 0")
+    _check_param(len(scenarios) > 0, "scenarios", scenarios, "must not be empty")
+    eta_plus = _number_or_null(params, "eta_plus")
     available = {
         variation.name: variation
         for variation in standard_variations(
@@ -121,7 +126,6 @@ def _fig8(params: dict, context: ExperimentContext) -> ExperimentOutcome:
     nominal_driver = CharacterizationDriver(nominal_chain, stage_index=stage_index)
     reference_measurement = nominal_driver.measure(widths, label="nominal")
     reference = reference_measurement.to_involution_pair()
-    eta_plus = params["eta_plus"]
     if eta_plus is None:
         eta_plus = 0.2 * reference.delta_min
     band = eta_band(reference, eta_plus)

@@ -26,7 +26,7 @@ from ..fitting.characterize import CharacterizationDriver, DelayMeasurement
 from ..fitting.eta_coverage import DeviationAnalysis, compute_deviations, eta_band
 from ..fitting.exp_fit import ExpFitResult, fit_exp_channel
 from ..specs import register_experiment_kind
-from .base import ExperimentContext, ExperimentOutcome
+from .base import ExperimentContext, ExperimentOutcome, _number_or_null
 from .fig8 import _default_widths
 
 __all__ = ["Fig9Result"]
@@ -58,13 +58,13 @@ def _fig9(params: dict, context: ExperimentContext) -> ExperimentOutcome:
     """The ``fig9`` kind: characterise a stage, fit an exp-channel and
     analyse its deviations."""
     technology = as_technology(params["technology"])
+    eta_plus = _number_or_null(params, "eta_plus")
     widths = _default_widths(technology, params["n_widths"])
     chain = AnalogInverterChain(technology, stages=params["stages"])
     driver = CharacterizationDriver(chain, stage_index=params["stage_index"])
     measurement = driver.measure(widths, label="nominal")
     fit = fit_exp_channel(measurement, fit_threshold=params["fit_threshold"])
     fitted_pair = fit.pair()
-    eta_plus = params["eta_plus"]
     if eta_plus is None:
         eta_plus = 0.2 * fitted_pair.delta_min
     band = eta_band(fitted_pair, eta_plus)

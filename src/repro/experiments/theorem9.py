@@ -154,6 +154,8 @@ def _theorem9(params: dict, context: ExperimentContext) -> ExperimentOutcome:
     adversaries = params["adversaries"]
     if adversaries is None:
         adversaries = default_adversaries()
+    else:
+        _check_param(len(adversaries) > 0, "adversaries", adversaries, "must not be empty")
     adversaries = {
         name: as_adversary_factory(factory) for name, factory in adversaries.items()
     }

@@ -20,6 +20,7 @@ itself is fixed by faithfulness: given ``eta_plus``, the paper sets
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
@@ -204,12 +205,17 @@ def _eta_coverage(params: dict, context: ExperimentContext) -> ExperimentOutcome
     from ..core.transitions import Signal
     from ..engine.scheduler import CircuitTopology
     from ..engine.sweep import eta_monte_carlo, run_many
-    from ..experiments.base import ExperimentOutcome, _check_param
+    from ..experiments.base import ExperimentOutcome, _check_param, _number_or_null
     from ..specs import as_eta, as_pair
 
     pair, eta = as_pair(params["pair"]), as_eta(params["eta"])
-    stages, stimulus, end_time = params["stages"], params["stimulus"], params["end_time"]
-    _check_param(end_time is None or end_time >= 0, "end_time", end_time, "must be at least 0")
+    stages, stimulus = params["stages"], params["stimulus"]
+    end_time = _number_or_null(params, "end_time")
+    _check_param(
+        end_time is None or end_time >= 0, "end_time", params["end_time"], "must be at least 0"
+    )
+    label = params["label"]
+    _check_param(isinstance(label, str), "label", json.dumps(label), "must be a string")
     _check_param(params["n_runs"] >= 1, "n_runs", params["n_runs"], "must be at least 1")
     _check_param(params["seed"] >= 0, "seed", params["seed"], "must be at least 0")
     if isinstance(stimulus, Mapping):
@@ -273,7 +279,7 @@ def _eta_coverage(params: dict, context: ExperimentContext) -> ExperimentOutcome
                         predicted_delta=float(predicted),
                     )
                 )
-    analysis = DeviationAnalysis(samples=samples, eta=eta, label=params["label"])
+    analysis = DeviationAnalysis(samples=samples, eta=eta, label=label)
     return ExperimentOutcome(
         rows=[analysis.summary()],
         summary={"label": analysis.label},

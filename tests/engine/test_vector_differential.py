@@ -21,12 +21,20 @@ stays fast and deterministic; the ``ci`` profile (selected with
 ``--hypothesis-seed``) runs a much larger example budget.  Profiles are
 registered in ``tests/conftest.py``.
 
-Shrunk counterexamples found while developing the fixpoint schedule are
-checked in below as ``test_regression_*`` cases.
+A third property mixes, in one batch, lanes the vector edge kernel
+resolves in closed form (no rejection window, tentative outputs that
+strictly increase) with lanes that need its pending frontier: glitch
+trains that cancel, inertial windows, pure delays that reorder, and
+causality violations under both policies.
+
+Shrunk counterexamples found while developing the fixpoint schedule and
+the closed form for regular lanes are checked in below as
+``test_regression_*`` cases.
 """
 
 import warnings
 from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import event, given, settings
@@ -48,7 +56,8 @@ from repro.core import (
     admissible_eta_bound,
 )
 from repro.core.channel import ZeroDelayChannel
-from repro.engine import CircuitTopology, run_many
+from repro.core.delay_functions import ExpDelay, ShiftedDelay
+from repro.engine import CircuitTopology, eta_monte_carlo, run_many, vector
 from repro.engine.errors import SimulationError
 from repro.engine.shard import SweepFailedError
 from repro.engine.sweep import Scenario
@@ -316,6 +325,94 @@ def test_random_unseeded_chains_bit_identical(stages, gaps):
     assert outcome == "vector"
 
 
+def _acausal_channel():
+    # A (deliberately non-involution) pair whose falling delay is negative
+    # for moderate T: a fall fed after the rise has been delivered lands
+    # before it, which the causality policy drops or raises on.
+    up = ExpDelay(tau=1.0, t_p=0.5, rising=True)
+    down = ShiftedDelay(ExpDelay(tau=1.0, t_p=0.5, rising=False), shift_delta=-3.0)
+    return InvolutionChannel(InvolutionPair(up, down, validate=False), guard_domain=False)
+
+
+def _train(draw, low, high):
+    gaps = draw(
+        st.lists(
+            st.floats(min_value=low, max_value=high, allow_nan=False),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    t, times = 1.0, []
+    for gap in gaps:
+        t += gap
+        times.append(t)
+    return Signal.from_times(times)
+
+
+@st.composite
+def mixed_lane_sweeps(draw):
+    """An eta inverter chain whose one batch mixes regular lanes (wide
+    pulses through random-adversary channels) with lanes that need the
+    pending frontier; at most one lane violates causality, so under the
+    ``error`` policy both backends fail on the same lane."""
+    stages = draw(st.integers(min_value=1, max_value=3))
+    circuit = inverter_chain(
+        stages, lambda: EtaInvolutionChannel(PAIR, ETA, ZeroAdversary())
+    )
+    timed = list(circuit.edges)[:stages]
+    kinds = ["regular", "glitch"] + draw(
+        st.lists(
+            st.sampled_from(["regular", "glitch", "inertial", "pure"]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    if draw(st.booleans()):
+        kinds.append("acausal")
+    scenarios = []
+    for index, kind in enumerate(kinds):
+        channels = {}
+        if kind == "regular":
+            channels = {
+                name: EtaInvolutionChannel(
+                    PAIR, ETA, RandomAdversary(seed=10 * index + e)
+                )
+                for e, name in enumerate(timed)
+            }
+        elif kind == "inertial":
+            window = draw(st.floats(min_value=0.05, max_value=1.0))
+            channels = {timed[0]: InertialDelayChannel(1.0, window)}
+        elif kind == "pure":
+            rise = draw(st.floats(min_value=1.0, max_value=2.0))
+            fall = draw(st.floats(min_value=0.1, max_value=0.5))
+            channels = {timed[0]: PureDelayChannel(rise, fall)}
+        elif kind == "acausal":
+            channels = {timed[0]: _acausal_channel()}
+        if kind == "regular" or (kind != "glitch" and draw(st.booleans())):
+            stimulus = _train(draw, 3.0, 5.0)
+        elif kind == "acausal":
+            stimulus = _train(draw, 1.5, 4.0)
+        else:
+            stimulus = _train(draw, 0.02, 0.45)
+        scenarios.append(
+            Scenario(
+                name=f"{kind}{index}",
+                inputs={"in": stimulus},
+                end_time=draw(st.floats(min_value=10.0, max_value=40.0)),
+                channels=channels or None,
+            )
+        )
+    return circuit, scenarios, draw(st.sampled_from(["drop", "error"]))
+
+
+@settings(deadline=None)
+@given(mixed_lane_sweeps())
+def test_mixed_regular_and_frontier_lanes_bit_identical(sweep):
+    circuit, scenarios, on_causality = sweep
+    outcome = assert_differential(circuit, scenarios, on_causality=on_causality)
+    event(f"executed: {outcome}")
+
+
 # --------------------------------------------------------------------------- #
 # Shrunk counterexamples from developing the fixpoint schedule, pinned
 # as deterministic regressions.
@@ -460,3 +557,59 @@ def test_regression_per_scenario_adversary_overrides():
         for i, factory in enumerate(factories)
     ]
     assert assert_differential(circuit, scenarios) == "vector"
+
+
+def test_regression_regular_lanes_skip_the_frontier(monkeypatch):
+    # One 16-scenario chunk: 15 Monte Carlo lanes of well-separated
+    # pulses resolve in closed form, and the one lane whose glitch train
+    # cancels on the first edge is the only one the frontier runs.
+    circuit = inverter_chain(
+        4, lambda: EtaInvolutionChannel(PAIR, ETA, ZeroAdversary())
+    )
+    topology = CircuitTopology(circuit)
+    unit = PAIR.delta_up_inf + PAIR.delta_down_inf
+    wide = Signal.pulse_train(1.0, [4.0 * unit] * 6, [4.0 * unit] * 5)
+    end_time = 1.0 + 48.0 * unit + 40.0 * PAIR.delta_up_inf
+    monte_carlo = eta_monte_carlo(topology, {"in": wide}, end_time, 16, seed=5)
+    glitch = Signal.pulse_train(1.0, [0.1] * 3, [0.1] * 2)
+    mixed = monte_carlo[:15] + [
+        replace(monte_carlo[15], name="glitch", inputs={"in": glitch}, fingerprint=None)
+    ]
+    frontier_lanes = []
+    run_frontier = vector._run_frontier
+
+    def spy(program, times, *args):
+        frontier_lanes.append(times.shape[0])
+        return run_frontier(program, times, *args)
+
+    monkeypatch.setattr(vector, "_run_frontier", spy)
+    for scenarios, expected in ((monte_carlo, []), (mixed, [1])):
+        frontier_lanes.clear()
+        runs = compile_sweep(topology, scenarios).run()
+        assert frontier_lanes == expected
+        sequential = run_many(topology, scenarios, backend="sequential")
+        _assert_bit_identical(sequential.runs, runs)
+    assert len(runs[-1].execution.edge_signals[list(circuit.edges)[0]]) == 0
+    assert all(len(run.execution.output_signals["out"]) == 12 for run in runs[:15])
+
+
+@pytest.mark.parametrize("on_causality", ["drop", "error"])
+def test_regression_reversed_delivery_into_a_gate_refuses(on_causality):
+    # The acausal channel delivers its fall at 4.66, before the 6.5 that
+    # fed it, into an inverter whose own channel already delivered at
+    # 5.39 in the engine; the next output (4.87) then drops or raises
+    # there, while a levelized replay would cancel it.  The vector
+    # engine must refuse such a value change, never replay it.
+    circuit = inverter_chain(
+        2, lambda: EtaInvolutionChannel(PAIR, ETA, ZeroAdversary())
+    )
+    scenarios = [
+        Scenario(
+            name="reversed",
+            inputs={"in": Signal.from_times([3.0, 6.5])},
+            end_time=10.0,
+            channels={list(circuit.edges)[0]: _acausal_channel()},
+        )
+    ]
+    outcome = assert_differential(circuit, scenarios, on_causality=on_causality)
+    assert outcome == "fallback"

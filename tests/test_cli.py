@@ -803,6 +803,22 @@ class TestExperimentCLI:
             (["theorem9", "--params-json", '{"pulse_lengths": []}'],
              "pulse_lengths=[] must be a non-empty list of positive lengths"),
             (["lemma5", "--param", "eta_plus_values=[]"], "eta_plus_values=[] must not be empty"),
+            (["fig7", "--param", "n_widths=-1"], "n_widths=-1 must be at least 1"),
+            (["fig7", "--param", "n_widths=0"], "n_widths=0 must be at least 1"),
+            (["fig7", "--param", "vdd_levels=[]"], "vdd_levels=[] must not be empty"),
+            (["fig8", "--param", "n_widths=1"], "n_widths=1 must be at least 3"),
+            (["fig8", "--param", "n_widths=2"], "n_widths=2 must be at least 3"),
+            (["fig8", "--param", "scenarios=[]"], "scenarios=[] must not be empty"),
+            (["fig9", "--param", "n_widths=1"], "n_widths=1 must be at least 3"),
+            (["fig9", "--param", "n_widths=2"], "n_widths=2 must be at least 3"),
+            (["theorem9", "--params-json", '{"adversaries": {}}'],
+             "adversaries={} must not be empty"),
+            (["eta_coverage", "--params-json", '{"stages": 2, "n_runs": 3, "end_time": true}'],
+             "end_time=True must be a number"),
+            (["eta_coverage", "--params-json", '{"stages": 2, "n_runs": 3, "label": []}'],
+             "label=[] must be a string"),
+            (["fig8", "--params-json", '{"eta_plus": true}'], "eta_plus=True must be a number"),
+            (["fig9", "--params-json", '{"eta_plus": "x"}'], "eta_plus='x' must be a number"),
         ],
         ids=["theorem9-end_time-string", "comparison-stages-float", "lemma5-eta_plus_values-int",
              "theorem9-record_traces-int", "inverter-chain-stages-0", "analog-chain-stages-0",
@@ -812,7 +828,12 @@ class TestExperimentCLI:
              "eta_coverage-n_runs-negative", "eta_coverage-seed-negative", "fig8-seed-negative",
              "scaling-stage_counts-empty", "scaling-input_transitions-0",
              "scaling-seed-negative", "theorem9-pulse_lengths-negative",
-             "theorem9-pulse_lengths-empty", "lemma5-eta_plus_values-empty"],
+             "theorem9-pulse_lengths-empty", "lemma5-eta_plus_values-empty",
+             "fig7-n_widths-negative", "fig7-n_widths-0", "fig7-vdd_levels-empty",
+             "fig8-n_widths-1", "fig8-n_widths-2", "fig8-scenarios-empty",
+             "fig9-n_widths-1", "fig9-n_widths-2", "theorem9-adversaries-empty",
+             "eta_coverage-end_time-bool", "eta_coverage-label-list",
+             "fig8-eta_plus-bool", "fig9-eta_plus-string"],
     )
     def test_malformed_param_is_one_error_line(self, argv, fragment):
         """A parameter of the wrong JSON type for its kind's default, or

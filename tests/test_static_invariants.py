@@ -91,6 +91,14 @@ cancellation and inertial rejection drop scheduled outputs -- and both
 (the engine's hot path) call it.  A second function that pops the
 frontier would be a second copy of that phase, free to drift from the
 first.
+
+A thirteenth keeps one copy of the vector engine's tentative phase:
+exactly one function of ``engine/vector.py`` reads an edge program's
+delay evaluators (``fns_up`` or ``fns_down``), not counting
+``_compile_edge``, which builds them.  The edge kernel computes every
+lane's tentative outputs there once, and the pending frontier reads them
+from its matrix; a second reader would be a second copy of the tentative
+loop, free to drift from the first.
 """
 
 import ast
@@ -144,6 +152,11 @@ SLEEP_HOMES = {
 #: The channel kernel, and the two entries into its cancellation phase.
 KERNEL = SRC / "engine" / "kernel.py"
 CANCELLATION_CALLERS = {"ChannelKernel.commit", "ChannelKernel.feed"}
+#: The vector engine, an edge program's delay evaluators, and the function
+#: that builds them.
+VECTOR = SRC / "engine" / "vector.py"
+EVALUATOR_FIELDS = {"fns_up", "fns_down"}
+EVALUATOR_BUILDER = "_compile_edge"
 
 
 def _checked_files():
@@ -936,3 +949,65 @@ def test_frontier_gate_detects_pops(tmp_path):
         "pending_ids.pop()\n"
     )
     assert _frontier_pops(clean) == []
+
+
+def _evaluator_readers(path):
+    """``(line, function)`` for each read of an ``.fns_up`` or
+    ``.fns_down`` attribute: ``function`` is the qualified name of the
+    innermost enclosing function (or class), None at module level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, qualname):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = f"{qualname}.{node.name}" if qualname else node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in EVALUATOR_FIELDS
+            and isinstance(node.ctx, ast.Load)
+        ):
+            found.append((node.lineno, qualname or None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, qualname)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_function_runs_the_vector_tentative_phase():
+    functions = {function for _, function in _evaluator_readers(VECTOR)}
+    functions.discard(EVALUATOR_BUILDER)
+    assert len(functions) == 1, functions
+
+
+def test_tentative_phase_gate_detects_readers(tmp_path):
+    """The detector itself is tested: two functions that each read the
+    evaluators (the second tentative loop the gate forbids) are both
+    found, and so is a read inside a closure."""
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _compile_edge(program, S):\n"
+        "    program.fns_up = [None] * S\n"
+        "    program.fns_up[0] = abs\n"
+        "def _tentative(program, T):\n"
+        "    return [fn(T) for fn in program.fns_up]\n"
+        "def _frontier(program, T):\n"
+        "    def step():\n"
+        "        return program.fns_down[0](T)\n"
+        "    return step()\n"
+    )
+    found = _evaluator_readers(probe)
+    assert found == [(3, "_compile_edge"), (5, "_tentative"), (8, "_frontier.step")]
+    functions = {function for _, function in found} - {EVALUATOR_BUILDER}
+    assert len(functions) == 2
+
+    clean = tmp_path / "clean.py"
+    clean.write_text(
+        "def _compile_edge(program):\n"
+        "    program.fns_up = []\n"
+        "fns_up = None\n"
+        "program.windows[0] = 1.0\n"
+        "def f(fns_down):\n"
+        "    return fns_down\n"
+    )
+    assert _evaluator_readers(clean) == []
