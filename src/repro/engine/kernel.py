@@ -19,8 +19,9 @@ follows:
   channel's inertial pulse-rejection window, suppresses out-of-domain
   (``-inf``) delays and schedules the survivor,
 * **delivery** -- :meth:`ChannelKernel.deliver` (online, driven by an
-  event queue: deliveries arrive at the head of the time-sorted pending
-  frontier) or :meth:`ChannelKernel.mature`/:meth:`ChannelKernel.flush`
+  event queue: a live delivery arrives at the head of the pending
+  frontier, a cancelled one with an event id below it) or
+  :meth:`ChannelKernel.mature`/:meth:`ChannelKernel.flush`
   (offline, driven by input order) turn surviving pending transitions into
   delivered output transitions, suppressing no-change deliveries.
 
@@ -37,7 +38,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.transitions import Signal, Transition, _signal_times
 from .errors import CAUSALITY_MODES, CausalityError, SimulationError
@@ -135,32 +136,13 @@ class ChannelKernel:
         delivered one with a differing value: ``"error"`` raises
         :class:`~repro.engine.errors.CausalityError`, ``"drop"`` discards
         it (counted in :attr:`dropped`).
-    queue_horizon:
-        Cancelled pending transitions need a tombstone in
-        :attr:`cancelled_ids` only if their delivery event actually sits in
-        an external event queue.  The engine schedules deliveries up to the
-        simulation ``end_time`` and passes it here, so ids of transitions
-        cancelled *past* the horizon are never recorded (they would
-        otherwise accumulate without ever being drained -- the bookkeeping
-        leak of the former ``_EdgeState``).  Offline evaluation uses no
-        external queue and keeps the default ``-inf``.
-    tombstones:
-        Optional shared tombstone set.  Event ids are globally unique (the
-        engine shares one id counter across all kernels), so every kernel
-        of a run can write cancellations into the *same* set; the
-        :class:`~repro.engine.scheduler.Scheduler` reads it to discard
-        cancelled delivery events lazily at pop time, before they ever
-        reach a batch.  Defaults to a private per-kernel set (offline and
-        standalone use).
     """
 
     __slots__ = (
         "channel",
         "name",
         "on_causality",
-        "queue_horizon",
         "_next_id",
-        "_shared_tombstones",
         "_delay_for",
         "_inverting",
         "_rejection_window",
@@ -171,9 +153,9 @@ class ChannelKernel:
         "transition_count",
         "delivered_value",
         "last_delivered_time",
+        "last_delivered_id",
         "pending",
         "delivered",
-        "cancelled_ids",
         "dropped",
     )
 
@@ -185,17 +167,13 @@ class ChannelKernel:
         name: Optional[str] = None,
         id_source: Optional[Callable[[], int]] = None,
         on_causality: str = "error",
-        queue_horizon: float = -math.inf,
-        tombstones: Optional[Set[int]] = None,
     ) -> None:
         if on_causality not in CAUSALITY_MODES:
             raise ValueError(f"on_causality must be one of {list(CAUSALITY_MODES)}")
         self.channel = channel
         self.name = name or (getattr(channel, "name", None) or "channel")
         self.on_causality = on_causality
-        self.queue_horizon = queue_horizon
         self._next_id = id_source if id_source is not None else itertools.count().__next__
-        self._shared_tombstones = tombstones
         self.reset(input_initial_value)
 
     # -- state ----------------------------------------------------------- #
@@ -214,20 +192,16 @@ class ChannelKernel:
             else self.input_initial_value
         )
         self.last_delivered_time = -math.inf
-        #: Scheduled-but-undelivered outputs as a strictly time-sorted
-        #: maturity frontier (a deque: cancellation pops from the right,
-        #: delivery from the left, both O(1)):
+        #: Event id of the last online delivery (``None`` before the first).
+        self.last_delivered_id: Optional[int] = None
+        #: Scheduled-but-undelivered outputs as a maturity frontier that
+        #: strictly increases in time and in event id (a deque: cancellation
+        #: pops from the right, delivery from the left, both O(1)):
         #: ``(time, value, event_id, generating PendingTransition or None)``.
         self.pending: Deque[Tuple[float, int, int, Optional[PendingTransition]]] = deque()
         #: Delivered output transition times, in delivery order (values
         #: alternate, starting from the output's initial value).
         self.delivered: List[float] = []
-        #: Tombstones of cancelled transitions whose delivery event is still
-        #: in the external event queue (shared with the scheduler when the
-        #: engine drives this kernel).
-        self.cancelled_ids: Set[int] = (
-            self._shared_tombstones if self._shared_tombstones is not None else set()
-        )
         #: Transitions discarded by the ``on_causality="drop"`` policy.
         self.dropped = 0
         channel = self.channel
@@ -242,18 +216,6 @@ class ChannelKernel:
         self._rejection_window = (
             channel.rejection_window() if channel is not None else 0.0
         )
-
-    def finalize(self) -> None:
-        """Drop end-of-run bookkeeping (pending past the horizon, tombstones).
-
-        The engine calls this once the event queue is drained or the
-        simulation horizon is reached: every remaining pending transition
-        and cancellation tombstone refers to an event that can no longer be
-        delivered, so keeping them would only leak memory across the
-        assembled execution.
-        """
-        self.pending.clear()
-        self.cancelled_ids.clear()
 
     # -- tentative phase -------------------------------------------------- #
 
@@ -328,8 +290,8 @@ class ChannelKernel:
         # Transport cancellation: remove still-pending outputs at >= out_time
         # (matured outputs have been delivered and are no longer pending).
         # The frontier is time-sorted, so the cancelled entries are exactly
-        # a suffix -- popped from the right, O(1) each, instead of the
-        # full-list rebuild the pre-optimization kernel performed.
+        # a suffix, popped from the right.  The survivor is appended with a
+        # fresh (larger) id, so the frontier increases in time and in id.
         pending = self.pending
         while pending and pending[-1][0] >= out_time:
             self._cancel(pending.pop())
@@ -367,40 +329,39 @@ class ChannelKernel:
         pending.append((out_time, value, event_id, p))
         return KernelEvent(out_time, value, event_id)
 
-    def _cancel(self, entry: Tuple[float, int, int, Optional[PendingTransition]]) -> None:
-        time, _value, event_id, p = entry
-        if time <= self.queue_horizon:
-            # Only events actually sitting in the external queue need a
-            # tombstone; ids of never-enqueued (past-horizon) events would
-            # otherwise accumulate until the end of the run.
-            self.cancelled_ids.add(event_id)
+    @staticmethod
+    def _cancel(entry: Tuple[float, int, int, Optional[PendingTransition]]) -> None:
+        p = entry[3]
         if p is not None:
             p.cancelled = True
 
     # -- delivery --------------------------------------------------------- #
 
-    def deliver(self, event_id: int, value: int, time: float) -> bool:
+    def deliver(self, event_id: int, value: int, time: float) -> Optional[bool]:
         """Deliver a scheduled output transition (online mode).
 
         Returns True if the channel output actually changed (the engine
-        then propagates the transition to the target node).  A kernel's
-        pending times strictly increase and the scheduler pops events in
-        time order, so every delivery arrives at the head of the pending
-        frontier; an ``event_id`` that is neither the head nor tombstoned
-        can only mean scheduler/kernel state divergence and raises
+        then propagates the transition to the target node), False for a
+        no-change delivery, and ``None`` when the event was
+        transport-cancelled.  The pending frontier strictly increases in
+        time and in event id, and the scheduler pops events in time order,
+        so a live delivery is always the frontier's head and a cancelled
+        one has an id below it (or finds the frontier empty).  An id above
+        the head, or the id this kernel delivered last, can only mean
+        scheduler/kernel state divergence and raises
         :class:`~repro.engine.errors.SimulationError`.
         """
-        if event_id in self.cancelled_ids:
-            self.cancelled_ids.discard(event_id)
-            return False
         pending = self.pending
-        if not pending or pending[0][2] != event_id:
-            raise SimulationError(
-                f"channel {self.name!r} asked to deliver event {event_id} which is "
-                "neither the next pending output nor cancelled -- scheduler and "
-                "kernel state have diverged"
-            )
-        return self._deliver_value(time, value, pending.popleft()[3])
+        if pending and pending[0][2] == event_id:
+            self.last_delivered_id = event_id
+            return self._deliver_value(time, value, pending.popleft()[3])
+        if event_id != self.last_delivered_id and (not pending or event_id < pending[0][2]):
+            return None
+        raise SimulationError(
+            f"channel {self.name!r} asked to deliver event {event_id} which is "
+            "neither the next pending output nor cancelled -- scheduler and "
+            "kernel state have diverged"
+        )
 
     def deliver_immediate(self, time: float, value: int) -> bool:
         """Zero-delay delivery used for :class:`ZeroDelayChannel` edges.

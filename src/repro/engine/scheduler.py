@@ -1,10 +1,10 @@
 """Event scheduler and execution engine for circuits of single-history channels.
 
 This module hosts the machinery that used to live inside the 475-line
-``Simulator.run``: the heapq event queue with same-time batching and lazy
-tombstone deletion (:class:`Scheduler`), the validated/precomputed
-structural view of a circuit (:class:`CircuitTopology`), and the main
-event loop (:class:`Engine`).  :class:`repro.circuits.simulator.Simulator`
+``Simulator.run``: the heapq event queue with same-time batching
+(:class:`Scheduler`), the validated/precomputed structural view of a
+circuit (:class:`CircuitTopology`), and the main event loop
+(:class:`Engine`).  :class:`repro.circuits.simulator.Simulator`
 is a thin compatibility wrapper around these classes, and the batched
 sweep runner (:mod:`repro.engine.sweep`) reuses one
 :class:`CircuitTopology` across many runs.
@@ -18,16 +18,19 @@ The event protocol is deliberately small -- three integer event kinds:
 All per-channel semantics (tentative delays, transport cancellation,
 inertial rejection, no-change suppression) live in the shared
 :class:`~repro.engine.kernel.ChannelKernel`; the engine only routes
-delivered transitions to gates and ports and performs the zero-time
-(delta-cycle) propagation of changed node outputs.
+delivered transitions to gates and performs the zero-time (delta-cycle)
+propagation of changed node outputs.
 
 Hot-path design: :class:`CircuitTopology` assigns every node and edge a
 dense integer id and precomputes per-gate and per-edge dispatch tables
 (direct gate-function and kernel object references), so the main loop runs
-on list indexing instead of string-keyed dict lookups.  Cancelled channel
-deliveries never reach a batch -- the kernels tombstone them in a set
-shared with the scheduler, which discards them lazily during
-:meth:`Scheduler.pop_batch`.
+on list indexing instead of string-keyed dict lookups.  A
+transport-cancelled delivery stays in the queue and reaches its batch;
+the kernel tells it apart by its event id (below the head of the
+kernel's pending frontier), so it changes nothing and is not counted as
+an event.  Every fact of a run lives in one place: a port's signal is
+its input's (cut at ``end_time``) or its driving edge's, and an edge's
+zero-delay flag is read off its run channel.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ _NODE_OUTPUT = 2
 
 
 class Scheduler:
-    """A time-ordered event queue with same-time batching and lazy deletion.
+    """A time-ordered event queue with same-time batching.
 
     Events pushed at the exact same time are popped together in one batch
     so that gates see all their simultaneous input changes at once (delta
@@ -73,18 +76,15 @@ class Scheduler:
     monotonic counter breaks ties deterministically and doubles as the
     event-id source shared with the channel kernels.
 
-    The kernels record transport-cancelled delivery events in
-    :attr:`tombstones` (a set shared across all kernels of a run -- event
-    ids are globally unique); :meth:`pop_batch` discards those events
-    lazily while popping, so cancelled deliveries never reach a batch and
-    are never counted as processed events.
+    The queue never looks at an event's kind or payload: a
+    transport-cancelled delivery is popped like any other event, and its
+    kernel's :meth:`~repro.engine.kernel.ChannelKernel.deliver` reports it
+    cancelled.
     """
 
-    def __init__(self, tombstones: Optional[Set[int]] = None) -> None:
+    def __init__(self) -> None:
         self._heap: List[Tuple[float, int, int, object]] = []
         self._counter = itertools.count()
-        #: Event ids of cancelled deliveries, shared with the kernels.
-        self.tombstones: Set[int] = tombstones if tombstones is not None else set()
 
     def next_id(self) -> int:
         """A fresh monotonically increasing id (shared with the kernels)."""
@@ -95,27 +95,18 @@ class Scheduler:
         heapq.heappush(self._heap, (time, next(self._counter), kind, payload))
 
     def pop_batch(self) -> Optional[Tuple[float, List[Tuple[int, object]]]]:
-        """Pop every live event scheduled for the earliest pending time.
-
-        Tombstoned deliveries are skipped (their tombstone is consumed).
-        Returns ``None`` when no live event remains.
-        """
+        """Pop every event scheduled for the earliest pending time, as
+        ``(time, [(kind, payload), ...])`` in push order; ``None`` when
+        the queue is empty."""
         heap = self._heap
-        tombstones = self.tombstones
-        while heap:
-            time, _, kind, payload = heapq.heappop(heap)
-            if kind == DELIVER and payload[2] in tombstones:
-                tombstones.discard(payload[2])
-                continue
-            batch = [(kind, payload)]
-            while heap and heap[0][0] == time:
-                _, _, more_kind, more_payload = heapq.heappop(heap)
-                if more_kind == DELIVER and more_payload[2] in tombstones:
-                    tombstones.discard(more_payload[2])
-                    continue
-                batch.append((more_kind, more_payload))
-            return time, batch
-        return None
+        if not heap:
+            return None
+        time, _, kind, payload = heapq.heappop(heap)
+        batch = [(kind, payload)]
+        while heap and heap[0][0] == time:
+            _, _, kind, payload = heapq.heappop(heap)
+            batch.append((kind, payload))
+        return time, batch
 
     def __bool__(self) -> bool:
         return bool(self._heap)
@@ -145,7 +136,6 @@ class CircuitTopology:
 
     def __init__(self, circuit) -> None:
         from ..circuits.circuit import GateInstance, InputPort, OutputPort
-        from ..core.channel import ZeroDelayChannel
 
         circuit.validate()
         self.circuit = circuit
@@ -186,13 +176,6 @@ class CircuitTopology:
             oname: self.edges_into[oname][0] for oname in self.output_ports
         }
         self.input_port_set = frozenset(self.input_ports)
-        #: Zero-delay flags of the *base* channels (recomputed per run only
-        #: for overridden edges).
-        self.zero_delay_class = ZeroDelayChannel
-        self.base_zero_delay: Dict[str, bool] = {
-            ename: isinstance(edge.channel, ZeroDelayChannel)
-            for ename, edge in self.edges.items()
-        }
 
         # -- integer dispatch tables (the engine hot path) ----------------- #
         #: Node names in id order / name -> dense integer id.
@@ -216,7 +199,6 @@ class CircuitTopology:
             for name in self.node_names
         ]
         self.input_port_ids: List[int] = [node_index[p] for p in self.input_ports]
-        self.output_port_ids: List[int] = [node_index[p] for p in self.output_ports]
         self.gate_ids: List[int] = [node_index[g] for g in self.gate_names]
         #: Per-edge integer endpoints and target-kind flags.
         self.edge_source_id: List[int] = [
@@ -251,10 +233,6 @@ class CircuitTopology:
             tuple(edge_index[e.name] for e in self.edges_from[name])
             for name in self.node_names
         ]
-        #: Zero-delay base flags by edge id.
-        self.base_zero_delay_by_id: List[bool] = [
-            self.base_zero_delay[name] for name in self.edge_names
-        ]
 
 
 @dataclass
@@ -274,9 +252,8 @@ class Execution:
     end_time:
         The simulation horizon that was used.
     event_count:
-        Number of processed events (a simulator-performance metric;
-        transport-cancelled deliveries are discarded in the scheduler and
-        not counted).
+        Number of processed events (a simulator-performance metric; a
+        transport-cancelled delivery is not counted).
     dropped_transitions:
         Number of transitions discarded by the ``on_causality="drop"`` policy.
     """
@@ -363,6 +340,8 @@ class Engine:
         the hook the sweep runner uses for parameterised channel families
         and per-run eta adversaries.
         """
+        from ..core.channel import ZeroDelayChannel
+
         topo = self.topology
         circuit = topo.circuit
         input_ports = topo.input_port_set
@@ -382,28 +361,22 @@ class Engine:
         scheduler = Scheduler()
 
         # --- per-run tables, indexed by dense node/edge id -----------------
+        # Output ports keep no value or recording of their own: their
+        # signal is their driving edge's.
         n_nodes = len(topo.node_names)
         node_values: List[int] = [0] * n_nodes
-        node_times: List[List[float]] = [[] for _ in range(n_nodes)]
-        input_signal_by_id: List[Optional[Signal]] = [None] * n_nodes
+        gate_times: List[List[float]] = [[] for _ in range(n_nodes)]
         for pid, pname in zip(topo.input_port_ids, topo.input_ports):
-            signal = inputs[pname]
-            node_values[pid] = signal.initial_value
-            input_signal_by_id[pid] = signal
+            node_values[pid] = inputs[pname].initial_value
         for gid in topo.gate_ids:
             node_values[gid] = topo.gate_initial_by_node[gid]
 
         kernels: List[ChannelKernel] = []
-        zero_delay: List[bool] = list(topo.base_zero_delay_by_id)
-        run_channels: List[object] = []
+        zero_delay: List[bool] = []
         for eid, edge in enumerate(topo.edge_list):
             ename = topo.edge_names[eid]
-            if channels and ename in channels:
-                channel = channels[ename]
-                zero_delay[eid] = isinstance(channel, topo.zero_delay_class)
-            else:
-                channel = edge.channel
-            run_channels.append(channel)
+            channel = channels[ename] if channels and ename in channels else edge.channel
+            zero_delay.append(isinstance(channel, ZeroDelayChannel))
             kernels.append(
                 ChannelKernel(
                     channel,
@@ -411,13 +384,8 @@ class Engine:
                     name=ename,
                     id_source=scheduler.next_id,
                     on_causality=self.on_causality,
-                    queue_horizon=end_time,
-                    tombstones=scheduler.tombstones,
                 )
             )
-        for oid, oname in zip(topo.output_port_ids, topo.output_ports):
-            driver_eid = topo.edge_index[topo.output_driver[oname].name]
-            node_values[oid] = kernels[driver_eid].delivered_value
 
         #: Per-gate direct kernel references in pin order (gate evaluation
         #: reads delivered values off these without any name lookups).
@@ -442,30 +410,24 @@ class Engine:
 
         event_count = 0
 
-        # --- helpers ---------------------------------------------------------
+        def evaluate_gate(gid: int, time: float) -> bool:
+            """Re-evaluate a gate; record and return True if its output changed.
 
-        def record_node_transition(nid: int, time: float) -> None:
-            """Record a node-output transition, collapsing zero-width glitches.
-
-            Two transitions of a node at exactly the same time form a
+            Two transitions of a gate at exactly the same time form a
             zero-width glitch (the value reverts within the same instant);
             both are removed, keeping the recorded signal well formed.
             """
-            times = node_times[nid]
-            if times and times[-1] == time:
-                times.pop()
-            else:
-                times.append(time)
-
-        def evaluate_gate(gid: int, time: float) -> bool:
-            """Re-evaluate a gate; record and return True if its output changed."""
             new_value = gate_funcs[gid](
                 tuple([k.delivered_value for k in gate_input_kernels[gid]])
             )
             if new_value == node_values[gid]:
                 return False
             node_values[gid] = new_value
-            record_node_transition(gid, time)
+            times = gate_times[gid]
+            if times and times[-1] == time:
+                times.pop()
+            else:
+                times.append(time)
             return True
 
         # --- settle gates at time 0 ------------------------------------------
@@ -488,36 +450,28 @@ class Engine:
             time, batch = popped
             if time > end_time:
                 break
-            event_count += len(batch)
-            if event_count > max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; "
-                    "the circuit may be oscillating (raise the limit or shorten end_time)"
-                )
 
             changed_nodes: List[int] = []
             if gates_to_evaluate:
                 gates_to_evaluate.clear()
                 gates_seen.clear()
+            cancelled = 0
             for batch_kind, batch_payload in batch:
                 if batch_kind == DELIVER:
                     eid, value, event_id = batch_payload
-                    if kernels[eid].deliver(event_id, value, time):
-                        kind = edge_target_kind[eid]
+                    delivered = kernels[eid].deliver(event_id, value, time)
+                    if delivered:
                         tid = edge_target_id[eid]
-                        if kind == _NODE_GATE:
-                            if tid not in gates_seen:
-                                gates_seen.add(tid)
-                                gates_to_evaluate.append(tid)
-                        elif kind == _NODE_OUTPUT:
-                            node_values[tid] = value
-                            record_node_transition(tid, time)
+                        if edge_target_kind[eid] == _NODE_GATE and tid not in gates_seen:
+                            gates_seen.add(tid)
+                            gates_to_evaluate.append(tid)
+                    elif delivered is None:
+                        cancelled += 1
                 elif batch_kind == PORT:
+                    # A port's values alternate, so every PORT event changes it.
                     pid, value = batch_payload
-                    if node_values[pid] != value:
-                        node_values[pid] = value
-                        record_node_transition(pid, time)
-                        changed_nodes.append(pid)
+                    node_values[pid] = value
+                    changed_nodes.append(pid)
                 elif batch_kind == SETTLE:
                     for gid in batch_payload:
                         if gid not in gates_seen:
@@ -525,6 +479,15 @@ class Engine:
                             gates_to_evaluate.append(gid)
                 else:  # pragma: no cover - defensive
                     raise SimulationError(f"unknown event kind {batch_kind!r}")
+            # A cancelled delivery is not an event.  The bound is checked
+            # before the batch's gate evaluations and feeds, so it wins over
+            # a causality error the same batch would raise.
+            event_count += len(batch) - cancelled
+            if event_count > max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events}; "
+                    "the circuit may be oscillating (raise the limit or shorten end_time)"
+                )
             for gid in gates_to_evaluate:
                 if evaluate_gate(gid, time):
                     changed_nodes.append(gid)
@@ -549,16 +512,10 @@ class Engine:
                         if zero_delay[eid]:
                             if not kernel.deliver_immediate(time, value):
                                 continue
-                            out_value = kernel.delivered_value
-                            kind = edge_target_kind[eid]
                             tid = edge_target_id[eid]
-                            if kind == _NODE_GATE:
-                                if tid not in affected_seen:
-                                    affected_seen.add(tid)
-                                    affected_gates.append(tid)
-                            elif kind == _NODE_OUTPUT:
-                                node_values[tid] = out_value
-                                record_node_transition(tid, time)
+                            if edge_target_kind[eid] == _NODE_GATE and tid not in affected_seen:
+                                affected_seen.add(tid)
+                                affected_gates.append(tid)
                         else:
                             event = kernel.feed(time, value)
                             if event is not None and event.time <= end_time:
@@ -576,42 +533,29 @@ class Engine:
         # --- assemble the execution ------------------------------------------
         # The engine only records well-formed transitions (values toggle,
         # times strictly increase, same-instant glitches collapsed), so
-        # assembly wraps the recorded times without re-validating them.
-        node_signals: Dict[str, Signal] = {}
-        for pid, pname in zip(topo.input_port_ids, topo.input_ports):
-            node_signals[pname] = _signal_from_times(
-                input_signal_by_id[pid].initial_value, array("d", node_times[pid])
-            )
+        # assembly wraps the recorded times without re-validating them.  An
+        # input port's signal is its input cut at end_time (the times the
+        # PORT events carried); an output port's is its driving edge's.
+        node_signals: Dict[str, Signal] = {
+            pname: inputs[pname].restricted(end_time) for pname in topo.input_ports
+        }
         for gid, gname in zip(topo.gate_ids, topo.gate_names):
             node_signals[gname] = _signal_from_times(
-                topo.gate_initial_by_node[gid], array("d", node_times[gid])
-            )
-        for oid, oname in zip(topo.output_port_ids, topo.output_ports):
-            driver = topo.output_driver[oname]
-            src_id = topo.node_index[driver.source]
-            if topo.node_kind[src_id] == _NODE_GATE:
-                src_initial = topo.gate_initial_by_node[src_id]
-            else:
-                src_initial = input_signal_by_id[src_id].initial_value
-            channel = run_channels[topo.edge_index[driver.name]]
-            node_signals[oname] = _signal_from_times(
-                channel.output_initial_value(src_initial), array("d", node_times[oid])
+                topo.gate_initial_by_node[gid], array("d", gate_times[gid])
             )
         edge_signals = {}
         dropped = 0
-        for eid, ename in enumerate(topo.edge_names):
-            kernel = kernels[eid]
+        for ename, kernel in zip(topo.edge_names, kernels):
             edge_signals[ename] = _signal_from_times(
-                run_channels[eid].output_initial_value(
-                    node_signals[topo.edge_list[eid].source].initial_value
-                ),
+                kernel.channel.output_initial_value(kernel.input_initial_value),
                 array("d", kernel.delivered),
             )
             dropped += kernel.dropped
-            # Purge end-of-run bookkeeping: pending transitions past the
-            # horizon and cancellation tombstones can never be delivered.
-            kernel.finalize()
-        output_signals = {oname: node_signals[oname] for oname in topo.output_ports}
+        output_signals = {
+            oname: edge_signals[topo.output_driver[oname].name]
+            for oname in topo.output_ports
+        }
+        node_signals.update(output_signals)
         return Execution(
             circuit=circuit,
             node_signals=node_signals,

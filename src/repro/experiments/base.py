@@ -275,14 +275,24 @@ def _check_param(ok: bool, name: str, value: Any, rule: str) -> None:
         raise DomainError(name, f"{name}={value} {rule}")
 
 
-def _number_or_null(params: Mapping[str, Any], name: str) -> Optional[float]:
+def _param_or_null(params: Mapping[str, Any], name: str) -> Any:
     """The null-default parameter ``name`` as :func:`repro.specs._param`
-    decodes it (null, or a number as a float; a bool is not a number),
-    its type error raised as a :class:`~repro.core.domain.DomainError`."""
+    decodes its JSON form (null, a number as a float, or a list of
+    numbers as floats; a bool is not a number, and a NumPy array given
+    to a runner directly reads as its list), its type error raised as a
+    :class:`~repro.core.domain.DomainError`."""
     try:
-        return _param(params, name, None)
+        return _param({name: _jsonify(params[name])}, name, None)
     except TypeError as exc:
         raise DomainError(name, str(exc)) from None
+
+
+def _number_or_null(params: Mapping[str, Any], name: str) -> Optional[float]:
+    """The null-default number parameter ``name``: null, or a number as a
+    float (:func:`_param_or_null`, and a list is not a number either)."""
+    value = _param_or_null(params, name)
+    _check_param(not isinstance(value, list), name, value, "must be a number or null")
+    return value
 
 
 def as_experiment_spec(

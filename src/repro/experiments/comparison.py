@@ -20,7 +20,7 @@ registered ``comparison`` experiment kind
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ..circuits.library import inverter_chain
 from ..core.constraint import admissible_eta_bound
@@ -106,6 +106,12 @@ def _comparison(params: dict, context: ExperimentContext) -> ExperimentOutcome:
     factories = params["factories"]
     if factories is None:
         factories = default_model_factories(params["tau"], params["t_p"])
+    else:
+        _check_param(
+            isinstance(factories, Mapping), "factories", repr(factories),
+            "must be an object of channel specs",
+        )
+        _check_param(len(factories) > 0, "factories", factories, "must not be empty")
     factories = {
         model: as_channel_factory(channel) for model, channel in factories.items()
     }

@@ -18,7 +18,7 @@ with ``repro.api.experiment("theorem9", {...})``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ..core.transitions import Signal
 from ..engine.sweep import Scenario, run_many
 from ..specs import AdversarySpec, register_experiment_kind
 from ..spf.analysis import SPFAnalysis, SPFRegime
-from .base import ExperimentContext, ExperimentOutcome, _check_param
+from .base import ExperimentContext, ExperimentOutcome, _check_param, _param_or_null
 
 __all__ = ["RegimeObservation", "Theorem9Result", "default_adversaries"]
 
@@ -135,7 +135,7 @@ def _theorem9(params: dict, context: ExperimentContext) -> ExperimentOutcome:
     else:
         eta = as_eta(params["eta"])
     analysis = SPFAnalysis(pair, eta)
-    pulse_lengths = params["pulse_lengths"]
+    pulse_lengths = _param_or_null(params, "pulse_lengths")
     if pulse_lengths is None:
         low = max(analysis.cancel_threshold, 0.05 * analysis.delta_min)
         high = analysis.latch_threshold
@@ -148,13 +148,20 @@ def _theorem9(params: dict, context: ExperimentContext) -> ExperimentOutcome:
         )
     else:
         _check_param(
-            len(pulse_lengths) > 0 and all(length > 0 for length in pulse_lengths),
-            "pulse_lengths", pulse_lengths, "must be a non-empty list of positive lengths",
+            isinstance(pulse_lengths, list)
+            and len(pulse_lengths) > 0
+            and all(length > 0 for length in pulse_lengths),
+            "pulse_lengths", params["pulse_lengths"],
+            "must be a non-empty list of positive lengths",
         )
     adversaries = params["adversaries"]
     if adversaries is None:
         adversaries = default_adversaries()
     else:
+        _check_param(
+            isinstance(adversaries, Mapping), "adversaries", repr(adversaries),
+            "must be an object of adversary specs",
+        )
         _check_param(len(adversaries) > 0, "adversaries", adversaries, "must not be empty")
     adversaries = {
         name: as_adversary_factory(factory) for name, factory in adversaries.items()

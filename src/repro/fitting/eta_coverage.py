@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -206,7 +206,7 @@ def _eta_coverage(params: dict, context: ExperimentContext) -> ExperimentOutcome
     from ..engine.scheduler import CircuitTopology
     from ..engine.sweep import eta_monte_carlo, run_many
     from ..experiments.base import ExperimentOutcome, _check_param, _number_or_null
-    from ..specs import as_eta, as_pair
+    from ..specs import BUILD_ERRORS, as_eta, as_pair, located
 
     pair, eta = as_pair(params["pair"]), as_eta(params["eta"])
     stages, stimulus = params["stages"], params["stimulus"]
@@ -218,10 +218,13 @@ def _eta_coverage(params: dict, context: ExperimentContext) -> ExperimentOutcome
     _check_param(isinstance(label, str), "label", json.dumps(label), "must be a string")
     _check_param(params["n_runs"] >= 1, "n_runs", params["n_runs"], "must be at least 1")
     _check_param(params["seed"] >= 0, "seed", params["seed"], "must be at least 0")
-    if isinstance(stimulus, Mapping):
+    if stimulus is not None:
         from ..io.netlist import signal_from_dict
 
-        stimulus = signal_from_dict(stimulus)
+        try:
+            stimulus = signal_from_dict(stimulus)
+        except BUILD_ERRORS as exc:
+            raise located(exc, "/stimulus") from exc
     circuit = inverter_chain(
         stages, lambda: EtaInvolutionChannel(pair, eta, ZeroAdversary())
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from ..core.transitions import Signal, Transition
 from ..specs import BUILD_ERRORS, CircuitSpec, SpecError, as_circuit, located
@@ -63,31 +63,54 @@ def signal_to_dict(signal: Signal) -> Dict[str, Any]:
 def signal_from_dict(data: Mapping[str, Any]) -> Signal:
     """Rebuild a signal from its dict form (transition list, pulse, or train).
 
-    Nothing is converted: times, ``start``, ``length``, ``widths`` and
-    ``gaps`` must be JSON numbers, and values, ``initial_value`` and
-    ``polarity`` the int 0 or 1 (a JSON boolean is neither), else
-    ``TypeError``.
+    The dict holds exactly one form: ``pulse``, ``pulse_train``, or the
+    transition list's optional ``initial_value`` and ``transitions``.  A
+    non-object, or a key the form does not read (at the top level or
+    inside ``pulse``/``pulse_train``), raises ``TypeError`` naming it, so
+    a misspelt key never decodes as a constant signal.  Nothing is
+    converted: times, ``start``, ``length``, ``widths`` and ``gaps`` must
+    be JSON numbers, and values, ``initial_value`` and ``polarity`` the
+    int 0 or 1 (a JSON boolean is neither), else ``TypeError``.
     """
+    _object(data, "signal")
     if "pulse" in data:
-        pulse = data["pulse"]
+        _object(data, "signal", ("pulse",))
+        pulse = _object(data["pulse"], "pulse", ("start", "length", "polarity"))
         return Signal.pulse(
             _number(pulse["start"], "start"),
             _number(pulse["length"], "length"),
             _bit(pulse.get("polarity", 1), "polarity"),
         )
     if "pulse_train" in data:
-        train = data["pulse_train"]
+        _object(data, "signal", ("pulse_train",))
+        train = _object(
+            data["pulse_train"], "pulse_train", ("start", "widths", "gaps", "initial_value")
+        )
         return Signal.pulse_train(
             _number(train.get("start", 0.0), "start"),
             [_number(width, "widths") for width in train["widths"]],
             [_number(gap, "gaps") for gap in train["gaps"]],
             _bit(train.get("initial_value", 0), "initial_value"),
         )
+    _object(data, "signal", ("initial_value", "transitions"))
     transitions = [
         Transition(_number(time, "time"), _bit(value, "value"))
         for time, value in data.get("transitions", [])
     ]
     return Signal(_bit(data.get("initial_value", 0), "initial_value"), transitions)
+
+
+def _object(value: Any, key: str, fields: Sequence[str] = ()) -> Mapping[str, Any]:
+    """*value* when it is an object whose keys are all in *fields* (any
+    keys when *fields* is empty), else ``TypeError`` naming *key* or the
+    keys it does not read."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{key}={value!r} must be an object")
+    unknown = [name for name in value if name not in fields] if fields else []
+    if unknown:
+        names = ", ".join(repr(name) for name in unknown)
+        raise TypeError(f"{key} has unknown key {names}, not one of {', '.join(fields)}")
+    return value
 
 
 def _number(value: Any, key: str) -> float:

@@ -15,7 +15,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import BUF, Circuit, simulate
+from repro.circuits import BUF, INV, NOR2, OR2, XOR2, Circuit, simulate
 from repro.core import (
     DegradationDelayChannel,
     EtaInvolutionChannel,
@@ -25,6 +25,7 @@ from repro.core import (
     PureDelayChannel,
     SequenceAdversary,
     Signal,
+    ZeroDelayChannel,
     admissible_eta_bound,
     remove_short_pulses,
 )
@@ -184,9 +185,9 @@ def test_inverter_chain_matches_offline_composition(stimulus, pairs):
     On a chain, the event-driven engine's per-edge executions must equal
     the offline channel algorithm applied stage by stage (each stage's
     offline output, inverted by the INV gate, feeding the next stage).
-    This pins the optimized kernel/scheduler (deque frontier, tombstone
-    skipping, integer dispatch) to the PR-1 semantics over random stimuli
-    and heterogeneous channel parameters.
+    This pins the optimized kernel/scheduler (deque frontier, cancelled
+    deliveries told apart by id order, integer dispatch) to the PR-1
+    semantics over random stimuli and heterogeneous channel parameters.
     """
     from repro.circuits import inverter_chain
 
@@ -221,3 +222,74 @@ def test_domain_guard_cancellation_matches(exp_pair):
     online = online_edge_signal(InvolutionChannel(exp_pair), stimulus)
     assert online.transition_times() == offline.transition_times()
     assert all(math.isfinite(t) for t in online.transition_times())
+
+
+def _port_channel(draw):
+    """A zero-delay, pure-delay, inertial or involution channel."""
+    kind = draw(st.sampled_from(["zero", "pure", "inertial", "involution"]))
+    if kind == "zero":
+        return ZeroDelayChannel()
+    if kind == "pure":
+        return PureDelayChannel(
+            draw(st.floats(min_value=0.1, max_value=3.0)),
+            draw(st.floats(min_value=0.1, max_value=3.0)),
+        )
+    if kind == "inertial":
+        return InertialDelayChannel(1.0, draw(st.floats(min_value=0.0, max_value=1.0)))
+    return InvolutionChannel(draw(exp_pairs()), inverting=draw(st.booleans()))
+
+
+@st.composite
+def port_circuits(draw):
+    """A random acyclic circuit, its stimuli and a horizon that may cut them.
+
+    Gates read earlier nodes; each output port is driven by an input port
+    or a gate through a random channel (zero-delay ones included).
+    """
+    circuit = Circuit("ports")
+    nodes = []
+    inputs = {}
+    for i in range(draw(st.integers(min_value=1, max_value=2))):
+        name = f"i{i}"
+        initial = draw(st.integers(0, 1))
+        circuit.add_input(name, initial_value=initial)
+        gaps = draw(
+            st.lists(st.floats(min_value=0.05, max_value=4.0), min_size=0, max_size=10)
+        )
+        inputs[name] = Signal.from_times(list(itertools.accumulate(gaps)), initial)
+        nodes.append(name)
+    for g in range(draw(st.integers(min_value=0, max_value=3))):
+        name = f"g{g}"
+        gate = draw(st.sampled_from([BUF, INV, OR2, NOR2, XOR2]))
+        circuit.add_gate(name, gate, initial_value=draw(st.integers(0, 1)))
+        for pin in range(gate.arity):
+            circuit.connect(
+                draw(st.sampled_from(nodes)), name, _port_channel(draw),
+                pin=pin, name=f"{name}.{pin}",
+            )
+        nodes.append(name)
+    drivers = {}
+    for o in range(draw(st.integers(min_value=1, max_value=2))):
+        name = f"o{o}"
+        circuit.add_output(name)
+        circuit.connect(
+            draw(st.sampled_from(nodes)), name, _port_channel(draw), name=f"{name}.in"
+        )
+        drivers[name] = f"{name}.in"
+    end_time = draw(st.floats(min_value=0.0, max_value=45.0))
+    return circuit, inputs, drivers, end_time
+
+
+@settings(max_examples=60, deadline=None)
+@given(port_circuits())
+def test_port_signals_are_the_inputs_and_the_driving_edges(case):
+    """An input port's node signal is its input cut at ``end_time``, and an
+    output port's is its driving edge's signal: the engine keeps no second
+    copy of either."""
+    circuit, inputs, drivers, end_time = case
+    execution = simulate(circuit, inputs, end_time, on_causality="drop")
+    for name, stimulus in inputs.items():
+        assert execution.node(name) == stimulus.restricted(end_time)
+    for name, edge in drivers.items():
+        assert execution.node(name) == execution.edge(edge)
+        assert execution.output(name) == execution.edge(edge)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.circuits import BUF, Circuit, simulate
 from repro.core import (
     Channel,
     EtaInvolutionChannel,
@@ -57,48 +58,78 @@ class TestOfflineProcess:
 
 
 class TestCancelledIdBookkeeping:
-    """The cancelled-id leak fix: tombstones only for enqueued events."""
+    """A cancelled delivery is told apart by id order alone.
+
+    A new output pops every pending entry at a later-or-equal time and takes
+    a fresh, larger id, so the frontier strictly increases in time and in
+    id: a cancelled event's id is below the head (or the frontier is
+    empty).  Its delivery returns ``None`` and changes nothing, and no
+    per-cancellation state exists to leak or to purge.
+    """
 
     def test_past_horizon_cancellation_leaves_no_tombstone(self):
-        # queue_horizon = 10 (the engine's end_time): the rising output at
-        # 11.5 is never enqueued, so transport-cancelling it must not
-        # record its id -- those ids used to accumulate until end of run.
-        kernel = ChannelKernel(
-            PureDelayChannel(2.0, 0.5), input_initial_value=0, queue_horizon=10.0
-        )
+        kernel = ChannelKernel(PureDelayChannel(2.0, 0.5), input_initial_value=0)
         rise = kernel.feed(9.5, 1)
         assert rise is not None and rise.time == pytest.approx(11.5)
         fall = kernel.feed(9.9, 0)  # scheduled at 10.4, cancels the rise
         assert fall is not None and fall.time == pytest.approx(10.4)
-        assert kernel.cancelled_ids == set()
+        assert rise.event_id < fall.event_id
+        assert [entry[2] for entry in kernel.pending] == [fall.event_id]
+        # The cancelled id is below the head: reported cancelled, and the
+        # frontier is left as it was.
+        assert kernel.deliver(rise.event_id, rise.value, rise.time) is None
         assert [entry[2] for entry in kernel.pending] == [fall.event_id]
 
     def test_within_horizon_cancellation_tombstone_is_consumed(self):
-        kernel = ChannelKernel(
-            PureDelayChannel(5.0, 1.0), input_initial_value=0, queue_horizon=100.0
-        )
+        kernel = ChannelKernel(PureDelayChannel(5.0, 1.0), input_initial_value=0)
         rise = kernel.feed(1.0, 1)  # scheduled at 6.0
         fall = kernel.feed(2.0, 0)  # scheduled at 3.0 -> cancels the rise
         assert rise is not None and fall is not None
-        assert kernel.cancelled_ids == {rise.event_id}
-        # Delivering the cancelled event consumes its tombstone.
-        assert kernel.deliver(rise.event_id, rise.value, rise.time) is False
-        assert kernel.cancelled_ids == set()
+        # In time order the fall comes due first: a no-change delivery.
+        assert kernel.deliver(fall.event_id, fall.value, fall.time) is False
+        assert not kernel.pending
+        # The cancelled rise finds the frontier empty, as often as it is
+        # asked: nothing was recorded for it, so nothing is consumed.
+        for _ in range(2):
+            assert kernel.deliver(rise.event_id, rise.value, rise.time) is None
+            assert not kernel.pending and kernel.delivered == []
 
     def test_finalize_purges_pending_and_tombstones(self):
-        kernel = ChannelKernel(
-            PureDelayChannel(5.0, 1.0), input_initial_value=0, queue_horizon=100.0
-        )
+        kernel = ChannelKernel(PureDelayChannel(5.0, 1.0), input_initial_value=0)
         kernel.feed(1.0, 1)
-        kernel.feed(2.0, 0)
-        assert kernel.pending and kernel.cancelled_ids
-        kernel.finalize()
-        assert not kernel.pending
-        assert kernel.cancelled_ids == set()
+        fall = kernel.feed(2.0, 0)
+        assert [entry[2] for entry in kernel.pending] == [fall.event_id]
+        # Nothing to purge: no finalize(), and no attribute holds event ids.
+        assert not hasattr(kernel, "finalize")
+        assert not hasattr(kernel, "cancelled_ids")
+        assert not any(
+            isinstance(getattr(kernel, slot, None), (set, frozenset, dict))
+            for slot in ChannelKernel.__slots__
+        )
+
+    def test_cancelled_deliveries_are_not_charged_to_max_events(self):
+        # Each 1-wide pulse through a 5/1 pure delay: the fall (due at t+2)
+        # cancels the rise (due at t+5), whose delivery is still queued and
+        # pops last.  Live events: the two port transitions and the fall's
+        # delivery per pulse, plus the time-0 settle pass.
+        circuit = Circuit("cancelling")
+        circuit.add_input("a")
+        circuit.add_gate("g", BUF, initial_value=0)
+        circuit.add_output("y")
+        circuit.connect("a", "g", PureDelayChannel(5.0, 1.0), pin=0, name="ch")
+        circuit.connect("g", "y")
+        pulses = 4
+        stimulus = Signal.pulse_train(1.0, [1.0] * pulses, [2.0] * (pulses - 1))
+        live = 3 * pulses + 1
+        execution = simulate(circuit, {"a": stimulus}, 100.0, max_events=live)
+        assert execution.event_count == live
+        assert execution.edge("ch") == Signal.zero()
+        with pytest.raises(SimulationError, match="exceeded max_events"):
+            simulate(circuit, {"a": stimulus}, 100.0, max_events=live - 1)
 
 
 class TestDeliverStateDivergence:
-    """Delivering an id that is neither pending nor tombstoned is an error.
+    """Delivering an id that is neither pending nor cancelled is an error.
 
     It can only mean scheduler/kernel state divergence; the kernel used to
     silently deliver the value anyway (regression test for that bugfix).

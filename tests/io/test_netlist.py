@@ -1,6 +1,7 @@
 """JSON netlist load/save round-trips and golden-file checks."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,25 @@ class TestSignalSerialisation:
     def test_pulse_train_shorthand(self):
         data = {"pulse_train": {"start": 1.0, "widths": [2.0, 1.0], "gaps": [3.0]}}
         assert signal_from_dict(data) == Signal.pulse_train(1.0, [2.0, 1.0], [3.0])
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            (5, "signal=5 must be an object"),
+            ({"transitionsx": [[1.0, 1]]}, "'transitionsx'"),
+            ({"pulse": {"start": 1.0, "length": 3.0, "polaritx": 0}}, "'polaritx'"),
+            ({"pulse": {"start": 1.0, "length": 3.0}, "transitions": [[9.0, 1]]},
+             "'transitions'"),
+            ({"pulse_train": {"widths": [1.0], "gaps": []}, "initial_value": 1},
+             "'initial_value'"),
+            ({"pulse_train": {"widths": [1.0], "gaps": [], "gapz": []}}, "'gapz'"),
+        ],
+    )
+    def test_key_it_does_not_read_is_named(self, data, named):
+        """One form per dict: a misspelt key or a second form's key is an
+        error, never a constant signal or a silently dropped field."""
+        with pytest.raises(TypeError, match=re.escape(named)):
+            signal_from_dict(data)
 
 
 class TestNetlistRoundTrip:
@@ -119,6 +139,15 @@ class TestNetlistRoundTrip:
             ("metadata", [], "/metadata"),
             ("metadata", False, "/metadata"),
             ("metadata", "", "/metadata"),
+            ("inputs", {"in": 5}, "/inputs/in"),
+            ("inputs", {"in": {"transitionsx": [[1.0, 1]]}}, "/inputs/in"),
+            ("inputs", {"in": {"pulse": {"start": 1.0, "length": 3.0, "polaritx": 0}}},
+             "/inputs/in"),
+            ("inputs", {"in": {"pulse": {"start": 1.0, "length": 3.0},
+                               "transitions": [[9.0, 1]]}}, "/inputs/in"),
+            ("inputs", {"in": {"pulse": [1.0, 3.0]}}, "/inputs/in"),
+            ("inputs", {"in": {"pulse_train": {"widths": [1.0], "gaps": [], "gapz": []}}},
+             "/inputs/in"),
         ],
     )
     def test_envelope_field_that_does_not_decode_is_named(self, field, value, where):

@@ -463,6 +463,26 @@ class TestStructuralDefects:
         assert message.startswith("error: ") and "\n" not in message
         assert "no single-history delay function" in message
 
+    def test_a_misspelt_stimulus_key_is_one_lint_error_and_one_error_line(
+        self, tmp_path, capsys
+    ):
+        """A stimulus key the signal decoder does not read is REP009, not a
+        constant input that simulates after one event."""
+        data = json.loads((EXAMPLES / "inverter_chain.json").read_text())
+        stimulus = data["inputs"]["in"]
+        stimulus["transitionsx"] = stimulus.pop("transitions")
+        path = tmp_path / "netlist.json"
+        path.write_text(json.dumps(data))
+        assert main(["lint", str(path)]) == 1
+        errors = [line for line in capsys.readouterr().out.splitlines() if " error: " in line]
+        assert len(errors) == 1 and " REP009 error: " in errors[0], errors
+        assert "'transitionsx'" in errors[0]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", str(path)])
+        message = str(exit_info.value)
+        assert message.startswith("error: ") and "\n" not in message
+        assert "'transitionsx'" in message
+
     def test_a_well_formed_custom_gate_simulates_like_the_library_one(self, tmp_path, capsys):
         assert main(["simulate", str(EXAMPLES / "inverter_chain.json")]) == 0
         library = capsys.readouterr().out
@@ -819,6 +839,26 @@ class TestExperimentCLI:
              "label=[] must be a string"),
             (["fig8", "--params-json", '{"eta_plus": true}'], "eta_plus=True must be a number"),
             (["fig9", "--params-json", '{"eta_plus": "x"}'], "eta_plus='x' must be a number"),
+            (["theorem9", "--params-json", '{"adversaries": "x"}'],
+             "adversaries='x' must be an object"),
+            (["theorem9", "--params-json", '{"pulse_lengths": 5}'],
+             "pulse_lengths=5 must be a non-empty list of positive lengths"),
+            (["theorem9", "--params-json", '{"pulse_lengths": ["x"]}'],
+             "pulse_lengths=['x'] must be numbers"),
+            (["theorem9", "--params-json", '{"pulse_lengths": [true]}'],
+             "pulse_lengths=[True] must be numbers"),
+            (["comparison", "--params-json", '{"factories": 5}'],
+             "factories=5 must be an object"),
+            (["comparison", "--params-json", '{"factories": {}}'],
+             "factories={} must not be empty"),
+            (["eta_coverage", "--params-json", '{"stages": 2, "n_runs": 3, "stimulus": 5}'],
+             "signal=5 must be an object (at /stimulus)"),
+            (["eta_coverage", "--params-json",
+              '{"stages": 2, "n_runs": 3, "stimulus": {"a": 1}}'],
+             "signal has unknown key 'a'"),
+            (["fig8", "--params-json", '{"eta_plus": []}'], "eta_plus=[] must be a number or null"),
+            (["eta_coverage", "--params-json", '{"stages": 2, "n_runs": 3, "end_time": [40]}'],
+             "end_time=[40.0] must be a number or null"),
         ],
         ids=["theorem9-end_time-string", "comparison-stages-float", "lemma5-eta_plus_values-int",
              "theorem9-record_traces-int", "inverter-chain-stages-0", "analog-chain-stages-0",
@@ -833,7 +873,12 @@ class TestExperimentCLI:
              "fig8-n_widths-1", "fig8-n_widths-2", "fig8-scenarios-empty",
              "fig9-n_widths-1", "fig9-n_widths-2", "theorem9-adversaries-empty",
              "eta_coverage-end_time-bool", "eta_coverage-label-list",
-             "fig8-eta_plus-bool", "fig9-eta_plus-string"],
+             "fig8-eta_plus-bool", "fig9-eta_plus-string", "theorem9-adversaries-string",
+             "theorem9-pulse_lengths-number", "theorem9-pulse_lengths-string-item",
+             "theorem9-pulse_lengths-bool-item", "comparison-factories-number",
+             "comparison-factories-empty", "eta_coverage-stimulus-number",
+             "eta_coverage-stimulus-unknown-key", "fig8-eta_plus-list",
+             "eta_coverage-end_time-list"],
     )
     def test_malformed_param_is_one_error_line(self, argv, fragment):
         """A parameter of the wrong JSON type for its kind's default, or

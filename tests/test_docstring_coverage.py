@@ -2,8 +2,8 @@
 
 The MkDocs API reference (mkdocstrings) renders ``repro.api``,
 ``repro.specs``, ``repro.store``, ``repro.experiments.base`` and the
-engine's sweep/vector modules; an undocumented public object there is a
-hole in the site.  This test walks those modules with ``ast`` (no extra
+engine's kernel, scheduler, sweep and vector modules; an undocumented
+public object there is a hole in the site.  This test walks those modules with ``ast`` (no extra
 dependency needed locally) and requires a docstring on **every** public
 module, class, method and function -- the same 100% threshold the
 ``interrogate`` CI step enforces.
@@ -34,6 +34,8 @@ ENFORCED = [
     SRC / "engine" / "shard.py",
     SRC / "engine" / "__init__.py",
     SRC / "engine" / "capability.py",
+    SRC / "engine" / "kernel.py",
+    SRC / "engine" / "scheduler.py",
     SRC / "lint" / "__init__.py",
     SRC / "lint" / "diagnostics.py",
     SRC / "lint" / "rules.py",
